@@ -18,6 +18,7 @@ noise variance per receive antenna is 10^(-snr_db / 10).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -35,6 +36,7 @@ __all__ = [
     "NoisySignal",
     "channel_init",
     "channel_matrix_at",
+    "channel_matrices",
     "apply_channel",
 ]
 
@@ -72,13 +74,25 @@ def correlation_matrix(n: int, rho: float) -> np.ndarray:
     return (rho ** np.abs(idx[:, None] - idx[None, :])).astype(np.complex128)
 
 
-def _corr_sqrt(r: np.ndarray) -> np.ndarray:
-    # Hermitian PSD square root via eigendecomposition. Exponential
-    # correlation matrices with rho < 1 are strictly positive definite, so
-    # the clip only guards floating-point dust.
-    w, v = np.linalg.eigh(r)
+@functools.lru_cache(maxsize=32)
+def _correlation_sqrt(n: int, rho: float) -> np.ndarray:
+    """Hermitian square root of correlation_matrix(n, rho), read-only.
+
+    Cached per (n, rho): it is constant for a channel spec, and every
+    channel of a run needs it.
+    """
+    # Eigendecomposition square root. Exponential correlation matrices with
+    # rho < 1 are strictly positive definite, so the clip only guards
+    # floating-point dust.
+    w, v = np.linalg.eigh(correlation_matrix(n, rho))
     w = np.clip(w.real, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    root = (v * np.sqrt(w)) @ v.conj().T
+    root.setflags(write=False)
+    return root
+
+
+def _path_gain(spec: ChannelSpec) -> float:
+    return 10.0 ** (spec.path_gain_db / 20.0)
 
 
 @dataclass(frozen=True)
@@ -137,15 +151,20 @@ def channel_init(spec: ChannelSpec, rng: RngStream) -> ChannelProcess:
         fading_init(spec.fading, rng.spawn(idx))
         for idx in range(spec.n_rx * spec.n_tx)
     ]
-    rr = _corr_sqrt(correlation_matrix(spec.n_rx, spec.correlation))
-    rt = _corr_sqrt(correlation_matrix(spec.n_tx, spec.correlation))
     return ChannelProcess(
         spec=spec,
         links=links,
-        rr_sqrt=rr,
-        rt_sqrt=rt,
-        gain=10.0 ** (spec.path_gain_db / 20.0),
+        rr_sqrt=_correlation_sqrt(spec.n_rx, spec.correlation),
+        rt_sqrt=_correlation_sqrt(spec.n_tx, spec.correlation),
+        gain=_path_gain(spec),
     )
+
+
+def _mix(spec: ChannelSpec, g: np.ndarray, rr_sqrt, rt_sqrt, gain: float) -> np.ndarray:
+    # Correlate and scale C-contiguous uncorrelated gains g (n, n_rx, n_tx).
+    if spec.correlation != 0.0:
+        g = np.einsum("ij,njk,kl->nil", rr_sqrt, g, rt_sqrt)
+    return gain * g
 
 
 def channel_matrix_at(proc: ChannelProcess, n_samples: int) -> np.ndarray:
@@ -156,9 +175,22 @@ def channel_matrix_at(proc: ChannelProcess, n_samples: int) -> np.ndarray:
     for r in range(nr):
         for t in range(nt):
             g[:, r, t] = fading_next(proc.links[r * nt + t], n_samples)
-    if proc.spec.correlation != 0.0:
-        g = np.einsum("ij,njk,kl->nil", proc.rr_sqrt, g, proc.rt_sqrt)
-    return proc.gain * g
+    return _mix(proc.spec, g, proc.rr_sqrt, proc.rt_sqrt, proc.gain)
+
+
+def channel_matrices(spec: ChannelSpec, gains: np.ndarray) -> np.ndarray:
+    """Channel matrices of several channels from their link gains.
+
+    gains is (F, n_rx * n_tx, n): F channels, links in row-major order as
+    in ChannelProcess, n samples each. Returns the (F * n, n_rx, n_tx)
+    matrices, channel by channel, equal to what channel_matrix_at returns
+    for links that produce those gains.
+    """
+    f, _, n = gains.shape
+    g = np.ascontiguousarray(gains.transpose(0, 2, 1)).reshape(f * n, spec.n_rx, spec.n_tx)
+    rr = _correlation_sqrt(spec.n_rx, spec.correlation)
+    rt = _correlation_sqrt(spec.n_tx, spec.correlation)
+    return _mix(spec, g, rr, rt, _path_gain(spec))
 
 
 def apply_channel(

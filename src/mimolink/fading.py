@@ -30,7 +30,10 @@ __all__ = [
     "FadingProcess",
     "EnvelopeStats",
     "fading_init",
+    "fading_draws",
+    "fading_angles",
     "fading_next",
+    "link_gains",
     "validate_process",
     "pdf_power_rayleigh",
     "pdf_envelope_rician",
@@ -44,8 +47,9 @@ __all__ = [
 # geometry: a deterministic rotating phasor.
 K_AWGN_SENTINEL = 1e9
 
-# Samples per internal generation chunk; bounds peak memory of the (n, M)
-# intermediate at a few tens of MB.
+# Samples per fading_next chunk. The kernel's one (n, M) float64 scratch
+# array is then 16 MiB at M = 32, and fading_next(1e6) peaks at about
+# 71 MiB of RSS in a fresh interpreter (31 MiB of it before the call).
 _CHUNK = 1 << 16
 
 
@@ -100,6 +104,26 @@ class FadingProcess:
     sample_index: int = 0
 
 
+def fading_draws(spec: FadingSpec) -> int:
+    """Uniforms that fading_init draws from its stream: 1 + 2M."""
+    return 1 + 2 * spec.num_sinusoids
+
+
+def fading_angles(spec: FadingSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Map rows of fading_draws(spec) uniforms to (alphas, psis, thetas).
+
+    u has shape (..., 1 + 2M): one uniform for theta, then M for psi, then
+    M for the second quadrature's phases. Each result has shape (..., M).
+    """
+    m = spec.num_sinusoids
+    theta = -np.pi + 2.0 * np.pi * u[..., :1]
+    psis = -np.pi + 2.0 * np.pi * u[..., 1 : m + 1]
+    thetas = -np.pi + 2.0 * np.pi * u[..., m + 1 :]
+    i = np.arange(1, m + 1)
+    alphas = (2.0 * np.pi * i - np.pi + theta) / (4.0 * m)
+    return alphas, psis, thetas
+
+
 def fading_init(spec: FadingSpec, rng: RngStream) -> FadingProcess:
     """Draw the per-link random angles and return a process at t = 0.
 
@@ -107,21 +131,67 @@ def fading_init(spec: FadingSpec, rng: RngStream) -> FadingProcess:
     quadrature's phases) is part of the reproducibility contract.
     """
     spec.validate()
-    m = spec.num_sinusoids
-    theta = -math.pi + 2.0 * math.pi * float(rng.uniform(1)[0])
-    psis = -np.pi + 2.0 * np.pi * rng.uniform(m)
-    thetas = -np.pi + 2.0 * np.pi * rng.uniform(m)
-    i = np.arange(1, m + 1)
-    alphas = (2.0 * np.pi * i - np.pi + theta) / (4.0 * m)
+    alphas, psis, thetas = fading_angles(spec, rng.uniform(fading_draws(spec)))
     return FadingProcess(spec=spec, alphas=alphas, psis=psis, thetas=thetas)
 
 
-def _scattered(proc: FadingProcess, t: np.ndarray) -> np.ndarray:
-    wd = 2.0 * np.pi * proc.spec.max_doppler_hz
-    arg_re = wd * np.outer(t, np.cos(proc.alphas)) + proc.psis
-    arg_im = wd * np.outer(t, np.sin(proc.alphas)) + proc.thetas
-    scale = 1.0 / math.sqrt(proc.spec.num_sinusoids)
-    return scale * (np.cos(arg_re).sum(axis=1) + 1j * np.cos(arg_im).sum(axis=1))
+def _cos_sums(t: np.ndarray, freqs: np.ndarray, phases: np.ndarray, wd: float) -> np.ndarray:
+    # sum_m cos(wd * t * freqs[b, m] + phases[b, m]) for every row b and
+    # time t, shape (B, n), through one in-place (B, n, M) scratch array.
+    buf = np.multiply(t[None, :, None], freqs[:, None, :])
+    buf *= wd
+    buf += phases[:, None, :]
+    np.cos(buf, out=buf)
+    return buf.sum(axis=-1)
+
+
+def link_gains(
+    spec: FadingSpec,
+    alphas: np.ndarray,
+    psis: np.ndarray,
+    thetas: np.ndarray,
+    t: np.ndarray,
+    budget: int,
+) -> np.ndarray:
+    """Gains of B links at the times t (seconds), shape (B, len(t)).
+
+    alphas, psis and thetas are (B, M) angle tables from fading_angles. The
+    scratch array of the sum of cosines holds at most `budget` float64
+    elements (at least one link's M sinusoids at one time), so links and
+    times are taken in tiles. A row equals fading_next of a process with
+    those angles whose sample times are t.
+    """
+    n_links, m = alphas.shape
+    n = len(t)
+    out = np.empty((n_links, n), dtype=np.complex128)
+    k = spec.k_factor
+    rician = spec.model is FadingModel.RICIAN
+
+    def los(tt):
+        return math.sqrt(k / (k + 1.0)) * np.exp(
+            1j * (2.0 * np.pi * spec.los_doppler_hz * tt + spec.los_phase_rad)
+        )
+
+    if rician and k > K_AWGN_SENTINEL:
+        out[:] = los(t)
+        return out
+    wd = 2.0 * np.pi * spec.max_doppler_hz
+    scale = 1.0 / math.sqrt(m)
+    cos_a, sin_a = np.cos(alphas), np.sin(alphas)
+    span = max(1, min(n, budget // m))
+    group = max(1, budget // (span * m))
+    for b0 in range(0, n_links, group):
+        rows = slice(b0, b0 + group)
+        for s0 in range(0, n, span):
+            tt = t[s0 : s0 + span]
+            g = scale * (
+                _cos_sums(tt, cos_a[rows], psis[rows], wd)
+                + 1j * _cos_sums(tt, sin_a[rows], thetas[rows], wd)
+            )
+            if rician:
+                g = los(tt) + math.sqrt(1.0 / (k + 1.0)) * g
+            out[rows, s0 : s0 + span] = g
+    return out
 
 
 def fading_next(proc: FadingProcess, n_samples: int) -> np.ndarray:
@@ -137,20 +207,11 @@ def fading_next(proc: FadingProcess, n_samples: int) -> np.ndarray:
     out = np.empty(n_samples, dtype=np.complex128)
     fs = spec.sample_rate_hz
     start = proc.sample_index
+    angles = proc.alphas[None], proc.psis[None], proc.thetas[None]
     for ofs in range(0, n_samples, _CHUNK):
         cnt = min(_CHUNK, n_samples - ofs)
         t = (start + ofs + np.arange(cnt)) / fs
-        if spec.model is FadingModel.RAYLEIGH:
-            out[ofs : ofs + cnt] = _scattered(proc, t)
-        else:
-            k = spec.k_factor
-            los = math.sqrt(k / (k + 1.0)) * np.exp(
-                1j * (2.0 * np.pi * spec.los_doppler_hz * t + spec.los_phase_rad)
-            )
-            if k > K_AWGN_SENTINEL:
-                out[ofs : ofs + cnt] = los
-            else:
-                out[ofs : ofs + cnt] = los + math.sqrt(1.0 / (k + 1.0)) * _scattered(proc, t)
+        out[ofs : ofs + cnt] = link_gains(spec, *angles, t, cnt * spec.num_sinusoids)[0]
     proc.sample_index = start + n_samples
     return out
 

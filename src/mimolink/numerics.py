@@ -20,6 +20,8 @@ __all__ = [
     "mat_inverse",
     "hermitian",
     "RngStream",
+    "PhiloxStreams",
+    "complex_normal_from",
     "gaussian_pair",
     "pack_stream_id",
     "bessel_i0",
@@ -142,7 +144,7 @@ class RngStream:
             raise ValueError("stream_id must fit in 64 bits")
         self.master_seed = master_seed
         self.stream_id = stream_id
-        self._gen = np.random.Generator(np.random.Philox(key=[master_seed, stream_id]))
+        self._gen = np.random.Generator(np.random.Philox(key=_philox_key(master_seed, stream_id)))
 
     def spawn(self, offset: int) -> "RngStream":
         """Derive a sibling stream by offsetting the role field of the id.
@@ -165,14 +167,10 @@ class RngStream:
         on ceil(n/2).
         """
         pairs = (n + 1) // 2
-        u1 = self.uniform(pairs)
-        u2 = self.uniform(pairs)
-        # 1 - u1 maps [0,1) to (0,1], keeping log() finite.
-        r = np.sqrt(-2.0 * np.log1p(-u1))
-        ang = 2.0 * np.pi * u2
+        c, s = _box_muller(self.uniform(2 * pairs))
         z = np.empty(2 * pairs)
-        z[0::2] = r * np.cos(ang)
-        z[1::2] = r * np.sin(ang)
+        z[0::2] = c
+        z[1::2] = s
         return z[:n]
 
     def gaussian_pair(self) -> tuple[float, float]:
@@ -183,9 +181,63 @@ class RngStream:
     def complex_normal(self, shape, var: float = 1.0) -> np.ndarray:
         """Circularly symmetric complex normals with E|z|^2 = var."""
         size = int(np.prod(shape)) if not np.isscalar(shape) else int(shape)
-        z = self.standard_normal(2 * size)
-        out = (z[0::2] + 1j * z[1::2]) * math.sqrt(var / 2.0)
-        return out.reshape(shape)
+        return complex_normal_from(self.uniform(2 * size), var).reshape(shape)
+
+
+def _philox_key(master_seed: int, stream_id: int) -> np.ndarray:
+    # An explicit uint64 array: a plain list of Python ints goes through
+    # float64 once a value reaches 2**63, which merges neighbouring seeds.
+    return np.array([master_seed, stream_id], dtype=np.uint64)
+
+
+class PhiloxStreams:
+    """Draws from any (master_seed, stream_id) stream with one generator.
+
+    uniform(stream_id, out) fills `out` with exactly the uniforms that
+    RngStream(master_seed, stream_id).uniform(out.size) returns, by
+    resetting one Philox bit generator to that key and counter 0, which is
+    far cheaper than building a generator per stream. Not thread-safe:
+    give each thread its own instance.
+    """
+
+    __slots__ = ("_key", "_state", "_bitgen", "_gen")
+
+    def __init__(self, master_seed: int):
+        if not (0 <= master_seed < 1 << 64):
+            raise ValueError("master_seed must fit in 64 bits")
+        self._key = _philox_key(master_seed, 0)
+        self._bitgen = np.random.Philox(key=self._key)
+        self._gen = np.random.Generator(self._bitgen)
+        # A fresh generator's state (counter 0, empty buffer) with the key
+        # array swapped for self._key, so rekeying is one element store.
+        self._state = self._bitgen.state
+        self._state["state"]["key"] = self._key
+
+    def uniform(self, stream_id: int, out: np.ndarray) -> np.ndarray:
+        """Fill out (float64, contiguous) from the start of stream_id."""
+        self._key[1] = stream_id
+        self._bitgen.state = self._state
+        return self._gen.random(out=out)
+
+
+def _box_muller(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Trigonometric Box-Muller on the last axis of u.
+
+    The first half of that axis supplies the radii, the second half the
+    angles; returns the cosine and sine normals, each half as long.
+    """
+    pairs = u.shape[-1] // 2
+    # 1 - u maps [0,1) to (0,1], keeping log() finite.
+    r = np.sqrt(-2.0 * np.log1p(-u[..., :pairs]))
+    ang = 2.0 * np.pi * u[..., pairs:]
+    return r * np.cos(ang), r * np.sin(ang)
+
+
+def complex_normal_from(u: np.ndarray, var: float) -> np.ndarray:
+    """Circularly symmetric complex normals with E|z|^2 = var from the
+    uniforms of u's last axis (see _box_muller), half as many as uniforms."""
+    c, s = _box_muller(u)
+    return (c + 1j * s) * math.sqrt(var / 2.0)
 
 
 def gaussian_pair(rng: RngStream) -> tuple[float, float]:

@@ -14,6 +14,17 @@ outcomes in trial-index order and cutting off at the exact frame where the
 error target is met, which makes the output bit-identical for any worker
 count.
 
+Trials run in chunks. run_wave simulates a chunk of trials as arrays: one
+cosine kernel over every fading link of every frame, then one batched call
+each for encoding, mixing, noise, combining or detection, and demapping.
+Each trial still draws its own streams from counter zero in the same
+order, so run_wave equals run_frame, the single-trial reference, trial by
+trial. A chunk holds as many trials as fit CHUNK_ELEMENTS (one 4x4 FER
+frame, several smaller ones). The serial path runs one chunk at a time and
+checks the error target after each; the process pool gets waves of
+WAVE_FRAMES trials split evenly over its workers, and each worker runs its
+span chunk by chunk.
+
 Frame chain for the FER experiments: Bernoulli bits -> QPSK -> OSTBC encode
 -> time-varying correlated channel + AWGN -> combine (channel of each
 block's first row, the usual quasi-static approximation) -> demodulate ->
@@ -33,7 +44,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import ChannelSpec, apply_channel, channel_init
+from .channel import ChannelSpec, apply_channel, channel_init, channel_matrices
 from .detect import (
     DetectionFailure,
     DetectorKind,
@@ -41,8 +52,9 @@ from .detect import (
     mmse_detect_batch,
     zf_detect_batch,
 )
+from .fading import fading_angles, fading_draws, link_gains
 from .modem import QPSK_POINTS, bernoulli_bits, qpsk_demodulate, qpsk_modulate
-from .numerics import RngStream, pack_stream_id
+from .numerics import PhiloxStreams, RngStream, complex_normal_from, pack_stream_id
 from .stbc import combine_array, encode_array, ostbc_code
 
 __all__ = [
@@ -51,6 +63,7 @@ __all__ = [
     "SweepPoint",
     "SimResult",
     "run_frame",
+    "run_wave",
     "run_experiment",
     "wilson_interval",
     "emit_csv",
@@ -80,9 +93,17 @@ ROLE_NOISE = 1
 ROLE_FADING = 2
 ROLE_IID_CHANNEL = 18
 
-# Trials simulated per scheduling wave. Any value gives identical results;
-# this only trades cutoff overshoot against scheduling overhead.
+# Trials handed to the worker pool per scheduling wave, split evenly over
+# the workers. Any value gives identical results; it only trades frames
+# simulated past the stopping cut against dispatch overhead. The serial
+# path instead runs one run_wave chunk at a time (see chunk_trials), so it
+# stops within a chunk of the cut.
 WAVE_FRAMES = 1024
+
+# Float64 elements (0.5 MiB) that a run_wave chunk may keep live at once;
+# it sets how many trials a chunk batches (see chunk_trials) and the tile
+# size of the fading kernel.
+CHUNK_ELEMENTS = 1 << 16
 
 # 95% two-sided normal quantile, frozen so CSV output never shifts with
 # library updates.
@@ -206,12 +227,7 @@ def run_frame(config: SimConfig, trial_index: int) -> tuple[bool, int, int]:
         else:
             noise_var = 0.0
         try:
-            if config.detector is DetectorKind.ZF:
-                decided = zf_detect_batch(h, y, QPSK_POINTS)
-            elif config.detector is DetectorKind.MMSE:
-                decided = mmse_detect_batch(h, y, QPSK_POINTS, noise_var)
-            else:
-                decided = ml_detect_batch(h, y, QPSK_POINTS)
+            decided = _detect(config, h, y, noise_var)
         except DetectionFailure:
             return True, config.frame_bits, config.frame_bits
         bits_hat = qpsk_demodulate(decided.ravel())
@@ -231,9 +247,123 @@ def run_frame(config: SimConfig, trial_index: int) -> tuple[bool, int, int]:
     return bit_errors > 0, bit_errors, config.frame_bits
 
 
+def _detect(config: SimConfig, h: np.ndarray, y: np.ndarray, noise_var: float) -> np.ndarray:
+    if config.detector is DetectorKind.ZF:
+        return zf_detect_batch(h, y, QPSK_POINTS)
+    if config.detector is DetectorKind.MMSE:
+        return mmse_detect_batch(h, y, QPSK_POINTS, noise_var)
+    return ml_detect_batch(h, y, QPSK_POINTS)
+
+
+def chunk_trials(config: SimConfig) -> int:
+    """Trials that one run_wave chunk batches, from CHUNK_ELEMENTS.
+
+    A trial's share of the chunk's peak of live float64 elements, as
+    tracemalloc measures it: about 1.5 times the (links, samples, M)
+    cosine scratch of the FER chain; about 10 per complex channel entry
+    under ZF and MMSE; about 5 per complex (vector, hypothesis, n_rx)
+    candidate under ML.
+    """
+    ch = config.channel
+    n_symbols = config.frame_bits // 2
+    if config.experiment is Experiment.BER_VS_SNR:
+        n_vec = n_symbols // ch.n_tx
+        if config.detector is DetectorKind.ML:
+            per_trial = 5 * n_vec * len(QPSK_POINTS) ** ch.n_tx * ch.n_rx
+        else:
+            per_trial = 10 * n_vec * ch.n_rx * ch.n_tx
+    else:
+        code = ostbc_code(*config.code)
+        rows = n_symbols // code.n_symbols * code.block_len
+        per_trial = 3 * ch.n_rx * ch.n_tx * rows * ch.fading.num_sinusoids // 2
+    return max(1, CHUNK_ELEMENTS // per_trial)
+
+
+def run_wave(config: SimConfig, start: int, stop: int) -> list[tuple[bool, int, int]]:
+    """Outcomes of trials [start, stop), in index order, simulated in batches.
+
+    Equal to [run_frame(config, t) for t in range(start, stop)]: every
+    trial draws the same uniforms from the same (seed, stream id) streams
+    in the same order, and every step applies the same floating-point
+    operations to them, only over chunk_trials(config) trials at a time.
+    A ZF detection failure still wipes only the frame it occurs in.
+    """
+    streams = PhiloxStreams(config.master_seed)
+    step = chunk_trials(config)
+    out: list[tuple[bool, int, int]] = []
+    for a in range(start, stop, step):
+        out.extend(_run_chunk(config, streams, range(a, min(a + step, stop))))
+    return out
+
+
+def _run_chunk(config: SimConfig, streams: PhiloxStreams, trials: range) -> list[tuple[bool, int, int]]:
+    exp_id = EXPERIMENT_IDS[config.experiment]
+    ch = config.channel
+    f = len(trials)
+
+    def uniforms(role: int, per_trial: int, links: int = 1) -> np.ndarray:
+        # Row i * links + j holds the start of stream (role + j, trials[i]).
+        u = np.empty((f, links, per_trial))
+        for i, trial in enumerate(trials):
+            for j in range(links):
+                streams.uniform(pack_stream_id(exp_id, role + j, trial), u[i, j])
+        return u.reshape(f * links, per_trial)
+
+    bits = (uniforms(ROLE_BITS, config.frame_bits) < 0.5).astype(np.uint8)
+    syms = qpsk_modulate(bits.ravel())
+    noisy = not math.isinf(config.snr_db)
+    noise_var = 10.0 ** (-config.snr_db / 10.0) if noisy else 0.0
+    n_rx = ch.n_rx
+    failed = np.zeros(f, dtype=bool)
+
+    if config.experiment is Experiment.BER_VS_SNR:
+        n_tx = ch.n_tx
+        vectors = syms.reshape(-1, n_tx)
+        n_vec = vectors.shape[0] // f
+        gain = 10.0 ** (ch.path_gain_db / 20.0)
+        h = gain * complex_normal_from(uniforms(ROLE_IID_CHANNEL, 2 * n_vec * n_rx * n_tx), 1.0)
+        h = h.reshape(-1, n_rx, n_tx)
+        y = np.einsum("nrt,nt->nr", h, vectors / math.sqrt(n_tx))
+        if noisy:
+            y = y + complex_normal_from(uniforms(ROLE_NOISE, 2 * n_vec * n_rx), noise_var).reshape(-1, n_rx)
+        try:
+            decided = _detect(config, h, y, noise_var)
+        except DetectionFailure:
+            # Some frame's channel is singular: detect frame by frame, as
+            # run_frame does, so that only the failing frames are wiped.
+            decided = np.zeros_like(vectors)
+            for i in range(f):
+                rows = slice(i * n_vec, (i + 1) * n_vec)
+                try:
+                    decided[rows] = _detect(config, h[rows], y[rows], noise_var)
+                except DetectionFailure:
+                    failed[i] = True
+        bits_hat = qpsk_demodulate(decided.ravel())
+    else:
+        code = ostbc_code(*config.code)
+        x = encode_array(code, syms.reshape(-1, code.n_symbols))
+        t_len = code.block_len
+        n_rows = x.shape[0] // f * t_len
+        links = n_rx * ch.n_tx
+        fading = ch.fading
+        u = uniforms(ROLE_FADING, fading_draws(fading), links)
+        t = np.arange(n_rows) / fading.sample_rate_hz
+        gains = link_gains(fading, *fading_angles(fading, u), t, CHUNK_ELEMENTS)
+        h = channel_matrices(ch, gains.reshape(f, links, n_rows))
+        y = np.einsum("nrt,nt->nr", h, x.reshape(-1, ch.n_tx))
+        if noisy:
+            y = y + complex_normal_from(uniforms(ROLE_NOISE, 2 * n_rows * n_rx), noise_var).reshape(-1, n_rx)
+        s_hat = combine_array(code, y.reshape(-1, t_len, n_rx), h[::t_len])
+        bits_hat = qpsk_demodulate(s_hat.ravel())
+
+    errors = np.count_nonzero(bits_hat.reshape(f, -1) != bits, axis=1)
+    errors[failed] = config.frame_bits
+    return [(bool(e > 0), int(e), config.frame_bits) for e in errors]
+
+
 def _simulate_range(config: SimConfig, start: int, stop: int) -> list[tuple[bool, int, int]]:
     """Worker body: outcomes for trials [start, stop), in index order."""
-    return [run_frame(config, t) for t in range(start, stop)]
+    return run_wave(config, start, stop)
 
 
 @dataclass(frozen=True)
@@ -327,8 +457,9 @@ def _run_point(config: SimConfig, x: float, pool: ProcessPoolExecutor | None, wo
     outcomes: list[tuple[bool, int, int]] = []
     frame_errors = 0
     next_trial = 0
+    wave_frames = WAVE_FRAMES if pool is not None else chunk_trials(pc)
     while next_trial < pc.max_frames:
-        n = min(WAVE_FRAMES, pc.max_frames - next_trial)
+        n = min(wave_frames, pc.max_frames - next_trial)
         if pool is None or n < 2 * workers:
             wave = _simulate_range(pc, next_trial, next_trial + n)
         else:

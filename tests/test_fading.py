@@ -11,9 +11,11 @@ from mimolink.fading import (
     EnvelopeStats,
     FadingModel,
     FadingSpec,
+    fading_angles,
     fading_init,
     fading_next,
     k_factor,
+    link_gains,
     ks_statistic,
     pdf_envelope_rician,
     pdf_power_rayleigh,
@@ -76,6 +78,40 @@ def test_seamless_continuation_across_calls_and_chunks():
     split = np.concatenate([fading_next(proc, 35_000), fading_next(proc, 35_000)])
     whole = fading_next(fading_init(FAST_SPEC, RngStream(8, 1)), 70_000)
     np.testing.assert_array_equal(split, whole)  # 70000 also crosses a chunk edge
+
+
+def _outer_product_gains(proc, t):
+    """The sum of sinusoids written out with whole (n, M) outer products."""
+    spec = proc.spec
+    wd = 2.0 * np.pi * spec.max_doppler_hz
+    arg_re = wd * np.outer(t, np.cos(proc.alphas)) + proc.psis
+    arg_im = wd * np.outer(t, np.sin(proc.alphas)) + proc.thetas
+    scale = 1.0 / math.sqrt(spec.num_sinusoids)
+    g = scale * (np.cos(arg_re).sum(axis=1) + 1j * np.cos(arg_im).sum(axis=1))
+    if spec.model is FadingModel.RICIAN:
+        k = spec.k_factor
+        los = math.sqrt(k / (k + 1.0)) * np.exp(
+            1j * (2.0 * np.pi * spec.los_doppler_hz * t + spec.los_phase_rad)
+        )
+        g = los + math.sqrt(1.0 / (k + 1.0)) * g
+    return g
+
+
+@pytest.mark.parametrize("spec", [
+    FAST_SPEC,
+    FadingSpec(model=FadingModel.RICIAN, k_factor=4.0, los_doppler_hz=100.0, los_phase_rad=0.3),
+])
+def test_link_gains_tiles_match_outer_products(spec):
+    """Every tiling of links and times gives the reference bytes, and so
+    does fading_next."""
+    n, draws = 300, 1 + 2 * spec.num_sinusoids
+    u = np.stack([RngStream(6, sid).uniform(draws) for sid in range(5)])
+    t = np.arange(n) / spec.sample_rate_hz
+    procs = [fading_init(spec, RngStream(6, sid)) for sid in range(5)]
+    expected = np.stack([_outer_product_gains(p, t) for p in procs])
+    for budget in (1, 40, spec.num_sinusoids * 7, 10**9):
+        np.testing.assert_array_equal(link_gains(spec, *fading_angles(spec, u), t, budget), expected)
+    np.testing.assert_array_equal(np.stack([fading_next(p, n) for p in procs]), expected)
 
 
 def test_rayleigh_unit_mean_power():

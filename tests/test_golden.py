@@ -1,0 +1,68 @@
+"""Byte-exact gate: sha256 of full CLI CSVs across every code path.
+
+The cases together cover all five OSTBC designs, every correlation level,
+Rician fading with a moving line of sight, all three detectors (ZF at 0 dB
+included), the error-target cut, and the worker pool, with at least 500
+frames per CSV. A change to any one trial's outcome on any of these paths
+changes a digest. The digests were recorded with the per-frame engine that
+run_frame still implements, so they also pin the batched engine to it.
+"""
+
+import hashlib
+
+import pytest
+
+from mimolink.cli import main
+
+_FIXED = ("--snr-db", "10", "--target-errors", "1000000000")
+_BER = ("ber-vs-snr", "--snr-db", "0,10", "--max-frames", "500", "--target-errors", "1000000000")
+_RICIAN = (
+    "fer-vs-doppler", "--code", "2x1", "--nr", "2", "--fading", "rician", "--k", "4",
+    "--los-doppler-hz", "100", "--correlation", "high", "--dopplers", "25,100",
+    "--gain-db", "-6", "--max-frames", "500", *_FIXED,
+)
+_RICIAN_SHA = "141ec55a1b74942557ae48480cbefbb11ecaabca34e2395dc87c7fd9fa0d7fc7"
+
+CASES = [
+    (
+        ("fer-vs-gain", "--code", "4x3/4", "--nr", "4", "--correlation", "high",
+         "--gain-db", "-6", "--max-frames", "500", *_FIXED),
+        "2c5390eaa483a9673c4bfd0e396340ed2103b45c26f4dd56a9b6a72d442708db",
+    ),
+    (
+        ("fer-vs-gain", "--code", "4x1/2", "--nr", "2", "--correlation", "medium",
+         "--frame-bits", "48", "--gain-db", "-9", "--max-frames", "500", *_FIXED),
+        "612364eee59dd128aeba0c7864c21a57442de9e2f612c4f04fdd6f5833f0f422",
+    ),
+    (
+        ("fer-vs-doppler", "--code", "3x3/4", "--nr", "3", "--correlation", "low",
+         "--frame-bits", "36", "--dopplers", "50", "--gain-db", "-8", "--max-frames", "500",
+         *_FIXED),
+        "a40ff6887a9535637b6733db0b79eb992c759e2edd220ed8edf3697c4a5cd279",
+    ),
+    (
+        ("fer-vs-samplerate", "--code", "3x1/2", "--nr", "1", "--correlation", "none",
+         "--frame-bits", "32", "--rates", "2e5", "--gain-db", "-4", "--max-frames", "500",
+         *_FIXED),
+        "c62dc58871f72ed6ba92c5279e4145596d29457f2cc09bbe85aa59a55884301a",
+    ),
+    (_RICIAN, _RICIAN_SHA),
+    ((*_RICIAN, "--workers", "2"), _RICIAN_SHA),
+    (
+        # The error target cuts the first two points mid-chunk.
+        ("fer-vs-gain", "--code", "4x3/4", "--nr", "2", "--correlation", "low",
+         "--frame-bits", "24", "--gain-db", "-12:6:0", "--snr-db", "10",
+         "--target-errors", "150", "--max-frames", "600"),
+        "7110ea050d642ba2fd92078b931d619b8683c5ffa5f371202981ce637811c9d6",
+    ),
+    ((*_BER, "--detector", "zf"), "d62246837b881de7942ae43b1211d0a1dc709c7a23e01358649fe08dcfc1bfbb"),
+    ((*_BER, "--detector", "mmse"), "a712fbd0cb1996094968e9303fda3a43826b1b831acb54c3e6e0c572e1e0f8b0"),
+    ((*_BER, "--detector", "ml"), "a74c06c32ba019e482f08645bc414e3cb04c85a357a51e07cfdca3ac93283530"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", CASES, ids=[f"case{i}" for i in range(len(CASES))])
+def test_csv_digest_is_pinned(tmp_path, argv, digest):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--seed", "3", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

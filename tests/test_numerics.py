@@ -1,16 +1,19 @@
 """Unit tests for the linear algebra, RNG, and Bessel primitives."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
 from mimolink.numerics import (
+    PhiloxStreams,
     RngStream,
     SingularMatrixError,
     bessel_i0,
     bessel_j0,
+    complex_normal_from,
     gaussian_pair,
     hermitian,
     mat_inverse,
@@ -260,3 +263,34 @@ def test_bessel_scalar_and_array_forms():
     assert isinstance(out, np.ndarray) and out.shape == (2,)
     assert isinstance(bessel_j0(1.0), float)
     assert isinstance(bessel_i0(2.0), float)
+
+
+def test_seeds_across_the_u64_range_give_distinct_streams():
+    seeds = (0, 2**63, 2**63 + 1, 2**64 - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = [RngStream(seed, 5).uniform(8) for seed in seeds]
+    for i in range(len(draws)):
+        for j in range(i):
+            assert not np.array_equal(draws[i], draws[j])
+
+
+def test_philox_streams_match_fresh_streams():
+    ids = (0, pack_stream_id(3, 2, 99), pack_stream_id(1, 17, 2**32 - 1))
+    for seed in (7, 2**63 + 8, 2**64 - 1):
+        streams = PhiloxStreams(seed)
+        for sid in ids * 2:  # revisiting a stream restarts it
+            for n in (1, 65, 130):
+                np.testing.assert_array_equal(
+                    streams.uniform(sid, np.empty(n)), RngStream(seed, sid).uniform(n)
+                )
+
+
+def test_complex_normal_from_matches_interleaved_normals():
+    """Rows of a batch equal the stream's interleaved (re, im) normals."""
+    u = np.stack([RngStream(4, sid).uniform(60) for sid in (9, 10)])
+    batch = complex_normal_from(u, 0.5)
+    for row, sid in zip(batch, (9, 10)):
+        z = RngStream(4, sid).standard_normal(60)
+        np.testing.assert_array_equal(row, (z[0::2] + 1j * z[1::2]) * math.sqrt(0.25))
+        np.testing.assert_array_equal(row, RngStream(4, sid).complex_normal(30, var=0.5))

@@ -8,17 +8,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mimolink import sim
 from mimolink.channel import ChannelSpec
-from mimolink.detect import DetectorKind
+from mimolink.detect import DetectionFailure, DetectorKind
 from mimolink.fading import FadingModel, FadingSpec
+from mimolink.numerics import RngStream, pack_stream_id
 from mimolink.sim import (
     Experiment,
     SimConfig,
     Z95,
+    _point_config,
+    chunk_trials,
     emit_csv,
     parse_csv,
     run_experiment,
     run_frame,
+    run_wave,
     wilson_interval,
 )
 
@@ -312,3 +317,90 @@ def test_parse_csv_roundtrip():
     meta_b, rows_b = parse_csv(GOLDEN_BER_CSV)
     assert meta_b["detector"] == "ml" and meta_b["code"] == "none"
     assert rows_b[1]["ber"] == pytest.approx(0.104167)
+
+
+# Configs of the golden digests (tests/test_golden.py) as single points.
+def _wave_configs():
+    def fer(code, n_rx, corr, x, experiment=Experiment.FER_VS_GAIN, fading=FadingSpec(), **kw):
+        cfg = SimConfig(
+            experiment=experiment,
+            channel=ChannelSpec(n_tx=code[0], n_rx=n_rx, fading=fading, correlation=corr),
+            code=code, snr_db=10.0, sweep=(x,), master_seed=3, **kw,
+        )
+        return _point_config(cfg, x)
+
+    rician = FadingSpec(model=FadingModel.RICIAN, k_factor=4.0, los_doppler_hz=100.0)
+    configs = [
+        fer((4, Fraction(3, 4)), 4, 0.9, -6.0),
+        fer((4, Fraction(1, 2)), 2, 0.5, -9.0, frame_bits=48),
+        fer((3, Fraction(3, 4)), 3, 0.1, 50.0, Experiment.FER_VS_DOPPLER, frame_bits=36),
+        fer((3, Fraction(1, 2)), 1, 0.0, 2e5, Experiment.FER_VS_SAMPLE_RATE, frame_bits=32),
+        fer((2, Fraction(1)), 2, 0.9, 25.0, Experiment.FER_VS_DOPPLER, rician),
+        fer((4, Fraction(3, 4)), 2, 0.1, -12.0, frame_bits=24),
+    ]
+    for detector in DetectorKind:
+        configs.append(_point_config(_ber_config(detector=detector, frame_bits=120, master_seed=3), 0.0))
+    return configs
+
+
+@pytest.mark.parametrize("cfg", _wave_configs(), ids=lambda c: f"{c.experiment.value}-{c.code or c.detector}")
+def test_run_wave_matches_run_frame(cfg):
+    """Batched trials, from a start that is not chunk-aligned, equal the
+    single-trial oracle one by one."""
+    step = chunk_trials(cfg)
+    start = 5 if step == 1 else step // 2 + 3
+    stop = start + 2 * step + 3
+    assert run_wave(cfg, start, stop) == [run_frame(cfg, t) for t in range(start, stop)]
+
+
+def test_run_wave_with_single_trial_chunks(monkeypatch):
+    """A one-element budget makes every chunk one trial and every fading
+    tile one sample of one link; the outcomes stay the same."""
+    cfg = _wave_configs()[4]
+    expected = [run_frame(cfg, t) for t in range(3, 9)]
+    monkeypatch.setattr(sim, "CHUNK_ELEMENTS", 1)
+    assert chunk_trials(cfg) == 1
+    assert run_wave(cfg, 3, 9) == expected
+
+
+def test_run_wave_on_pool_spans():
+    """The spans that one pool wave hands its workers, run separately,
+    give the trial-by-trial outcomes."""
+    cfg = _point_config(_fer_config(
+        channel=ChannelSpec(n_tx=2, n_rx=1), code=(2, Fraction(1)), frame_bits=8, snr_db=0.0,
+    ), -5.0)
+    for workers in (2, 3):
+        # The second wave, so that no span starts at trial 0, and spans that
+        # end off the chunk grid.
+        spans = sim._split_range(sim.WAVE_FRAMES, 2 * sim.WAVE_FRAMES, workers)
+        for a, b in spans:
+            assert run_wave(cfg, a, b) == [run_frame(cfg, t) for t in range(a, b)]
+
+
+def test_zf_failure_wipes_only_its_frame(monkeypatch):
+    """A singular channel in one frame of a chunk scores that frame as all
+    errored; its neighbours in the chunk are scored as usual."""
+    cfg = _point_config(_ber_config(detector=DetectorKind.ZF, frame_bits=120, master_seed=3), 10.0)
+    start, stop = 2, 2 + chunk_trials(cfg)
+    bad = start + 7
+    clean = run_wave(cfg, start, stop)
+    assert clean[bad - start] != (True, cfg.frame_bits, cfg.frame_bits)
+
+    # Trial `bad`'s first channel matrix, regenerated from its stream (the
+    # path gain is 0 dB, so the draw is the matrix).
+    stream = RngStream(cfg.master_seed, pack_stream_id(
+        sim.EXPERIMENT_IDS[cfg.experiment], sim.ROLE_IID_CHANNEL, bad))
+    poison = stream.complex_normal((cfg.frame_bits // 2 // 4, 4, 4))[0]
+    real_zf = sim.zf_detect_batch
+
+    def zf_failing_on_poison(h, y, points):
+        if np.any(np.all(h == poison, axis=(1, 2))):
+            raise DetectionFailure("forced")
+        return real_zf(h, y, points)
+
+    monkeypatch.setattr(sim, "zf_detect_batch", zf_failing_on_poison)
+    wiped = run_wave(cfg, start, stop)
+    expected = list(clean)
+    expected[bad - start] = (True, cfg.frame_bits, cfg.frame_bits)
+    assert wiped == expected
+    assert wiped == [run_frame(cfg, t) for t in range(start, stop)]
