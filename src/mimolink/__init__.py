@@ -8,119 +8,9 @@ plus ZF/MMSE/ML detectors for the uncoded spatial-multiplexing benchmark.
 A Monte Carlo harness sweeps path gain, Doppler, sample rate, or SNR and
 writes FER/BER curves with Wilson confidence intervals to CSV, with
 bit-identical results for any seed regardless of worker count.
+
+The package root holds no API: import from the submodules, such as
+mimolink.cli (the command line) and mimolink.sim (the engine).
 """
 
-from .channel import (
-    ChannelProcess,
-    ChannelSpec,
-    NoisySignal,
-    apply_channel,
-    channel_init,
-    channel_matrix_at,
-    correlation_matrix,
-    correlation_rho,
-)
-from .detect import (
-    DetectionFailure,
-    DetectorKind,
-    ml_detect,
-    mmse_detect,
-    mmse_estimate_batch,
-    zf_detect,
-    zf_estimate_batch,
-)
-from .fading import (
-    EnvelopeStats,
-    FadingModel,
-    FadingProcess,
-    FadingSpec,
-    fading_init,
-    fading_next,
-    k_factor,
-    pdf_envelope_rician,
-    pdf_power_rayleigh,
-    validate_process,
-)
-from .modem import GRAY_BITS, QPSK_POINTS, bernoulli_bits, qpsk_demodulate, qpsk_modulate
-from .numerics import (
-    RngStream,
-    SingularMatrixError,
-    bessel_i0,
-    bessel_j0,
-    gaussian_pair,
-    hermitian,
-    mat_inverse,
-    mat_mul,
-    pack_stream_id,
-)
-from .sim import (
-    Experiment,
-    SimConfig,
-    SimResult,
-    SweepPoint,
-    emit_csv,
-    parse_csv,
-    run_experiment,
-    run_frame,
-    wilson_interval,
-)
-from .stbc import CodewordBlock, OstbcCode, ostbc_code, ostbc_combine, ostbc_encode
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ChannelProcess",
-    "ChannelSpec",
-    "NoisySignal",
-    "apply_channel",
-    "channel_init",
-    "channel_matrix_at",
-    "correlation_matrix",
-    "correlation_rho",
-    "DetectionFailure",
-    "DetectorKind",
-    "ml_detect",
-    "mmse_detect",
-    "mmse_estimate_batch",
-    "zf_detect",
-    "zf_estimate_batch",
-    "EnvelopeStats",
-    "FadingModel",
-    "FadingProcess",
-    "FadingSpec",
-    "fading_init",
-    "fading_next",
-    "k_factor",
-    "pdf_envelope_rician",
-    "pdf_power_rayleigh",
-    "validate_process",
-    "GRAY_BITS",
-    "QPSK_POINTS",
-    "bernoulli_bits",
-    "qpsk_demodulate",
-    "qpsk_modulate",
-    "RngStream",
-    "SingularMatrixError",
-    "bessel_i0",
-    "bessel_j0",
-    "gaussian_pair",
-    "hermitian",
-    "mat_inverse",
-    "mat_mul",
-    "pack_stream_id",
-    "Experiment",
-    "SimConfig",
-    "SimResult",
-    "SweepPoint",
-    "emit_csv",
-    "parse_csv",
-    "run_experiment",
-    "run_frame",
-    "wilson_interval",
-    "CodewordBlock",
-    "OstbcCode",
-    "ostbc_code",
-    "ostbc_combine",
-    "ostbc_encode",
-    "__version__",
-]

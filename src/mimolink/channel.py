@@ -42,6 +42,9 @@ __all__ = [
 
 CORRELATION_LEVELS = {"none": 0.0, "low": 0.1, "medium": 0.5, "high": 0.9}
 
+# Antennas at either end of a link.
+MAX_ANTENNAS = 4
+
 
 def correlation_rho(level) -> float:
     """Resolve a named correlation level or an explicit coefficient.
@@ -106,10 +109,10 @@ class ChannelSpec:
     path_gain_db: float = 0.0
 
     def validate(self) -> None:
-        if not 1 <= self.n_tx <= 4:
-            raise ValueError("n_tx must be in 1..4")
-        if not 1 <= self.n_rx <= 4:
-            raise ValueError("n_rx must be in 1..4")
+        if not 1 <= self.n_tx <= MAX_ANTENNAS:
+            raise ValueError(f"n_tx must be in 1..{MAX_ANTENNAS}")
+        if not 1 <= self.n_rx <= MAX_ANTENNAS:
+            raise ValueError(f"n_rx must be in 1..{MAX_ANTENNAS}")
         if not 0.0 <= self.correlation < 1.0:
             raise ValueError("correlation must lie in [0, 1)")
         if not math.isfinite(self.path_gain_db):

@@ -30,14 +30,19 @@ from fractions import Fraction
 from .channel import ChannelSpec, correlation_rho
 from .detect import DetectorKind
 from .fading import FadingModel, FadingSpec, fading_init, validate_process
-from .numerics import RngStream, pack_stream_id
-from .sim import EXPERIMENT_IDS, Experiment, SimConfig, emit_csv, run_experiment
+from .numerics import RngStream
+from .sim import (
+    VALIDATE_FADING,
+    VALIDATE_FADING_STREAM,
+    Experiment,
+    SimConfig,
+    emit_csv,
+    fading_pairs,
+    render_csv,
+    run_experiment,
+)
 
 __all__ = ["main", "build_parser"]
-
-# Stream-id experiment field for validate-fading; the four experiments use
-# EXPERIMENT_IDS from the sim module.
-VALIDATE_EXPERIMENT_ID = 4
 
 _FIGURE6_RATES = "1e5,2e5,5e5,1e6,2e6,5e6,1e7"
 
@@ -271,27 +276,17 @@ def _validate_fading_csv(args) -> str:
     spec.validate()
     if args.samples < 100_000:
         raise ValueError("--samples must be at least 100000")
-    rng = RngStream(args.seed, pack_stream_id(VALIDATE_EXPERIMENT_ID, 0, 0))
-    proc = fading_init(spec, rng)
+    proc = fading_init(spec, RngStream(args.seed, VALIDATE_FADING_STREAM))
     stats = validate_process(proc, args.samples)
-    lines = [
-        "# experiment=validate_fading",
-        f"# fading_model={spec.model.value}",
-        f"# k_factor={format(spec.k_factor, '.10g')}",
-        f"# max_doppler_hz={format(spec.max_doppler_hz, '.10g')}",
-        f"# los_doppler_hz={format(spec.los_doppler_hz, '.10g')}",
-        f"# los_phase_rad={format(spec.los_phase_rad, '.10g')}",
-        f"# sample_rate_hz={format(spec.sample_rate_hz, '.10g')}",
-        f"# num_sinusoids={spec.num_sinusoids}",
-        f"# samples={args.samples}",
-        f"# master_seed={args.seed}",
-        f"# ks_statistic={format(stats.ks_statistic, '.6g')}",
-        f"# empirical_mean_power={format(stats.empirical_mean_power, '.6g')}",
-        "lag_s,autocorr_empirical,autocorr_theoretical",
+    pairs = [
+        ("experiment", VALIDATE_FADING),
+        *fading_pairs(spec),
+        ("samples", str(args.samples)),
+        ("master_seed", str(args.seed)),
+        ("ks_statistic", format(stats.ks_statistic, ".6g")),
+        ("empirical_mean_power", format(stats.empirical_mean_power, ".6g")),
     ]
-    for lag_s, emp, theo in stats.autocorr_lags:
-        lines.append(f"{format(lag_s, '.6g')},{format(emp, '.6g')},{format(theo, '.6g')}")
-    return "\n".join(lines) + "\n"
+    return render_csv(pairs, "lag_s,autocorr_empirical,autocorr_theoretical", stats.autocorr_lags)
 
 
 def _write_validate_plot(path: str, csv_path: str) -> None:

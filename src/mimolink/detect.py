@@ -4,12 +4,13 @@ The transmit model is y = H x + w with x carrying one constellation symbol
 per transmit antenna, scaled by 1/sqrt(N_t) so the total transmit energy per
 channel use is 1. All three detectors return hard symbol decisions drawn
 from the constellation (unscaled), so callers compare decisions against the
-symbols they modulated, not against x.
+symbols they modulated, not against x. Each detects a batch: channels h
+of shape (n, N_r, N_t) and observations y of shape (n, N_r).
 
-zf_detect      pseudo-inverse projection, then per-antenna slicing
-mmse_detect    regularized projection (H^H H + noise_var N_t I)^{-1} H^H y,
-               which is the true MMSE filter for this power convention
-ml_detect      exhaustive search over all |C|^N_t hypotheses
+zf_detect_batch    pseudo-inverse projection, then per-antenna slicing
+mmse_detect_batch  regularized projection (H^H H + noise_var N_t I)^{-1} H^H y,
+                   which is the true MMSE filter for this power convention
+ml_detect_batch    exhaustive search over all |C|^N_t hypotheses
 
 The linear detectors' pre-slicing estimates (in the transmit domain, i.e.
 targeting x = s / sqrt(N_t)) are available through zf_estimate_batch and
@@ -32,9 +33,6 @@ import numpy as np
 __all__ = [
     "DetectorKind",
     "DetectionFailure",
-    "zf_detect",
-    "mmse_detect",
-    "ml_detect",
     "zf_detect_batch",
     "mmse_detect_batch",
     "ml_detect_batch",
@@ -65,13 +63,12 @@ def _slice_to(points: np.ndarray, estimates: np.ndarray) -> np.ndarray:
     return points[np.argmin(d, axis=-1)]
 
 
-def _check_y_h(h: np.ndarray, y: np.ndarray, batched: bool) -> tuple[np.ndarray, np.ndarray]:
+def _check_y_h(h: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = np.asarray(h, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
-    want = 3 if batched else 2
-    if h.ndim != want or y.ndim != want - 1:
+    if h.ndim != 3 or y.ndim != 2:
         raise ValueError(f"bad ranks: h {h.shape}, y {y.shape}")
-    if h.shape[-2] != y.shape[-1] or (batched and h.shape[0] != y.shape[0]):
+    if h.shape[-2] != y.shape[-1] or h.shape[0] != y.shape[0]:
         raise ValueError(f"h {h.shape} and y {y.shape} do not agree")
     return h, y
 
@@ -81,7 +78,7 @@ def zf_estimate_batch(h: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Raises DetectionFailure if any channel in the batch is singular.
     """
-    h, y = _check_y_h(h, y, batched=True)
+    h, y = _check_y_h(h, y)
     hh = h.conj().swapaxes(-1, -2)
     gram = hh @ h
     eig = np.linalg.eigvalsh(gram)
@@ -99,7 +96,7 @@ def mmse_estimate_batch(h: np.ndarray, y: np.ndarray, noise_var: float) -> np.nd
     """
     if noise_var < 0.0:
         raise ValueError("noise_var must be nonnegative")
-    h, y = _check_y_h(h, y, batched=True)
+    h, y = _check_y_h(h, y)
     n_tx = h.shape[-1]
     hh = h.conj().swapaxes(-1, -2)
     gram = hh @ h + noise_var * n_tx * np.eye(n_tx)
@@ -144,7 +141,7 @@ def ml_detect_batch(h: np.ndarray, y: np.ndarray, points: np.ndarray) -> np.ndar
     most significant, constellation order as given). The search size
     |points|^N_t must stay under one million.
     """
-    h, y = _check_y_h(h, y, batched=True)
+    h, y = _check_y_h(h, y)
     n_tx = h.shape[-1]
     if len(points) ** n_tx > ML_MAX_HYPOTHESES:
         raise ValueError("hypothesis space too large for exhaustive search")
@@ -153,21 +150,3 @@ def ml_detect_batch(h: np.ndarray, y: np.ndarray, points: np.ndarray) -> np.ndar
     dist = np.sum(np.abs(y[:, None, :] - candidates) ** 2, axis=2)
     best = np.argmin(dist, axis=1)
     return grid[best]
-
-
-def zf_detect(h: np.ndarray, y: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Single-matrix zero forcing: h (N_r, N_t), y (N_r,) -> (N_t,)."""
-    h, y = _check_y_h(h, y, batched=False)
-    return zf_detect_batch(h[None], y[None], points)[0]
-
-
-def mmse_detect(h: np.ndarray, y: np.ndarray, points: np.ndarray, noise_var: float) -> np.ndarray:
-    """Single-matrix MMSE detection."""
-    h, y = _check_y_h(h, y, batched=False)
-    return mmse_detect_batch(h[None], y[None], points, noise_var)[0]
-
-
-def ml_detect(h: np.ndarray, y: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Single-matrix exhaustive ML detection."""
-    h, y = _check_y_h(h, y, batched=False)
-    return ml_detect_batch(h[None], y[None], points)[0]

@@ -1,5 +1,5 @@
 """Scalar fading processes: a sum-of-sinusoids Rayleigh generator and the
-Rician composition built on top of it, plus the envelope/power densities and
+Rician composition built on top of it, plus the Rician envelope density and
 a statistical self-check.
 
 The Rayleigh generator follows the improved Jakes-style model in which both
@@ -35,9 +35,7 @@ __all__ = [
     "fading_next",
     "link_gains",
     "validate_process",
-    "pdf_power_rayleigh",
     "pdf_envelope_rician",
-    "k_factor",
     "rician_envelope_cdf_grid",
     "ks_statistic",
 ]
@@ -216,20 +214,6 @@ def fading_next(proc: FadingProcess, n_samples: int) -> np.ndarray:
     return out
 
 
-def pdf_power_rayleigh(m, m0: float):
-    """Exponential density of the instantaneous power of a Rayleigh channel.
-
-    m is the power value (scalar or array), m0 the mean power.
-    """
-    if m0 <= 0.0:
-        raise ValueError("mean power m0 must be positive")
-    m_arr = np.asarray(m, dtype=np.float64)
-    if np.any(m_arr < 0.0):
-        raise ValueError("power must be nonnegative")
-    out = np.exp(-m_arr / m0) / m0
-    return float(out) if np.isscalar(m) or m_arr.ndim == 0 else out
-
-
 def pdf_envelope_rician(x, c_m: float, alpha_sq: float):
     """Rician envelope density with line-of-sight amplitude c_m and
     per-quadrature scattered variance alpha_sq.
@@ -247,15 +231,6 @@ def pdf_envelope_rician(x, c_m: float, alpha_sq: float):
     bess = bessel_i0(x_arr * c_m / alpha_sq)
     out = x_arr / alpha_sq * np.exp(-(x_arr**2 + c_m**2) / (2.0 * alpha_sq)) * bess
     return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
-
-
-def k_factor(c_m_sq: float, two_alpha_sq: float) -> float:
-    """K = line-of-sight power over scattered power."""
-    if two_alpha_sq <= 0.0:
-        raise ValueError("scattered power must be positive")
-    if c_m_sq < 0.0:
-        raise ValueError("line-of-sight power must be nonnegative")
-    return c_m_sq / two_alpha_sq
 
 
 def ks_statistic(samples: np.ndarray, cdf_values: np.ndarray) -> float:

@@ -1,11 +1,11 @@
-"""Low-level numeric kernels: complex matrix helpers, seedable RNG streams,
-and the two Bessel functions the fading statistics need.
+"""Low-level numeric kernels: seedable counter-based RNG streams, the
+Box-Muller map from their uniforms to complex normals, and the two Bessel
+functions the fading statistics need.
 
-Everything here is deliberately small and self-contained. Matrix inversion is
-a hand-rolled Gaussian elimination so that its failure mode (singularity) is
-explicit and testable; the Bessel functions use a power series below 15 and
-the standard asymptotic expansions above, which keeps absolute error well
-under 1e-9 on the supported domain [0, 100].
+Everything here is deliberately small and self-contained. The Bessel
+functions use a power series below 15 and the standard asymptotic
+expansions above, which keeps absolute error well under 1e-9 on the
+supported domain [0, 100].
 """
 
 from __future__ import annotations
@@ -15,95 +15,23 @@ import math
 import numpy as np
 
 __all__ = [
-    "SingularMatrixError",
-    "mat_mul",
-    "mat_inverse",
-    "hermitian",
     "RngStream",
     "PhiloxStreams",
     "complex_normal_from",
-    "gaussian_pair",
     "pack_stream_id",
     "bessel_i0",
     "bessel_j0",
 ]
 
-# Pivot magnitudes below this are treated as exact zeros during elimination.
-PIVOT_TOL = 1e-12
-
 # Layout of the 64-bit stream id: trial index in the low 32 bits, a role tag
 # in the next 16, an experiment tag in the top 16.
 ROLE_SHIFT = 32
 EXPERIMENT_SHIFT = 48
+# Trial indices a stream id can hold: the low field's 32 bits.
+MAX_TRIALS = 1 << ROLE_SHIFT
 
 BESSEL_SERIES_CUTOFF = 15.0
 BESSEL_DOMAIN_MAX = 100.0
-
-
-class SingularMatrixError(ValueError):
-    """Raised when mat_inverse meets a pivot too small to divide by."""
-
-
-def _as_matrix(a) -> np.ndarray:
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
-    return m
-
-
-def mat_mul(a, b) -> np.ndarray:
-    """Matrix product of two complex matrices with an explicit shape check.
-
-    Parameters
-    ----------
-    a : array_like, shape (m, k)
-    b : array_like, shape (k, n)
-
-    Returns
-    -------
-    np.ndarray, shape (m, n), complex128.
-    """
-    am = _as_matrix(a)
-    bm = _as_matrix(b)
-    if am.shape[1] != bm.shape[0]:
-        raise ValueError(
-            f"inner dimensions differ: {am.shape} @ {bm.shape}"
-        )
-    return am @ bm
-
-
-def hermitian(a) -> np.ndarray:
-    """Conjugate transpose, returned as a fresh array."""
-    return _as_matrix(a).conj().T.copy()
-
-
-def mat_inverse(a) -> np.ndarray:
-    """Invert a square complex matrix by Gauss-Jordan elimination.
-
-    Partial pivoting is used; if the best available pivot in some column has
-    magnitude below 1e-12 (absolute) the matrix is declared singular and
-    SingularMatrixError is raised. Intended for the small, well-conditioned
-    systems that show up in this package, not as a general LAPACK substitute.
-    """
-    m = _as_matrix(a)
-    n, nc = m.shape
-    if n != nc:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
-    aug = np.concatenate([m.astype(np.complex128, copy=True), np.eye(n, dtype=np.complex128)], axis=1)
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(aug[col:, col])))
-        pivot = aug[pivot_row, col]
-        if abs(pivot) < PIVOT_TOL:
-            raise SingularMatrixError(
-                f"pivot magnitude {abs(pivot):.3e} below {PIVOT_TOL:g} in column {col}"
-            )
-        if pivot_row != col:
-            aug[[col, pivot_row]] = aug[[pivot_row, col]]
-        aug[col] /= aug[col, col]
-        for row in range(n):
-            if row != col and aug[row, col] != 0:
-                aug[row] -= aug[row, col] * aug[col]
-    return aug[:, n:]
 
 
 def pack_stream_id(experiment_id: int, role: int, trial_index: int) -> int:
@@ -116,7 +44,7 @@ def pack_stream_id(experiment_id: int, role: int, trial_index: int) -> int:
         raise ValueError(f"experiment_id out of range: {experiment_id}")
     if not (0 <= role < 1 << 16):
         raise ValueError(f"role out of range: {role}")
-    if not (0 <= trial_index < 1 << 32):
+    if not (0 <= trial_index < MAX_TRIALS):
         raise ValueError(f"trial_index out of range: {trial_index}")
     return (experiment_id << EXPERIMENT_SHIFT) | (role << ROLE_SHIFT) | trial_index
 
@@ -158,25 +86,6 @@ class RngStream:
     def uniform(self, n: int) -> np.ndarray:
         """n uniforms on [0, 1)."""
         return self._gen.random(n)
-
-    def standard_normal(self, n: int) -> np.ndarray:
-        """n standard normals via Box-Muller on pairs of uniforms.
-
-        For odd n a full pair is still consumed and the trailing variate
-        discarded, so the draw count from the underlying stream depends only
-        on ceil(n/2).
-        """
-        pairs = (n + 1) // 2
-        c, s = _box_muller(self.uniform(2 * pairs))
-        z = np.empty(2 * pairs)
-        z[0::2] = c
-        z[1::2] = s
-        return z[:n]
-
-    def gaussian_pair(self) -> tuple[float, float]:
-        """One Box-Muller pair of independent standard normals."""
-        z = self.standard_normal(2)
-        return float(z[0]), float(z[1])
 
     def complex_normal(self, shape, var: float = 1.0) -> np.ndarray:
         """Circularly symmetric complex normals with E|z|^2 = var."""
@@ -238,11 +147,6 @@ def complex_normal_from(u: np.ndarray, var: float) -> np.ndarray:
     uniforms of u's last axis (see _box_muller), half as many as uniforms."""
     c, s = _box_muller(u)
     return (c + 1j * s) * math.sqrt(var / 2.0)
-
-
-def gaussian_pair(rng: RngStream) -> tuple[float, float]:
-    """Module-level alias for RngStream.gaussian_pair."""
-    return rng.gaussian_pair()
 
 
 def _bessel_domain(x) -> np.ndarray:

@@ -44,7 +44,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import ChannelSpec, apply_channel, channel_init, channel_matrices
+from .channel import MAX_ANTENNAS, ChannelSpec, apply_channel, channel_init, channel_matrices
 from .detect import (
     DetectionFailure,
     DetectorKind,
@@ -52,9 +52,9 @@ from .detect import (
     mmse_detect_batch,
     zf_detect_batch,
 )
-from .fading import fading_angles, fading_draws, link_gains
+from .fading import FadingSpec, fading_angles, fading_draws, link_gains
 from .modem import QPSK_POINTS, bernoulli_bits, qpsk_demodulate, qpsk_modulate
-from .numerics import PhiloxStreams, RngStream, complex_normal_from, pack_stream_id
+from .numerics import MAX_TRIALS, PhiloxStreams, RngStream, complex_normal_from, pack_stream_id
 from .stbc import combine_array, encode_array, ostbc_code
 
 __all__ = [
@@ -68,6 +68,8 @@ __all__ = [
     "wilson_interval",
     "emit_csv",
     "parse_csv",
+    "fading_pairs",
+    "render_csv",
 ]
 
 
@@ -78,20 +80,27 @@ class Experiment(enum.Enum):
     BER_VS_SNR = "ber_vs_snr"
 
 
-# Stream-id experiment field. validate-fading uses 4 (see cli module).
+# The stream-id layout, in one table: the experiment and role fields that
+# numerics.pack_stream_id packs with a trial index into the id of every
+# random stream. Experiments are keyed by the name the CSV header echoes.
+# Fading link i of a frame's channel (row-major, i < MAX_LINKS) draws from
+# role ROLE_FADING + i, the offset RngStream.spawn(i) adds in channel_init,
+# so ROLE_IID_CHANNEL sits above the last link. validate-fading has a
+# single stream; its experiment field keeps it apart from every frame's.
+VALIDATE_FADING = "validate_fading"
 EXPERIMENT_IDS = {
-    Experiment.FER_VS_GAIN: 0,
-    Experiment.FER_VS_DOPPLER: 1,
-    Experiment.FER_VS_SAMPLE_RATE: 2,
-    Experiment.BER_VS_SNR: 3,
+    Experiment.FER_VS_GAIN.value: 0,
+    Experiment.FER_VS_DOPPLER.value: 1,
+    Experiment.FER_VS_SAMPLE_RATE.value: 2,
+    Experiment.BER_VS_SNR.value: 3,
+    VALIDATE_FADING: 4,
 }
-
-# Stream-id role field. Fading links occupy ROLE_FADING + link_index for
-# link indices 0..15, so the i.i.d.-channel role starts above them.
+MAX_LINKS = MAX_ANTENNAS * MAX_ANTENNAS
 ROLE_BITS = 0
 ROLE_NOISE = 1
 ROLE_FADING = 2
-ROLE_IID_CHANNEL = 18
+ROLE_IID_CHANNEL = ROLE_FADING + MAX_LINKS
+VALIDATE_FADING_STREAM = pack_stream_id(EXPERIMENT_IDS[VALIDATE_FADING], 0, 0)
 
 # Trials handed to the worker pool per scheduling wave, split evenly over
 # the workers. Any value gives identical results; it only trades frames
@@ -147,6 +156,8 @@ class SimConfig:
             raise ValueError("sweep must be strictly increasing")
         if self.max_frames < 1:
             raise ValueError("max_frames must be at least 1")
+        if self.max_frames > MAX_TRIALS:
+            raise ValueError(f"max_frames must not exceed {MAX_TRIALS}, the trials a stream id can index")
         if self.target_frame_errors < 1:
             raise ValueError("target_frame_errors must be at least 1")
         n_symbols = self.frame_bits // 2
@@ -170,11 +181,10 @@ class SimConfig:
                 )
         # Every sweep point must itself be a valid configuration.
         for x in self.sweep:
-            pc = _point_config(self, x, _validate=False)
-            pc.channel.validate()
+            _point_config(self, x)
 
 
-def _point_config(config: SimConfig, x: float, _validate: bool = True) -> SimConfig:
+def _point_config(config: SimConfig, x: float) -> SimConfig:
     """Resolve a sweep point into a concrete single-point config."""
     exp = config.experiment
     if exp is Experiment.FER_VS_GAIN:
@@ -190,8 +200,7 @@ def _point_config(config: SimConfig, x: float, _validate: bool = True) -> SimCon
         out = replace(config, snr_db=x)
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unknown experiment {exp!r}")
-    if _validate:
-        out.channel.validate()
+    out.channel.validate()
     return out
 
 
@@ -204,7 +213,7 @@ def run_frame(config: SimConfig, trial_index: int) -> tuple[bool, int, int]:
     A detection failure (singular channel under ZF) wipes the frame: every
     bit counts as errored.
     """
-    exp_id = EXPERIMENT_IDS[config.experiment]
+    exp_id = EXPERIMENT_IDS[config.experiment.value]
     seed = config.master_seed
 
     def stream(role: int) -> RngStream:
@@ -297,7 +306,7 @@ def run_wave(config: SimConfig, start: int, stop: int) -> list[tuple[bool, int, 
 
 
 def _run_chunk(config: SimConfig, streams: PhiloxStreams, trials: range) -> list[tuple[bool, int, int]]:
-    exp_id = EXPERIMENT_IDS[config.experiment]
+    exp_id = EXPERIMENT_IDS[config.experiment.value]
     ch = config.channel
     f = len(trials)
 
@@ -511,22 +520,28 @@ def _fmt(value) -> str:
     return format(float(value), ".6g")
 
 
+def fading_pairs(spec: FadingSpec) -> list[tuple[str, str]]:
+    """The CSV header's (key, value) pairs for a fading spec, in order."""
+    return [
+        ("fading_model", spec.model.value),
+        ("k_factor", format(spec.k_factor, ".10g")),
+        ("max_doppler_hz", format(spec.max_doppler_hz, ".10g")),
+        ("los_doppler_hz", format(spec.los_doppler_hz, ".10g")),
+        ("los_phase_rad", format(spec.los_phase_rad, ".10g")),
+        ("sample_rate_hz", format(spec.sample_rate_hz, ".10g")),
+        ("num_sinusoids", str(spec.num_sinusoids)),
+    ]
+
+
 def _echo_pairs(config: SimConfig) -> list[tuple[str, str]]:
     ch = config.channel
-    fs = ch.fading
     code = "none" if config.code is None else f"{config.code[0]}x{config.code[1]}"
     detector = "none" if config.detector is None else config.detector.value
     return [
         ("experiment", config.experiment.value),
         ("n_tx", str(ch.n_tx)),
         ("n_rx", str(ch.n_rx)),
-        ("fading_model", fs.model.value),
-        ("k_factor", format(fs.k_factor, ".10g")),
-        ("max_doppler_hz", format(fs.max_doppler_hz, ".10g")),
-        ("los_doppler_hz", format(fs.los_doppler_hz, ".10g")),
-        ("los_phase_rad", format(fs.los_phase_rad, ".10g")),
-        ("sample_rate_hz", format(fs.sample_rate_hz, ".10g")),
-        ("num_sinusoids", str(fs.num_sinusoids)),
+        *fading_pairs(ch.fading),
         ("correlation", format(ch.correlation, ".10g")),
         ("path_gain_db", format(ch.path_gain_db, ".10g")),
         ("code", code),
@@ -540,31 +555,30 @@ def _echo_pairs(config: SimConfig) -> list[tuple[str, str]]:
     ]
 
 
-def emit_csv(result: SimResult, config: SimConfig) -> str:
-    """Render a result as CSV text.
-
-    Header comments echo the full configuration (including the seed) as
-    `# key=value` lines; data rows carry counts exactly and rates with six
-    significant digits. Lines end with LF and the text ends with a newline,
-    so identical configs yield byte-identical files.
+def render_csv(pairs: list[tuple[str, str]], columns: str, rows) -> str:
+    """CSV text: a `# key=value` line per header pair, the column line, then
+    one line per row of values, ints exact and floats to six significant
+    digits. Lines end with LF and the text ends with a newline, so equal
+    inputs yield byte-identical files.
     """
-    lines = [f"# {k}={v}" for k, v in _echo_pairs(config)]
-    lines.append(_CSV_HEADER)
-    for p in result.points:
-        lines.append(",".join([
-            _fmt(p.x),
-            _fmt(p.frames),
-            _fmt(p.frame_errors),
-            _fmt(p.fer),
-            _fmt(p.ci95_fer[0]),
-            _fmt(p.ci95_fer[1]),
-            _fmt(p.bits),
-            _fmt(p.bit_errors),
-            _fmt(p.ber),
-            _fmt(p.ci95_ber[0]),
-            _fmt(p.ci95_ber[1]),
-        ]))
+    lines = [f"# {k}={v}" for k, v in pairs]
+    lines.append(columns)
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def emit_csv(result: SimResult, config: SimConfig) -> str:
+    """Render a result as CSV text (see render_csv).
+
+    The header echoes the full configuration, including the seed; each data
+    row is one sweep point, counts exact and rates to six digits.
+    """
+    rows = [
+        (p.x, p.frames, p.frame_errors, p.fer, *p.ci95_fer,
+         p.bits, p.bit_errors, p.ber, *p.ci95_ber)
+        for p in result.points
+    ]
+    return render_csv(_echo_pairs(config), _CSV_HEADER, rows)
 
 
 def parse_csv(text: str) -> tuple[dict[str, str], list[dict[str, float]]]:

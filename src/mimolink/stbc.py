@@ -38,11 +38,8 @@ import numpy as np
 
 __all__ = [
     "OstbcCode",
-    "CodewordBlock",
     "ostbc_code",
     "supported_codes",
-    "ostbc_encode",
-    "ostbc_combine",
     "encode_array",
     "combine_array",
 ]
@@ -115,15 +112,6 @@ class OstbcCode:
     b_mats: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class CodewordBlock:
-    """A transmitted block: the (block_len, n_tx) matrix actually sent
-    (per-antenna 1/sqrt(N_t) scaling applied) plus the symbols it encodes."""
-
-    matrix: np.ndarray
-    source_symbols: np.ndarray
-
-
 def supported_codes() -> list[tuple[int, Fraction]]:
     return sorted(_DESIGNS.keys())
 
@@ -166,21 +154,6 @@ def encode_array(code: OstbcCode, sym_blocks: np.ndarray) -> np.ndarray:
     return x / math.sqrt(code.n_tx)
 
 
-def ostbc_encode(code: OstbcCode, symbols) -> list[CodewordBlock]:
-    """Encode a flat symbol stream into a list of codeword blocks.
-
-    The stream length must be a multiple of the code's symbols-per-block.
-    """
-    s = np.asarray(symbols, dtype=np.complex128).ravel()
-    k = code.n_symbols
-    if len(s) % k != 0:
-        raise ValueError(f"symbol count {len(s)} not a multiple of {k}")
-    blocks = s.reshape(-1, k)
-    mats = encode_array(code, blocks)
-    return [CodewordBlock(matrix=mats[i], source_symbols=blocks[i].copy())
-            for i in range(len(blocks))]
-
-
 def combine_array(code: OstbcCode, y: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Combine received blocks y (n, T, N_r) under channels h (n, N_r, N_t)
     into symbol estimates (n, k).
@@ -202,12 +175,3 @@ def combine_array(code: OstbcCode, y: np.ndarray, h: np.ndarray) -> np.ndarray:
     c = np.einsum("brm,btr,ktm->bk", h, yc, code.a_mats)
     d = np.einsum("brm,btr,ktm->bk", h, yc, code.b_mats)
     return math.sqrt(code.n_tx) * (c.real - 1j * d.imag) / h_norm_sq[:, None]
-
-
-def ostbc_combine(code: OstbcCode, y: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Single-block combiner: y is (T, N_r), h is (N_r, N_t), result (k,)."""
-    y = np.asarray(y, dtype=np.complex128)
-    h = np.asarray(h, dtype=np.complex128)
-    if y.ndim != 2 or h.ndim != 2:
-        raise ValueError("y and h must be 2-d")
-    return combine_array(code, y[None, :, :], h[None, :, :])[0]

@@ -190,6 +190,15 @@ def test_invalid_configuration_exits_one(tmp_path, capsys):
     rc = main(["fer-vs-gain", "--workers", "0", "--out", str(out)])
     assert rc == 1
 
+    # Trial 2**32 has no stream id. Every frame errors at -40 dB, so a run
+    # that started would stop at the error target instead of hanging.
+    capsys.readouterr()
+    rc = main(["fer-vs-gain", "--gain-db", "-40", "--max-frames", str(2**32 + 1),
+               "--out", str(out)])
+    assert rc == 1
+    assert "max_frames" in capsys.readouterr().err
+    assert not out.exists()
+
 
 def test_bad_sweep_string_exits_one(tmp_path):
     out = tmp_path / "bad.csv"

@@ -9,17 +9,14 @@ import pytest
 from mimolink.detect import (
     DetectionFailure,
     DetectorKind,
-    ml_detect,
     ml_detect_batch,
-    mmse_detect,
     mmse_detect_batch,
     mmse_estimate_batch,
-    zf_detect,
     zf_detect_batch,
     zf_estimate_batch,
 )
 from mimolink.modem import QPSK_POINTS
-from mimolink.numerics import RngStream, mat_inverse
+from mimolink.numerics import RngStream
 
 
 def _random_case(rng, n, n_rx, n_tx, snr_db):
@@ -62,13 +59,13 @@ def test_identity_channel_slices_directly():
 
 
 def test_zf_matches_normal_equation_oracle():
-    """ZF decisions must equal slicing of sqrt(Nt) (H^H H)^-1 H^H y."""
+    """ZF decisions must equal slicing of sqrt(Nt) H^+ y, with the
+    pseudo-inverse H^+ = (H^H H)^-1 H^H taken from an SVD."""
     rng = RngStream(3, 0)
     s, h, y = _random_case(rng, 1000, 4, 4, snr_db=10.0)
     got = zf_detect_batch(h, y, QPSK_POINTS)
     for n in range(len(y)):
-        hh = h[n].conj().T
-        est = 2.0 * (mat_inverse(hh @ h[n]) @ hh @ y[n])
+        est = 2.0 * (np.linalg.pinv(h[n]) @ y[n])
         want = QPSK_POINTS[np.argmin(np.abs(est[:, None] - QPSK_POINTS), axis=1)]
         np.testing.assert_array_equal(got[n], want)
 
@@ -94,8 +91,7 @@ def test_zf_estimate_matches_least_squares_oracle():
     s, h, y = _random_case(rng, 500, 4, 4, snr_db=None)
     est = zf_estimate_batch(h, y)
     for n in range(500):
-        hh = h[n].conj().T
-        oracle = mat_inverse(hh @ h[n]) @ (hh @ y[n])
+        oracle = np.linalg.pinv(h[n]) @ y[n]
         assert np.max(np.abs(est[n] - oracle)) < 1e-9
     # noiseless: the estimate is the transmitted vector s / sqrt(Nt)
     assert np.max(np.abs(est - s / 2.0)) < 1e-9
@@ -195,7 +191,7 @@ def test_orthogonal_channel_reduces_to_per_stream_slicing():
         idx = (stream.uniform(4) * 4).astype(int)
         s = QPSK_POINTS[idx]
         y = q @ s / 2.0 + stream.complex_normal((4,), var=0.05)
-        got = zf_detect(q, y, QPSK_POINTS)
+        got = zf_detect_batch(q[None], y[None], QPSK_POINTS)[0]
         matched = 2.0 * (q.conj().T @ y)
         want = QPSK_POINTS[np.argmin(np.abs(matched[:, None] - QPSK_POINTS), axis=1)]
         np.testing.assert_array_equal(got, want)
@@ -240,27 +236,12 @@ def test_hypothesis_budget_enforced():
         ml_detect_batch(h, y, big)
 
 
-def test_single_matrix_wrappers_match_batch():
-    rng = RngStream(12, 0)
-    s, h, y = _random_case(rng, 8, 4, 4, snr_db=10.0)
-    nv = 0.1
-    for n in range(8):
-        np.testing.assert_array_equal(
-            zf_detect(h[n], y[n], QPSK_POINTS), zf_detect_batch(h, y, QPSK_POINTS)[n]
-        )
-        np.testing.assert_array_equal(
-            mmse_detect(h[n], y[n], QPSK_POINTS, nv),
-            mmse_detect_batch(h, y, QPSK_POINTS, nv)[n],
-        )
-        np.testing.assert_array_equal(
-            ml_detect(h[n], y[n], QPSK_POINTS), ml_detect_batch(h, y, QPSK_POINTS)[n]
-        )
-
-
 def test_shape_validation():
     with pytest.raises(ValueError):
         zf_detect_batch(np.ones((2, 2, 2)), np.ones((3, 2)), QPSK_POINTS)
     with pytest.raises(ValueError):
-        ml_detect(np.ones((2, 2)), np.ones((3,)), QPSK_POINTS)
+        ml_detect_batch(np.ones((1, 2, 2)), np.ones((1, 3)), QPSK_POINTS)
+    with pytest.raises(ValueError):
+        ml_detect_batch(np.ones((2, 2)), np.ones((2,)), QPSK_POINTS)
     with pytest.raises(ValueError):
         mmse_detect_batch(np.ones((1, 2, 2)), np.ones((1, 2)), QPSK_POINTS, -0.1)

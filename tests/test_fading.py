@@ -14,11 +14,9 @@ from mimolink.fading import (
     fading_angles,
     fading_init,
     fading_next,
-    k_factor,
     link_gains,
     ks_statistic,
     pdf_envelope_rician,
-    pdf_power_rayleigh,
     rician_envelope_cdf_grid,
     validate_process,
 )
@@ -199,18 +197,6 @@ def test_sentinel_k_still_mixes_scattered_part():
     assert np.std(np.abs(g)) > 0.0
 
 
-def test_pdf_power_rayleigh_values():
-    assert pdf_power_rayleigh(0.0, 2.0) == pytest.approx(0.5)
-    assert pdf_power_rayleigh(2.0, 2.0) == pytest.approx(math.exp(-1.0) / 2.0)
-    grid = np.linspace(0.0, 40.0, 200_001)
-    total = np.trapezoid(pdf_power_rayleigh(grid, 1.7), grid)
-    assert total == pytest.approx(1.0, abs=1e-6)
-    with pytest.raises(ValueError):
-        pdf_power_rayleigh(-0.5, 1.0)
-    with pytest.raises(ValueError):
-        pdf_power_rayleigh(0.5, 0.0)
-
-
 def test_pdf_envelope_rician_reduces_to_rayleigh():
     grid = np.linspace(0.0, 5.0, 100)
     alpha_sq = 0.5
@@ -231,16 +217,6 @@ def test_pdf_envelope_rician_matches_scipy_and_normalizes():
         pdf_envelope_rician(1.0, -0.1, 0.5)
     with pytest.raises(ValueError):
         pdf_envelope_rician(1.0, 1.0, 0.0)
-
-
-def test_k_factor_examples():
-    assert k_factor(0.0, 1.0) == 0.0
-    assert k_factor(1.0, 1.0) == 1.0
-    assert k_factor(2.0, 0.5) == 4.0
-    with pytest.raises(ValueError):
-        k_factor(1.0, 0.0)
-    with pytest.raises(ValueError):
-        k_factor(-1.0, 1.0)
 
 
 def test_ks_statistic_hand_example():

@@ -4,7 +4,8 @@ The cases together cover all five OSTBC designs, every correlation level,
 Rician fading with a moving line of sight, all three detectors (ZF at 0 dB
 included), the error-target cut, and the worker pool, with at least 500
 frames per CSV. A change to any one trial's outcome on any of these paths
-changes a digest. The digests were recorded with the per-frame engine that
+changes a digest. Two validate-fading cases, Rayleigh and Rician with a
+moving line of sight, pin its stream and its CSV header. The digests were recorded with the per-frame engine that
 run_frame still implements, so they also pin the batched engine to it.
 """
 
@@ -22,6 +23,7 @@ _RICIAN = (
     "--gain-db", "-6", "--max-frames", "500", *_FIXED,
 )
 _RICIAN_SHA = "141ec55a1b74942557ae48480cbefbb11ecaabca34e2395dc87c7fd9fa0d7fc7"
+_VALIDATE = ("validate-fading", "--samples", "100000")
 
 CASES = [
     (
@@ -58,6 +60,12 @@ CASES = [
     ((*_BER, "--detector", "zf"), "d62246837b881de7942ae43b1211d0a1dc709c7a23e01358649fe08dcfc1bfbb"),
     ((*_BER, "--detector", "mmse"), "a712fbd0cb1996094968e9303fda3a43826b1b831acb54c3e6e0c572e1e0f8b0"),
     ((*_BER, "--detector", "ml"), "a74c06c32ba019e482f08645bc414e3cb04c85a357a51e07cfdca3ac93283530"),
+    (_VALIDATE, "5bcc30857070774884e1c320852d78acfbe29fc481dff645cbe7e66080e2ab67"),
+    (
+        (*_VALIDATE, "--fading", "rician", "--k", "4", "--los-doppler-hz", "100",
+         "--doppler-hz", "100", "--sample-rate-hz", "1000"),
+        "14b5c18bad82c671b260eac04cebf28a842757c4ed6ad753667cb40ff37bcdfc",
+    ),
 ]
 
 

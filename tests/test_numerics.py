@@ -1,4 +1,4 @@
-"""Unit tests for the linear algebra, RNG, and Bessel primitives."""
+"""Unit tests for the RNG streams and the Bessel functions."""
 
 import math
 import warnings
@@ -10,117 +10,13 @@ import pytest
 from mimolink.numerics import (
     PhiloxStreams,
     RngStream,
-    SingularMatrixError,
     bessel_i0,
     bessel_j0,
     complex_normal_from,
-    gaussian_pair,
-    hermitian,
-    mat_inverse,
-    mat_mul,
     pack_stream_id,
 )
 
 J0_FIRST_ZERO = 2.404825557695773
-
-
-def _mat_mul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Schoolbook triple loop, written independently of the implementation."""
-    m, k = a.shape
-    k2, n = b.shape
-    assert k == k2
-    out = np.zeros((m, n), dtype=np.complex128)
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0 + 0.0j
-            for p in range(k):
-                acc += complex(a[i, p]) * complex(b[p, j])
-            out[i, j] = acc
-    return out
-
-
-def test_mat_mul_matches_schoolbook_reference():
-    rng = np.random.default_rng(11)
-    for _ in range(60):
-        m, k, n = rng.integers(1, 5, size=3)
-        a = rng.normal(size=(m, k)) + 1j * rng.normal(size=(m, k))
-        b = rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))
-        np.testing.assert_allclose(
-            mat_mul(a, b), _mat_mul_reference(a, b), rtol=1e-12, atol=1e-12
-        )
-
-
-def test_mat_mul_known_products():
-    eye = np.eye(3, dtype=np.complex128)
-    a = np.arange(9, dtype=np.complex128).reshape(3, 3) + 1j
-    np.testing.assert_array_equal(mat_mul(a, eye), a)
-    np.testing.assert_array_equal(mat_mul(eye, a), a)
-    jj = np.array([[1j]])
-    np.testing.assert_allclose(mat_mul(jj, jj), [[-1.0 + 0j]])
-
-
-def test_mat_mul_associative():
-    rng = np.random.default_rng(12)
-    for _ in range(30):
-        a = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-        b = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-        c = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-        left = mat_mul(mat_mul(a, b), c)
-        right = mat_mul(a, mat_mul(b, c))
-        np.testing.assert_allclose(left, right, rtol=1e-10, atol=1e-10)
-
-
-def test_mat_mul_shape_mismatch_raises():
-    a = np.ones((2, 3))
-    b = np.ones((2, 3))
-    with pytest.raises(ValueError):
-        mat_mul(a, b)
-
-
-def test_hermitian_basic():
-    a = np.array([[1 + 2j, 3 - 1j], [0 + 1j, -2 - 2j]])
-    ah = hermitian(a)
-    np.testing.assert_array_equal(ah, a.T.conj())
-    np.testing.assert_array_equal(hermitian(ah), a)
-
-
-def test_hermitian_reverses_products():
-    rng = np.random.default_rng(13)
-    a = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-    b = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-    np.testing.assert_allclose(
-        hermitian(mat_mul(a, b)), mat_mul(hermitian(b), hermitian(a)), rtol=1e-12
-    )
-
-
-def test_mat_inverse_known_values():
-    np.testing.assert_allclose(mat_inverse(np.eye(4)), np.eye(4))
-    d = np.diag([2.0 + 0j, 1j])
-    np.testing.assert_allclose(mat_inverse(d), np.diag([0.5 + 0j, -1j]), atol=1e-15)
-
-
-def test_mat_inverse_multiply_back():
-    rng = np.random.default_rng(14)
-    eye = np.eye(4)
-    for _ in range(1000):
-        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        a = b @ b.conj().T + eye  # Hermitian positive definite, well conditioned
-        inv = mat_inverse(a)
-        np.testing.assert_allclose(mat_mul(a, inv), eye, atol=1e-10)
-        np.testing.assert_allclose(mat_mul(inv, a), eye, atol=1e-10)
-
-
-def test_mat_inverse_singular_raises():
-    a = np.array([[1.0, 2.0], [2.0, 4.0]])  # rank 1
-    with pytest.raises(SingularMatrixError):
-        mat_inverse(a)
-    with pytest.raises(SingularMatrixError):
-        mat_inverse(np.zeros((3, 3)))
-
-
-def test_mat_inverse_rejects_nonsquare():
-    with pytest.raises(ValueError):
-        mat_inverse(np.ones((2, 3)))
 
 
 def test_pack_stream_id_layout():
@@ -164,8 +60,15 @@ def test_spawn_offsets_role_field():
     np.testing.assert_array_equal(spawned, direct)
 
 
+def _standard_normals(seed: int, stream_id: int, n: int) -> np.ndarray:
+    """n standard normals: the real and imaginary parts of the stream's
+    complex normals of variance 2, interleaved."""
+    z = RngStream(seed, stream_id).complex_normal(n // 2, var=2.0)
+    return np.stack([z.real, z.imag], axis=1).ravel()
+
+
 def test_standard_normal_moments():
-    z = RngStream(2024, 1).standard_normal(1_000_000)
+    z = _standard_normals(2024, 1, 1_000_000)
     assert abs(z.mean()) < 0.005
     assert abs(z.var() - 1.0) < 0.01
     # successive draws should be uncorrelated
@@ -175,30 +78,12 @@ def test_standard_normal_moments():
 
 def test_standard_normal_ks_against_gaussian_cdf():
     n = 1_000_000
-    z = np.sort(RngStream(7, 3).standard_normal(n))
+    z = np.sort(_standard_normals(7, 3, n))
     cdf = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in z])
     ranks = np.arange(1, n + 1) / n
     d_plus = np.max(ranks - cdf)
     d_minus = np.max(cdf - (ranks - 1.0 / n))
     assert max(d_plus, d_minus) < 0.002
-
-
-def test_gaussian_pair_matches_stream_draws():
-    z = RngStream(9, 4).standard_normal(2)
-    pair = gaussian_pair(RngStream(9, 4))
-    assert pair == (z[0], z[1])
-    method = RngStream(9, 4).gaussian_pair()
-    assert method == (z[0], z[1])
-
-
-def test_odd_normal_draw_consumes_full_uniform_pair():
-    s = RngStream(21, 0)
-    s.standard_normal(1)
-    after_odd = s.uniform(1)
-
-    t = RngStream(21, 0)
-    t.uniform(2)  # one Box-Muller pair eats two uniforms
-    np.testing.assert_array_equal(after_odd, t.uniform(1))
 
 
 def test_complex_normal_shape_and_variance():
@@ -287,10 +172,14 @@ def test_philox_streams_match_fresh_streams():
 
 
 def test_complex_normal_from_matches_interleaved_normals():
-    """Rows of a batch equal the stream's interleaved (re, im) normals."""
+    """Rows of a batch are trigonometric Box-Muller pairs of the stream's
+    uniforms: radii from the first half, angles from the second."""
     u = np.stack([RngStream(4, sid).uniform(60) for sid in (9, 10)])
     batch = complex_normal_from(u, 0.5)
     for row, sid in zip(batch, (9, 10)):
-        z = RngStream(4, sid).standard_normal(60)
-        np.testing.assert_array_equal(row, (z[0::2] + 1j * z[1::2]) * math.sqrt(0.25))
+        v = RngStream(4, sid).uniform(60)
+        r = np.sqrt(-2.0 * np.log1p(-v[:30]))
+        ang = 2.0 * np.pi * v[30:]
+        z = (r * np.cos(ang) + 1j * (r * np.sin(ang))) * math.sqrt(0.25)
+        np.testing.assert_array_equal(row, z)
         np.testing.assert_array_equal(row, RngStream(4, sid).complex_normal(30, var=0.5))

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from mimolink import sim
-from mimolink.channel import ChannelSpec
+from mimolink.channel import MAX_ANTENNAS, ChannelSpec
 from mimolink.detect import DetectionFailure, DetectorKind
 from mimolink.fading import FadingModel, FadingSpec
-from mimolink.numerics import RngStream, pack_stream_id
+from mimolink.numerics import MAX_TRIALS, RngStream, pack_stream_id
 from mimolink.sim import (
     Experiment,
     SimConfig,
@@ -150,12 +150,38 @@ def test_config_validation_errors():
         _ber_config(frame_bits=12).validate()  # 6 symbols over 4 antennas
     with pytest.raises(ValueError):
         _fer_config(max_frames=0).validate()
+    _fer_config(max_frames=2**32).validate()  # trials 0 .. 2**32 - 1
+    with pytest.raises(ValueError, match="max_frames"):
+        _fer_config(max_frames=2**32 + 1).validate()  # trial 2**32 has no stream id
     with pytest.raises(ValueError):
         _fer_config(target_frame_errors=0).validate()
     with pytest.raises(ValueError):
         _fer_config(master_seed=1 << 64).validate()
     # ML tolerates fewer receive than transmit antennas
     _ber_config(detector=DetectorKind.ML, channel=ChannelSpec(n_tx=4, n_rx=2)).validate()
+
+
+def test_stream_ids_never_collide():
+    """Every stream id the engine and validate-fading draw from is distinct:
+    each experiment's frame roles, every fading link of the largest
+    channel, at the first and the last trial a stream id can index."""
+    assert set(sim.EXPERIMENT_IDS) == {e.value for e in Experiment} | {sim.VALIDATE_FADING}
+    # The largest channel that validates has MAX_LINKS links.
+    ChannelSpec(n_tx=MAX_ANTENNAS, n_rx=MAX_ANTENNAS).validate()
+    for n_tx, n_rx in ((MAX_ANTENNAS + 1, 1), (1, MAX_ANTENNAS + 1)):
+        with pytest.raises(ValueError):
+            ChannelSpec(n_tx=n_tx, n_rx=n_rx).validate()
+    roles = [sim.ROLE_BITS, sim.ROLE_NOISE, sim.ROLE_IID_CHANNEL]
+    roles += [sim.ROLE_FADING + link for link in range(sim.MAX_LINKS)]
+    ids = [sim.VALIDATE_FADING_STREAM]
+    for experiment in Experiment:
+        exp_id = sim.EXPERIMENT_IDS[experiment.value]
+        for trial in (0, 1, MAX_TRIALS - 1):
+            ids += [pack_stream_id(exp_id, role, trial) for role in roles]
+            # channel_init derives link i's stream by spawn(i)
+            fading = RngStream(0, pack_stream_id(exp_id, sim.ROLE_FADING, trial))
+            assert [fading.spawn(i).stream_id for i in range(sim.MAX_LINKS)] == ids[-sim.MAX_LINKS:]
+    assert len(set(ids)) == len(ids)
 
 
 def test_run_frame_deterministic():
@@ -193,13 +219,12 @@ def test_reference_chain_reproduces_run_frame():
     """Straight-line per-block reimplementation of the coded path."""
     from mimolink.channel import apply_channel, channel_init
     from mimolink.modem import bernoulli_bits, qpsk_demodulate, qpsk_modulate
-    from mimolink.numerics import RngStream, pack_stream_id
     from mimolink.sim import EXPERIMENT_IDS, ROLE_BITS, ROLE_FADING, ROLE_NOISE
-    from mimolink.stbc import ostbc_code, ostbc_combine, ostbc_encode
+    from mimolink.stbc import combine_array, encode_array, ostbc_code
 
     cfg = _fer_config(snr_db=0.0, sweep=(-5.0,))
     point = replace(cfg, channel=replace(cfg.channel, path_gain_db=-5.0))
-    exp_id = EXPERIMENT_IDS[cfg.experiment]
+    exp_id = EXPERIMENT_IDS[cfg.experiment.value]
 
     for trial in range(100):
         def stream(role):
@@ -207,19 +232,21 @@ def test_reference_chain_reproduces_run_frame():
 
         bits = bernoulli_bits(point.frame_bits, 0.5, stream(ROLE_BITS))
         code = ostbc_code(*point.code)
-        blocks = ostbc_encode(code, qpsk_modulate(bits))
+        syms = qpsk_modulate(bits)
+        k = code.n_symbols
+        blocks = [encode_array(code, syms[None, i : i + k])[0] for i in range(0, len(syms), k)]
 
         # one pass through the channel for the whole frame, row by row
-        rows = np.concatenate([b.matrix for b in blocks], axis=0)
+        rows = np.concatenate(blocks, axis=0)
         chan = channel_init(point.channel, stream(ROLE_FADING))
         noisy, h = apply_channel(chan, rows, point.snr_db, stream(ROLE_NOISE))
 
         bits_hat = []
         t_len = code.block_len
-        for i, block in enumerate(blocks):
+        for i in range(len(blocks)):
             y = noisy.samples[i * t_len : (i + 1) * t_len]
             h_first = h[i * t_len]  # receiver assumes the block-start channel
-            s_hat = ostbc_combine(code, y, h_first)
+            s_hat = combine_array(code, y[None], h_first[None])[0]
             bits_hat.append(qpsk_demodulate(s_hat))
         bits_hat = np.concatenate(bits_hat)
 
@@ -389,7 +416,7 @@ def test_zf_failure_wipes_only_its_frame(monkeypatch):
     # Trial `bad`'s first channel matrix, regenerated from its stream (the
     # path gain is 0 dB, so the draw is the matrix).
     stream = RngStream(cfg.master_seed, pack_stream_id(
-        sim.EXPERIMENT_IDS[cfg.experiment], sim.ROLE_IID_CHANNEL, bad))
+        sim.EXPERIMENT_IDS[cfg.experiment.value], sim.ROLE_IID_CHANNEL, bad))
     poison = stream.complex_normal((cfg.frame_bits // 2 // 4, 4, 4))[0]
     real_zf = sim.zf_detect_batch
 

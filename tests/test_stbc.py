@@ -9,12 +9,9 @@ import pytest
 from mimolink.modem import qpsk_demodulate, qpsk_modulate
 from mimolink.numerics import RngStream
 from mimolink.stbc import (
-    CodewordBlock,
     combine_array,
     encode_array,
     ostbc_code,
-    ostbc_combine,
-    ostbc_encode,
     supported_codes,
 )
 
@@ -139,39 +136,34 @@ def test_alamouti_identity_channel_exact():
     x = encode_array(code, syms[None, :])[0]
     h = np.eye(2, dtype=np.complex128)
     y = x @ h.T
-    np.testing.assert_allclose(ostbc_combine(code, y, h), syms, atol=1e-14)
+    np.testing.assert_allclose(combine_array(code, y[None], h[None])[0], syms, atol=1e-14)
 
 
 def test_zero_received_signal_gives_zero_estimates():
     code = ostbc_code(4, Fraction(3, 4))
     h = np.ones((2, 4), dtype=np.complex128)
-    est = ostbc_combine(code, np.zeros((4, 2)), h)
+    est = combine_array(code, np.zeros((1, 4, 2)), h[None])[0]
     np.testing.assert_array_equal(est, np.zeros(3, dtype=np.complex128))
 
 
 def test_zero_channel_raises():
     code = ostbc_code(2, 1)
     with pytest.raises(ValueError):
-        ostbc_combine(code, np.zeros((2, 1)), np.zeros((1, 2)))
+        combine_array(code, np.zeros((1, 2, 1)), np.zeros((1, 1, 2)))
 
 
 def test_block_bookkeeping():
+    """A batch of symbol blocks encodes to one codeword per block, each the
+    codeword of that block alone."""
     code = ostbc_code(3, Fraction(1, 2))
     syms = _random_symbols(np.random.default_rng(43), 12)
-    blocks = ostbc_encode(code, syms)
-    assert len(blocks) == 3  # 12 symbols / 4 per block
+    blocks = encode_array(code, syms.reshape(-1, code.n_symbols))
+    assert blocks.shape == (3, 8, 3)  # 12 symbols / 4 per block
     for i, block in enumerate(blocks):
-        assert isinstance(block, CodewordBlock)
-        assert block.matrix.shape == (8, 3)
-        np.testing.assert_array_equal(block.source_symbols, syms[4 * i : 4 * (i + 1)])
-        np.testing.assert_allclose(
-            block.matrix, encode_array(code, block.source_symbols[None, :])[0]
-        )
+        np.testing.assert_array_equal(block, encode_array(code, syms[None, 4 * i : 4 * (i + 1)])[0])
 
 
 def test_length_not_multiple_of_block_raises():
-    with pytest.raises(ValueError):
-        ostbc_encode(ostbc_code(2, 1), np.ones(5, dtype=np.complex128))
     with pytest.raises(ValueError):
         encode_array(ostbc_code(4, Fraction(1, 2)), np.ones((2, 3), dtype=np.complex128))
 
