@@ -33,10 +33,12 @@ __all__ = [
     "correlation_matrix",
     "ChannelSpec",
     "ChannelProcess",
-    "NoisySignal",
+    "path_gain",
+    "noise_variance",
     "channel_init",
     "channel_matrix_at",
     "channel_matrices",
+    "receive",
     "apply_channel",
 ]
 
@@ -94,8 +96,18 @@ def _correlation_sqrt(n: int, rho: float) -> np.ndarray:
     return root
 
 
-def _path_gain(spec: ChannelSpec) -> float:
+def path_gain(spec: ChannelSpec) -> float:
+    """Linear amplitude gain g = 10^(path_gain_db / 20)."""
     return 10.0 ** (spec.path_gain_db / 20.0)
+
+
+def noise_variance(snr_db: float) -> float:
+    """Complex noise variance per receive antenna, 10^(-snr_db / 10).
+
+    snr_db = inf means a noiseless receiver: the variance is 0 and no
+    noise is drawn (see receive).
+    """
+    return 0.0 if math.isinf(snr_db) else 10.0 ** (-snr_db / 10.0)
 
 
 @dataclass(frozen=True)
@@ -133,15 +145,6 @@ class ChannelProcess:
     gain: float
 
 
-@dataclass(frozen=True)
-class NoisySignal:
-    """Received samples (n, n_rx) together with the complex noise variance
-    per receive antenna that was actually applied."""
-
-    samples: np.ndarray
-    noise_var: float
-
-
 def channel_init(spec: ChannelSpec, rng: RngStream) -> ChannelProcess:
     """Create the per-link fading processes and correlation square roots.
 
@@ -159,7 +162,7 @@ def channel_init(spec: ChannelSpec, rng: RngStream) -> ChannelProcess:
         links=links,
         rr_sqrt=_correlation_sqrt(spec.n_rx, spec.correlation),
         rt_sqrt=_correlation_sqrt(spec.n_tx, spec.correlation),
-        gain=_path_gain(spec),
+        gain=path_gain(spec),
     )
 
 
@@ -193,7 +196,16 @@ def channel_matrices(spec: ChannelSpec, gains: np.ndarray) -> np.ndarray:
     g = np.ascontiguousarray(gains.transpose(0, 2, 1)).reshape(f * n, spec.n_rx, spec.n_tx)
     rr = _correlation_sqrt(spec.n_rx, spec.correlation)
     rt = _correlation_sqrt(spec.n_tx, spec.correlation)
-    return _mix(spec, g, rr, rt, _path_gain(spec))
+    return _mix(spec, g, rr, rt, path_gain(spec))
+
+
+def receive(h: np.ndarray, x: np.ndarray, noise_var: float, rng: RngStream) -> np.ndarray:
+    """Receive rows y = H x + w for channel matrices h (n, n_rx, n_tx) and
+    transmit rows x (n, n_tx); w is drawn from rng unless noise_var is 0."""
+    y = np.einsum("nrt,nt->nr", h, x)
+    if noise_var:
+        y = y + rng.complex_normal(y.shape, var=noise_var)
+    return y
 
 
 def apply_channel(
@@ -201,23 +213,16 @@ def apply_channel(
     x: np.ndarray,
     snr_db: float,
     rng: RngStream,
-) -> tuple[NoisySignal, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Push transmit rows through the channel and add receiver noise.
 
     x has shape (n, n_tx), one row per channel use with total energy 1 by
-    the encoder contract. Returns the noisy receive rows and the exact
-    channel matrices used, so callers can hand perfect CSI to a combiner.
-    snr_db = inf disables the noise entirely.
+    the encoder contract. Returns the (n, n_rx) noisy receive rows and the
+    exact channel matrices used, so callers can hand perfect CSI to a
+    combiner. snr_db = inf disables the noise entirely.
     """
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 2 or x.shape[1] != proc.spec.n_tx:
         raise ValueError(f"x must have shape (n, {proc.spec.n_tx}), got {x.shape}")
-    n = x.shape[0]
-    h = channel_matrix_at(proc, n)
-    y = np.einsum("nrt,nt->nr", h, x)
-    if math.isinf(snr_db):
-        noise_var = 0.0
-    else:
-        noise_var = 10.0 ** (-snr_db / 10.0)
-        y = y + rng.complex_normal((n, proc.spec.n_rx), var=noise_var)
-    return NoisySignal(samples=y, noise_var=noise_var), h
+    h = channel_matrix_at(proc, x.shape[0])
+    return receive(h, x, noise_variance(snr_db), rng), h

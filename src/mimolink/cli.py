@@ -23,6 +23,8 @@ Exit codes: 0 success, 1 invalid configuration or usage, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -36,6 +38,8 @@ from .sim import (
     VALIDATE_FADING_STREAM,
     Experiment,
     SimConfig,
+    _point_config,
+    check_sweep,
     emit_csv,
     fading_pairs,
     render_csv,
@@ -62,23 +66,29 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_sweep(text: str) -> tuple[float, ...]:
-    """Parse start:step:stop (inclusive) or a comma list into sweep values."""
+    """Parse start:step:stop (inclusive) or a comma list into sweep values,
+    which must pass sim.check_sweep."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"range must be start:step:stop, got {text!r}")
         start, step, stop = (float(p) for p in parts)
+        if not all(math.isfinite(v) for v in (start, step, stop)):
+            raise ValueError("range start, step and stop must be finite")
         if step <= 0:
             raise ValueError("range step must be positive")
         if stop < start:
             raise ValueError("range stop must not precede start")
-        count = int(round((stop - start) / step)) + 1
-        values = tuple(start + i * step for i in range(count))
+        steps = (stop - start) / step
+        if steps >= 10_000:
+            raise ValueError("range must have fewer than 10000 steps")
+        values = tuple(start + i * step for i in range(round(steps) + 1))
         if values[-1] > stop + 1e-9 * max(1.0, abs(stop)):
             values = values[:-1]
-        return values
-    return tuple(float(p) for p in text.split(",") if p.strip())
+    else:
+        values = tuple(float(p) for p in text.split(",") if p.strip())
+    return check_sweep(values)
 
 
 def _parse_code(text: str) -> tuple[int, Fraction]:
@@ -98,7 +108,7 @@ def _add_common(p: argparse.ArgumentParser, with_workers: bool = True) -> None:
                    help="also write a gnuplot script that plots the CSV")
     if with_workers:
         p.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="worker processes; never changes results (default 1)")
+                       help="worker processes, at most the CPU count; never changes results (default 1)")
 
 
 def _add_fading(p: argparse.ArgumentParser) -> None:
@@ -175,12 +185,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fading_spec(args, doppler_hz: float, sample_rate_hz: float) -> FadingSpec:
+def _fading_spec(args) -> FadingSpec:
+    # A FER subcommand lacks the flag of the quantity it sweeps (see _build_config).
     model = FadingModel(args.fading)
     return FadingSpec(
         model=model,
-        max_doppler_hz=doppler_hz,
-        sample_rate_hz=sample_rate_hz,
+        max_doppler_hz=getattr(args, "doppler_hz", None),
+        sample_rate_hz=getattr(args, "sample_rate_hz", None),
         num_sinusoids=args.num_sinusoids,
         k_factor=args.k if model is FadingModel.RICIAN else 0.0,
         los_doppler_hz=args.los_doppler_hz,
@@ -188,83 +199,70 @@ def _fading_spec(args, doppler_hz: float, sample_rate_hz: float) -> FadingSpec:
     )
 
 
-def _fer_config(args, experiment: Experiment, doppler_hz: float,
-                sample_rate_hz: float, gain_db: float, sweep) -> SimConfig:
-    code_n_tx, code_rate = args.code
-    channel = ChannelSpec(
-        n_tx=code_n_tx,
-        n_rx=args.nr,
-        fading=_fading_spec(args, doppler_hz, sample_rate_hz),
-        correlation=correlation_rho(args.correlation),
-        path_gain_db=gain_db,
-    )
-    return SimConfig(
+# The experiment subcommands: the Experiment each runs, the argparse dest
+# that holds its sweep, and its plot's x label, rate column (fer 4, ber 9
+# in the CSV) and log-x flag.
+_EXPERIMENTS = {
+    "fer-vs-gain": (Experiment.FER_VS_GAIN, "gain_db", "path gain (dB)", 4, False),
+    "fer-vs-doppler": (Experiment.FER_VS_DOPPLER, "dopplers", "max Doppler (Hz)", 4, False),
+    "fer-vs-samplerate": (Experiment.FER_VS_SAMPLE_RATE, "rates", "sample rate (Hz)", 4, True),
+    "ber-vs-snr": (Experiment.BER_VS_SNR, "snr_db", "SNR (dB)", 9, False),
+}
+
+
+def _build_config(args) -> SimConfig:
+    """The config of an experiment subcommand. Its swept field holds a stand-in
+    (the sweep itself, or None) until _point_config, the rule for every sweep
+    point, sets it to the sweep's first value."""
+    experiment, dest, *_ = _EXPERIMENTS[args.command]
+    sweep = getattr(args, dest)
+    if experiment is Experiment.BER_VS_SNR:
+        channel = ChannelSpec(n_tx=args.nt, n_rx=args.nr, path_gain_db=args.gain_db)
+        code, detector = None, DetectorKind(args.detector)
+    else:
+        channel = ChannelSpec(n_tx=args.code[0], n_rx=args.nr, fading=_fading_spec(args),
+                              correlation=correlation_rho(args.correlation),
+                              path_gain_db=args.gain_db)
+        code, detector = args.code, None
+    config = SimConfig(
         experiment=experiment,
         channel=channel,
-        code=(code_n_tx, code_rate),
-        detector=None,
+        code=code,
+        detector=detector,
         frame_bits=args.frame_bits,
         snr_db=args.snr_db,
-        sweep=tuple(sweep),
+        sweep=sweep,
         max_frames=args.max_frames,
         target_frame_errors=args.target_errors,
         master_seed=args.seed,
     )
-
-
-def _build_config(args) -> SimConfig:
-    if args.command == "fer-vs-gain":
-        return _fer_config(args, Experiment.FER_VS_GAIN, args.doppler_hz,
-                           args.sample_rate_hz, args.gain_db[0], args.gain_db)
-    if args.command == "fer-vs-doppler":
-        return _fer_config(args, Experiment.FER_VS_DOPPLER, args.dopplers[0],
-                           args.sample_rate_hz, args.gain_db, args.dopplers)
-    if args.command == "fer-vs-samplerate":
-        return _fer_config(args, Experiment.FER_VS_SAMPLE_RATE, args.doppler_hz,
-                           args.rates[0], args.gain_db, args.rates)
-    if args.command == "ber-vs-snr":
-        channel = ChannelSpec(n_tx=args.nt, n_rx=args.nr, fading=FadingSpec(),
-                              correlation=0.0, path_gain_db=args.gain_db)
-        return SimConfig(
-            experiment=Experiment.BER_VS_SNR,
-            channel=channel,
-            code=None,
-            detector=DetectorKind(args.detector),
-            frame_bits=args.frame_bits,
-            snr_db=args.snr_db[0],
-            sweep=tuple(args.snr_db),
-            max_frames=args.max_frames,
-            target_frame_errors=args.target_errors,
-            master_seed=args.seed,
-        )
-    raise ValueError(f"unknown command {args.command!r}")
-
-
-_PLOT_AXES = {
-    "fer-vs-gain": ("path gain (dB)", "frame error rate", 4, 5, 6, False),
-    "fer-vs-doppler": ("max Doppler (Hz)", "frame error rate", 4, 5, 6, False),
-    "fer-vs-samplerate": ("sample rate (Hz)", "frame error rate", 4, 5, 6, True),
-    "ber-vs-snr": ("SNR (dB)", "bit error rate", 9, 10, 11, False),
-}
+    return _point_config(config, sweep[0])
 
 
 def _write_plot_script(path: str, csv_path: str, command: str) -> None:
-    xlabel, ylabel, col, lo, hi, logx = _PLOT_AXES[command]
+    """Write a gnuplot script for the CSV: a subcommand's rate with its 95%
+    interval, or validate-fading's empirical and theoretical autocorrelation."""
+    if command == "validate-fading":
+        xlabel, ylabel = "lag (s)", "real-part autocorrelation"
+        settings = ["set grid"]
+        series = [(2, "points", "empirical"), (3, "lines", "theory")]
+    else:
+        experiment, _, xlabel, col, logx = _EXPERIMENTS[command]
+        ylabel = "bit error rate" if experiment is Experiment.BER_VS_SNR else "frame error rate"
+        settings = ["set logscale y", "set grid", "set key left bottom"]
+        settings += ["set logscale x"] if logx else []
+        series = [(col, "linespoints", ylabel), (col + 1, "lines dashtype 2", "95% lo"),
+                  (col + 2, "lines dashtype 2", "95% hi")]
+    sources = [f"plot '{csv_path}'"] + ["     ''"] * (len(series) - 1)
+    plots = [f"{src} using 1:{c} with {style} title '{title}'"
+             for src, (c, style, title) in zip(sources, series)]
     lines = [
         "set datafile separator ','",
         "set datafile commentschars '#'",
         f"set xlabel '{xlabel}'",
         f"set ylabel '{ylabel}'",
-        "set logscale y",
-        "set grid",
-        "set key left bottom",
-    ]
-    if logx:
-        lines.append("set logscale x")
-    lines += [
-        f"plot '{csv_path}' using 1:{col} with linespoints title '{ylabel}', \\",
-        f"     '' using 1:{lo} with lines dashtype 2 title '95% lo', \\",
-        f"     '' using 1:{hi} with lines dashtype 2 title '95% hi'",
+        *settings,
+        ", \\\n".join(plots),
         "pause -1",
     ]
     with open(path, "w", newline="\n") as fh:
@@ -272,10 +270,7 @@ def _write_plot_script(path: str, csv_path: str, command: str) -> None:
 
 
 def _validate_fading_csv(args) -> str:
-    spec = _fading_spec(args, args.doppler_hz, args.sample_rate_hz)
-    spec.validate()
-    if args.samples < 100_000:
-        raise ValueError("--samples must be at least 100000")
+    spec = _fading_spec(args)  # fading_init validates it
     proc = fading_init(spec, RngStream(args.seed, VALIDATE_FADING_STREAM))
     stats = validate_process(proc, args.samples)
     pairs = [
@@ -289,21 +284,6 @@ def _validate_fading_csv(args) -> str:
     return render_csv(pairs, "lag_s,autocorr_empirical,autocorr_theoretical", stats.autocorr_lags)
 
 
-def _write_validate_plot(path: str, csv_path: str) -> None:
-    lines = [
-        "set datafile separator ','",
-        "set datafile commentschars '#'",
-        "set xlabel 'lag (s)'",
-        "set ylabel 'real-part autocorrelation'",
-        "set grid",
-        f"plot '{csv_path}' using 1:2 with points title 'empirical', \\",
-        f"     '' using 1:3 with lines title 'theory'",
-        "pause -1",
-    ]
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
@@ -313,8 +293,9 @@ def main(argv=None) -> int:
         else:
             config = _build_config(args)
             config.validate()
-            if args.workers < 1:
-                raise ValueError("--workers must be at least 1")
+            cpus = os.cpu_count() or 1
+            if not 1 <= args.workers <= cpus:
+                raise ValueError(f"--workers must lie in 1..{cpus}, the CPU count")
     except ValueError as exc:
         print(f"mimolink: invalid configuration: {exc}", file=sys.stderr)
         return 1
@@ -326,10 +307,7 @@ def main(argv=None) -> int:
         with open(args.out, "w", newline="\n") as fh:
             fh.write(text)
         if args.plot_script:
-            if args.command == "validate-fading":
-                _write_validate_plot(args.plot_script, args.out)
-            else:
-                _write_plot_script(args.plot_script, args.out, args.command)
+            _write_plot_script(args.plot_script, args.out, args.command)
     except Exception as exc:  # noqa: BLE001 - any runtime failure maps to exit 2
         print(f"mimolink: runtime failure: {exc}", file=sys.stderr)
         return 2

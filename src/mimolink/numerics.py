@@ -54,8 +54,10 @@ class RngStream:
 
     Each stream is an independent Philox generator keyed by
     (master_seed, stream_id). The same pair always reproduces the same
-    sequence, on any machine and in any process, which is what makes the
-    Monte Carlo results reproducible and worker-count independent.
+    uniforms, in any process, which is what makes the Monte Carlo results
+    reproducible and worker-count independent. Byte-identical CSVs are
+    verified on one host and one numpy version only: numpy's SIMD cos and
+    log1p may differ by an ulp across CPUs, which can flip a trial.
 
     Normal variates are produced with the trigonometric Box-Muller transform
     applied to this stream's uniforms, so the mapping from counter stream to

@@ -35,6 +35,7 @@ runs one of the zf/mmse/ml detectors.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 import time
@@ -44,7 +45,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import MAX_ANTENNAS, ChannelSpec, apply_channel, channel_init, channel_matrices
+from .channel import (
+    MAX_ANTENNAS, ChannelSpec, apply_channel, channel_init, channel_matrices, noise_variance, path_gain, receive,
+)
 from .detect import (
     DetectionFailure,
     DetectorKind,
@@ -62,6 +65,7 @@ __all__ = [
     "SimConfig",
     "SweepPoint",
     "SimResult",
+    "check_sweep",
     "run_frame",
     "run_wave",
     "run_experiment",
@@ -148,12 +152,7 @@ class SimConfig:
             raise ValueError("frame_bits must be a positive even count")
         if not (0 <= self.master_seed < 1 << 64):
             raise ValueError("master_seed must fit in 64 bits")
-        if len(self.sweep) == 0:
-            raise ValueError("sweep must not be empty")
-        if any(not math.isfinite(v) for v in self.sweep):
-            raise ValueError("sweep values must be finite")
-        if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
-            raise ValueError("sweep must be strictly increasing")
+        check_sweep(self.sweep)
         if self.max_frames < 1:
             raise ValueError("max_frames must be at least 1")
         if self.max_frames > MAX_TRIALS:
@@ -184,24 +183,31 @@ class SimConfig:
             _point_config(self, x)
 
 
+def check_sweep(sweep: tuple[float, ...]) -> tuple[float, ...]:
+    """Return sweep if it is a non-empty, strictly increasing run of finite
+    values; raise ValueError otherwise."""
+    if len(sweep) == 0:
+        raise ValueError("sweep must not be empty")
+    if any(not math.isfinite(v) for v in sweep):
+        raise ValueError("sweep values must be finite")
+    if any(b <= a for a, b in zip(sweep, sweep[1:])):
+        raise ValueError("sweep must be strictly increasing")
+    return sweep
+
+
 def _point_config(config: SimConfig, x: float) -> SimConfig:
     """Resolve a sweep point into a concrete single-point config."""
-    exp = config.experiment
+    ch, exp = config.channel, config.experiment
     if exp is Experiment.FER_VS_GAIN:
-        ch = replace(config.channel, path_gain_db=x)
-        out = replace(config, channel=ch)
+        ch = replace(ch, path_gain_db=x)
     elif exp is Experiment.FER_VS_DOPPLER:
-        ch = replace(config.channel, fading=replace(config.channel.fading, max_doppler_hz=x))
-        out = replace(config, channel=ch)
+        ch = replace(ch, fading=replace(ch.fading, max_doppler_hz=x))
     elif exp is Experiment.FER_VS_SAMPLE_RATE:
-        ch = replace(config.channel, fading=replace(config.channel.fading, sample_rate_hz=x))
-        out = replace(config, channel=ch)
-    elif exp is Experiment.BER_VS_SNR:
-        out = replace(config, snr_db=x)
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown experiment {exp!r}")
-    out.channel.validate()
-    return out
+        ch = replace(ch, fading=replace(ch.fading, sample_rate_hz=x))
+    else:  # Experiment.BER_VS_SNR
+        config = replace(config, snr_db=x)
+    ch.validate()
+    return replace(config, channel=ch)
 
 
 def run_frame(config: SimConfig, trial_index: int) -> tuple[bool, int, int]:
@@ -224,17 +230,10 @@ def run_frame(config: SimConfig, trial_index: int) -> tuple[bool, int, int]:
 
     if config.experiment is Experiment.BER_VS_SNR:
         n_tx, n_rx = config.channel.n_tx, config.channel.n_rx
-        vectors = syms.reshape(-1, n_tx)
-        n_vec = vectors.shape[0]
-        gain = 10.0 ** (config.channel.path_gain_db / 20.0)
-        h = gain * stream(ROLE_IID_CHANNEL).complex_normal((n_vec, n_rx, n_tx))
-        x = vectors / math.sqrt(n_tx)
-        y = np.einsum("nrt,nt->nr", h, x)
-        if not math.isinf(config.snr_db):
-            noise_var = 10.0 ** (-config.snr_db / 10.0)
-            y = y + stream(ROLE_NOISE).complex_normal((n_vec, n_rx), var=noise_var)
-        else:
-            noise_var = 0.0
+        x = syms.reshape(-1, n_tx) / math.sqrt(n_tx)
+        h = path_gain(config.channel) * stream(ROLE_IID_CHANNEL).complex_normal((len(x), n_rx, n_tx))
+        noise_var = noise_variance(config.snr_db)
+        y = receive(h, x, noise_var, stream(ROLE_NOISE))
         try:
             decided = _detect(config, h, y, noise_var)
         except DetectionFailure:
@@ -242,14 +241,11 @@ def run_frame(config: SimConfig, trial_index: int) -> tuple[bool, int, int]:
         bits_hat = qpsk_demodulate(decided.ravel())
     else:
         code = ostbc_code(*config.code)
-        x = encode_array(code, syms.reshape(-1, code.n_symbols))
-        n_blocks, t_len, n_tx = x.shape
-        rows = x.reshape(-1, n_tx)
+        x = encode_array(code, syms.reshape(-1, code.n_symbols)).reshape(-1, config.channel.n_tx)
         chan = channel_init(config.channel, stream(ROLE_FADING))
-        noisy, h = apply_channel(chan, rows, config.snr_db, stream(ROLE_NOISE))
-        y_blocks = noisy.samples.reshape(n_blocks, t_len, config.channel.n_rx)
-        h_blocks = h[::t_len]
-        s_hat = combine_array(code, y_blocks, h_blocks)
+        y, h = apply_channel(chan, x, config.snr_db, stream(ROLE_NOISE))
+        t_len = code.block_len
+        s_hat = combine_array(code, y.reshape(-1, t_len, config.channel.n_rx), h[::t_len])
         bits_hat = qpsk_demodulate(s_hat.ravel())
 
     bit_errors = int(np.count_nonzero(bits_hat != bits))
@@ -320,27 +316,37 @@ def _run_chunk(config: SimConfig, streams: PhiloxStreams, trials: range) -> list
 
     bits = (uniforms(ROLE_BITS, config.frame_bits) < 0.5).astype(np.uint8)
     syms = qpsk_modulate(bits.ravel())
-    noisy = not math.isinf(config.snr_db)
-    noise_var = 10.0 ** (-config.snr_db / 10.0) if noisy else 0.0
-    n_rx = ch.n_rx
-    failed = np.zeros(f, dtype=bool)
+    n_rx, n_tx = ch.n_rx, ch.n_tx
+    ber = config.experiment is Experiment.BER_VS_SNR
 
-    if config.experiment is Experiment.BER_VS_SNR:
-        n_tx = ch.n_tx
-        vectors = syms.reshape(-1, n_tx)
-        n_vec = vectors.shape[0] // f
-        gain = 10.0 ** (ch.path_gain_db / 20.0)
-        h = gain * complex_normal_from(uniforms(ROLE_IID_CHANNEL, 2 * n_vec * n_rx * n_tx), 1.0)
-        h = h.reshape(-1, n_rx, n_tx)
-        y = np.einsum("nrt,nt->nr", h, vectors / math.sqrt(n_tx))
-        if noisy:
-            y = y + complex_normal_from(uniforms(ROLE_NOISE, 2 * n_vec * n_rx), noise_var).reshape(-1, n_rx)
+    if ber:
+        x = syms.reshape(-1, n_tx) / math.sqrt(n_tx)
+        n_vec = len(x) // f
+        h = complex_normal_from(uniforms(ROLE_IID_CHANNEL, 2 * n_vec * n_rx * n_tx), 1.0)
+        h = path_gain(ch) * h.reshape(-1, n_rx, n_tx)
+    else:
+        code = ostbc_code(*config.code)
+        x = encode_array(code, syms.reshape(-1, code.n_symbols)).reshape(-1, n_tx)
+        n_rows = len(x) // f
+        fading = ch.fading
+        u = uniforms(ROLE_FADING, fading_draws(fading), n_rx * n_tx)
+        t = np.arange(n_rows) / fading.sample_rate_hz
+        gains = link_gains(fading, *fading_angles(fading, u), t, CHUNK_ELEMENTS)
+        h = channel_matrices(ch, gains.reshape(f, n_rx * n_tx, n_rows))
+
+    y = np.einsum("nrt,nt->nr", h, x)
+    noise_var = noise_variance(config.snr_db)
+    if noise_var:
+        y = y + complex_normal_from(uniforms(ROLE_NOISE, 2 * y.size // f), noise_var).reshape(-1, n_rx)
+
+    failed = np.zeros(f, dtype=bool)
+    if ber:
         try:
             decided = _detect(config, h, y, noise_var)
         except DetectionFailure:
             # Some frame's channel is singular: detect frame by frame, as
             # run_frame does, so that only the failing frames are wiped.
-            decided = np.zeros_like(vectors)
+            decided = np.zeros_like(x)
             for i in range(f):
                 rows = slice(i * n_vec, (i + 1) * n_vec)
                 try:
@@ -349,19 +355,7 @@ def _run_chunk(config: SimConfig, streams: PhiloxStreams, trials: range) -> list
                     failed[i] = True
         bits_hat = qpsk_demodulate(decided.ravel())
     else:
-        code = ostbc_code(*config.code)
-        x = encode_array(code, syms.reshape(-1, code.n_symbols))
         t_len = code.block_len
-        n_rows = x.shape[0] // f * t_len
-        links = n_rx * ch.n_tx
-        fading = ch.fading
-        u = uniforms(ROLE_FADING, fading_draws(fading), links)
-        t = np.arange(n_rows) / fading.sample_rate_hz
-        gains = link_gains(fading, *fading_angles(fading, u), t, CHUNK_ELEMENTS)
-        h = channel_matrices(ch, gains.reshape(f, links, n_rows))
-        y = np.einsum("nrt,nt->nr", h, x.reshape(-1, ch.n_tx))
-        if noisy:
-            y = y + complex_normal_from(uniforms(ROLE_NOISE, 2 * n_rows * n_rx), noise_var).reshape(-1, n_rx)
         s_hat = combine_array(code, y.reshape(-1, t_len, n_rx), h[::t_len])
         bits_hat = qpsk_demodulate(s_hat.ravel())
 
@@ -420,70 +414,53 @@ def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _fold_point(
-    config: SimConfig, x: float, outcomes_iter, elapsed_s: float
-) -> SweepPoint:
+def _split_range(start: int, stop: int, parts: int) -> list[tuple[int, int]]:
+    """[start, stop) in at most `parts` non-empty spans, the first ones one longer."""
+    base, extra = divmod(stop - start, parts)
+    bounds = [start + i * base + min(i, extra) for i in range(parts + 1)]
+    return [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+
+
+def _trial_outcomes(config: SimConfig, pool: ProcessPoolExecutor | None, workers: int):
+    """Outcomes of trials 0, 1, ... of a point config, in index order, simulated
+    a wave at a time (see WAVE_FRAMES) and only as the consumer asks for them."""
+    wave = WAVE_FRAMES if pool is not None else chunk_trials(config)
+    for start in range(0, config.max_frames, wave):
+        stop = min(start + wave, config.max_frames)
+        if pool is None or stop - start < 2 * workers:
+            yield from _simulate_range(config, start, stop)
+        else:
+            starts, stops = zip(*_split_range(start, stop, workers))
+            # Wait for the whole wave, so that no task outlives the cut.
+            for part in list(pool.map(_simulate_range, [config] * len(starts), starts, stops)):
+                yield from part
+
+
+def _run_point(config: SimConfig, x: float, pool: ProcessPoolExecutor | None, workers: int) -> SweepPoint:
+    """Fold one sweep point's outcomes in trial order, up to and including
+    the trial that meets the error target."""
+    pc = _point_config(config, x)
+    t0 = time.perf_counter()
     frames = frame_errors = bits = bit_errors = 0
-    for fe, be, nb in outcomes_iter:
+    for fe, be, nb in _trial_outcomes(pc, pool, workers):
         frames += 1
         frame_errors += int(fe)
         bit_errors += be
         bits += nb
-        if frame_errors >= config.target_frame_errors:
+        if frame_errors >= pc.target_frame_errors:
             break
-    fer = frame_errors / frames
-    ber = bit_errors / bits
     return SweepPoint(
         x=x,
         frames=frames,
         frame_errors=frame_errors,
         bits=bits,
         bit_errors=bit_errors,
-        fer=fer,
-        ber=ber,
+        fer=frame_errors / frames,
+        ber=bit_errors / bits,
         ci95_fer=wilson_interval(frame_errors, frames),
         ci95_ber=wilson_interval(bit_errors, bits),
-        elapsed_s=elapsed_s,
+        elapsed_s=time.perf_counter() - t0,
     )
-
-
-def _split_range(start: int, stop: int, parts: int) -> list[tuple[int, int]]:
-    n = stop - start
-    base, extra = divmod(n, parts)
-    spans = []
-    cursor = start
-    for i in range(parts):
-        size = base + (1 if i < extra else 0)
-        if size:
-            spans.append((cursor, cursor + size))
-            cursor += size
-    return spans
-
-
-def _run_point(config: SimConfig, x: float, pool: ProcessPoolExecutor | None, workers: int) -> SweepPoint:
-    pc = _point_config(config, x)
-    t0 = time.perf_counter()
-    outcomes: list[tuple[bool, int, int]] = []
-    frame_errors = 0
-    next_trial = 0
-    wave_frames = WAVE_FRAMES if pool is not None else chunk_trials(pc)
-    while next_trial < pc.max_frames:
-        n = min(wave_frames, pc.max_frames - next_trial)
-        if pool is None or n < 2 * workers:
-            wave = _simulate_range(pc, next_trial, next_trial + n)
-        else:
-            spans = _split_range(next_trial, next_trial + n, workers)
-            wave = []
-            starts = [a for a, _ in spans]
-            stops = [b for _, b in spans]
-            for part in pool.map(_simulate_range, [pc] * len(spans), starts, stops):
-                wave.extend(part)
-        outcomes.extend(wave)
-        frame_errors += sum(int(fe) for fe, _, _ in wave)
-        next_trial += n
-        if frame_errors >= pc.target_frame_errors:
-            break
-    return _fold_point(pc, x, iter(outcomes), time.perf_counter() - t0)
 
 
 def run_experiment(config: SimConfig, workers: int = 1) -> SimResult:
@@ -497,14 +474,9 @@ def run_experiment(config: SimConfig, workers: int = 1) -> SimResult:
     if workers < 1:
         raise ValueError("workers must be at least 1")
     config.validate()
-    points = []
-    if workers == 1:
-        for x in config.sweep:
-            points.append(_run_point(config, x, None, 1))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for x in config.sweep:
-                points.append(_run_point(config, x, pool, workers))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
+    with pool as executor:
+        points = [_run_point(config, x, executor, workers) for x in config.sweep]
     return SimResult(config=config, points=points)
 
 
@@ -591,19 +563,13 @@ def parse_csv(text: str) -> tuple[dict[str, str], list[dict[str, float]]]:
     rows: list[dict[str, float]] = []
     header: list[str] | None = None
     int_cols = {"frames", "frame_errors", "bits", "bit_errors"}
-    for line in text.splitlines():
-        if not line:
-            continue
+    for line in filter(None, text.splitlines()):
         if line.startswith("# "):
             key, _, value = line[2:].partition("=")
             meta[key] = value
-            continue
-        if header is None:
+        elif header is None:
             header = line.split(",")
-            continue
-        values = line.split(",")
-        row = {}
-        for name, raw in zip(header, values):
-            row[name] = int(raw) if name in int_cols else float(raw)
-        rows.append(row)
+        else:
+            values = zip(header, line.split(","))
+            rows.append({name: int(raw) if name in int_cols else float(raw) for name, raw in values})
     return meta, rows

@@ -13,6 +13,7 @@ from mimolink.channel import (
     channel_matrix_at,
     correlation_matrix,
     correlation_rho,
+    noise_variance,
 )
 from mimolink.fading import FadingModel, FadingSpec
 from mimolink.modem import qpsk_modulate
@@ -141,8 +142,8 @@ def test_power_budget_single_link():
     proc = channel_init(spec, RngStream(8, 0))
     bits = (RngStream(8, 1).uniform(200_000) < 0.5).astype(np.uint8)
     x = qpsk_modulate(bits).reshape(-1, 1)
-    noisy, h = apply_channel(proc, x, float("inf"), RngStream(8, 2))
-    ratio = np.mean(np.abs(noisy.samples) ** 2) / np.mean(np.abs(x) ** 2)
+    y, h = apply_channel(proc, x, float("inf"), RngStream(8, 2))
+    ratio = np.mean(np.abs(y) ** 2) / np.mean(np.abs(x) ** 2)
     assert abs(ratio - 1.0) < 0.03
 
 
@@ -154,8 +155,8 @@ def test_power_budget_per_receive_antenna():
     n = 100_000
     bits = (RngStream(9, 1).uniform(8 * n) < 0.5).astype(np.uint8)
     x = qpsk_modulate(bits).reshape(n, 4) / 2.0  # rows have total energy 1
-    noisy, _ = apply_channel(proc, x, float("inf"), RngStream(9, 2))
-    per_antenna = np.mean(np.abs(noisy.samples) ** 2, axis=0)
+    y, _ = apply_channel(proc, x, float("inf"), RngStream(9, 2))
+    per_antenna = np.mean(np.abs(y) ** 2, axis=0)
     np.testing.assert_allclose(per_antenna, 10.0 ** (gain_db / 10.0), rtol=0.03)
 
 
@@ -163,21 +164,14 @@ def test_noise_power_at_zero_db():
     spec = ChannelSpec(n_tx=1, n_rx=2, fading=FAST_FADING)
     proc = channel_init(spec, RngStream(10, 0))
     x = np.ones((100_000, 1), dtype=np.complex128)
-    noisy, h = apply_channel(proc, x, 0.0, RngStream(10, 1))
-    assert noisy.noise_var == 1.0
-    w = noisy.samples - np.einsum("nrt,nt->nr", h, x)
+    y, h = apply_channel(proc, x, 0.0, RngStream(10, 1))
+    assert noise_variance(0.0) == 1.0
+    w = y - np.einsum("nrt,nt->nr", h, x)
     assert abs(np.mean(np.abs(w) ** 2) - 1.0) < 0.02
 
 
 def test_snr_ten_db_noise_var():
-    spec = ChannelSpec(n_tx=1, n_rx=1, fading=FAST_FADING)
-    noisy, _ = apply_channel(
-        channel_init(spec, RngStream(11, 0)),
-        np.ones((8, 1), dtype=np.complex128),
-        10.0,
-        RngStream(11, 1),
-    )
-    assert noisy.noise_var == pytest.approx(0.1)
+    assert noise_variance(10.0) == pytest.approx(0.1)
 
 
 def test_infinite_snr_unit_channel_is_identity():
@@ -189,9 +183,9 @@ def test_infinite_snr_unit_channel_is_identity():
     proc = channel_init(spec, RngStream(12, 0))
     bits = (RngStream(12, 1).uniform(512) < 0.5).astype(np.uint8)
     x = qpsk_modulate(bits).reshape(-1, 1)
-    noisy, h = apply_channel(proc, x, float("inf"), RngStream(12, 2))
-    assert np.array_equal(noisy.samples, x)  # bit-exact, no noise, unit gain
-    assert noisy.noise_var == 0.0
+    y, h = apply_channel(proc, x, float("inf"), RngStream(12, 2))
+    assert np.array_equal(y, x)  # bit-exact, no noise, unit gain
+    assert noise_variance(float("inf")) == 0.0
     assert np.all(h == 1.0 + 0.0j)
 
 
@@ -199,8 +193,8 @@ def test_reported_csi_matches_applied_channel():
     spec = ChannelSpec(n_tx=3, n_rx=2, fading=FAST_FADING, correlation=0.5)
     proc = channel_init(spec, RngStream(13, 0))
     x = RngStream(13, 1).complex_normal((1000, 3))
-    noisy, h = apply_channel(proc, x, float("inf"), RngStream(13, 2))
-    resid = noisy.samples - np.einsum("nrt,nt->nr", h, x)
+    y, h = apply_channel(proc, x, float("inf"), RngStream(13, 2))
+    resid = y - np.einsum("nrt,nt->nr", h, x)
     assert np.max(np.abs(resid)) < 1e-12
 
 

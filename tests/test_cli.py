@@ -1,10 +1,12 @@
 """End-to-end tests of the command line interface."""
 
+import os
 import subprocess
 import sys
 
 import pytest
 
+from mimolink import cli, sim
 from mimolink.cli import build_parser, main
 from mimolink.sim import parse_csv
 
@@ -123,6 +125,92 @@ def test_plot_script_contents(tmp_path):
     assert "using 1:4" in text  # FER column with CI columns alongside
 
 
+# The gnuplot script that --plot-script writes for each subcommand, byte
+# for byte, with {csv} standing for the --out path.
+PLOT_SCRIPTS = {
+    "fer-vs-gain": (
+        "set datafile separator ','\n"
+        "set datafile commentschars '#'\n"
+        "set xlabel 'path gain (dB)'\n"
+        "set ylabel 'frame error rate'\n"
+        "set logscale y\n"
+        "set grid\n"
+        "set key left bottom\n"
+        "plot '{csv}' using 1:4 with linespoints title 'frame error rate', \\\n"
+        "     '' using 1:5 with lines dashtype 2 title '95% lo', \\\n"
+        "     '' using 1:6 with lines dashtype 2 title '95% hi'\n"
+        "pause -1\n"
+    ),
+    "fer-vs-doppler": (
+        "set datafile separator ','\n"
+        "set datafile commentschars '#'\n"
+        "set xlabel 'max Doppler (Hz)'\n"
+        "set ylabel 'frame error rate'\n"
+        "set logscale y\n"
+        "set grid\n"
+        "set key left bottom\n"
+        "plot '{csv}' using 1:4 with linespoints title 'frame error rate', \\\n"
+        "     '' using 1:5 with lines dashtype 2 title '95% lo', \\\n"
+        "     '' using 1:6 with lines dashtype 2 title '95% hi'\n"
+        "pause -1\n"
+    ),
+    "fer-vs-samplerate": (
+        "set datafile separator ','\n"
+        "set datafile commentschars '#'\n"
+        "set xlabel 'sample rate (Hz)'\n"
+        "set ylabel 'frame error rate'\n"
+        "set logscale y\n"
+        "set grid\n"
+        "set key left bottom\n"
+        "set logscale x\n"
+        "plot '{csv}' using 1:4 with linespoints title 'frame error rate', \\\n"
+        "     '' using 1:5 with lines dashtype 2 title '95% lo', \\\n"
+        "     '' using 1:6 with lines dashtype 2 title '95% hi'\n"
+        "pause -1\n"
+    ),
+    "ber-vs-snr": (
+        "set datafile separator ','\n"
+        "set datafile commentschars '#'\n"
+        "set xlabel 'SNR (dB)'\n"
+        "set ylabel 'bit error rate'\n"
+        "set logscale y\n"
+        "set grid\n"
+        "set key left bottom\n"
+        "plot '{csv}' using 1:9 with linespoints title 'bit error rate', \\\n"
+        "     '' using 1:10 with lines dashtype 2 title '95% lo', \\\n"
+        "     '' using 1:11 with lines dashtype 2 title '95% hi'\n"
+        "pause -1\n"
+    ),
+    "validate-fading": (
+        "set datafile separator ','\n"
+        "set datafile commentschars '#'\n"
+        "set xlabel 'lag (s)'\n"
+        "set ylabel 'real-part autocorrelation'\n"
+        "set grid\n"
+        "plot '{csv}' using 1:2 with points title 'empirical', \\\n"
+        "     '' using 1:3 with lines title 'theory'\n"
+        "pause -1\n"
+    ),
+}
+
+PLOT_ARGS = {
+    "fer-vs-gain": ["--gain-db", "-4", *TINY],
+    "fer-vs-doppler": ["--dopplers", "50", *TINY],
+    "fer-vs-samplerate": ["--rates", "1e6", *TINY],
+    "ber-vs-snr": ["--detector", "zf", "--snr-db", "10", "--frame-bits", "16",
+                   "--max-frames", "20", "--target-errors", "3"],
+    "validate-fading": ["--samples", "100000"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(PLOT_SCRIPTS))
+def test_plot_script_bytes(tmp_path, command):
+    out, plot = tmp_path / "out.csv", tmp_path / "out.gp"
+    rc = main([command, *PLOT_ARGS[command], "--out", str(out), "--plot-script", str(plot)])
+    assert rc == 0
+    assert plot.read_bytes() == PLOT_SCRIPTS[command].format(csv=out).encode()
+
+
 def test_validate_fading_csv(tmp_path):
     out = tmp_path / "val.csv"
     rc = main(
@@ -190,6 +278,9 @@ def test_invalid_configuration_exits_one(tmp_path, capsys):
     rc = main(["fer-vs-gain", "--workers", "0", "--out", str(out)])
     assert rc == 1
 
+    rc = main(["validate-fading", "--samples", "99999", "--out", str(out)])
+    assert rc == 1
+
     # Trial 2**32 has no stream id. Every frame errors at -40 dB, so a run
     # that started would stop at the error target instead of hanging.
     capsys.readouterr()
@@ -208,6 +299,40 @@ def test_bad_sweep_string_exits_one(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["fer-vs-gain", "--gain-db", "abc", "--out", str(out)])
     assert exc.value.code == 1
+    # An empty sweep is a usage error, not an IndexError traceback.
+    with pytest.raises(SystemExit) as exc:
+        main(["fer-vs-gain", "--gain-db", ",", "--out", str(out)])
+    assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["ber-vs-snr", "--detector", "zf", "--snr-db", ",", "--out", str(out)])
+    assert exc.value.code == 1
+    assert not out.exists()
+
+
+def test_workers_above_cpu_count_exit_one(tmp_path, monkeypatch, capsys):
+    """--workers is checked against the CPU count before any pool exists."""
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a process pool was built")
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    out = tmp_path / "w.csv"
+    rc = main(["fer-vs-gain", "--gain-db", "-4", "--workers", "3", "--out", str(out), *TINY])
+    assert rc == 1
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
+
+    # Two workers on two CPUs is a valid run; it reaches run_experiment.
+    seen = []
+    monkeypatch.setattr(cli, "run_experiment",
+                        lambda config, workers: seen.append(workers) or sim.run_experiment(config))
+    rc = main(["fer-vs-gain", "--gain-db", "-4", "--workers", "2", "--out", str(out), *TINY])
+    assert rc == 0
+    assert seen == [2]
+
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one CPU
+    assert main(["fer-vs-gain", "--workers", "2", "--out", str(out), *TINY]) == 1
 
 
 def test_parser_defaults_line_up_with_help():

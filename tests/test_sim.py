@@ -239,12 +239,12 @@ def test_reference_chain_reproduces_run_frame():
         # one pass through the channel for the whole frame, row by row
         rows = np.concatenate(blocks, axis=0)
         chan = channel_init(point.channel, stream(ROLE_FADING))
-        noisy, h = apply_channel(chan, rows, point.snr_db, stream(ROLE_NOISE))
+        y_rows, h = apply_channel(chan, rows, point.snr_db, stream(ROLE_NOISE))
 
         bits_hat = []
         t_len = code.block_len
         for i in range(len(blocks)):
-            y = noisy.samples[i * t_len : (i + 1) * t_len]
+            y = y_rows[i * t_len : (i + 1) * t_len]
             h_first = h[i * t_len]  # receiver assumes the block-start channel
             s_hat = combine_array(code, y[None], h_first[None])[0]
             bits_hat.append(qpsk_demodulate(s_hat))
@@ -272,6 +272,24 @@ def test_stopping_rule_exact_cutoff():
     assert res.frame_errors == 20
     assert res.frames == serial_frames
     assert res.frames < 5000  # genuinely stopped early
+
+
+def test_serial_point_stops_in_the_chunk_of_the_cut(monkeypatch):
+    """The serial path simulates whole chunks, in order, and none past the
+    chunk that holds the trial meeting the error target."""
+    cfg = _fer_config(snr_db=0.0, sweep=(-5.0,), max_frames=5000, target_frame_errors=50)
+    step = chunk_trials(_point_config(cfg, -5.0))
+    spans = []
+    simulate = sim._simulate_range
+
+    def recording(config, start, stop):
+        spans.append((start, stop))
+        return simulate(config, start, stop)
+
+    monkeypatch.setattr(sim, "_simulate_range", recording)
+    cut = run_experiment(cfg).points[0].frames - 1  # the trial that met the target
+    assert cut >= step and 0 < cut % step < step - 1  # mid-chunk, past the first
+    assert spans == [(a, a + step) for a in range(0, cut + 1, step)]
 
 
 def test_max_frames_binds_when_target_unreachable():
