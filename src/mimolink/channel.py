@@ -104,10 +104,20 @@ def path_gain(spec: ChannelSpec) -> float:
 def noise_variance(snr_db: float) -> float:
     """Complex noise variance per receive antenna, 10^(-snr_db / 10).
 
-    snr_db = inf means a noiseless receiver: the variance is 0 and no
-    noise is drawn (see receive).
+    snr_db = +inf, and only +inf, means a noiseless receiver: the variance
+    is 0 and no noise is drawn (see receive). Any other snr_db must give a
+    finite, positive variance; NaN, -inf, and values whose variance
+    overflows or underflows to 0 raise ValueError.
     """
-    return 0.0 if math.isinf(snr_db) else 10.0 ** (-snr_db / 10.0)
+    if snr_db == math.inf:
+        return 0.0
+    try:
+        var = 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        var = math.inf
+    if not 0.0 < var < math.inf:
+        raise ValueError(f"snr_db={snr_db} has no finite, positive noise variance")
+    return var
 
 
 @dataclass(frozen=True)
@@ -135,18 +145,14 @@ class ChannelSpec:
 @dataclass
 class ChannelProcess:
     """A running channel: one scalar fading process per (rx, tx) link, in
-    row-major link order (index r * n_tx + t), plus the frozen correlation
-    square roots and linear path gain."""
+    row-major link order (index r * n_tx + t)."""
 
     spec: ChannelSpec
     links: list[FadingProcess]
-    rr_sqrt: np.ndarray
-    rt_sqrt: np.ndarray
-    gain: float
 
 
 def channel_init(spec: ChannelSpec, rng: RngStream) -> ChannelProcess:
-    """Create the per-link fading processes and correlation square roots.
+    """Create the per-link fading processes.
 
     Each of the n_rx * n_tx scalar links gets its own independent stream,
     derived from `rng` by link index, so the links are uncorrelated by
@@ -157,31 +163,14 @@ def channel_init(spec: ChannelSpec, rng: RngStream) -> ChannelProcess:
         fading_init(spec.fading, rng.spawn(idx))
         for idx in range(spec.n_rx * spec.n_tx)
     ]
-    return ChannelProcess(
-        spec=spec,
-        links=links,
-        rr_sqrt=_correlation_sqrt(spec.n_rx, spec.correlation),
-        rt_sqrt=_correlation_sqrt(spec.n_tx, spec.correlation),
-        gain=path_gain(spec),
-    )
-
-
-def _mix(spec: ChannelSpec, g: np.ndarray, rr_sqrt, rt_sqrt, gain: float) -> np.ndarray:
-    # Correlate and scale C-contiguous uncorrelated gains g (n, n_rx, n_tx).
-    if spec.correlation != 0.0:
-        g = np.einsum("ij,njk,kl->nil", rr_sqrt, g, rt_sqrt)
-    return gain * g
+    return ChannelProcess(spec=spec, links=links)
 
 
 def channel_matrix_at(proc: ChannelProcess, n_samples: int) -> np.ndarray:
     """Advance every link and return the next n_samples channel matrices
     as an (n_samples, n_rx, n_tx) array."""
-    nr, nt = proc.spec.n_rx, proc.spec.n_tx
-    g = np.empty((n_samples, nr, nt), dtype=np.complex128)
-    for r in range(nr):
-        for t in range(nt):
-            g[:, r, t] = fading_next(proc.links[r * nt + t], n_samples)
-    return _mix(proc.spec, g, proc.rr_sqrt, proc.rt_sqrt, proc.gain)
+    gains = np.stack([fading_next(link, n_samples) for link in proc.links])
+    return channel_matrices(proc.spec, gains[None])
 
 
 def channel_matrices(spec: ChannelSpec, gains: np.ndarray) -> np.ndarray:
@@ -189,14 +178,17 @@ def channel_matrices(spec: ChannelSpec, gains: np.ndarray) -> np.ndarray:
 
     gains is (F, n_rx * n_tx, n): F channels, links in row-major order as
     in ChannelProcess, n samples each. Returns the (F * n, n_rx, n_tx)
-    matrices, channel by channel, equal to what channel_matrix_at returns
-    for links that produce those gains.
+    matrices g * Rr^{1/2} G Rt^{1/2}, channel by channel. channel_matrix_at
+    is this function applied to one channel's fading_next gains, so the two
+    agree by construction.
     """
     f, _, n = gains.shape
     g = np.ascontiguousarray(gains.transpose(0, 2, 1)).reshape(f * n, spec.n_rx, spec.n_tx)
-    rr = _correlation_sqrt(spec.n_rx, spec.correlation)
-    rt = _correlation_sqrt(spec.n_tx, spec.correlation)
-    return _mix(spec, g, rr, rt, path_gain(spec))
+    if spec.correlation != 0.0:
+        rr = _correlation_sqrt(spec.n_rx, spec.correlation)
+        rt = _correlation_sqrt(spec.n_tx, spec.correlation)
+        g = np.einsum("ij,njk,kl->nil", rr, g, rt)
+    return path_gain(spec) * g
 
 
 def receive(h: np.ndarray, x: np.ndarray, noise_var: float, rng: RngStream) -> np.ndarray:

@@ -12,6 +12,12 @@ quadratures are sums of M cosines with randomized arrival angles and phases:
 with theta, psi_i, theta_i drawn independently and uniformly from [-pi, pi).
 This gives E|u|^2 = 1 and a real-part autocorrelation that converges to the
 Clarke spectrum's J0(2 pi f_d tau) as M grows.
+
+link_gains is the one synthesis kernel: it evaluates the sums of cosines of
+many links at many times, in tiles whose (links, times, M) scratch array
+holds at most numerics.CHUNK_ELEMENTS float64 elements (0.5 MiB). A
+FadingProcess is a cursor over it: fading_next asks link_gains for the
+process's next sample times.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import RngStream, bessel_i0, bessel_j0
+from . import numerics
+from .numerics import RngStream, bessel_i0e, bessel_j0
 
 __all__ = [
     "FadingModel",
@@ -44,11 +51,6 @@ __all__ = [
 # line-of-sight term, so the generator degrades gracefully to pure AWGN
 # geometry: a deterministic rotating phasor.
 K_AWGN_SENTINEL = 1e9
-
-# Samples per fading_next chunk. The kernel's one (n, M) float64 scratch
-# array is then 16 MiB at M = 32, and fading_next(1e6) peaks at about
-# 71 MiB of RSS in a fresh interpreter (31 MiB of it before the call).
-_CHUNK = 1 << 16
 
 
 class FadingModel(enum.Enum):
@@ -149,15 +151,13 @@ def link_gains(
     psis: np.ndarray,
     thetas: np.ndarray,
     t: np.ndarray,
-    budget: int,
 ) -> np.ndarray:
     """Gains of B links at the times t (seconds), shape (B, len(t)).
 
-    alphas, psis and thetas are (B, M) angle tables from fading_angles. The
-    scratch array of the sum of cosines holds at most `budget` float64
-    elements (at least one link's M sinusoids at one time), so links and
-    times are taken in tiles. A row equals fading_next of a process with
-    those angles whose sample times are t.
+    alphas, psis and thetas are (B, M) angle tables from fading_angles.
+    Links and times are taken in tiles whose sum-of-cosines scratch array
+    holds at most numerics.CHUNK_ELEMENTS float64 elements (and at least
+    one link's M sinusoids at one time); the tiling never changes a value.
     """
     n_links, m = alphas.shape
     n = len(t)
@@ -176,6 +176,7 @@ def link_gains(
     wd = 2.0 * np.pi * spec.max_doppler_hz
     scale = 1.0 / math.sqrt(m)
     cos_a, sin_a = np.cos(alphas), np.sin(alphas)
+    budget = numerics.CHUNK_ELEMENTS
     span = max(1, min(n, budget // m))
     group = max(1, budget // (span * m))
     for b0 in range(0, n_links, group):
@@ -201,16 +202,9 @@ def fading_next(proc: FadingProcess, n_samples: int) -> np.ndarray:
     """
     if n_samples < 0:
         raise ValueError("n_samples must be nonnegative")
-    spec = proc.spec
-    out = np.empty(n_samples, dtype=np.complex128)
-    fs = spec.sample_rate_hz
-    start = proc.sample_index
-    angles = proc.alphas[None], proc.psis[None], proc.thetas[None]
-    for ofs in range(0, n_samples, _CHUNK):
-        cnt = min(_CHUNK, n_samples - ofs)
-        t = (start + ofs + np.arange(cnt)) / fs
-        out[ofs : ofs + cnt] = link_gains(spec, *angles, t, cnt * spec.num_sinusoids)[0]
-    proc.sample_index = start + n_samples
+    t = (proc.sample_index + np.arange(n_samples)) / proc.spec.sample_rate_hz
+    out = link_gains(proc.spec, proc.alphas[None], proc.psis[None], proc.thetas[None], t)[0]
+    proc.sample_index += n_samples
     return out
 
 
@@ -218,8 +212,12 @@ def pdf_envelope_rician(x, c_m: float, alpha_sq: float):
     """Rician envelope density with line-of-sight amplitude c_m and
     per-quadrature scattered variance alpha_sq.
 
-        p(x) = x / alpha_sq * exp(-(x^2 + c_m^2) / (2 alpha_sq))
-                            * I0(x c_m / alpha_sq)
+        p(x) = x / alpha_sq * exp(-(x^2 + c_m^2) / (2 alpha_sq)) * I0(z)
+             = x / alpha_sq * exp(-(x - c_m)^2 / (2 alpha_sq)) * e^-z I0(z)
+
+    with z = x c_m / alpha_sq. The second, exp-scaled form is the one
+    evaluated: neither factor overflows at large K, where z runs into the
+    thousands.
     """
     if alpha_sq <= 0.0:
         raise ValueError("alpha_sq must be positive")
@@ -228,8 +226,8 @@ def pdf_envelope_rician(x, c_m: float, alpha_sq: float):
     x_arr = np.asarray(x, dtype=np.float64)
     if np.any(x_arr < 0.0):
         raise ValueError("envelope must be nonnegative")
-    bess = bessel_i0(x_arr * c_m / alpha_sq)
-    out = x_arr / alpha_sq * np.exp(-(x_arr**2 + c_m**2) / (2.0 * alpha_sq)) * bess
+    bess = bessel_i0e(x_arr * c_m / alpha_sq)
+    out = x_arr / alpha_sq * np.exp(-((x_arr - c_m) ** 2) / (2.0 * alpha_sq)) * bess
     return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
 
 

@@ -1,11 +1,13 @@
 """Low-level numeric kernels: seedable counter-based RNG streams, the
-Box-Muller map from their uniforms to complex normals, and the two Bessel
-functions the fading statistics need.
+Box-Muller map from their uniforms to complex normals, the two Bessel
+functions the fading statistics need, and the scratch budget of the batched
+kernels.
 
 Everything here is deliberately small and self-contained. The Bessel
 functions use a power series below 15 and the standard asymptotic
-expansions above, which keeps absolute error well under 1e-9 on the
-supported domain [0, 100].
+expansions above: J0 keeps absolute error well under 1e-9 on its supported
+domain [0, 100], and the exp-scaled I0, e^-x I0(x), keeps relative error
+near 1e-12 for every finite x >= 0.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ __all__ = [
     "PhiloxStreams",
     "complex_normal_from",
     "pack_stream_id",
-    "bessel_i0",
+    "bessel_i0e",
     "bessel_j0",
 ]
 
@@ -30,8 +32,13 @@ EXPERIMENT_SHIFT = 48
 # Trial indices a stream id can hold: the low field's 32 bits.
 MAX_TRIALS = 1 << ROLE_SHIFT
 
+# Float64 elements (0.5 MiB) of scratch that the batched kernels may keep
+# live at once: it sets how many trials a sim.run_wave chunk batches and the
+# tile size of fading.link_gains.
+CHUNK_ELEMENTS = 1 << 16
+
 BESSEL_SERIES_CUTOFF = 15.0
-BESSEL_DOMAIN_MAX = 100.0
+J0_DOMAIN_MAX = 100.0
 
 
 def pack_stream_id(experiment_id: int, role: int, trial_index: int) -> int:
@@ -151,34 +158,28 @@ def complex_normal_from(u: np.ndarray, var: float) -> np.ndarray:
     return (c + 1j * s) * math.sqrt(var / 2.0)
 
 
-def _bessel_domain(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.size and (np.any(~np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > BESSEL_DOMAIN_MAX)):
-        raise ValueError(f"argument outside supported domain [0, {BESSEL_DOMAIN_MAX:g}]")
-    return arr
-
-
-def _i0_series(x: np.ndarray) -> np.ndarray:
-    # All terms positive, so no cancellation anywhere on the domain.
+def _i0e_series(x: np.ndarray) -> np.ndarray:
+    # e^-x times the I0 series. All terms positive, so no cancellation
+    # below the cutoff.
     q = 0.25 * x * x
     term = np.ones_like(x)
     total = np.ones_like(x)
     for k in range(1, 60):
         term = term * q / (k * k)
         total += term
-    return total
+    return np.exp(-x) * total
 
 
-def _i0_asymptotic(x: np.ndarray) -> np.ndarray:
-    # I0(x) ~ e^x / sqrt(2 pi x) * sum_k ((2k-1)!!)^2 / (k! 8^k x^k).
-    # For x >= 15 the terms shrink through k = 25, leaving truncation error
-    # around 1e-14 relative.
+def _i0e_asymptotic(x: np.ndarray) -> np.ndarray:
+    # I0(x) ~ e^x / sqrt(2 pi x) * sum_k ((2k-1)!!)^2 / (k! 8^k x^k), so
+    # the e^x cancels and nothing overflows. For x >= 15 the terms shrink
+    # through k = 25, leaving truncation error around 1e-14 relative.
     term = np.ones_like(x)
     total = np.ones_like(x)
     for k in range(1, 25):
         term = term * (2 * k - 1) ** 2 / (8.0 * k * x)
         total += term
-    return np.exp(x) / np.sqrt(2.0 * np.pi * x) * total
+    return total / np.sqrt(2.0 * np.pi * x)
 
 
 def _j0_series(x: np.ndarray) -> np.ndarray:
@@ -204,8 +205,10 @@ def _j0_asymptotic(x: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0 / (np.pi * x)) * (phase * total).real
 
 
-def _bessel_eval(x, small_fn, large_fn):
-    arr = _bessel_domain(x)
+def _bessel_eval(x, small_fn, large_fn, x_max):
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.size and (np.any(~np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > x_max)):
+        raise ValueError(f"argument outside supported domain: finite and in [0, {x_max:g}]")
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     out = np.empty_like(arr)
@@ -217,21 +220,22 @@ def _bessel_eval(x, small_fn, large_fn):
     return float(out[0]) if scalar else out
 
 
-def bessel_i0(x):
-    """Modified Bessel function of the first kind, order zero.
+def bessel_i0e(x):
+    """Exp-scaled modified Bessel function of the first kind, order zero:
+    e^-x I0(x), which stays in (0, 1] where I0 itself overflows.
 
-    Supports scalars or arrays with entries in [0, 100]; raises ValueError
-    outside that domain. Power series below 15, asymptotic expansion above;
-    absolute error comfortably below 1e-9 throughout.
+    Supports scalars or arrays of finite entries >= 0; raises ValueError
+    otherwise. Power series below 15, asymptotic expansion above; relative
+    error near 1e-12 throughout.
     """
-    return _bessel_eval(x, _i0_series, _i0_asymptotic)
+    return _bessel_eval(x, _i0e_series, _i0e_asymptotic, math.inf)
 
 
 def bessel_j0(x):
     """Bessel function of the first kind, order zero, on [0, 100].
 
-    Same evaluation strategy as bessel_i0. The alternating series is safe
+    Same evaluation strategy as bessel_i0e. The alternating series is safe
     below the cutoff (worst-case cancellation keeps absolute error near
     1e-11), and the Hankel expansion takes over beyond it.
     """
-    return _bessel_eval(x, _j0_series, _j0_asymptotic)
+    return _bessel_eval(x, _j0_series, _j0_asymptotic, J0_DOMAIN_MAX)

@@ -19,11 +19,11 @@ cosine kernel over every fading link of every frame, then one batched call
 each for encoding, mixing, noise, combining or detection, and demapping.
 Each trial still draws its own streams from counter zero in the same
 order, so run_wave equals run_frame, the single-trial reference, trial by
-trial. A chunk holds as many trials as fit CHUNK_ELEMENTS (one 4x4 FER
-frame, several smaller ones). The serial path runs one chunk at a time and
-checks the error target after each; the process pool gets waves of
-WAVE_FRAMES trials split evenly over its workers, and each worker runs its
-span chunk by chunk.
+trial. A chunk holds as many trials as fit numerics.CHUNK_ELEMENTS (one
+4x4 FER frame, several smaller ones). The serial path runs one chunk at a
+time and checks the error target after each; the process pool gets waves
+of WAVE_FRAMES trials split evenly over its workers, and each worker runs
+its span chunk by chunk.
 
 Frame chain for the FER experiments: Bernoulli bits -> QPSK -> OSTBC encode
 -> time-varying correlated channel + AWGN -> combine (channel of each
@@ -45,6 +45,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import numerics
 from .channel import (
     MAX_ANTENNAS, ChannelSpec, apply_channel, channel_init, channel_matrices, noise_variance, path_gain, receive,
 )
@@ -113,11 +114,6 @@ VALIDATE_FADING_STREAM = pack_stream_id(EXPERIMENT_IDS[VALIDATE_FADING], 0, 0)
 # stops within a chunk of the cut.
 WAVE_FRAMES = 1024
 
-# Float64 elements (0.5 MiB) that a run_wave chunk may keep live at once;
-# it sets how many trials a chunk batches (see chunk_trials) and the tile
-# size of the fading kernel.
-CHUNK_ELEMENTS = 1 << 16
-
 # 95% two-sided normal quantile, frozen so CSV output never shifts with
 # library updates.
 Z95 = 1.959963984540054
@@ -178,9 +174,10 @@ class SimConfig:
                     f"frame_bits={self.frame_bits} gives {n_symbols} symbols, "
                     f"not a multiple of the code block size {code.n_symbols}"
                 )
-        # Every sweep point must itself be a valid configuration.
+        # Every sweep point must itself be a valid configuration, with an
+        # SNR that noise_variance accepts.
         for x in self.sweep:
-            _point_config(self, x)
+            noise_variance(_point_config(self, x).snr_db)
 
 
 def check_sweep(sweep: tuple[float, ...]) -> tuple[float, ...]:
@@ -261,7 +258,7 @@ def _detect(config: SimConfig, h: np.ndarray, y: np.ndarray, noise_var: float) -
 
 
 def chunk_trials(config: SimConfig) -> int:
-    """Trials that one run_wave chunk batches, from CHUNK_ELEMENTS.
+    """Trials that one run_wave chunk batches, from numerics.CHUNK_ELEMENTS.
 
     A trial's share of the chunk's peak of live float64 elements, as
     tracemalloc measures it: about 1.5 times the (links, samples, M)
@@ -281,7 +278,7 @@ def chunk_trials(config: SimConfig) -> int:
         code = ostbc_code(*config.code)
         rows = n_symbols // code.n_symbols * code.block_len
         per_trial = 3 * ch.n_rx * ch.n_tx * rows * ch.fading.num_sinusoids // 2
-    return max(1, CHUNK_ELEMENTS // per_trial)
+    return max(1, numerics.CHUNK_ELEMENTS // per_trial)
 
 
 def run_wave(config: SimConfig, start: int, stop: int) -> list[tuple[bool, int, int]]:
@@ -331,7 +328,7 @@ def _run_chunk(config: SimConfig, streams: PhiloxStreams, trials: range) -> list
         fading = ch.fading
         u = uniforms(ROLE_FADING, fading_draws(fading), n_rx * n_tx)
         t = np.arange(n_rows) / fading.sample_rate_hz
-        gains = link_gains(fading, *fading_angles(fading, u), t, CHUNK_ELEMENTS)
+        gains = link_gains(fading, *fading_angles(fading, u), t)
         h = channel_matrices(ch, gains.reshape(f, n_rx * n_tx, n_rows))
 
     y = np.einsum("nrt,nt->nr", h, x)

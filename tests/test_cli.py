@@ -241,6 +241,16 @@ def test_validate_fading_rician(tmp_path):
     assert rc == 0
     assert "# k_factor=2" in _read(out)
 
+    # At K = 60 the Rician density's I0 argument passes 100; the exp-scaled
+    # evaluation keeps the validation working.
+    rc = main(
+        ["validate-fading", "--fading", "rician", "--k", "60",
+         "--sample-rate-hz", "256", "--samples", "100000", "--out", str(out)]
+    )
+    assert rc == 0
+    meta, _ = parse_csv(_read(out))
+    assert float(meta["ks_statistic"]) < 0.02
+
 
 def test_negative_sweep_values_parse(tmp_path):
     out = tmp_path / "neg.csv"
@@ -280,6 +290,19 @@ def test_invalid_configuration_exits_one(tmp_path, capsys):
 
     rc = main(["validate-fading", "--samples", "99999", "--out", str(out)])
     assert rc == 1
+
+    # Only +inf means noiseless. These SNRs have no finite, positive noise
+    # variance, and every frame errors at -40 dB, so a run that started
+    # would write a CSV.
+    for snr in ("-inf", "nan", "-4000"):
+        capsys.readouterr()
+        rc = main(["fer-vs-gain", "--gain-db", "-40", f"--snr-db={snr}", "--out", str(out)])
+        assert rc == 1
+        assert "snr_db" in capsys.readouterr().err
+        assert not out.exists()
+    rc = main(["ber-vs-snr", "--detector", "zf", "--snr-db=-4000,0", "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
 
     # Trial 2**32 has no stream id. Every frame errors at -40 dB, so a run
     # that started would stop at the error target instead of hanging.

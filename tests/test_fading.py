@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from mimolink import numerics
 from mimolink.fading import (
     K_AWGN_SENTINEL,
     EnvelopeStats,
@@ -99,7 +100,7 @@ def _outer_product_gains(proc, t):
     FAST_SPEC,
     FadingSpec(model=FadingModel.RICIAN, k_factor=4.0, los_doppler_hz=100.0, los_phase_rad=0.3),
 ])
-def test_link_gains_tiles_match_outer_products(spec):
+def test_link_gains_tiles_match_outer_products(spec, monkeypatch):
     """Every tiling of links and times gives the reference bytes, and so
     does fading_next."""
     n, draws = 300, 1 + 2 * spec.num_sinusoids
@@ -108,7 +109,8 @@ def test_link_gains_tiles_match_outer_products(spec):
     procs = [fading_init(spec, RngStream(6, sid)) for sid in range(5)]
     expected = np.stack([_outer_product_gains(p, t) for p in procs])
     for budget in (1, 40, spec.num_sinusoids * 7, 10**9):
-        np.testing.assert_array_equal(link_gains(spec, *fading_angles(spec, u), t, budget), expected)
+        monkeypatch.setattr(numerics, "CHUNK_ELEMENTS", budget)
+        np.testing.assert_array_equal(link_gains(spec, *fading_angles(spec, u), t), expected)
     np.testing.assert_array_equal(np.stack([fading_next(p, n) for p in procs]), expected)
 
 
@@ -234,12 +236,14 @@ def test_ks_statistic_uniform_sanity():
 
 
 def test_rician_cdf_grid_against_scipy():
-    k = 3.0
-    grid, cdf = rician_envelope_cdf_grid(k, 6.0)
-    alpha = math.sqrt(0.5 / (k + 1.0))
-    b = math.sqrt(k / (k + 1.0)) / alpha
-    ref = sps.rice(b, scale=alpha).cdf(grid)
-    assert np.max(np.abs(cdf - ref)) < 1e-6
+    # At K = 60 and 1000, x c_m / alpha^2 reaches the hundreds and the
+    # thousands, where I0 itself overflows; the exp-scaled density does not.
+    for k in (3.0, 60.0, 1000.0):
+        grid, cdf = rician_envelope_cdf_grid(k, 6.0)
+        alpha = math.sqrt(0.5 / (k + 1.0))
+        b = math.sqrt(k / (k + 1.0)) / alpha
+        ref = sps.rice(b, scale=alpha).cdf(grid)
+        assert np.max(np.abs(cdf - ref)) < 1e-6
 
 
 def test_validate_process_preconditions():

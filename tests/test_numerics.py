@@ -10,7 +10,7 @@ import pytest
 from mimolink.numerics import (
     PhiloxStreams,
     RngStream,
-    bessel_i0,
+    bessel_i0e,
     bessel_j0,
     complex_normal_from,
     pack_stream_id,
@@ -97,10 +97,14 @@ def test_complex_normal_shape_and_variance():
     assert abs(np.mean(flat.real * flat.imag)) < 0.002
 
 
+def _i0e_reference(x) -> float:
+    return float(mpmath.besseli(0, x) * mpmath.exp(-x))
+
+
 def test_bessel_known_values():
-    assert bessel_i0(0.0) == 1.0
+    assert bessel_i0e(0.0) == 1.0
     assert bessel_j0(0.0) == 1.0
-    assert bessel_i0(1.0) == pytest.approx(1.2660658777520084, rel=1e-12)
+    assert bessel_i0e(1.0) == pytest.approx(1.2660658777520084 * math.exp(-1.0), rel=1e-12)
     assert bessel_j0(1.0) == pytest.approx(0.7651976865579666, rel=1e-12)
     assert abs(bessel_j0(J0_FIRST_ZERO)) < 1e-12
     # sign change across the first root
@@ -111,34 +115,42 @@ def test_bessel_known_values():
 def test_bessel_against_mpmath_grid():
     mpmath.mp.dps = 40
     xs = np.linspace(0.0, 100.0, 1000)
-    i0 = bessel_i0(xs)
+    i0e = bessel_i0e(xs)
     j0 = bessel_j0(xs)
-    for x, iv, jv in zip(xs, i0, j0):
-        ref_i = float(mpmath.besseli(0, x))
+    for x, iv, jv in zip(xs, i0e, j0):
         ref_j = float(mpmath.besselj(0, x))
-        assert iv == pytest.approx(ref_i, rel=1e-9)
+        assert iv == pytest.approx(_i0e_reference(x), rel=1e-9)
         assert abs(jv - ref_j) < 1e-9
+    # The exp-scaled I0 has no upper bound: I0 itself overflows past ~713.
+    big = np.array([150.0, 713.0, 1e3, 2.5e3, 1e5, 1e9])
+    for x, iv in zip(big, bessel_i0e(big)):
+        assert iv == pytest.approx(_i0e_reference(x), rel=1e-12)
 
 
 def test_bessel_continuous_at_series_asymptotic_seam():
     mpmath.mp.dps = 40
     for x in (14.999, 15.0, 15.001):
-        assert bessel_i0(x) == pytest.approx(float(mpmath.besseli(0, x)), rel=1e-10)
+        assert bessel_i0e(x) == pytest.approx(_i0e_reference(x), rel=1e-10)
         assert bessel_j0(x) == pytest.approx(float(mpmath.besselj(0, x)), abs=1e-10)
 
 
 def test_bessel_i0_monotone():
-    xs = np.linspace(0.0, 100.0, 500)
-    vals = bessel_i0(xs)
-    assert np.all(np.diff(vals) > 0.0)
+    # I0 grows faster than e^x decays at no x > 0, so e^-x I0(x) falls.
+    xs = np.concatenate([np.linspace(0.0, 100.0, 500), np.geomspace(101.0, 1e6, 200)])
+    vals = bessel_i0e(xs)
+    assert np.all(np.diff(vals) < 0.0)
 
 
 def test_bessel_domain_errors():
-    for bad in (-0.1, 100.1, float("nan")):
+    for bad in (-0.1, float("nan")):
         with pytest.raises(ValueError):
-            bessel_i0(bad)
+            bessel_i0e(bad)
         with pytest.raises(ValueError):
             bessel_j0(bad)
+    with pytest.raises(ValueError):
+        bessel_i0e(float("inf"))
+    with pytest.raises(ValueError):
+        bessel_j0(100.1)
     with pytest.raises(ValueError):
         bessel_j0(np.array([1.0, 250.0]))
 
@@ -147,7 +159,7 @@ def test_bessel_scalar_and_array_forms():
     out = bessel_j0(np.array([0.0, 1.0]))
     assert isinstance(out, np.ndarray) and out.shape == (2,)
     assert isinstance(bessel_j0(1.0), float)
-    assert isinstance(bessel_i0(2.0), float)
+    assert isinstance(bessel_i0e(2.0), float)
 
 
 def test_seeds_across_the_u64_range_give_distinct_streams():

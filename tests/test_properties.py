@@ -1,16 +1,19 @@
-"""Property tests: sweep parsing and the CSV round trip, over generated
-inputs. Hypothesis runs derandomized and without its example database, so
-every run draws the same examples."""
+"""Property tests: sweep parsing, the CSV round trip, OSTBC orthogonality
+and the Wilson interval, over generated inputs. Hypothesis runs
+derandomized and without its example database, so every run draws the same
+examples."""
 
 import math
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimolink.channel import ChannelSpec
 from mimolink.cli import _parse_sweep
 from mimolink.sim import Experiment, SimConfig, SimResult, SweepPoint, emit_csv, parse_csv, wilson_interval
+from mimolink.stbc import combine_array, encode_array, ostbc_code, supported_codes
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
@@ -83,3 +86,41 @@ def test_csv_round_trips_counts_exactly(points):
         assert math.isclose(row["x"], p.x, rel_tol=1e-5)
         assert math.isclose(row["fer"], p.fer, rel_tol=1e-5)
         assert math.isclose(row["ber"], p.ber, rel_tol=1e-5)
+
+
+_parts = st.floats(-100.0, 100.0, allow_nan=False)
+_complex = st.builds(complex, _parts, _parts)
+
+
+@st.composite
+def _ostbc_blocks(draw):
+    """A design, a symbol block for it, and a receive channel (n_rx, n_tx)
+    with Frobenius norm^2 of at least 1e-2."""
+    code = ostbc_code(*draw(st.sampled_from(supported_codes())))
+    s = np.array(draw(st.lists(_complex, min_size=code.n_symbols, max_size=code.n_symbols)))
+    n_rx = draw(st.integers(1, 4))
+    entries = draw(st.lists(_complex, min_size=n_rx * code.n_tx, max_size=n_rx * code.n_tx)
+                   .filter(lambda hs: sum(abs(v) ** 2 for v in hs) >= 1e-2))
+    return code, s, np.array(entries).reshape(n_rx, code.n_tx)
+
+
+@PROPERTY
+@given(_ostbc_blocks())
+def test_ostbc_codewords_are_orthogonal_and_combine_exactly(block):
+    """X(s)^H X(s) = (sum |s_i|^2 / N_t) I for every design, and the combiner
+    recovers s from the noiseless block Y = X H^T."""
+    code, s, h = block
+    x = encode_array(code, s[None])[0]
+    energy = np.sum(np.abs(s) ** 2)
+    scale = max(1.0, energy)
+    np.testing.assert_allclose(x.conj().T @ x, energy / code.n_tx * np.eye(code.n_tx), atol=1e-12 * scale)
+    s_hat = combine_array(code, (x @ h.T)[None], h[None])[0]
+    np.testing.assert_allclose(s_hat, s, atol=1e-12 * math.sqrt(scale))
+
+
+@PROPERTY
+@given(st.integers(1, 2**40).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))))
+def test_wilson_interval_lies_in_unit_interval_and_contains_the_estimate(counts):
+    errors, trials = counts
+    lo, hi = wilson_interval(errors, trials)
+    assert 0.0 <= lo <= errors / trials <= hi <= 1.0

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mimolink import sim
+from mimolink import numerics, sim
 from mimolink.channel import MAX_ANTENNAS, ChannelSpec
 from mimolink.detect import DetectionFailure, DetectorKind
 from mimolink.fading import FadingModel, FadingSpec
@@ -157,6 +157,15 @@ def test_config_validation_errors():
         _fer_config(target_frame_errors=0).validate()
     with pytest.raises(ValueError):
         _fer_config(master_seed=1 << 64).validate()
+    # Only +inf means noiseless; the SNR of every point config must give a
+    # finite, positive noise variance.
+    _fer_config(snr_db=math.inf).validate()
+    for snr_db in (-math.inf, math.nan, -4000.0, 4000.0):
+        with pytest.raises(ValueError, match="snr_db"):
+            _fer_config(snr_db=snr_db).validate()
+    for sweep in ((-4000.0, 0.0), (0.0, 4000.0)):
+        with pytest.raises(ValueError, match="snr_db"):
+            _ber_config(sweep=sweep).validate()
     # ML tolerates fewer receive than transmit antennas
     _ber_config(detector=DetectorKind.ML, channel=ChannelSpec(n_tx=4, n_rx=2)).validate()
 
@@ -403,7 +412,7 @@ def test_run_wave_with_single_trial_chunks(monkeypatch):
     tile one sample of one link; the outcomes stay the same."""
     cfg = _wave_configs()[4]
     expected = [run_frame(cfg, t) for t in range(3, 9)]
-    monkeypatch.setattr(sim, "CHUNK_ELEMENTS", 1)
+    monkeypatch.setattr(numerics, "CHUNK_ELEMENTS", 1)
     assert chunk_trials(cfg) == 1
     assert run_wave(cfg, 3, 9) == expected
 
