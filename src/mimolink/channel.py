@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fading import FadingProcess, FadingSpec, fading_init, fading_next
-from .numerics import RngStream
+from .numerics import RngStream, complex_normal_from
 
 __all__ = [
     "CORRELATION_LEVELS",
@@ -191,12 +191,13 @@ def channel_matrices(spec: ChannelSpec, gains: np.ndarray) -> np.ndarray:
     return path_gain(spec) * g
 
 
-def receive(h: np.ndarray, x: np.ndarray, noise_var: float, rng: RngStream) -> np.ndarray:
+def receive(h: np.ndarray, x: np.ndarray, noise_var: float, draw) -> np.ndarray:
     """Receive rows y = H x + w for channel matrices h (n, n_rx, n_tx) and
-    transmit rows x (n, n_tx); w is drawn from rng unless noise_var is 0."""
+    transmit rows x (n, n_tx). Unless noise_var is 0, w is complex_normal_from
+    of draw(2 * y.size): uniforms in one row, or in one row per frame."""
     y = np.einsum("nrt,nt->nr", h, x)
     if noise_var:
-        y = y + rng.complex_normal(y.shape, var=noise_var)
+        y = y + complex_normal_from(draw(2 * y.size), noise_var).reshape(y.shape)
     return y
 
 
@@ -217,4 +218,4 @@ def apply_channel(
     if x.ndim != 2 or x.shape[1] != proc.spec.n_tx:
         raise ValueError(f"x must have shape (n, {proc.spec.n_tx}), got {x.shape}")
     h = channel_matrix_at(proc, x.shape[0])
-    return receive(h, x, noise_variance(snr_db), rng), h
+    return receive(h, x, noise_variance(snr_db), rng.uniform), h

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .channel import ChannelSpec, correlation_rho
 from .detect import DetectorKind
-from .fading import FadingModel, FadingSpec, fading_init, validate_process
+from .fading import FadingModel, FadingSpec, check_validation_samples, fading_init, validate_process
 from .numerics import RngStream
 from .sim import (
     VALIDATE_FADING,
@@ -270,7 +270,10 @@ def _write_plot_script(path: str, csv_path: str, command: str) -> None:
 
 
 def _validate_fading_csv(args) -> str:
-    spec = _fading_spec(args)  # fading_init validates it
+    spec = _fading_spec(args)
+    # Every input is checked before fading_init draws anything.
+    spec.validate()
+    check_validation_samples(args.samples)
     proc = fading_init(spec, RngStream(args.seed, VALIDATE_FADING_STREAM))
     stats = validate_process(proc, args.samples)
     pairs = [

@@ -45,12 +45,18 @@ __all__ = [
     "pdf_envelope_rician",
     "rician_envelope_cdf_grid",
     "ks_statistic",
+    "check_validation_samples",
 ]
 
 # Above this K the scattered component is numerically invisible next to the
 # line-of-sight term, so the generator degrades gracefully to pure AWGN
 # geometry: a deterministic rotating phasor.
 K_AWGN_SENTINEL = 1e9
+
+# Samples validate_process accepts: enough for meaningful comparisons, and
+# few enough to bound its memory (about 24 bytes a sample).
+MIN_VALIDATION_SAMPLES = 100_000
+MAX_VALIDATION_SAMPLES = 10_000_000
 
 
 class FadingModel(enum.Enum):
@@ -81,10 +87,14 @@ class FadingSpec:
             raise ValueError(f"unknown fading model: {self.model!r}")
         if not self.max_doppler_hz > 0.0:
             raise ValueError("max_doppler_hz must be positive")
-        if self.num_sinusoids < 8:
-            raise ValueError("num_sinusoids must be at least 8")
-        if not math.isfinite(self.k_factor):
-            raise ValueError("k_factor must be finite")
+        # A link_gains tile holds at least one link-sample's M sinusoids.
+        if not 8 <= self.num_sinusoids <= numerics.CHUNK_ELEMENTS:
+            raise ValueError(
+                f"num_sinusoids must lie in 8..{numerics.CHUNK_ELEMENTS}, the kernels' scratch budget"
+            )
+        for name in ("k_factor", "sample_rate_hz", "los_doppler_hz", "los_phase_rad"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.sample_rate_hz <= 2.0 * max(self.max_doppler_hz, abs(self.los_doppler_hz)):
             raise ValueError(
                 "sample_rate_hz must exceed twice the largest Doppler shift"
@@ -241,8 +251,10 @@ def ks_statistic(samples: np.ndarray, cdf_values: np.ndarray) -> float:
     if n == 0:
         raise ValueError("need at least one sample")
     c = np.asarray(cdf_values, dtype=np.float64)
-    hi = np.max(np.arange(1, n + 1) / n - c)
-    lo = np.max(c - np.arange(0, n) / n)
+    steps = np.arange(n + 1, dtype=np.float64)
+    steps /= n  # the empirical CDF's levels k / n, k = 0..n
+    hi = np.max(steps[1:] - c)
+    lo = np.max(c - steps[:-1])
     return float(max(hi, lo))
 
 
@@ -277,32 +289,29 @@ class EnvelopeStats:
     autocorr_lags: list[tuple[float, float, float]] = field(default_factory=list)
 
 
+def check_validation_samples(n_samples: int) -> None:
+    """Raise ValueError unless n_samples lies in the validate_process range."""
+    if not MIN_VALIDATION_SAMPLES <= n_samples <= MAX_VALIDATION_SAMPLES:
+        raise ValueError(
+            f"validation needs {MIN_VALIDATION_SAMPLES} to {MAX_VALIDATION_SAMPLES} samples, got {n_samples}"
+        )
+
+
 def validate_process(proc: FadingProcess, n_samples: int) -> EnvelopeStats:
     """Draw n_samples from the process and test them against theory.
 
     The KS statistic compares the sample envelope against the model CDF
     (closed form for Rayleigh, numeric integration of the Rician density).
-    Requires n_samples >= 1e5 so the comparisons are meaningful, and rejects
-    the degenerate near-AWGN Rician regime where the envelope distribution
-    collapses to a point mass.
+    n_samples must pass check_validation_samples. Rejects the degenerate
+    near-AWGN Rician regime where the envelope distribution collapses to a
+    point mass.
     """
-    if n_samples < 100_000:
-        raise ValueError("validation needs at least 1e5 samples")
+    check_validation_samples(n_samples)
     spec = proc.spec
     if spec.model is FadingModel.RICIAN and spec.k_factor >= K_AWGN_SENTINEL:
         raise ValueError("envelope validation is undefined for the AWGN-limit K")
 
     g = fading_next(proc, n_samples)
-    env = np.sort(np.abs(g))
-    if spec.model is FadingModel.RAYLEIGH:
-        cdf = 1.0 - np.exp(-(env**2))
-    else:
-        grid, cdf_grid = rician_envelope_cdf_grid(spec.k_factor, float(env[-1]) * 1.01)
-        cdf = np.interp(env, grid, cdf_grid)
-    ks = ks_statistic(env, cdf)
-
-    mean_power = float(np.mean(np.abs(g) ** 2))
-
     x = g.real
     fs = spec.sample_rate_hz
     fd = spec.max_doppler_hz
@@ -320,4 +329,21 @@ def validate_process(proc: FadingProcess, n_samples: int) -> EnvelopeStats:
             k = spec.k_factor
             theo = (k * math.cos(2.0 * np.pi * spec.los_doppler_hz * tau) + theo) / (k + 1.0)
         lags.append((tau, emp, float(theo)))
+
+    # Only the envelope is needed from here on: one array, sorted in place.
+    env = np.abs(g)
+    del g, x
+    mean_power = float(np.mean(env**2))
+    env.sort()
+    if spec.model is FadingModel.RAYLEIGH:
+        # 1 - exp(-env^2), built in env's buffer; ks_statistic reads only
+        # the sample count from its first argument.
+        cdf = np.square(env, out=env)
+        np.negative(cdf, out=cdf)
+        np.exp(cdf, out=cdf)
+        np.subtract(1.0, cdf, out=cdf)
+    else:
+        grid, cdf_grid = rician_envelope_cdf_grid(spec.k_factor, float(env[-1]) * 1.01)
+        cdf = np.interp(env, grid, cdf_grid)
+    ks = ks_statistic(env, cdf)
     return EnvelopeStats(ks_statistic=ks, empirical_mean_power=mean_power, autocorr_lags=lags)

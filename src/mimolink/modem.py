@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import RngStream
-
 __all__ = [
     "QPSK_POINTS",
     "GRAY_BITS",
@@ -37,13 +35,10 @@ GRAY_BITS = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8)
 GRAY_BITS.setflags(write=False)
 
 
-def bernoulli_bits(n_bits: int, p_one: float, rng: RngStream) -> np.ndarray:
-    """n_bits independent Bernoulli(p_one) bits as a uint8 array."""
-    if n_bits < 0:
-        raise ValueError("n_bits must be nonnegative")
-    if not 0.0 <= p_one <= 1.0:
-        raise ValueError("p_one must lie in [0, 1]")
-    return (rng.uniform(n_bits) < p_one).astype(np.uint8)
+def bernoulli_bits(u: np.ndarray) -> np.ndarray:
+    """Fair bits from uniforms on [0, 1): 1 where u < 0.5, as a uint8 array
+    of u's shape."""
+    return (u < 0.5).astype(np.uint8)
 
 
 def qpsk_modulate(bits) -> np.ndarray:

@@ -3,11 +3,11 @@ Box-Muller map from their uniforms to complex normals, the two Bessel
 functions the fading statistics need, and the scratch budget of the batched
 kernels.
 
-Everything here is deliberately small and self-contained. The Bessel
-functions use a power series below 15 and the standard asymptotic
-expansions above: J0 keeps absolute error well under 1e-9 on its supported
-domain [0, 100], and the exp-scaled I0, e^-x I0(x), keeps relative error
-near 1e-12 for every finite x >= 0.
+Everything here is deliberately small and self-contained. J0 is a
+96-node midpoint rule of its integral, (1/pi) * integral_0^pi cos(x sin t)
+dt, with absolute error near 2e-15 on its supported domain [0, 100]. The
+exp-scaled I0, e^-x I0(x), uses a power series below 15 and the asymptotic
+expansion above, with relative error near 1e-12 for every finite x >= 0.
 """
 
 from __future__ import annotations
@@ -37,8 +37,11 @@ MAX_TRIALS = 1 << ROLE_SHIFT
 # tile size of fading.link_gains.
 CHUNK_ELEMENTS = 1 << 16
 
-BESSEL_SERIES_CUTOFF = 15.0
+I0E_SERIES_CUTOFF = 15.0
 J0_DOMAIN_MAX = 100.0
+# Midpoint nodes of bessel_j0's integral, and sin() at each of them.
+J0_NODES = 96
+_J0_SIN = np.sin((np.arange(J0_NODES) + 0.5) * (np.pi / J0_NODES))
 
 
 def pack_stream_id(experiment_id: int, role: int, trial_index: int) -> int:
@@ -182,42 +185,11 @@ def _i0e_asymptotic(x: np.ndarray) -> np.ndarray:
     return total / np.sqrt(2.0 * np.pi * x)
 
 
-def _j0_series(x: np.ndarray) -> np.ndarray:
-    q = 0.25 * x * x
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for k in range(1, 60):
-        term = term * (-q) / (k * k)
-        total += term
-    return total
-
-
-def _j0_asymptotic(x: np.ndarray) -> np.ndarray:
-    # Hankel expansion, summed in complex form:
-    #   J0(x) = sqrt(2/(pi x)) * Re[ e^{i(x - pi/4)} * sum_k (-i)^k t_k ],
-    # with t_k = ((2k-1)!!)^2 / (k! 8^k x^k).
-    term = np.ones_like(x, dtype=np.complex128)
-    total = np.ones_like(x, dtype=np.complex128)
-    for k in range(1, 25):
-        term = term * (-1j) * (2 * k - 1) ** 2 / (8.0 * k * x)
-        total += term
-    phase = np.exp(1j * (x - 0.25 * np.pi))
-    return np.sqrt(2.0 / (np.pi * x)) * (phase * total).real
-
-
-def _bessel_eval(x, small_fn, large_fn, x_max):
+def _domain_checked(x, x_max: float) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.size and (np.any(~np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > x_max)):
         raise ValueError(f"argument outside supported domain: finite and in [0, {x_max:g}]")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    small = arr < BESSEL_SERIES_CUTOFF
-    if np.any(small):
-        out[small] = small_fn(arr[small])
-    if np.any(~small):
-        out[~small] = large_fn(arr[~small])
-    return float(out[0]) if scalar else out
+    return arr
 
 
 def bessel_i0e(x):
@@ -228,14 +200,28 @@ def bessel_i0e(x):
     otherwise. Power series below 15, asymptotic expansion above; relative
     error near 1e-12 throughout.
     """
-    return _bessel_eval(x, _i0e_series, _i0e_asymptotic, math.inf)
+    arr = _domain_checked(x, math.inf)
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
+    out = np.empty_like(arr)
+    small = arr < I0E_SERIES_CUTOFF
+    if np.any(small):
+        out[small] = _i0e_series(arr[small])
+    if np.any(~small):
+        out[~small] = _i0e_asymptotic(arr[~small])
+    return float(out[0]) if scalar else out
 
 
 def bessel_j0(x):
-    """Bessel function of the first kind, order zero, on [0, 100].
+    """Bessel function of the first kind, order zero, on [0, 100]: the
+    J0_NODES-node midpoint rule of J0(x) = (1/pi) int_0^pi cos(x sin t) dt
+    (Abramowitz & Stegun 9.1.18).
 
-    Same evaluation strategy as bessel_i0e. The alternating series is safe
-    below the cutoff (worst-case cancellation keeps absolute error near
-    1e-11), and the Hankel expansion takes over beyond it.
+    The integrand is smooth and pi-periodic, so the rule converges
+    geometrically: its truncation error is about 2 |J_192(x)|, far below
+    rounding, and the absolute error stays near 2e-15. Supports scalars or
+    arrays of finite entries in [0, 100]; raises ValueError otherwise.
     """
-    return _bessel_eval(x, _j0_series, _j0_asymptotic, J0_DOMAIN_MAX)
+    arr = _domain_checked(x, J0_DOMAIN_MAX)
+    out = np.cos(np.multiply.outer(arr, _J0_SIN)).sum(axis=-1) / J0_NODES
+    return float(out) if arr.ndim == 0 else out

@@ -114,6 +114,11 @@ VALIDATE_FADING_STREAM = pack_stream_id(EXPERIMENT_IDS[VALIDATE_FADING], 0, 0)
 # stops within a chunk of the cut.
 WAVE_FRAMES = 1024
 
+# Float64 elements (128 MiB) of scratch that one trial may need, by
+# trial_elements. A chunk holds at least one trial, so this bounds the
+# memory of every configuration that SimConfig.validate accepts.
+MAX_TRIAL_ELEMENTS = 1 << 24
+
 # 95% two-sided normal quantile, frozen so CSV output never shifts with
 # library updates.
 Z95 = 1.959963984540054
@@ -174,6 +179,12 @@ class SimConfig:
                     f"frame_bits={self.frame_bits} gives {n_symbols} symbols, "
                     f"not a multiple of the code block size {code.n_symbols}"
                 )
+        elements = trial_elements(self)
+        if elements > MAX_TRIAL_ELEMENTS:
+            raise ValueError(
+                f"one trial needs about {elements} float64 elements of scratch, more than "
+                f"MAX_TRIAL_ELEMENTS={MAX_TRIAL_ELEMENTS}: lower frame_bits or num_sinusoids"
+            )
         # Every sweep point must itself be a valid configuration, with an
         # SNR that noise_variance accepts.
         for x in self.sweep:
@@ -222,7 +233,7 @@ def run_frame(config: SimConfig, trial_index: int) -> tuple[bool, int, int]:
     def stream(role: int) -> RngStream:
         return RngStream(seed, pack_stream_id(exp_id, role, trial_index))
 
-    bits = bernoulli_bits(config.frame_bits, 0.5, stream(ROLE_BITS))
+    bits = bernoulli_bits(stream(ROLE_BITS).uniform(config.frame_bits))
     syms = qpsk_modulate(bits)
 
     if config.experiment is Experiment.BER_VS_SNR:
@@ -230,7 +241,7 @@ def run_frame(config: SimConfig, trial_index: int) -> tuple[bool, int, int]:
         x = syms.reshape(-1, n_tx) / math.sqrt(n_tx)
         h = path_gain(config.channel) * stream(ROLE_IID_CHANNEL).complex_normal((len(x), n_rx, n_tx))
         noise_var = noise_variance(config.snr_db)
-        y = receive(h, x, noise_var, stream(ROLE_NOISE))
+        y = receive(h, x, noise_var, stream(ROLE_NOISE).uniform)
         try:
             decided = _detect(config, h, y, noise_var)
         except DetectionFailure:
@@ -257,28 +268,30 @@ def _detect(config: SimConfig, h: np.ndarray, y: np.ndarray, noise_var: float) -
     return ml_detect_batch(h, y, QPSK_POINTS)
 
 
-def chunk_trials(config: SimConfig) -> int:
-    """Trials that one run_wave chunk batches, from numerics.CHUNK_ELEMENTS.
-
-    A trial's share of the chunk's peak of live float64 elements, as
-    tracemalloc measures it: about 1.5 times the (links, samples, M)
+def trial_elements(config: SimConfig) -> int:
+    """A trial's share of a run_wave chunk's peak of live float64 elements,
+    as tracemalloc measures it: about 1.5 times the (links, samples, M)
     cosine scratch of the FER chain; about 10 per complex channel entry
     under ZF and MMSE; about 5 per complex (vector, hypothesis, n_rx)
-    candidate under ML.
+    candidate under ML. chunk_trials sizes chunks by it, and
+    SimConfig.validate bounds it by MAX_TRIAL_ELEMENTS.
     """
     ch = config.channel
     n_symbols = config.frame_bits // 2
     if config.experiment is Experiment.BER_VS_SNR:
         n_vec = n_symbols // ch.n_tx
         if config.detector is DetectorKind.ML:
-            per_trial = 5 * n_vec * len(QPSK_POINTS) ** ch.n_tx * ch.n_rx
-        else:
-            per_trial = 10 * n_vec * ch.n_rx * ch.n_tx
-    else:
-        code = ostbc_code(*config.code)
-        rows = n_symbols // code.n_symbols * code.block_len
-        per_trial = 3 * ch.n_rx * ch.n_tx * rows * ch.fading.num_sinusoids // 2
-    return max(1, numerics.CHUNK_ELEMENTS // per_trial)
+            return 5 * n_vec * len(QPSK_POINTS) ** ch.n_tx * ch.n_rx
+        return 10 * n_vec * ch.n_rx * ch.n_tx
+    code = ostbc_code(*config.code)
+    rows = n_symbols // code.n_symbols * code.block_len
+    return 3 * ch.n_rx * ch.n_tx * rows * ch.fading.num_sinusoids // 2
+
+
+def chunk_trials(config: SimConfig) -> int:
+    """Trials that one run_wave chunk batches: as many as fit
+    numerics.CHUNK_ELEMENTS by trial_elements, and at least one."""
+    return max(1, numerics.CHUNK_ELEMENTS // trial_elements(config))
 
 
 def run_wave(config: SimConfig, start: int, stop: int) -> list[tuple[bool, int, int]]:
@@ -311,7 +324,7 @@ def _run_chunk(config: SimConfig, streams: PhiloxStreams, trials: range) -> list
                 streams.uniform(pack_stream_id(exp_id, role + j, trial), u[i, j])
         return u.reshape(f * links, per_trial)
 
-    bits = (uniforms(ROLE_BITS, config.frame_bits) < 0.5).astype(np.uint8)
+    bits = bernoulli_bits(uniforms(ROLE_BITS, config.frame_bits))
     syms = qpsk_modulate(bits.ravel())
     n_rx, n_tx = ch.n_rx, ch.n_tx
     ber = config.experiment is Experiment.BER_VS_SNR
@@ -331,10 +344,8 @@ def _run_chunk(config: SimConfig, streams: PhiloxStreams, trials: range) -> list
         gains = link_gains(fading, *fading_angles(fading, u), t)
         h = channel_matrices(ch, gains.reshape(f, n_rx * n_tx, n_rows))
 
-    y = np.einsum("nrt,nt->nr", h, x)
     noise_var = noise_variance(config.snr_db)
-    if noise_var:
-        y = y + complex_normal_from(uniforms(ROLE_NOISE, 2 * y.size // f), noise_var).reshape(-1, n_rx)
+    y = receive(h, x, noise_var, lambda n: uniforms(ROLE_NOISE, n // f))
 
     failed = np.zeros(f, dtype=bool)
     if ber:

@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from mimolink import cli, sim
+from mimolink import cli, numerics, sim
 from mimolink.cli import build_parser, main
+from mimolink.fading import MAX_VALIDATION_SAMPLES
 from mimolink.sim import parse_csv
 
 TINY = ["--max-frames", "20", "--target-errors", "3", "--frame-bits", "12"]
@@ -312,6 +313,42 @@ def test_invalid_configuration_exits_one(tmp_path, capsys):
     assert rc == 1
     assert "max_frames" in capsys.readouterr().err
     assert not out.exists()
+
+    # Non-finite fading parameters. A run that started would synthesise a
+    # NaN channel and write a CSV.
+    fer = ["fer-vs-gain", "--code", "2x1", "--nr", "1", "--gain-db", "0", "--max-frames", "20",
+           "--fading", "rician"]
+    validate = ["validate-fading", "--fading", "rician", "--samples", "100000"]
+    for flag, bad in (("--los-phase-rad", "inf"), ("--los-doppler-hz", "nan"), ("--sample-rate-hz", "nan")):
+        for command in (fer, validate):
+            capsys.readouterr()
+            rc = main([*command, f"{flag}={bad}", "--out", str(out)])
+            assert rc == 1
+            assert flag[2:].replace("-", "_") in capsys.readouterr().err
+            assert not out.exists()
+
+
+def test_over_bound_inputs_exit_one_before_simulating(tmp_path, monkeypatch, capsys):
+    """The inputs that size allocations have upper bounds, checked before
+    any simulation: the stubs fail the test if a run starts."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a simulation started")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    monkeypatch.setattr(cli, "fading_init", no_run)
+    out = tmp_path / "big.csv"
+    cases = [
+        (["fer-vs-gain", "--code", "2x1", "--frame-bits", "2000000000"], "MAX_TRIAL_ELEMENTS"),
+        (["ber-vs-snr", "--detector", "ml", "--frame-bits", "2000000000"], "MAX_TRIAL_ELEMENTS"),
+        (["fer-vs-gain", "--num-sinusoids", str(numerics.CHUNK_ELEMENTS + 1)], "num_sinusoids"),
+        (["validate-fading", "--num-sinusoids", str(numerics.CHUNK_ELEMENTS + 1)], "num_sinusoids"),
+        (["validate-fading", "--samples", str(MAX_VALIDATION_SAMPLES + 1)], "samples"),
+    ]
+    for argv, bound in cases:
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 1
+        assert bound in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_bad_sweep_string_exits_one(tmp_path):

@@ -9,9 +9,12 @@ from scipy import stats as sps
 from mimolink import numerics
 from mimolink.fading import (
     K_AWGN_SENTINEL,
+    MAX_VALIDATION_SAMPLES,
+    MIN_VALIDATION_SAMPLES,
     EnvelopeStats,
     FadingModel,
     FadingSpec,
+    check_validation_samples,
     fading_angles,
     fading_init,
     fading_next,
@@ -39,6 +42,18 @@ def test_spec_validation():
         FadingSpec(model=FadingModel.RICIAN, k_factor=float("nan")).validate()
     # k_factor is simply ignored for Rayleigh, not an error
     FadingSpec(model=FadingModel.RAYLEIGH, k_factor=3.0).validate()
+    # Every parameter must be finite. NaN compares false, so the Nyquist
+    # test alone lets a NaN sample rate or LOS Doppler through.
+    for name in ("sample_rate_hz", "los_doppler_hz", "los_phase_rad", "k_factor"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=name):
+                FadingSpec(**{"model": FadingModel.RICIAN, "k_factor": 4.0, name: bad}).validate()
+    with pytest.raises(ValueError):
+        FadingSpec(max_doppler_hz=math.inf).validate()
+    # A link_gains tile holds one link-sample's M sinusoids.
+    FadingSpec(num_sinusoids=numerics.CHUNK_ELEMENTS).validate()
+    with pytest.raises(ValueError, match="num_sinusoids"):
+        FadingSpec(num_sinusoids=numerics.CHUNK_ELEMENTS + 1).validate()
 
 
 def test_init_angle_structure():
@@ -249,6 +264,14 @@ def test_rician_cdf_grid_against_scipy():
 def test_validate_process_preconditions():
     with pytest.raises(ValueError):
         validate_process(fading_init(FAST_SPEC, RngStream(1, 0)), 99_999)
+    check_validation_samples(MIN_VALIDATION_SAMPLES)
+    check_validation_samples(MAX_VALIDATION_SAMPLES)
+    for bad in (MIN_VALIDATION_SAMPLES - 1, MAX_VALIDATION_SAMPLES + 1):
+        with pytest.raises(ValueError, match="samples"):
+            check_validation_samples(bad)
+    # validate_process checks the count before it synthesises anything.
+    with pytest.raises(ValueError, match="samples"):
+        validate_process(None, MAX_VALIDATION_SAMPLES + 1)
     awgnish = FadingSpec(
         model=FadingModel.RICIAN, max_doppler_hz=100.0, sample_rate_hz=256.0, k_factor=1e9
     )

@@ -120,7 +120,7 @@ def test_bessel_against_mpmath_grid():
     for x, iv, jv in zip(xs, i0e, j0):
         ref_j = float(mpmath.besselj(0, x))
         assert iv == pytest.approx(_i0e_reference(x), rel=1e-9)
-        assert abs(jv - ref_j) < 1e-9
+        assert abs(jv - ref_j) < 1e-13
     # The exp-scaled I0 has no upper bound: I0 itself overflows past ~713.
     big = np.array([150.0, 713.0, 1e3, 2.5e3, 1e5, 1e9])
     for x, iv in zip(big, bessel_i0e(big)):

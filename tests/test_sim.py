@@ -170,6 +170,35 @@ def test_config_validation_errors():
     _ber_config(detector=DetectorKind.ML, channel=ChannelSpec(n_tx=4, n_rx=2)).validate()
 
 
+def test_config_validation_bounds_trial_memory():
+    """A trial whose scratch estimate exceeds MAX_TRIAL_ELEMENTS is a
+    configuration error. Only validate() runs here, so a missing bound
+    fails the test without allocating anything."""
+    cap = sim.MAX_TRIAL_ELEMENTS
+    # 4x3/4 over 4x4 links with M = 32: 512 elements per frame bit, and
+    # frame_bits must be a multiple of 6.
+    fer = _fer_config(channel=ChannelSpec(n_tx=4, n_rx=4))
+    assert sim.trial_elements(replace(fer, frame_bits=120)) == 512 * 120
+    largest = cap // 512 // 6 * 6
+    replace(fer, frame_bits=largest).validate()
+    with pytest.raises(ValueError, match="MAX_TRIAL_ELEMENTS"):
+        replace(fer, frame_bits=largest + 6).validate()
+    with pytest.raises(ValueError, match="MAX_TRIAL_ELEMENTS"):
+        _fer_config(channel=ChannelSpec(n_tx=2, n_rx=1), code=(2, Fraction(1)), frame_bits=2_000_000_000).validate()
+    # num_sinusoids is capped by the fading spec, and a large M still
+    # counts against the trial bound.
+    big_m = ChannelSpec(fading=FadingSpec(num_sinusoids=numerics.CHUNK_ELEMENTS))
+    with pytest.raises(ValueError, match="MAX_TRIAL_ELEMENTS"):
+        _fer_config(channel=big_m, frame_bits=24).validate()
+    for detector in DetectorKind:
+        ber = _ber_config(detector=detector, frame_bits=120)
+        ber.validate()
+        with pytest.raises(ValueError, match="MAX_TRIAL_ELEMENTS"):
+            replace(ber, frame_bits=2_000_000_000).validate()
+    # chunk_trials reads the same estimate.
+    assert chunk_trials(_point_config(fer, -5.0)) == numerics.CHUNK_ELEMENTS // (512 * 12)
+
+
 def test_stream_ids_never_collide():
     """Every stream id the engine and validate-fading draw from is distinct:
     each experiment's frame roles, every fading link of the largest
@@ -239,7 +268,7 @@ def test_reference_chain_reproduces_run_frame():
         def stream(role):
             return RngStream(point.master_seed, pack_stream_id(exp_id, role, trial))
 
-        bits = bernoulli_bits(point.frame_bits, 0.5, stream(ROLE_BITS))
+        bits = bernoulli_bits(stream(ROLE_BITS).uniform(point.frame_bits))
         code = ostbc_code(*point.code)
         syms = qpsk_modulate(bits)
         k = code.n_symbols
