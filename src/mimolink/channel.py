@@ -14,6 +14,10 @@ g^2 * (Rt kron Rr) for column-major vectorization.
 SNR convention: for a transmit row x with total energy 1, snr_db is the
 ratio of transmit energy to noise power per receive antenna, so the complex
 noise variance per receive antenna is 10^(-snr_db / 10).
+
+A ChannelProcess is one channel or a batch of them. Both engines of sim
+start it with channel_init, from uniforms the caller draws, and advance it
+with apply_channel, which makes one fading_next call for every link.
 """
 
 from __future__ import annotations
@@ -24,8 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fading import FadingProcess, FadingSpec, fading_init, fading_next
-from .numerics import RngStream, complex_normal_from
+# fading_init is unused here; the benchmark's trace wraps channel.fading_init.
+from .fading import fading_init  # noqa: F401
+from .fading import FadingProcess, FadingSpec, fading_angles, fading_draws, fading_next
+from .numerics import complex_normal_from
 
 __all__ = [
     "CORRELATION_LEVELS",
@@ -37,7 +43,6 @@ __all__ = [
     "noise_variance",
     "channel_init",
     "channel_matrix_at",
-    "channel_matrices",
     "receive",
     "apply_channel",
 ]
@@ -46,6 +51,11 @@ CORRELATION_LEVELS = {"none": 0.0, "low": 0.1, "medium": 0.5, "high": 0.9}
 
 # Antennas at either end of a link.
 MAX_ANTENNAS = 4
+
+# Largest |path_gain_db|. Far inside the float64 range of the gain and of
+# its square, so neither the mixing nor the receiver overflows or
+# underflows to zero.
+MAX_PATH_GAIN_DB = 1000.0
 
 
 def correlation_rho(level) -> float:
@@ -137,58 +147,48 @@ class ChannelSpec:
             raise ValueError(f"n_rx must be in 1..{MAX_ANTENNAS}")
         if not 0.0 <= self.correlation < 1.0:
             raise ValueError("correlation must lie in [0, 1)")
-        if not math.isfinite(self.path_gain_db):
-            raise ValueError("path_gain_db must be finite")
+        if not abs(self.path_gain_db) <= MAX_PATH_GAIN_DB:
+            raise ValueError(f"path_gain_db must lie within +/-MAX_PATH_GAIN_DB = {MAX_PATH_GAIN_DB:g} dB")
         self.fading.validate()
 
 
 @dataclass
 class ChannelProcess:
-    """A running channel: one scalar fading process per (rx, tx) link, in
-    row-major link order (index r * n_tx + t)."""
+    """Running channels: one FadingProcess whose (..., n_rx * n_tx, M) angle
+    tables hold every link of every channel, links in row-major order
+    (index r * n_tx + t). The leading axes index independent channels."""
 
     spec: ChannelSpec
-    links: list[FadingProcess]
+    fading: FadingProcess
 
 
-def channel_init(spec: ChannelSpec, rng: RngStream) -> ChannelProcess:
-    """Create the per-link fading processes.
+def channel_init(spec: ChannelSpec, u: np.ndarray) -> ChannelProcess:
+    """Channels at t = 0 from their links' fading uniforms.
 
-    Each of the n_rx * n_tx scalar links gets its own independent stream,
-    derived from `rng` by link index, so the links are uncorrelated by
-    construction and the whole channel is reproducible from (seed, stream).
+    u has shape (..., n_rx * n_tx, fading_draws(spec.fading)): one row of
+    uniforms per link, each drawn from that link's own stream, so the links
+    are uncorrelated by construction. The spec is not validated here; the
+    caller validates it once, where its config enters.
     """
-    spec.validate()
-    links = [
-        fading_init(spec.fading, rng.spawn(idx))
-        for idx in range(spec.n_rx * spec.n_tx)
-    ]
-    return ChannelProcess(spec=spec, links=links)
+    links, draws = spec.n_rx * spec.n_tx, fading_draws(spec.fading)
+    if u.ndim < 2 or u.shape[-2:] != (links, draws):
+        raise ValueError(f"u must have shape (..., {links}, {draws}), got {u.shape}")
+    return ChannelProcess(spec, FadingProcess(spec.fading, *fading_angles(spec.fading, u)))
 
 
 def channel_matrix_at(proc: ChannelProcess, n_samples: int) -> np.ndarray:
     """Advance every link and return the next n_samples channel matrices
-    as an (n_samples, n_rx, n_tx) array."""
-    gains = np.stack([fading_next(link, n_samples) for link in proc.links])
-    return channel_matrices(proc.spec, gains[None])
-
-
-def channel_matrices(spec: ChannelSpec, gains: np.ndarray) -> np.ndarray:
-    """Channel matrices of several channels from their link gains.
-
-    gains is (F, n_rx * n_tx, n): F channels, links in row-major order as
-    in ChannelProcess, n samples each. Returns the (F * n, n_rx, n_tx)
-    matrices g * Rr^{1/2} G Rt^{1/2}, channel by channel. channel_matrix_at
-    is this function applied to one channel's fading_next gains, so the two
-    agree by construction.
-    """
-    f, _, n = gains.shape
-    g = np.ascontiguousarray(gains.transpose(0, 2, 1)).reshape(f * n, spec.n_rx, spec.n_tx)
+    g * Rr^{1/2} G Rt^{1/2}, shape (..., n_samples, n_rx, n_tx) for a
+    process with leading axes (...)."""
+    spec = proc.spec
+    gains = fading_next(proc.fading, n_samples)
+    shape = (*gains.shape[:-2], n_samples, spec.n_rx, spec.n_tx)
+    g = np.ascontiguousarray(np.swapaxes(gains, -1, -2)).reshape(-1, spec.n_rx, spec.n_tx)
     if spec.correlation != 0.0:
         rr = _correlation_sqrt(spec.n_rx, spec.correlation)
         rt = _correlation_sqrt(spec.n_tx, spec.correlation)
         g = np.einsum("ij,njk,kl->nil", rr, g, rt)
-    return path_gain(spec) * g
+    return (path_gain(spec) * g).reshape(shape)
 
 
 def receive(h: np.ndarray, x: np.ndarray, noise_var: float, draw) -> np.ndarray:
@@ -205,17 +205,22 @@ def apply_channel(
     proc: ChannelProcess,
     x: np.ndarray,
     snr_db: float,
-    rng: RngStream,
+    draw,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Push transmit rows through the channel and add receiver noise.
+    """Push transmit rows through the channels and add receiver noise.
 
-    x has shape (n, n_tx), one row per channel use with total energy 1 by
-    the encoder contract. Returns the (n, n_rx) noisy receive rows and the
-    exact channel matrices used, so callers can hand perfect CSI to a
-    combiner. snr_db = inf disables the noise entirely.
+    x has shape (..., n, n_tx) with the process's leading axes: n rows per
+    channel, each with total energy 1 by the encoder contract. Returns the
+    (..., n, n_rx) noisy receive rows and the exact (..., n, n_rx, n_tx)
+    channel matrices used, so callers can hand perfect CSI to a combiner.
+    The noise uniforms come from draw, as in receive; snr_db = inf disables
+    the noise entirely.
     """
+    spec = proc.spec
     x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 2 or x.shape[1] != proc.spec.n_tx:
-        raise ValueError(f"x must have shape (n, {proc.spec.n_tx}), got {x.shape}")
-    h = channel_matrix_at(proc, x.shape[0])
-    return receive(h, x, noise_variance(snr_db), rng.uniform), h
+    lead = proc.fading.alphas.shape[:-2]
+    if x.ndim != len(lead) + 2 or x.shape[:-2] != lead or x.shape[-1] != spec.n_tx:
+        raise ValueError(f"x must have shape {(*lead, 'n', spec.n_tx)}, got {x.shape}")
+    h = channel_matrix_at(proc, x.shape[-2])
+    y = receive(h.reshape(-1, spec.n_rx, spec.n_tx), x.reshape(-1, spec.n_tx), noise_variance(snr_db), draw)
+    return y.reshape(*x.shape[:-1], spec.n_rx), h

@@ -269,6 +269,18 @@ def _write_plot_script(path: str, csv_path: str, command: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _check_output_path(flag: str, path: str) -> None:
+    """Raise ValueError unless path can be opened for writing: not a
+    directory, in an existing, writable directory."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise ValueError(f"{flag} {path} is a directory")
+    if not os.path.isdir(parent) or not os.access(parent, os.W_OK | os.X_OK):
+        raise ValueError(f"{flag} {path}: directory {parent} is missing or not writable")
+    if os.path.exists(path) and not os.access(path, os.W_OK):
+        raise ValueError(f"{flag} {path} is not writable")
+
+
 def _validate_fading_csv(args) -> str:
     spec = _fading_spec(args)
     # Every input is checked before fading_init draws anything.
@@ -291,6 +303,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     try:
+        _check_output_path("--out", args.out)
+        if args.plot_script:
+            _check_output_path("--plot-script", args.plot_script)
         if args.command == "validate-fading":
             text = _validate_fading_csv(args)
         else:

@@ -16,7 +16,8 @@ Clarke spectrum's J0(2 pi f_d tau) as M grows.
 link_gains is the one synthesis kernel: it evaluates the sums of cosines of
 many links at many times, in tiles whose (links, times, M) scratch array
 holds at most numerics.CHUNK_ELEMENTS float64 elements (0.5 MiB). A
-FadingProcess is a cursor over it: fading_next asks link_gains for the
+FadingProcess is a cursor over it: it holds the angle tables of one link or
+of a batch of links, and fading_next asks link_gains for all of them at the
 process's next sample times.
 """
 
@@ -105,7 +106,8 @@ class FadingSpec:
 
 @dataclass
 class FadingProcess:
-    """State of one running fading link: frozen angles plus a sample cursor."""
+    """Running fading links: frozen (..., M) angle tables, one row per link
+    (a single link has no leading axes), plus the sample cursor they share."""
 
     spec: FadingSpec
     alphas: np.ndarray
@@ -204,7 +206,8 @@ def link_gains(
 
 
 def fading_next(proc: FadingProcess, n_samples: int) -> np.ndarray:
-    """Advance the process and return the next n_samples channel gains.
+    """Advance the process and return the next n_samples gains of every
+    link, shape (..., n_samples) for (..., M) angle tables.
 
     Successive calls are seamless: two calls of n/2 samples concatenate to
     exactly one call of n. Output is a complex128 array with unit mean power
@@ -213,7 +216,9 @@ def fading_next(proc: FadingProcess, n_samples: int) -> np.ndarray:
     if n_samples < 0:
         raise ValueError("n_samples must be nonnegative")
     t = (proc.sample_index + np.arange(n_samples)) / proc.spec.sample_rate_hz
-    out = link_gains(proc.spec, proc.alphas[None], proc.psis[None], proc.thetas[None], t)[0]
+    *lead, m = proc.alphas.shape
+    rows = [a.reshape(-1, m) for a in (proc.alphas, proc.psis, proc.thetas)]
+    out = link_gains(proc.spec, *rows, t).reshape(*lead, n_samples)
     proc.sample_index += n_samples
     return out
 

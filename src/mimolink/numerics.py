@@ -86,15 +86,6 @@ class RngStream:
         self.stream_id = stream_id
         self._gen = np.random.Generator(np.random.Philox(key=_philox_key(master_seed, stream_id)))
 
-    def spawn(self, offset: int) -> "RngStream":
-        """Derive a sibling stream by offsetting the role field of the id.
-
-        Used by the channel to hand each scalar fading link its own stream.
-        """
-        if offset < 0:
-            raise ValueError("offset must be nonnegative")
-        return RngStream(self.master_seed, self.stream_id + (offset << ROLE_SHIFT))
-
     def uniform(self, n: int) -> np.ndarray:
         """n uniforms on [0, 1)."""
         return self._gen.random(n)

@@ -15,12 +15,14 @@ error target is met, which makes the output bit-identical for any worker
 count.
 
 Trials run in chunks. run_wave simulates a chunk of trials as arrays: one
-cosine kernel over every fading link of every frame, then one batched call
-each for encoding, mixing, noise, combining or detection, and demapping.
-Each trial still draws its own streams from counter zero in the same
-order, so run_wave equals run_frame, the single-trial reference, trial by
-trial. A chunk holds as many trials as fit numerics.CHUNK_ELEMENTS (one
-4x4 FER frame, several smaller ones). The serial path runs one chunk at a
+batch of channels, one per frame, through channel_init and apply_channel,
+the path run_frame takes for its one channel; then one batched call each
+for encoding, combining or detection, and demapping. Each trial still
+draws its own streams from counter zero in the same order, so run_wave
+equals run_frame, the single-trial reference, trial by trial. This module
+alone derives stream ids: the channel and fading layers take uniforms. A
+chunk holds as many trials as fit numerics.CHUNK_ELEMENTS (one 4x4 FER
+frame, several smaller ones). The serial path runs one chunk at a
 time and checks the error target after each; the process pool gets waves
 of WAVE_FRAMES trials split evenly over its workers, and each worker runs
 its span chunk by chunk.
@@ -46,9 +48,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import numerics
-from .channel import (
-    MAX_ANTENNAS, ChannelSpec, apply_channel, channel_init, channel_matrices, noise_variance, path_gain, receive,
-)
+from .channel import MAX_ANTENNAS, ChannelSpec, apply_channel, channel_init, noise_variance, path_gain, receive
 from .detect import (
     DetectionFailure,
     DetectorKind,
@@ -56,7 +56,7 @@ from .detect import (
     mmse_detect_batch,
     zf_detect_batch,
 )
-from .fading import FadingSpec, fading_angles, fading_draws, link_gains
+from .fading import FadingSpec, fading_draws
 from .modem import QPSK_POINTS, bernoulli_bits, qpsk_demodulate, qpsk_modulate
 from .numerics import MAX_TRIALS, PhiloxStreams, RngStream, complex_normal_from, pack_stream_id
 from .stbc import combine_array, encode_array, ostbc_code
@@ -88,10 +88,10 @@ class Experiment(enum.Enum):
 # The stream-id layout, in one table: the experiment and role fields that
 # numerics.pack_stream_id packs with a trial index into the id of every
 # random stream. Experiments are keyed by the name the CSV header echoes.
-# Fading link i of a frame's channel (row-major, i < MAX_LINKS) draws from
-# role ROLE_FADING + i, the offset RngStream.spawn(i) adds in channel_init,
-# so ROLE_IID_CHANNEL sits above the last link. validate-fading has a
-# single stream; its experiment field keeps it apart from every frame's.
+# Fading link i of a frame's channel (row-major, i < MAX_LINKS) draws its
+# channel_init uniforms from role ROLE_FADING + i, so ROLE_IID_CHANNEL sits
+# above the last link. validate-fading has a single stream; its experiment
+# field keeps it apart from every frame's. No other module derives ids.
 VALIDATE_FADING = "validate_fading"
 EXPERIMENT_IDS = {
     Experiment.FER_VS_GAIN.value: 0,
@@ -235,11 +235,12 @@ def run_frame(config: SimConfig, trial_index: int) -> tuple[bool, int, int]:
 
     bits = bernoulli_bits(stream(ROLE_BITS).uniform(config.frame_bits))
     syms = qpsk_modulate(bits)
+    ch = config.channel
+    n_tx, n_rx = ch.n_tx, ch.n_rx
 
     if config.experiment is Experiment.BER_VS_SNR:
-        n_tx, n_rx = config.channel.n_tx, config.channel.n_rx
         x = syms.reshape(-1, n_tx) / math.sqrt(n_tx)
-        h = path_gain(config.channel) * stream(ROLE_IID_CHANNEL).complex_normal((len(x), n_rx, n_tx))
+        h = path_gain(ch) * stream(ROLE_IID_CHANNEL).complex_normal((len(x), n_rx, n_tx))
         noise_var = noise_variance(config.snr_db)
         y = receive(h, x, noise_var, stream(ROLE_NOISE).uniform)
         try:
@@ -249,11 +250,11 @@ def run_frame(config: SimConfig, trial_index: int) -> tuple[bool, int, int]:
         bits_hat = qpsk_demodulate(decided.ravel())
     else:
         code = ostbc_code(*config.code)
-        x = encode_array(code, syms.reshape(-1, code.n_symbols)).reshape(-1, config.channel.n_tx)
-        chan = channel_init(config.channel, stream(ROLE_FADING))
-        y, h = apply_channel(chan, x, config.snr_db, stream(ROLE_NOISE))
+        x = encode_array(code, syms.reshape(-1, code.n_symbols)).reshape(-1, n_tx)
+        u = np.stack([stream(ROLE_FADING + i).uniform(fading_draws(ch.fading)) for i in range(n_rx * n_tx)])
+        y, h = apply_channel(channel_init(ch, u), x, config.snr_db, stream(ROLE_NOISE).uniform)
         t_len = code.block_len
-        s_hat = combine_array(code, y.reshape(-1, t_len, config.channel.n_rx), h[::t_len])
+        s_hat = combine_array(code, y.reshape(-1, t_len, n_rx), h[::t_len])
         bits_hat = qpsk_demodulate(s_hat.ravel())
 
     bit_errors = int(np.count_nonzero(bits_hat != bits))
@@ -324,31 +325,21 @@ def _run_chunk(config: SimConfig, streams: PhiloxStreams, trials: range) -> list
                 streams.uniform(pack_stream_id(exp_id, role + j, trial), u[i, j])
         return u.reshape(f * links, per_trial)
 
+    def noise(n: int) -> np.ndarray:
+        return uniforms(ROLE_NOISE, n // f)
+
     bits = bernoulli_bits(uniforms(ROLE_BITS, config.frame_bits))
     syms = qpsk_modulate(bits.ravel())
     n_rx, n_tx = ch.n_rx, ch.n_tx
-    ber = config.experiment is Experiment.BER_VS_SNR
+    failed = np.zeros(f, dtype=bool)
 
-    if ber:
+    if config.experiment is Experiment.BER_VS_SNR:
         x = syms.reshape(-1, n_tx) / math.sqrt(n_tx)
         n_vec = len(x) // f
         h = complex_normal_from(uniforms(ROLE_IID_CHANNEL, 2 * n_vec * n_rx * n_tx), 1.0)
         h = path_gain(ch) * h.reshape(-1, n_rx, n_tx)
-    else:
-        code = ostbc_code(*config.code)
-        x = encode_array(code, syms.reshape(-1, code.n_symbols)).reshape(-1, n_tx)
-        n_rows = len(x) // f
-        fading = ch.fading
-        u = uniforms(ROLE_FADING, fading_draws(fading), n_rx * n_tx)
-        t = np.arange(n_rows) / fading.sample_rate_hz
-        gains = link_gains(fading, *fading_angles(fading, u), t)
-        h = channel_matrices(ch, gains.reshape(f, n_rx * n_tx, n_rows))
-
-    noise_var = noise_variance(config.snr_db)
-    y = receive(h, x, noise_var, lambda n: uniforms(ROLE_NOISE, n // f))
-
-    failed = np.zeros(f, dtype=bool)
-    if ber:
+        noise_var = noise_variance(config.snr_db)
+        y = receive(h, x, noise_var, noise)
         try:
             decided = _detect(config, h, y, noise_var)
         except DetectionFailure:
@@ -363,8 +354,12 @@ def _run_chunk(config: SimConfig, streams: PhiloxStreams, trials: range) -> list
                     failed[i] = True
         bits_hat = qpsk_demodulate(decided.ravel())
     else:
+        code = ostbc_code(*config.code)
+        x = encode_array(code, syms.reshape(-1, code.n_symbols)).reshape(f, -1, n_tx)
+        u = uniforms(ROLE_FADING, fading_draws(ch.fading), n_rx * n_tx).reshape(f, n_rx * n_tx, -1)
+        y, h = apply_channel(channel_init(ch, u), x, config.snr_db, noise)
         t_len = code.block_len
-        s_hat = combine_array(code, y.reshape(-1, t_len, n_rx), h[::t_len])
+        s_hat = combine_array(code, y.reshape(-1, t_len, n_rx), h.reshape(-1, n_rx, n_tx)[::t_len])
         bits_hat = qpsk_demodulate(s_hat.ravel())
 
     errors = np.count_nonzero(bits_hat.reshape(f, -1) != bits, axis=1)

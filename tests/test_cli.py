@@ -327,6 +327,16 @@ def test_invalid_configuration_exits_one(tmp_path, capsys):
             assert flag[2:].replace("-", "_") in capsys.readouterr().err
             assert not out.exists()
 
+    # Path gains past MAX_PATH_GAIN_DB. A run that started would overflow,
+    # or meet a zero channel, or score every frame as wiped.
+    for gain in ("7000", "-7000", "1000.5"):
+        for argv in (["fer-vs-gain", f"--gain-db={gain}", *TINY],
+                     ["ber-vs-snr", "--detector", "zf", f"--gain-db={gain}", *TINY]):
+            capsys.readouterr()
+            assert main([*argv, "--out", str(out)]) == 1
+            assert "MAX_PATH_GAIN_DB" in capsys.readouterr().err
+            assert not out.exists()
+
 
 def test_over_bound_inputs_exit_one_before_simulating(tmp_path, monkeypatch, capsys):
     """The inputs that size allocations have upper bounds, checked before
@@ -349,6 +359,31 @@ def test_over_bound_inputs_exit_one_before_simulating(tmp_path, monkeypatch, cap
         assert main([*argv, "--out", str(out)]) == 1
         assert bound in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_unusable_output_paths_exit_one_before_simulating(tmp_path, monkeypatch, capsys):
+    """--out and --plot-script must name a writable file in an existing
+    directory, for every subcommand; the stubs fail the test if a run
+    starts."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a simulation started")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    monkeypatch.setattr(cli, "fading_init", no_run)
+    out = tmp_path / "ok.csv"
+    missing = str(tmp_path / "missing" / "x.csv")
+    bad_paths = [
+        (["--out", missing], "--out"),
+        (["--out", str(tmp_path)], "--out"),
+        (["--out", str(out), "--plot-script", missing], "--plot-script"),
+        (["--out", str(out), "--plot-script", str(tmp_path)], "--plot-script"),
+    ]
+    for command, extra in PLOT_ARGS.items():
+        for paths, flag in bad_paths:
+            capsys.readouterr()
+            assert main([command, *extra, *paths]) == 1
+            assert flag in capsys.readouterr().err
+            assert not out.exists()
 
 
 def test_bad_sweep_string_exits_one(tmp_path):
@@ -407,11 +442,15 @@ def test_parser_defaults_line_up_with_help():
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "entry.csv"
+    # The subprocess imports mimolink from this checkout's src/ too.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "mimolink.cli", "fer-vs-gain", "--gain-db", "-4",
          "--out", str(out), *TINY],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert f"wrote {out}" in proc.stdout

@@ -13,6 +13,7 @@ from mimolink.fading import (
     MIN_VALIDATION_SAMPLES,
     EnvelopeStats,
     FadingModel,
+    FadingProcess,
     FadingSpec,
     check_validation_samples,
     fading_angles,
@@ -117,7 +118,7 @@ def _outer_product_gains(proc, t):
 ])
 def test_link_gains_tiles_match_outer_products(spec, monkeypatch):
     """Every tiling of links and times gives the reference bytes, and so
-    does fading_next."""
+    does fading_next, link by link and over a batched process."""
     n, draws = 300, 1 + 2 * spec.num_sinusoids
     u = np.stack([RngStream(6, sid).uniform(draws) for sid in range(5)])
     t = np.arange(n) / spec.sample_rate_hz
@@ -126,6 +127,8 @@ def test_link_gains_tiles_match_outer_products(spec, monkeypatch):
     for budget in (1, 40, spec.num_sinusoids * 7, 10**9):
         monkeypatch.setattr(numerics, "CHUNK_ELEMENTS", budget)
         np.testing.assert_array_equal(link_gains(spec, *fading_angles(spec, u), t), expected)
+        batch = FadingProcess(spec, *fading_angles(spec, u.reshape(1, 5, draws)))
+        np.testing.assert_array_equal(fading_next(batch, n), expected[None])
     np.testing.assert_array_equal(np.stack([fading_next(p, n) for p in procs]), expected)
 
 

@@ -53,13 +53,6 @@ def test_uniform_range_and_mean():
     assert abs(u.mean() - 0.5) < 0.005
 
 
-def test_spawn_offsets_role_field():
-    base = pack_stream_id(3, 2, 99)
-    spawned = RngStream(5, base).spawn(4).uniform(32)
-    direct = RngStream(5, pack_stream_id(3, 6, 99)).uniform(32)
-    np.testing.assert_array_equal(spawned, direct)
-
-
 def _standard_normals(seed: int, stream_id: int, n: int) -> np.ndarray:
     """n standard normals: the real and imaginary parts of the stream's
     complex normals of variance 2, interleaved."""

@@ -199,7 +199,7 @@ def test_config_validation_bounds_trial_memory():
     assert chunk_trials(_point_config(fer, -5.0)) == numerics.CHUNK_ELEMENTS // (512 * 12)
 
 
-def test_stream_ids_never_collide():
+def test_stream_ids_never_collide(monkeypatch):
     """Every stream id the engine and validate-fading draw from is distinct:
     each experiment's frame roles, every fading link of the largest
     channel, at the first and the last trial a stream id can index."""
@@ -216,10 +216,22 @@ def test_stream_ids_never_collide():
         exp_id = sim.EXPERIMENT_IDS[experiment.value]
         for trial in (0, 1, MAX_TRIALS - 1):
             ids += [pack_stream_id(exp_id, role, trial) for role in roles]
-            # channel_init derives link i's stream by spawn(i)
-            fading = RngStream(0, pack_stream_id(exp_id, sim.ROLE_FADING, trial))
-            assert [fading.spawn(i).stream_id for i in range(sim.MAX_LINKS)] == ids[-sim.MAX_LINKS:]
     assert len(set(ids)) == len(ids)
+
+    # A frame over the largest channel draws from exactly its frame roles:
+    # link i of the channel from ROLE_FADING + i.
+    drawn = []
+
+    def recording(seed, stream_id):
+        drawn.append(stream_id)
+        return RngStream(seed, stream_id)
+
+    monkeypatch.setattr(sim, "RngStream", recording)
+    cfg = _fer_config(channel=ChannelSpec(n_tx=MAX_ANTENNAS, n_rx=MAX_ANTENNAS))
+    run_frame(cfg, MAX_TRIALS - 1)
+    exp_id = sim.EXPERIMENT_IDS[cfg.experiment.value]
+    frame_roles = [sim.ROLE_BITS, sim.ROLE_NOISE] + [sim.ROLE_FADING + link for link in range(sim.MAX_LINKS)]
+    assert sorted(drawn) == sorted(pack_stream_id(exp_id, role, MAX_TRIALS - 1) for role in frame_roles)
 
 
 def test_run_frame_deterministic():
@@ -256,6 +268,7 @@ def test_noise_free_strong_los_frame_is_clean():
 def test_reference_chain_reproduces_run_frame():
     """Straight-line per-block reimplementation of the coded path."""
     from mimolink.channel import apply_channel, channel_init
+    from mimolink.fading import fading_draws
     from mimolink.modem import bernoulli_bits, qpsk_demodulate, qpsk_modulate
     from mimolink.sim import EXPERIMENT_IDS, ROLE_BITS, ROLE_FADING, ROLE_NOISE
     from mimolink.stbc import combine_array, encode_array, ostbc_code
@@ -276,8 +289,10 @@ def test_reference_chain_reproduces_run_frame():
 
         # one pass through the channel for the whole frame, row by row
         rows = np.concatenate(blocks, axis=0)
-        chan = channel_init(point.channel, stream(ROLE_FADING))
-        y_rows, h = apply_channel(chan, rows, point.snr_db, stream(ROLE_NOISE))
+        ch = point.channel
+        u = [stream(ROLE_FADING + i).uniform(fading_draws(ch.fading)) for i in range(ch.n_rx * ch.n_tx)]
+        chan = channel_init(ch, np.stack(u))
+        y_rows, h = apply_channel(chan, rows, point.snr_db, stream(ROLE_NOISE).uniform)
 
         bits_hat = []
         t_len = code.block_len
