@@ -21,8 +21,12 @@ for encoding, combining or detection, and demapping. Each trial still
 draws its own streams from counter zero in the same order, so run_wave
 equals run_frame, the single-trial reference, trial by trial. This module
 alone derives stream ids: the channel and fading layers take uniforms. A
-chunk holds as many trials as fit numerics.CHUNK_ELEMENTS (one 4x4 FER
-frame, several smaller ones). The serial path runs one chunk at a
+chunk holds as many trials as fit numerics.CHUNK_ELEMENTS by the memory
+model trial_elements: three 4x4 FER frames at fs = 1 MHz, where a frame
+lies in one of the fading kernel's Taylor blocks and its scratch is a few
+times M per link; one at low sample rates, where a frame spans many blocks
+or the kernel is the direct sum; about twenty 2x1 FER or uncoded ZF
+frames. The serial path runs one chunk at a
 time and checks the error target after each; the process pool gets waves
 of WAVE_FRAMES trials split evenly over its workers, and each worker runs
 its span chunk by chunk.
@@ -56,7 +60,7 @@ from .detect import (
     mmse_detect_batch,
     zf_detect_batch,
 )
-from .fading import FadingSpec, fading_draws
+from .fading import FadingSpec, block_elements, block_plan, fading_draws
 from .modem import QPSK_POINTS, bernoulli_bits, qpsk_demodulate, qpsk_modulate
 from .numerics import MAX_TRIALS, PhiloxStreams, RngStream, complex_normal_from, pack_stream_id
 from .stbc import combine_array, encode_array, ostbc_code
@@ -271,22 +275,27 @@ def _detect(config: SimConfig, h: np.ndarray, y: np.ndarray, noise_var: float) -
 
 def trial_elements(config: SimConfig) -> int:
     """A trial's share of a run_wave chunk's peak of live float64 elements,
-    as tracemalloc measures it: about 1.5 times the (links, samples, M)
-    cosine scratch of the FER chain; about 10 per complex channel entry
-    under ZF and MMSE; about 5 per complex (vector, hypothesis, n_rx)
-    candidate under ML. chunk_trials sizes chunks by it, and
-    SimConfig.validate bounds it by MAX_TRIAL_ELEMENTS.
+    as tracemalloc measures it, rounded up. FER chain, per link: 11 per
+    sinusoid (the fading uniforms and angle tables, and the cosines, sines
+    and phases that link_gains reads), 4 per sample (gains and channel
+    matrices), and fading.block_elements for each block a frame touches;
+    plus 3 per frame bit. BER chain: 13 per complex channel entry under ZF
+    and MMSE, 6 per complex (vector, hypothesis, n_rx) candidate under ML.
+    chunk_trials sizes chunks by it, and SimConfig.validate bounds it by
+    MAX_TRIAL_ELEMENTS.
     """
     ch = config.channel
     n_symbols = config.frame_bits // 2
     if config.experiment is Experiment.BER_VS_SNR:
         n_vec = n_symbols // ch.n_tx
         if config.detector is DetectorKind.ML:
-            return 5 * n_vec * len(QPSK_POINTS) ** ch.n_tx * ch.n_rx
-        return 10 * n_vec * ch.n_rx * ch.n_tx
+            return 6 * n_vec * len(QPSK_POINTS) ** ch.n_tx * ch.n_rx
+        return 13 * n_vec * ch.n_rx * ch.n_tx
     code = ostbc_code(*config.code)
     rows = n_symbols // code.n_symbols * code.block_len
-    return 3 * ch.n_rx * ch.n_tx * rows * ch.fading.num_sinusoids // 2
+    blocks = -(-rows // block_plan(ch.fading)[0])
+    per_link = 11 * ch.fading.num_sinusoids + 4 * rows + blocks * block_elements(ch.fading, rows)
+    return ch.n_rx * ch.n_tx * per_link + 3 * config.frame_bits
 
 
 def chunk_trials(config: SimConfig) -> int:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -9,12 +10,16 @@ from scipy import stats as sps
 from mimolink import numerics
 from mimolink.fading import (
     K_AWGN_SENTINEL,
+    MAX_BLOCK_TURN,
     MAX_VALIDATION_SAMPLES,
     MIN_VALIDATION_SAMPLES,
+    TAYLOR_TOL,
     EnvelopeStats,
     FadingModel,
     FadingProcess,
     FadingSpec,
+    block_elements,
+    block_plan,
     check_validation_samples,
     fading_angles,
     fading_init,
@@ -112,24 +117,122 @@ def _outer_product_gains(proc, t):
     return g
 
 
+def _mp_gains(spec, alphas, psis, thetas, samples):
+    """The gains of (B, M) angle tables at the given sample indices, in
+    120-bit arithmetic, taking every float64 input as exact and the sample
+    time as exactly n / fs."""
+    mpmath.mp.prec = 120
+    fs, wd = mpmath.mpf(spec.sample_rate_hz), mpmath.mpf(2.0 * np.pi * spec.max_doppler_hz)
+    k = mpmath.mpf(spec.k_factor)
+    out = np.empty((len(alphas), len(samples)), dtype=np.complex128)
+    for b, (alpha, psi, theta) in enumerate(zip(alphas, psis, thetas)):
+        quads = [[(mpmath.mpf(f), mpmath.mpf(p)) for f, p in zip(fn(alpha), ph)]
+                 for fn, ph in ((np.cos, psi), (np.sin, theta))]
+        for i, n in enumerate(samples):
+            t = mpmath.mpf(int(n)) / fs
+            re, im = (mpmath.fsum(mpmath.cos(t * f * wd + p) for f, p in q) for q in quads)
+            g = mpmath.mpc(re, im) / mpmath.sqrt(spec.num_sinusoids)
+            if spec.model is FadingModel.RICIAN:
+                los_phase = 2 * mpmath.pi * mpmath.mpf(spec.los_doppler_hz) * t + mpmath.mpf(spec.los_phase_rad)
+                g = mpmath.sqrt(k / (k + 1)) * mpmath.expj(los_phase) + g / mpmath.sqrt(k + 1)
+            out[b, i] = complex(g)
+    return out
+
+
+def _taylor_error_bound_holds(spec, u, start, n, samples):
+    """link_gains from sample start is within the Taylor kernel's accuracy
+    bound at the given samples: its deviation from the 120-bit reference is
+    at most twice the direct sum's, plus 1e-14. At large t both are limited
+    by the rounding of the phase arguments, which the factor 2 allows for;
+    near t = 0 the 1e-14 covers the truncation and the polynomial's
+    rounding."""
+    angles = fading_angles(spec, u)
+    taylor = link_gains(spec, *angles, start, n)[:, samples - start]
+    procs = [FadingProcess(spec, *fading_angles(spec, row)) for row in u]
+    direct = np.stack([_outer_product_gains(p, samples / spec.sample_rate_hz) for p in procs])
+    ref = _mp_gains(spec, *angles, samples)
+    taylor_err, direct_err = np.max(np.abs(taylor - ref)), np.max(np.abs(direct - ref))
+    assert taylor_err <= 2.0 * direct_err + 1e-14, (taylor_err, direct_err)
+
+
 @pytest.mark.parametrize("spec", [
     FAST_SPEC,
     FadingSpec(model=FadingModel.RICIAN, k_factor=4.0, los_doppler_hz=100.0, los_phase_rad=0.3),
 ])
 def test_link_gains_tiles_match_outer_products(spec, monkeypatch):
-    """Every tiling of links and times gives the reference bytes, and so
-    does fading_next, link by link and over a batched process."""
+    """Every tiling of links and samples gives the same bytes, and so does
+    fading_next, link by link and over a batched process. Where the plan
+    is the direct sum (fs = 256) those are the reference bytes; where it is
+    Taylor blocks (fs = 1 MHz) they keep the accuracy bound against the
+    120-bit reference."""
     n, draws = 300, 1 + 2 * spec.num_sinusoids
     u = np.stack([RngStream(6, sid).uniform(draws) for sid in range(5)])
-    t = np.arange(n) / spec.sample_rate_hz
     procs = [fading_init(spec, RngStream(6, sid)) for sid in range(5)]
-    expected = np.stack([_outer_product_gains(p, t) for p in procs])
+    expected = link_gains(spec, *fading_angles(spec, u), 0, n)
     for budget in (1, 40, spec.num_sinusoids * 7, 10**9):
         monkeypatch.setattr(numerics, "CHUNK_ELEMENTS", budget)
-        np.testing.assert_array_equal(link_gains(spec, *fading_angles(spec, u), t), expected)
+        np.testing.assert_array_equal(link_gains(spec, *fading_angles(spec, u), 0, n), expected)
         batch = FadingProcess(spec, *fading_angles(spec, u.reshape(1, 5, draws)))
         np.testing.assert_array_equal(fading_next(batch, n), expected[None])
     np.testing.assert_array_equal(np.stack([fading_next(p, n) for p in procs]), expected)
+    if block_plan(spec) == (1, 0):
+        t = np.arange(n) / spec.sample_rate_hz
+        np.testing.assert_array_equal(expected, np.stack([_outer_product_gains(p, t) for p in procs]))
+    else:
+        _taylor_error_bound_holds(spec, u[:2], 0, n, np.arange(0, n, 13))
+
+
+@pytest.mark.parametrize("fs", [1e6, 1e5, 1e4, 256.0])
+@pytest.mark.parametrize("start", [0, 10**5, 10**7])
+def test_link_gains_matches_mpmath(fs, start):
+    """The kernel against a 120-bit reference at f_d = 100 Hz, over two
+    blocks and their edges, from t = 0 up to 10^7 samples."""
+    spec = FadingSpec(max_doppler_hz=100.0, sample_rate_hz=fs)
+    length = block_plan(spec)[0]
+    n = 2 * length + 3
+    offsets = np.unique(np.r_[np.linspace(0, n - 1, 12).astype(int), length - 1, length, 2 * length])
+    u = np.stack([RngStream(9, sid).uniform(1 + 2 * spec.num_sinusoids) for sid in range(2)])
+    _taylor_error_bound_holds(spec, u, start, n, start + offsets[offsets < n])
+
+
+@pytest.mark.parametrize("fs", [1e6, 1e4])
+def test_taylor_blocks_are_seamless_and_tile_invariant(fs, monkeypatch):
+    """Calls split at, next to and across block edges, and every tiling of
+    a call that starts mid-block, give the same bytes as one call."""
+    spec = FadingSpec(max_doppler_hz=100.0, sample_rate_hz=fs)
+    length, order = block_plan(spec)
+    assert length > 1 and order > 0
+    n = 3 * length + 5
+    whole = fading_next(fading_init(spec, RngStream(12, 0)), n)
+    for cut in (length - 1, length, length + 1, 2 * length + 3):
+        proc = fading_init(spec, RngStream(12, 0))
+        np.testing.assert_array_equal(np.concatenate([fading_next(proc, cut), fading_next(proc, n - cut)]), whole)
+    u = np.stack([RngStream(12, sid).uniform(1 + 2 * spec.num_sinusoids) for sid in range(3)])
+    angles = fading_angles(spec, u)
+    start = length // 2 + 1
+    expected = link_gains(spec, *angles, start, n)
+    per_block = block_elements(spec, n)
+    for budget in (1, 40, per_block - 1, per_block, 2 * per_block + 1, 3 * per_block, 10**9):
+        monkeypatch.setattr(numerics, "CHUNK_ELEMENTS", budget)
+        np.testing.assert_array_equal(link_gains(spec, *angles, start, n), expected)
+
+
+def test_block_plan_rule():
+    """Every fading spec of the golden CSVs and the benchmark workloads
+    gets a plan whose truncation bound holds; near Nyquist the plan is the
+    direct sum."""
+    # (f_d, f_s): the FER goldens and workloads at fs = 1 MHz with Dopplers
+    # 25, 50 and 100 Hz, fer-vs-samplerate at 200 kHz, and validate-fading
+    # at 256 Hz (its default and validate-fading-1m) and 1 kHz.
+    for fd, fs in ((25.0, 1e6), (50.0, 1e6), (100.0, 1e6), (100.0, 2e5), (100.0, 256.0), (100.0, 1e3)):
+        spec = FadingSpec(max_doppler_hz=fd, sample_rate_hz=fs)
+        length, order = block_plan(spec)
+        half_turn = length // 2 * 2.0 * math.pi * fd / fs
+        bound = math.sqrt(spec.num_sinusoids) * half_turn ** (order + 1) / math.factorial(order + 1)
+        assert bound <= TAYLOR_TOL, (fd, fs, length, order)
+        assert length == 1 or (length % 2 == 0 and half_turn <= MAX_BLOCK_TURN)
+    assert block_plan(FadingSpec(max_doppler_hz=100.0, sample_rate_hz=256.0)) == (1, 0)
+    assert block_plan(FadingSpec(max_doppler_hz=100.0, sample_rate_hz=1e6))[0] > 1
 
 
 def test_rayleigh_unit_mean_power():

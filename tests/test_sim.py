@@ -2,6 +2,7 @@
 worker-count invariance, frame simulation, and the CSV round trip."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -174,12 +175,13 @@ def test_config_validation_bounds_trial_memory():
     """A trial whose scratch estimate exceeds MAX_TRIAL_ELEMENTS is a
     configuration error. Only validate() runs here, so a missing bound
     fails the test without allocating anything."""
-    cap = sim.MAX_TRIAL_ELEMENTS
-    # 4x3/4 over 4x4 links with M = 32: 512 elements per frame bit, and
-    # frame_bits must be a multiple of 6.
+    # 4x3/4 over 4x4 links with M = 32 at fs = 1 MHz: blocks of 256 samples
+    # with K = 9. 120 bits are 80 rows in one block: 16 links of
+    # 11 * 32 + 4 * 80 + 2 * (4 * 32 + 10 + 2 * 80), plus 3 * 120. The
+    # largest frame that validates, a multiple of 6 bits, has 111,872 rows.
     fer = _fer_config(channel=ChannelSpec(n_tx=4, n_rx=4))
-    assert sim.trial_elements(replace(fer, frame_bits=120)) == 512 * 120
-    largest = cap // 512 // 6 * 6
+    assert sim.trial_elements(replace(fer, frame_bits=120)) == 16 * (352 + 320 + 596) + 360
+    largest = 167_808
     replace(fer, frame_bits=largest).validate()
     with pytest.raises(ValueError, match="MAX_TRIAL_ELEMENTS"):
         replace(fer, frame_bits=largest + 6).validate()
@@ -195,8 +197,34 @@ def test_config_validation_bounds_trial_memory():
         ber.validate()
         with pytest.raises(ValueError, match="MAX_TRIAL_ELEMENTS"):
             replace(ber, frame_bits=2_000_000_000).validate()
-    # chunk_trials reads the same estimate.
-    assert chunk_trials(_point_config(fer, -5.0)) == numerics.CHUNK_ELEMENTS // (512 * 12)
+    # chunk_trials reads the same estimate: 12 bits are 8 rows.
+    assert chunk_trials(_point_config(fer, -5.0)) == numerics.CHUNK_ELEMENTS // (16 * (352 + 32 + 308) + 36)
+
+
+@pytest.mark.parametrize("cfg", [
+    _point_config(_fer_config(channel=ChannelSpec(n_tx=4, n_rx=4), frame_bits=120), -5.0),
+    _point_config(_fer_config(
+        experiment=Experiment.FER_VS_DOPPLER, code=(2, Fraction(1)), frame_bits=120,
+        channel=ChannelSpec(n_tx=2, n_rx=1, fading=FadingSpec(
+            model=FadingModel.RICIAN, k_factor=4.0, los_doppler_hz=100.0)),
+    ), 50.0),
+    _point_config(_ber_config(detector=DetectorKind.ZF, frame_bits=120), 10.0),
+    _point_config(_ber_config(detector=DetectorKind.ML, frame_bits=120), 10.0),
+], ids=["fer-4x4-4x3/4", "fer-2x1-rician", "ber-zf", "ber-ml"])
+def test_trial_elements_bounds_a_measured_chunk(cfg):
+    """The memory model is an upper bound on what a chunk allocates: the
+    tracemalloc peak of one _run_chunk stays within chunk_trials *
+    trial_elements float64 elements."""
+    streams = sim.PhiloxStreams(cfg.master_seed)
+    step = chunk_trials(cfg)
+    sim._run_chunk(cfg, streams, range(step))  # fills the per-process caches
+    tracemalloc.start()
+    try:
+        sim._run_chunk(cfg, streams, range(step, 2 * step))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * step * sim.trial_elements(cfg)
 
 
 def test_stream_ids_never_collide(monkeypatch):
@@ -331,7 +359,10 @@ def test_serial_point_stops_in_the_chunk_of_the_cut(monkeypatch):
     """The serial path simulates whole chunks, in order, and none past the
     chunk that holds the trial meeting the error target."""
     cfg = _fer_config(snr_db=0.0, sweep=(-5.0,), max_frames=5000, target_frame_errors=50)
-    step = chunk_trials(_point_config(cfg, -5.0))
+    # A fixed chunk size, so that the cut stays mid-chunk whatever the
+    # memory model makes of this config.
+    step = 16
+    monkeypatch.setattr(sim, "chunk_trials", lambda config: step)
     spans = []
     simulate = sim._simulate_range
 
