@@ -15,9 +15,9 @@ SNR convention: for a transmit row x with total energy 1, snr_db is the
 ratio of transmit energy to noise power per receive antenna, so the complex
 noise variance per receive antenna is 10^(-snr_db / 10).
 
-A ChannelProcess is one channel or a batch of them. Both engines of sim
-start it with channel_init, from uniforms the caller draws, and advance it
-with apply_channel, which makes one fading_next call for every link.
+A ChannelProcess is one channel or a batch of them. The frame chain of sim
+starts it with channel_init, from uniforms the caller draws, and advances
+it with apply_channel, which makes one fading_next call for every link.
 """
 
 from __future__ import annotations

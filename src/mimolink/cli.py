@@ -31,7 +31,14 @@ from fractions import Fraction
 
 from .channel import ChannelSpec, correlation_rho
 from .detect import DetectorKind
-from .fading import FadingModel, FadingSpec, check_validation_samples, fading_init, validate_process
+from .fading import (
+    FadingModel,
+    FadingSpec,
+    check_validation_samples,
+    check_validation_spec,
+    fading_init,
+    validate_process,
+)
 from .numerics import RngStream
 from .sim import (
     VALIDATE_FADING,
@@ -281,13 +288,8 @@ def _check_output_path(flag: str, path: str) -> None:
         raise ValueError(f"{flag} {path} is not writable")
 
 
-def _validate_fading_csv(args) -> str:
-    spec = _fading_spec(args)
-    # Every input is checked before fading_init draws anything.
-    spec.validate()
-    check_validation_samples(args.samples)
-    proc = fading_init(spec, RngStream(args.seed, VALIDATE_FADING_STREAM))
-    stats = validate_process(proc, args.samples)
+def _validate_fading_csv(args, spec: FadingSpec, rng: RngStream) -> str:
+    stats = validate_process(fading_init(spec, rng), args.samples)
     pairs = [
         ("experiment", VALIDATE_FADING),
         *fading_pairs(spec),
@@ -306,8 +308,15 @@ def main(argv=None) -> int:
         _check_output_path("--out", args.out)
         if args.plot_script:
             _check_output_path("--plot-script", args.plot_script)
+            if os.path.realpath(args.plot_script) == os.path.realpath(args.out):
+                raise ValueError(f"--plot-script {args.plot_script} is the --out file")
         if args.command == "validate-fading":
-            text = _validate_fading_csv(args)
+            # Every input is checked before fading_init draws anything.
+            spec = _fading_spec(args)
+            spec.validate()
+            check_validation_samples(args.samples)
+            check_validation_spec(spec)
+            rng = RngStream(args.seed, VALIDATE_FADING_STREAM)
         else:
             config = _build_config(args)
             config.validate()
@@ -319,7 +328,9 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        if args.command != "validate-fading":
+        if args.command == "validate-fading":
+            text = _validate_fading_csv(args, spec, rng)
+        else:
             result = run_experiment(config, workers=args.workers)
             text = emit_csv(result, config)
         with open(args.out, "w", newline="\n") as fh:

@@ -66,6 +66,7 @@ __all__ = [
     "rician_envelope_cdf_grid",
     "ks_statistic",
     "check_validation_samples",
+    "check_validation_spec",
 ]
 
 # Above this K the scattered component is numerically invisible next to the
@@ -423,19 +424,24 @@ def check_validation_samples(n_samples: int) -> None:
         )
 
 
+def check_validation_spec(spec: FadingSpec) -> None:
+    """Raise ValueError for a spec in the degenerate near-AWGN Rician regime,
+    where the envelope distribution collapses to a point mass."""
+    if spec.model is FadingModel.RICIAN and spec.k_factor >= K_AWGN_SENTINEL:
+        raise ValueError("envelope validation is undefined for the AWGN-limit K")
+
+
 def validate_process(proc: FadingProcess, n_samples: int) -> EnvelopeStats:
     """Draw n_samples from the process and test them against theory.
 
     The KS statistic compares the sample envelope against the model CDF
     (closed form for Rayleigh, numeric integration of the Rician density).
-    n_samples must pass check_validation_samples. Rejects the degenerate
-    near-AWGN Rician regime where the envelope distribution collapses to a
-    point mass.
+    n_samples must pass check_validation_samples and the process's spec
+    check_validation_spec.
     """
     check_validation_samples(n_samples)
     spec = proc.spec
-    if spec.model is FadingModel.RICIAN and spec.k_factor >= K_AWGN_SENTINEL:
-        raise ValueError("envelope validation is undefined for the AWGN-limit K")
+    check_validation_spec(spec)
 
     g = fading_next(proc, n_samples)
     x = g.real

@@ -14,22 +14,24 @@ outcomes in trial-index order and cutting off at the exact frame where the
 error target is met, which makes the output bit-identical for any worker
 count.
 
-Trials run in chunks. run_wave simulates a chunk of trials as arrays: one
-batch of channels, one per frame, through channel_init and apply_channel,
-the path run_frame takes for its one channel; then one batched call each
-for encoding, combining or detection, and demapping. Each trial still
-draws its own streams from counter zero in the same order, so run_wave
-equals run_frame, the single-trial reference, trial by trial. This module
-alone derives stream ids: the channel and fading layers take uniforms. A
-chunk holds as many trials as fit numerics.CHUNK_ELEMENTS by the memory
-model trial_elements: three 4x4 FER frames at fs = 1 MHz, where a frame
-lies in one of the fading kernel's Taylor blocks and its scratch is a few
-times M per link; one at low sample rates, where a frame spans many blocks
-or the kernel is the direct sum; about twenty 2x1 FER or uncoded ZF
-frames. The serial path runs one chunk at a
-time and checks the error target after each; the process pool gets waves
-of WAVE_FRAMES trials split evenly over its workers, and each worker runs
-its span chunk by chunk.
+There is one frame chain, _run_chunk, which simulates a chunk of trials
+as arrays: one batch of channels, one per frame, through channel_init and
+apply_channel, then one batched call each for encoding, combining or
+detection, and demapping. It takes a stream source, draw(stream_id, out),
+and each trial draws its own streams from counter zero in the same order,
+so a trial's outcome does not depend on its chunk. run_wave draws through
+one rekeyed PhiloxStreams, chunk_trials(config) trials at a time;
+run_frame, the single-trial reference, runs a chunk of one trial on fresh
+RngStreams. This module alone derives stream ids: the channel and fading
+layers take uniforms. A chunk holds as many trials as fit
+numerics.CHUNK_ELEMENTS by the memory model trial_elements: three 4x4 FER
+frames at fs = 1 MHz, where a frame lies in one of the fading kernel's
+Taylor blocks and its scratch is a few times M per link; one at low sample
+rates, where a frame spans many blocks or the kernel is the direct sum;
+about twenty 2x1 FER or uncoded ZF frames. The serial path runs one chunk
+at a time and checks the error target after each; the process pool gets
+waves of WAVE_FRAMES trials split evenly over its workers, and each worker
+runs its span chunk by chunk.
 
 Frame chain for the FER experiments: Bernoulli bits -> QPSK -> OSTBC encode
 -> time-varying correlated channel + AWGN -> combine (channel of each
@@ -223,46 +225,14 @@ def _point_config(config: SimConfig, x: float) -> SimConfig:
 
 
 def run_frame(config: SimConfig, trial_index: int) -> tuple[bool, int, int]:
-    """Simulate one frame end to end.
+    """Simulate one frame: (frame_error, bit_errors, bits) of _run_chunk
+    over this one trial, drawing each stream from a fresh RngStream. The
+    single-trial reference that run_wave is tested against."""
 
-    Returns (frame_error, bit_errors, bits). Deterministic in
-    (config, trial_index): all randomness comes from streams keyed by the
-    master seed, the experiment id, a fixed role tag, and the trial index.
-    A detection failure (singular channel under ZF) wipes the frame: every
-    bit counts as errored.
-    """
-    exp_id = EXPERIMENT_IDS[config.experiment.value]
-    seed = config.master_seed
+    def draw(stream_id: int, out: np.ndarray) -> None:
+        out[:] = RngStream(config.master_seed, stream_id).uniform(out.size)
 
-    def stream(role: int) -> RngStream:
-        return RngStream(seed, pack_stream_id(exp_id, role, trial_index))
-
-    bits = bernoulli_bits(stream(ROLE_BITS).uniform(config.frame_bits))
-    syms = qpsk_modulate(bits)
-    ch = config.channel
-    n_tx, n_rx = ch.n_tx, ch.n_rx
-
-    if config.experiment is Experiment.BER_VS_SNR:
-        x = syms.reshape(-1, n_tx) / math.sqrt(n_tx)
-        h = path_gain(ch) * stream(ROLE_IID_CHANNEL).complex_normal((len(x), n_rx, n_tx))
-        noise_var = noise_variance(config.snr_db)
-        y = receive(h, x, noise_var, stream(ROLE_NOISE).uniform)
-        try:
-            decided = _detect(config, h, y, noise_var)
-        except DetectionFailure:
-            return True, config.frame_bits, config.frame_bits
-        bits_hat = qpsk_demodulate(decided.ravel())
-    else:
-        code = ostbc_code(*config.code)
-        x = encode_array(code, syms.reshape(-1, code.n_symbols)).reshape(-1, n_tx)
-        u = np.stack([stream(ROLE_FADING + i).uniform(fading_draws(ch.fading)) for i in range(n_rx * n_tx)])
-        y, h = apply_channel(channel_init(ch, u), x, config.snr_db, stream(ROLE_NOISE).uniform)
-        t_len = code.block_len
-        s_hat = combine_array(code, y.reshape(-1, t_len, n_rx), h[::t_len])
-        bits_hat = qpsk_demodulate(s_hat.ravel())
-
-    bit_errors = int(np.count_nonzero(bits_hat != bits))
-    return bit_errors > 0, bit_errors, config.frame_bits
+    return _run_chunk(config, draw, range(trial_index, trial_index + 1))[0]
 
 
 def _detect(config: SimConfig, h: np.ndarray, y: np.ndarray, noise_var: float) -> np.ndarray:
@@ -305,23 +275,26 @@ def chunk_trials(config: SimConfig) -> int:
 
 
 def run_wave(config: SimConfig, start: int, stop: int) -> list[tuple[bool, int, int]]:
-    """Outcomes of trials [start, stop), in index order, simulated in batches.
+    """Outcomes of trials [start, stop), in index order, simulated in chunks
+    of chunk_trials(config) trials.
 
-    Equal to [run_frame(config, t) for t in range(start, stop)]: every
-    trial draws the same uniforms from the same (seed, stream id) streams
-    in the same order, and every step applies the same floating-point
-    operations to them, only over chunk_trials(config) trials at a time.
-    A ZF detection failure still wipes only the frame it occurs in.
+    Equal to [run_frame(config, t) for t in range(start, stop)]: both run
+    _run_chunk, and a PhiloxStreams draw fills exactly the uniforms an
+    RngStream of the same (seed, stream id) returns.
     """
-    streams = PhiloxStreams(config.master_seed)
+    draw = PhiloxStreams(config.master_seed).uniform
     step = chunk_trials(config)
     out: list[tuple[bool, int, int]] = []
     for a in range(start, stop, step):
-        out.extend(_run_chunk(config, streams, range(a, min(a + step, stop))))
+        out.extend(_run_chunk(config, draw, range(a, min(a + step, stop))))
     return out
 
 
-def _run_chunk(config: SimConfig, streams: PhiloxStreams, trials: range) -> list[tuple[bool, int, int]]:
+def _run_chunk(config: SimConfig, draw, trials: range) -> list[tuple[bool, int, int]]:
+    """Outcomes of the trials, in index order; draw(stream_id, out) fills out
+    from the start of that stream. A detection failure (a singular channel
+    under ZF) re-runs a chunk of several trials one trial at a time, and
+    wipes a chunk of one: every bit counts as errored."""
     exp_id = EXPERIMENT_IDS[config.experiment.value]
     ch = config.channel
     f = len(trials)
@@ -331,7 +304,7 @@ def _run_chunk(config: SimConfig, streams: PhiloxStreams, trials: range) -> list
         u = np.empty((f, links, per_trial))
         for i, trial in enumerate(trials):
             for j in range(links):
-                streams.uniform(pack_stream_id(exp_id, role + j, trial), u[i, j])
+                draw(pack_stream_id(exp_id, role + j, trial), u[i, j])
         return u.reshape(f * links, per_trial)
 
     def noise(n: int) -> np.ndarray:
@@ -340,7 +313,6 @@ def _run_chunk(config: SimConfig, streams: PhiloxStreams, trials: range) -> list
     bits = bernoulli_bits(uniforms(ROLE_BITS, config.frame_bits))
     syms = qpsk_modulate(bits.ravel())
     n_rx, n_tx = ch.n_rx, ch.n_tx
-    failed = np.zeros(f, dtype=bool)
 
     if config.experiment is Experiment.BER_VS_SNR:
         x = syms.reshape(-1, n_tx) / math.sqrt(n_tx)
@@ -352,15 +324,9 @@ def _run_chunk(config: SimConfig, streams: PhiloxStreams, trials: range) -> list
         try:
             decided = _detect(config, h, y, noise_var)
         except DetectionFailure:
-            # Some frame's channel is singular: detect frame by frame, as
-            # run_frame does, so that only the failing frames are wiped.
-            decided = np.zeros_like(x)
-            for i in range(f):
-                rows = slice(i * n_vec, (i + 1) * n_vec)
-                try:
-                    decided[rows] = _detect(config, h[rows], y[rows], noise_var)
-                except DetectionFailure:
-                    failed[i] = True
+            if f == 1:
+                return [(True, config.frame_bits, config.frame_bits)]
+            return [o for t in trials for o in _run_chunk(config, draw, range(t, t + 1))]
         bits_hat = qpsk_demodulate(decided.ravel())
     else:
         code = ostbc_code(*config.code)
@@ -372,7 +338,6 @@ def _run_chunk(config: SimConfig, streams: PhiloxStreams, trials: range) -> list
         bits_hat = qpsk_demodulate(s_hat.ravel())
 
     errors = np.count_nonzero(bits_hat.reshape(f, -1) != bits, axis=1)
-    errors[failed] = config.frame_bits
     return [(bool(e > 0), int(e), config.frame_bits) for e in errors]
 
 

@@ -377,6 +377,8 @@ def test_unusable_output_paths_exit_one_before_simulating(tmp_path, monkeypatch,
         (["--out", str(tmp_path)], "--out"),
         (["--out", str(out), "--plot-script", missing], "--plot-script"),
         (["--out", str(out), "--plot-script", str(tmp_path)], "--plot-script"),
+        # One file for both would keep only the plot script.
+        (["--out", str(out), "--plot-script", str(tmp_path / "." / "ok.csv")], "--plot-script"),
     ]
     for command, extra in PLOT_ARGS.items():
         for paths, flag in bad_paths:
@@ -384,6 +386,31 @@ def test_unusable_output_paths_exit_one_before_simulating(tmp_path, monkeypatch,
             assert main([command, *extra, *paths]) == 1
             assert flag in capsys.readouterr().err
             assert not out.exists()
+
+
+def test_validate_fading_runtime_failure_exits_two(tmp_path, monkeypatch, capsys):
+    """A failure while validate-fading synthesises and tests its process is
+    a runtime failure, exit 2, whatever its type; its inputs, the
+    AWGN-limit K among them, are checked before fading_init, exit 1. No
+    CSV is written either way."""
+    out = tmp_path / "val.csv"
+    for exc in (RuntimeError, ValueError):
+        def failing(*args, **kwargs):
+            raise exc("forced")
+
+        monkeypatch.setattr(cli, "validate_process", failing)
+        capsys.readouterr()
+        assert main(["validate-fading", "--samples", "100000", "--out", str(out)]) == 2
+        assert "runtime failure: forced" in capsys.readouterr().err
+        assert not out.exists()
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a simulation started")
+
+    monkeypatch.setattr(cli, "fading_init", no_run)
+    assert main(["validate-fading", "--fading", "rician", "--k", "1e9", "--out", str(out)]) == 1
+    assert "AWGN-limit K" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_sweep_string_exits_one(tmp_path):

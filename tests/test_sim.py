@@ -215,7 +215,7 @@ def test_trial_elements_bounds_a_measured_chunk(cfg):
     """The memory model is an upper bound on what a chunk allocates: the
     tracemalloc peak of one _run_chunk stays within chunk_trials *
     trial_elements float64 elements."""
-    streams = sim.PhiloxStreams(cfg.master_seed)
+    streams = sim.PhiloxStreams(cfg.master_seed).uniform
     step = chunk_trials(cfg)
     sim._run_chunk(cfg, streams, range(step))  # fills the per-process caches
     tracemalloc.start()
@@ -260,6 +260,23 @@ def test_stream_ids_never_collide(monkeypatch):
     exp_id = sim.EXPERIMENT_IDS[cfg.experiment.value]
     frame_roles = [sim.ROLE_BITS, sim.ROLE_NOISE] + [sim.ROLE_FADING + link for link in range(sim.MAX_LINKS)]
     assert sorted(drawn) == sorted(pack_stream_id(exp_id, role, MAX_TRIALS - 1) for role in frame_roles)
+
+    # A run_wave chunk of several 4x4 FER trials draws exactly each trial's
+    # bits, noise and 16 link streams, once each.
+    drawn.clear()
+
+    class RecordingStreams(numerics.PhiloxStreams):
+        def uniform(self, stream_id, out):
+            drawn.append(stream_id)
+            return super().uniform(stream_id, out)
+
+    monkeypatch.setattr(sim, "PhiloxStreams", RecordingStreams)
+    cfg = _fer_config(channel=ChannelSpec(n_tx=4, n_rx=4))
+    trials = range(MAX_TRIALS - 4, MAX_TRIALS)
+    assert chunk_trials(cfg) >= len(trials)
+    run_wave(cfg, trials.start, trials.stop)
+    frame_roles = [sim.ROLE_BITS, sim.ROLE_NOISE] + [sim.ROLE_FADING + link for link in range(16)]
+    assert sorted(drawn) == sorted(pack_stream_id(exp_id, role, t) for t in trials for role in frame_roles)
 
 
 def test_run_frame_deterministic():
@@ -333,6 +350,54 @@ def test_reference_chain_reproduces_run_frame():
 
         bit_errors = int(np.count_nonzero(bits_hat != bits))
         assert run_frame(point, trial) == (bit_errors > 0, bit_errors, point.frame_bits)
+
+
+@pytest.mark.parametrize("detector", list(DetectorKind), ids=lambda d: d.value)
+def test_reference_chain_reproduces_run_frame_ber(detector):
+    """Straight-line per-vector reimplementation of the uncoded 4x4 path:
+    each trial's bits, i.i.d. channel and noise from their own streams,
+    every vector received and detected on its own."""
+    from mimolink.channel import noise_variance, path_gain, receive
+    from mimolink.detect import ml_detect_batch, mmse_detect_batch, zf_detect_batch
+    from mimolink.modem import QPSK_POINTS, bernoulli_bits, qpsk_demodulate, qpsk_modulate
+    from mimolink.numerics import complex_normal_from
+    from mimolink.sim import EXPERIMENT_IDS, ROLE_BITS, ROLE_IID_CHANNEL, ROLE_NOISE
+
+    point = _point_config(_ber_config(detector=detector, frame_bits=40, master_seed=3), 5.0)
+    exp_id = EXPERIMENT_IDS[point.experiment.value]
+    ch = point.channel
+    noise_var = noise_variance(point.snr_db)
+    detect = {
+        DetectorKind.ZF: lambda h, y: zf_detect_batch(h, y, QPSK_POINTS),
+        DetectorKind.MMSE: lambda h, y: mmse_detect_batch(h, y, QPSK_POINTS, noise_var),
+        DetectorKind.ML: lambda h, y: ml_detect_batch(h, y, QPSK_POINTS),
+    }[detector]
+
+    trials = range(12)
+    expected = []
+    for trial in trials:
+        def stream(role):
+            return RngStream(point.master_seed, pack_stream_id(exp_id, role, trial))
+
+        bits = bernoulli_bits(stream(ROLE_BITS).uniform(point.frame_bits))
+        x = qpsk_modulate(bits).reshape(-1, ch.n_tx) / math.sqrt(ch.n_tx)
+        h = path_gain(ch) * stream(ROLE_IID_CHANNEL).complex_normal((len(x), ch.n_rx, ch.n_tx))
+        w = complex_normal_from(stream(ROLE_NOISE).uniform(2 * len(x) * ch.n_rx), noise_var)
+        w = w.reshape(len(x), ch.n_rx)
+
+        decided = []
+        for v in range(len(x)):
+            y = receive(h[v : v + 1], x[v : v + 1], 0.0, None) + w[v : v + 1]
+            decided.append(detect(h[v : v + 1], y)[0])
+        bits_hat = qpsk_demodulate(np.concatenate(decided))
+
+        bit_errors = int(np.count_nonzero(bits_hat != bits))
+        expected.append((bit_errors > 0, bit_errors, point.frame_bits))
+
+    assert len(set(expected)) > 1  # trials genuinely differ
+    assert [run_frame(point, t) for t in trials] == expected
+    assert chunk_trials(point) > 1
+    assert run_wave(point, trials.start, trials.stop) == expected
 
 
 def test_stopping_rule_exact_cutoff():
