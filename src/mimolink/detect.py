@@ -10,7 +10,10 @@ of shape (n, N_r, N_t) and observations y of shape (n, N_r).
 zf_detect_batch    pseudo-inverse projection, then per-antenna slicing
 mmse_detect_batch  regularized projection (H^H H + noise_var N_t I)^{-1} H^H y,
                    which is the true MMSE filter for this power convention
-ml_detect_batch    exhaustive search over all |C|^N_t hypotheses
+ml_detect_batch    exhaustive search over all |C|^N_t hypotheses, by halves:
+                   every pairing of a head-antenna and a tail-antenna
+                   partial hypothesis, scored with one batched matmul;
+                   ties go to the lexicographically smallest hypothesis
 
 The linear detectors' pre-slicing estimates (in the transmit domain, i.e.
 targeting x = s / sqrt(N_t)) are available through zf_estimate_batch and
@@ -36,6 +39,7 @@ __all__ = [
     "zf_detect_batch",
     "mmse_detect_batch",
     "ml_detect_batch",
+    "ml_elements",
     "zf_estimate_batch",
     "mmse_estimate_batch",
 ]
@@ -127,26 +131,60 @@ def mmse_detect_batch(
 def _hypothesis_grid(points: np.ndarray, n_tx: int) -> np.ndarray:
     # All |C|^n_tx transmit hypotheses in lexicographic order: the first
     # antenna's symbol index is the most significant digit. Row b of the
-    # result is the hypothesis with index b.
+    # result is the hypothesis with index b; n_tx = 0 gives one empty one.
     m = len(points)
-    idx = np.indices((m,) * n_tx).reshape(n_tx, -1).T
+    idx = np.indices((m,) * n_tx).reshape(n_tx, m**n_tx).T
     return points[idx]
+
+
+def _head_antennas(n_tx: int) -> int:
+    # The ML search splits the antennas into a head of ceil(N_t / 2) and
+    # the tail.
+    return -(-n_tx // 2)
+
+
+def ml_elements(n_rx: int, n_tx: int, m: int) -> int:
+    """Float64 scratch that ml_detect_batch holds per vector for an m-point
+    constellation: 6 per hypothesis (the cross terms, the distances and
+    their temporaries) and 2 per (head or tail hypothesis, receive antenna)
+    for the residuals and tail images."""
+    a = _head_antennas(n_tx)
+    return 6 * m**n_tx + 2 * (m**a + m ** (n_tx - a)) * n_rx
 
 
 def ml_detect_batch(h: np.ndarray, y: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Exhaustive maximum-likelihood detection of a batch.
 
-    Minimizes ||y - H x||^2 over every constellation combination. Distance
+    Minimizes ||y - H x||^2 over every constellation combination, as a
+    half-grid search: with a = ceil(N_t / 2) head antennas, hypothesis
+    (i, j) pairs head hypothesis i with tail hypothesis j, and
+    ||y - H x||^2 = ||r_i||^2 + ||b_j||^2 - 2 Re(r_i^H b_j) for the head
+    residual r_i = y - H_head x_i and the tail image b_j = H_tail x_j. The
+    cross terms of a vector are one (Ka, N_r) @ (N_r, Kb) product. Distance
     ties resolve to the lexicographically smallest hypothesis (antenna 0
-    most significant, constellation order as given). The search size
-    |points|^N_t must stay under one million.
+    most significant, constellation order as given), which is the
+    smallest row-major (i, j). The search size |points|^N_t must stay
+    under one million.
     """
     h, y = _check_y_h(h, y)
     n_tx = h.shape[-1]
+    points = np.asarray(points, dtype=np.complex128)
     if len(points) ** n_tx > ML_MAX_HYPOTHESES:
         raise ValueError("hypothesis space too large for exhaustive search")
-    grid = _hypothesis_grid(np.asarray(points, dtype=np.complex128), n_tx)
-    candidates = np.einsum("nrt,kt->nkr", h, grid) / math.sqrt(n_tx)
-    dist = np.sum(np.abs(y[:, None, :] - candidates) ** 2, axis=2)
-    best = np.argmin(dist, axis=1)
-    return grid[best]
+    a = _head_antennas(n_tx)
+    head = _hypothesis_grid(points, a)
+    tail = head if n_tx - a == a else _hypothesis_grid(points, n_tx - a)
+    # Residuals (n, Ka, N_r) and tail images (n, Kb, N_r), whose float64
+    # views interleave real and imaginary parts, so that one real matmul
+    # gives Re(r^H b).
+    hx = h.swapaxes(-1, -2) / math.sqrt(n_tx)
+    r = head @ hx[:, :a]
+    np.subtract(y[:, None, :], r, out=r)
+    b = tail @ hx[:, a:]
+    rv, bv = r.view(np.float64), b.view(np.float64)
+    cross = rv @ bv.swapaxes(-1, -2)
+    dist = np.einsum("nkr,nkr->nk", rv, rv)[:, :, None] + np.einsum("nkr,nkr->nk", bv, bv)[:, None, :]
+    cross *= 2.0
+    dist -= cross
+    i, j = np.divmod(np.argmin(dist.reshape(len(y), -1), axis=1), len(tail))
+    return np.concatenate([head[i], tail[j]], axis=1)

@@ -28,10 +28,10 @@ numerics.CHUNK_ELEMENTS by the memory model trial_elements: three 4x4 FER
 frames at fs = 1 MHz, where a frame lies in one of the fading kernel's
 Taylor blocks and its scratch is a few times M per link; one at low sample
 rates, where a frame spans many blocks or the kernel is the direct sum;
-about twenty 2x1 FER or uncoded ZF frames. The serial path runs one chunk
-at a time and checks the error target after each; the process pool gets
-waves of WAVE_FRAMES trials split evenly over its workers, and each worker
-runs its span chunk by chunk.
+about twenty 2x1 FER or uncoded ZF frames; two uncoded 4x4 ML frames. The
+serial path runs one chunk at a time and checks the error target after
+each; the process pool gets waves of WAVE_FRAMES trials split evenly over
+its workers, and each worker runs its span chunk by chunk.
 
 Frame chain for the FER experiments: Bernoulli bits -> QPSK -> OSTBC encode
 -> time-varying correlated channel + AWGN -> combine (channel of each
@@ -59,6 +59,7 @@ from .detect import (
     DetectionFailure,
     DetectorKind,
     ml_detect_batch,
+    ml_elements,
     mmse_detect_batch,
     zf_detect_batch,
 )
@@ -249,18 +250,18 @@ def trial_elements(config: SimConfig) -> int:
     sinusoid (the fading uniforms and angle tables, and the cosines, sines
     and phases that link_gains reads), 4 per sample (gains and channel
     matrices), and fading.block_elements for each block a frame touches;
-    plus 3 per frame bit. BER chain: 13 per complex channel entry under ZF
-    and MMSE, 6 per complex (vector, hypothesis, n_rx) candidate under ML.
-    chunk_trials sizes chunks by it, and SimConfig.validate bounds it by
-    MAX_TRIAL_ELEMENTS.
+    plus 3 per frame bit. BER chain: 13 per complex channel entry, plus
+    detect.ml_elements per vector under ML. chunk_trials sizes chunks by
+    it, and SimConfig.validate bounds it by MAX_TRIAL_ELEMENTS.
     """
     ch = config.channel
     n_symbols = config.frame_bits // 2
     if config.experiment is Experiment.BER_VS_SNR:
         n_vec = n_symbols // ch.n_tx
+        per_vec = 13 * ch.n_rx * ch.n_tx
         if config.detector is DetectorKind.ML:
-            return 6 * n_vec * len(QPSK_POINTS) ** ch.n_tx * ch.n_rx
-        return 13 * n_vec * ch.n_rx * ch.n_tx
+            per_vec += ml_elements(ch.n_rx, ch.n_tx, len(QPSK_POINTS))
+        return n_vec * per_vec
     code = ostbc_code(*config.code)
     rows = n_symbols // code.n_symbols * code.block_len
     blocks = -(-rows // block_plan(ch.fading)[0])

@@ -161,6 +161,40 @@ def test_ml_matches_independent_enumeration():
         np.testing.assert_array_equal(got[n], best)
 
 
+_BPSK = np.array([1.0, -1.0], dtype=np.complex128)
+_8PSK = np.exp(2j * np.pi * np.arange(8) / 8)
+
+
+@pytest.mark.parametrize("points", [_BPSK, QPSK_POINTS, _8PSK], ids=["bpsk", "qpsk", "8psk"])
+@pytest.mark.parametrize("n_rx", [1, 2, 4])
+@pytest.mark.parametrize("n_tx", [1, 2, 3, 4])
+def test_ml_matches_per_vector_enumeration(n_tx, n_rx, points):
+    """The batched search equals a straight per-vector enumeration in
+    lexicographic order, for every head/tail split of the antennas: an
+    empty tail (N_t = 1), an odd split (N_t = 3), and fewer receive than
+    transmit antennas."""
+    stream = RngStream(30 + 4 * n_tx + n_rx, len(points))
+    n = 12
+    x = points[(stream.uniform(n * n_tx).reshape(n, n_tx) * len(points)).astype(int)]
+    h = stream.complex_normal((n, n_rx, n_tx))
+    y = np.einsum("nrt,nt->nr", h, x) / math.sqrt(n_tx) + stream.complex_normal((n, n_rx), var=0.3)
+    hyps = np.array(list(itertools.product(points, repeat=n_tx)))
+    want = np.empty_like(x)
+    for k in range(n):
+        dist = [float(np.sum(np.abs(y[k] - h[k] @ hyp / math.sqrt(n_tx)) ** 2)) for hyp in hyps]
+        want[k] = hyps[int(np.argmin(dist))]
+    np.testing.assert_array_equal(ml_detect_batch(h, y, points), want)
+
+
+def test_ml_zero_channel_picks_hypothesis_zero():
+    """A zero channel makes every hypothesis equidistant; with an odd
+    split (N_t = 3) the search still returns hypothesis 0."""
+    stream = RngStream(40, 0)
+    h = np.zeros((5, 2, 3), dtype=np.complex128)
+    y = stream.complex_normal((5, 2))
+    np.testing.assert_array_equal(ml_detect_batch(h, y, QPSK_POINTS), np.full((5, 3), QPSK_POINTS[0]))
+
+
 def test_ml_tie_breaks_to_lexicographic_smallest():
     # y = 0 with H = I makes every hypothesis equidistant in each coordinate
     h = np.eye(2, dtype=np.complex128)[None]

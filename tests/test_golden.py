@@ -2,9 +2,9 @@
 
 The cases together cover all five OSTBC designs, every correlation level,
 Rician fading with a moving line of sight, all three detectors (ZF at 0 dB
-included), the error-target cut, and the worker pool, with at least 500
-frames per CSV. A change to any one trial's outcome on any of these paths
-changes a digest. Two validate-fading cases, Rayleigh and Rician with a
+included, ML also at an odd 3x2 antenna split), the error-target cut, and
+the worker pool, with at least 500 frames per CSV. A change to any one
+trial's outcome on any of these paths changes a digest. Two validate-fading cases, Rayleigh and Rician with a
 moving line of sight, pin its stream and its CSV header. The digests were recorded with the per-frame engine that
 run_frame still implements, so they also pin the batched engine to it.
 """
@@ -60,6 +60,12 @@ CASES = [
     ((*_BER, "--detector", "zf"), "d62246837b881de7942ae43b1211d0a1dc709c7a23e01358649fe08dcfc1bfbb"),
     ((*_BER, "--detector", "mmse"), "a712fbd0cb1996094968e9303fda3a43826b1b831acb54c3e6e0c572e1e0f8b0"),
     ((*_BER, "--detector", "ml"), "a74c06c32ba019e482f08645bc414e3cb04c85a357a51e07cfdca3ac93283530"),
+    (
+        # An odd head/tail split of the ML search, with fewer receive than
+        # transmit antennas.
+        (*_BER, "--nt", "3", "--nr", "2", "--detector", "ml"),
+        "a1cab89a73f921da46fbb4c5b483bbf33a473315e60ff70072e829aca3d4fb45",
+    ),
     (_VALIDATE, "5bcc30857070774884e1c320852d78acfbe29fc481dff645cbe7e66080e2ab67"),
     (
         (*_VALIDATE, "--fading", "rician", "--k", "4", "--los-doppler-hz", "100",

@@ -197,6 +197,14 @@ def test_config_validation_bounds_trial_memory():
         ber.validate()
         with pytest.raises(ValueError, match="MAX_TRIAL_ELEMENTS"):
             replace(ber, frame_bits=2_000_000_000).validate()
+    # 4x4 ML charges 13 * 16 + 6 * 256 + 2 * (16 + 16) * 4 = 2,000 elements
+    # per vector of 8 bits, so the largest frame that validates has 8,388
+    # vectors.
+    ml = _ber_config(detector=DetectorKind.ML)
+    assert sim.trial_elements(replace(ml, frame_bits=120)) == 15 * 2_000
+    replace(ml, frame_bits=67_104).validate()
+    with pytest.raises(ValueError, match="MAX_TRIAL_ELEMENTS"):
+        replace(ml, frame_bits=67_112).validate()
     # chunk_trials reads the same estimate: 12 bits are 8 rows.
     assert chunk_trials(_point_config(fer, -5.0)) == numerics.CHUNK_ELEMENTS // (16 * (352 + 32 + 308) + 36)
 
@@ -208,9 +216,17 @@ def test_config_validation_bounds_trial_memory():
         channel=ChannelSpec(n_tx=2, n_rx=1, fading=FadingSpec(
             model=FadingModel.RICIAN, k_factor=4.0, los_doppler_hz=100.0)),
     ), 50.0),
+    # At fs = 10 kHz a frame spans ten of the fading kernel's blocks.
+    _point_config(_fer_config(
+        channel=ChannelSpec(n_tx=4, n_rx=4, fading=FadingSpec(sample_rate_hz=1e4)), frame_bits=120,
+    ), -5.0),
     _point_config(_ber_config(detector=DetectorKind.ZF, frame_bits=120), 10.0),
     _point_config(_ber_config(detector=DetectorKind.ML, frame_bits=120), 10.0),
-], ids=["fer-4x4-4x3/4", "fer-2x1-rician", "ber-zf", "ber-ml"])
+    # ML with an odd split and fewer receive than transmit antennas, and
+    # with one transmit antenna, where the residuals outweigh the distances.
+    _point_config(_ber_config(detector=DetectorKind.ML, channel=ChannelSpec(n_tx=3, n_rx=2), frame_bits=120), 10.0),
+    _point_config(_ber_config(detector=DetectorKind.ML, channel=ChannelSpec(n_tx=1, n_rx=4), frame_bits=120), 10.0),
+], ids=["fer-4x4-4x3/4", "fer-2x1-rician", "fer-4x4-10khz", "ber-zf", "ber-ml", "ber-ml-3x2", "ber-ml-1x4"])
 def test_trial_elements_bounds_a_measured_chunk(cfg):
     """The memory model is an upper bound on what a chunk allocates: the
     tracemalloc peak of one _run_chunk stays within chunk_trials *
