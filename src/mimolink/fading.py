@@ -16,22 +16,35 @@ Clarke spectrum's J0(2 pi f_d tau) as M grows.
 link_gains is the one synthesis kernel. It evaluates the sums of cosines of
 many links at sample indices n, t = n / fs, block by block: the samples
 fall in blocks of L, anchored at absolute multiples of L with the anchor
-c = jL + L // 2, and in each block every sum is its degree-K Taylor
-polynomial in (n - c),
+c = jL + L // 2, and every sum starts from theta_m, the phase at the
+anchor, computed by the same expression as the direct sum. With
+d_m = w_d f_m / fs the phase step of one sample, block_plan picks one of
+three plans from the spec alone:
 
-    sum_m cos(theta_m + (n - c) d_m) = sum_k mu_k (n - c)^k,
-    mu_k = sum_m cos(theta_m + k pi/2) d_m^k / k!,
+- Taylor blocks, at high sample rates (fs >= 50 kHz at f_d = 100 Hz):
+  every sum is its degree-K Taylor polynomial in (n - c),
 
-with theta_m the phase at the anchor, computed by the same expression as
-the direct sum, and d_m = w_d f_m / fs the phase step of one sample. A
-block costs 2M trig calls, and a sample K multiply-adds instead of M
-cosines. block_plan picks (L, K) from the spec alone: the truncation error
-of a gain is at most TAYLOR_TOL (1e-16). Near Nyquist (fs = 256 Hz at
-f_d = 100 Hz, say) it picks L = 1, K = 0: every sample is its own anchor,
-and the kernel computes the direct sum, operation for operation. Because
-the blocks are absolute, a value depends only on its sample index, never on
-where a call starts or how it is tiled: links and blocks are taken in tiles
-of at most numerics.CHUNK_ELEMENTS float64 elements (0.5 MiB) of scratch.
+      sum_m cos(theta_m + (n - c) d_m) = sum_k mu_k (n - c)^k,
+      mu_k = sum_m cos(theta_m + k pi/2) d_m^k / k!,
+
+  so a block costs 2M trig calls and a sample K multiply-adds. The
+  truncation error of a gain is at most TAYLOR_TOL (1e-16).
+- Rotation blocks of L = ROTATION_BLOCK (32), at low sample rates, near
+  Nyquist included (256 Hz to 20 kHz at f_d = 100 Hz): at the offset
+  k = n - c,
+
+      cos(theta_m + k d_m) = cos theta_m cos(k d_m) - sin theta_m sin(k d_m),
+
+  from per-link tables of cos(k d_m) and sin(k d_m), built once per call.
+  A block costs 2M trig calls and a sample about M multiply-adds. Nothing
+  is truncated: only the rounding differs from the direct sum.
+- The direct sum (L = 1, K = 0, every sample its own anchor), operation
+  for operation, where M is too large for the rotation tables.
+
+Because the blocks are absolute, a value depends only on its sample index,
+never on where a call starts or how it is tiled: links and blocks are
+taken in tiles of at most numerics.CHUNK_ELEMENTS float64 elements
+(0.5 MiB) of scratch, besides numpy's iterator buffers.
 A FadingProcess is a cursor over the kernel: it holds the angle tables of
 one link or of a batch of links, and fading_next asks link_gains for all of
 them at the process's next sample indices.
@@ -43,6 +56,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +72,7 @@ __all__ = [
     "fading_draws",
     "fading_angles",
     "fading_next",
+    "BlockPlan",
     "block_plan",
     "block_elements",
     "link_gains",
@@ -83,14 +98,28 @@ MAX_VALIDATION_SAMPLES = 10_000_000
 # sample. MAX_BLOCK_TURN (rad) bounds the phase turn from a block's anchor
 # to its edge, so that no Taylor term outgrows the direct sum by more than
 # e^0.5 and the polynomial rounds about as the direct sum does. MAX_BLOCK
-# caps L. COS_COST is the cost of numpy's float64 cos (or sin) in
-# elementwise operations: about 20 ns against 0.7 to 1.1 ns for a
-# broadcast multiply or a last-axis sum, timed with numpy 2.4 on an x86-64
-# Xeon.
+# caps L. ROTATION_BLOCK is the L of rotation blocks, fixed so that the
+# anchors, and with them every value, depend on the spec alone. MAX_TABLE
+# caps a link's 2(L + 2)M rotation table elements at a quarter of the
+# kernel's scratch budget, so that a tile holds several links.
 TAYLOR_TOL = 1e-16
 MAX_BLOCK_TURN = 0.5
 MAX_BLOCK = 1024
-COS_COST = 25
+ROTATION_BLOCK = 32
+MAX_TABLE = numerics.CHUNK_ELEMENTS // 4
+# block_plan's cost model, in units of one float64 elementwise multiply
+# (0.38 ns), fitted to timings with numpy 2.4 on an x86-64 Xeon: a cos or
+# sin (30 to 90 units, by the size of its argument), one Taylor moment per
+# sinusoid and block (a product and a last-axis sum: 8 to 11), one Horner
+# step per sample (a broadcast multiply and add in place, which numpy
+# buffers: 5 to 9), and one product and sum of the rotation contraction.
+# ROTATION_CALL is the call length, in samples, that shares a call's
+# rotation tables: the 80 rows of a default 4x4 FER frame.
+COS_COST = 40
+TAYLOR_MOMENT = 8
+HORNER_STEP = 7
+ROTATION_MAC = 1.5
+ROTATION_CALL = 80
 
 
 class FadingModel(enum.Enum):
@@ -181,53 +210,138 @@ def fading_init(spec: FadingSpec, rng: RngStream) -> FadingProcess:
     return FadingProcess(spec=spec, alphas=alphas, psis=psis, thetas=thetas)
 
 
-@functools.lru_cache(maxsize=64)
-def block_plan(spec: FadingSpec) -> tuple[int, int]:
-    """The (L, K) plan of link_gains for a spec: blocks of L samples, and
-    each block's sums of sinusoids as degree-K Taylor polynomials about
-    the block's anchor sample.
+class BlockPlan(NamedTuple):
+    """link_gains's plan for a spec: the mode ("direct", "taylor" or
+    "rotation"), the block length L and the Taylor order K (0 unless the
+    mode is "taylor")."""
 
-    A candidate L = 2^p (at most MAX_BLOCK) is one whose anchor-to-edge
-    turn x = L/2 * d_max, with d_max = 2 pi f_d / f_s, is at most
-    MAX_BLOCK_TURN; it takes the least K with
-    sqrt(M) x^(K+1) / (K+1)! <= TAYLOR_TOL, which bounds the truncation
-    error of a unit-power gain. The candidate with the fewest elementwise
-    operations per sample wins. L = 1, K = 0 (every sample its own anchor:
-    the direct sum) stands when none is cheaper, as near Nyquist.
+    mode: str
+    length: int
+    order: int
+
+
+@functools.lru_cache(maxsize=64)
+def block_plan(spec: FadingSpec) -> BlockPlan:
+    """The synthesis plan of link_gains for a spec, from the spec alone.
+    The samples fall in blocks of L, anchored at c = jL + L // 2, and each
+    block's sums of sinusoids start from their phases theta_m at c:
+
+    - "taylor": each sum is its degree-K Taylor polynomial in n - c. A
+      candidate L = 2^p (at most MAX_BLOCK) is one whose anchor-to-edge
+      turn x = L/2 * d_max, with d_max = 2 pi f_d / f_s, is at most
+      MAX_BLOCK_TURN; it takes the least K with
+      sqrt(M) x^(K+1) / (K+1)! <= TAYLOR_TOL, which bounds the truncation
+      error of a unit-power gain.
+    - "rotation": L = ROTATION_BLOCK, and each cosine at the offset
+      k = n - c is cos(theta_m) cos(k d_m) - sin(theta_m) sin(k d_m), from
+      per-link tables of cos(k d_m) and sin(k d_m) at k = 0, ..., L/2.
+      Exact but for rounding, at any sample rate; a candidate while a
+      link's 2(L + 2)M table elements fit MAX_TABLE.
+    - "direct": L = 1, K = 0, every sample its own anchor: the direct sum.
+
+    The candidate with the fewest elementwise operations per sample wins,
+    by the cost model of COS_COST and its neighbours. At f_d = 100 Hz and
+    M = 32 that is rotation blocks up to 20 kHz, where Taylor blocks are
+    short or of high order, and Taylor blocks from 50 kHz: (128, 11) at
+    200 kHz, (256, 9) at 1 MHz. The direct sum stands only where M is too
+    large for the rotation tables (M > 240).
     """
     m = spec.num_sinusoids
     d_max = 2.0 * math.pi * spec.max_doppler_hz / spec.sample_rate_hz
-    best, best_cost = (1, 0), m * (COS_COST + 2)
+    best, best_cost = BlockPlan("direct", 1, 0), m * (COS_COST + 2)
+    if 2 * (ROTATION_BLOCK + 2) * m <= MAX_TABLE:
+        # Per sample: a block's 2M trig calls at its anchor, shared by its
+        # L samples; the tables' log2(L) pairs of trig calls per sinusoid,
+        # shared by a call; and two contractions of M products for each
+        # pair of offsets +-k.
+        trig = 2 * m * COS_COST * (1 / ROTATION_BLOCK + math.log2(ROTATION_BLOCK) / ROTATION_CALL)
+        cost = trig + ROTATION_MAC * m * (ROTATION_BLOCK + 2) / ROTATION_BLOCK
+        if cost < best_cost:
+            best, best_cost = BlockPlan("rotation", ROTATION_BLOCK, 0), cost
     length = 2
     while length <= MAX_BLOCK and length / 2 * d_max <= MAX_BLOCK_TURN:
         x, order = length / 2 * d_max, 0
         while math.sqrt(m) * x ** (order + 1) / math.factorial(order + 1) > TAYLOR_TOL:
             order += 1
-        # Per sample: a block's 2M trig calls and about 2(K + 1)M products
-        # and sums, shared by its L samples, then K steps of Horner's rule
-        # at 3 operations each (a multiply and an add in place, which numpy
-        # buffers).
-        cost = m * (2 * COS_COST + 2 * (order + 1)) / length + 3 * order + 1
+        # Per sample: a block's 2M trig calls and its K + 1 moments, shared
+        # by its L samples, then K steps of Horner's rule.
+        cost = m * (2 * COS_COST + TAYLOR_MOMENT * (order + 1)) / length + HORNER_STEP * order + 1
         if cost < best_cost:
-            best, best_cost = (length, order), cost
+            best, best_cost = BlockPlan("taylor", length, order), cost
         length *= 2
     return best
 
 
+def _anchor_phases(
+    freqs: np.ndarray, phases: np.ndarray, wd: float, fs: float, length: int, j0: int, j1: int, out: np.ndarray
+) -> None:
+    # The phases at the anchors c = jL + L // 2 of blocks j0 <= j < j1, by
+    # the direct sum's expression, into out (..., j1 - j0, M).
+    centres = (np.arange(j0, j1) * length + length // 2) / fs
+    np.multiply(centres[:, None], freqs[..., None, :], out=out)
+    out *= wd
+    out += phases[..., None, :]
+
+
+def _rotation_tables(freqs: np.ndarray, step: float, length: int) -> tuple[np.ndarray, np.ndarray]:
+    # cos(k d_m) and sin(k d_m) at k = 0, ..., L/2, with d_m = f_m * step:
+    # two (L/2 + 1, ..., M) arrays. Rows [p, 2p) are rows [0, p) turned by
+    # e^{ipd} for p = 1, 2, ..., L/4, and row L/2 is trig: log2(L) trig
+    # calls per sinusoid, and row k rounds as popcount(k) - 1 products.
+    half = length // 2
+    d = freqs * step
+    cos, sin = np.empty((2, half + 1, *freqs.shape))
+    cos[0], sin[0] = 1.0, 0.0
+    p = 1
+    while p < half:
+        turn = d * p
+        rc, rs = np.cos(turn), np.sin(turn)
+        c, s, re, im = cos[:p], sin[:p], cos[p : 2 * p], sin[p : 2 * p]
+        np.multiply(s, rs, out=im)
+        np.multiply(c, rc, out=re)
+        re -= im
+        np.multiply(c, rs, out=im)
+        im += s * rc
+        p *= 2
+    np.cos(d * half, out=cos[half])
+    np.sin(d * half, out=sin[half])
+    return cos, sin
+
+
 def _block_sums(
-    freqs: np.ndarray, phases: np.ndarray, wd: float, fs: float, plan: tuple[int, int], lo: int, hi: int
+    freqs: np.ndarray,
+    phases: np.ndarray,
+    wd: float,
+    fs: float,
+    plan: BlockPlan,
+    tables: tuple[np.ndarray, np.ndarray] | None,
+    lo: int,
+    hi: int,
 ) -> np.ndarray:
     # sum_m cos((n / fs * freqs[..., m]) * wd + phases[..., m]) for samples
-    # lo <= n < hi, shape (..., hi - lo), by the Taylor polynomials of the
-    # blocks that [lo, hi) touches, about their anchors c = jL + L // 2.
-    length, order = plan
+    # lo <= n < hi, shape (..., hi - lo), from the blocks that [lo, hi)
+    # touches, about their anchors c = jL + L // 2.
+    _, length, order = plan
+    m = freqs.shape[-1]
     j0, j1 = lo // length, (hi - 1) // length + 1
-    centres = (np.arange(j0, j1) * length + length // 2) / fs
-    # The phases at the anchors, by the direct sum's expression, so that
-    # L = 1, K = 0 is the direct sum.
-    theta = np.multiply(centres[:, None], freqs[..., None, :])
-    theta *= wd
-    theta += phases[..., None, :]
+    if tables is not None:
+        # Rotation: at the offsets +-k from an anchor the sum is A_k -+ B_k,
+        # with A_k = sum_m cos(theta_m) cos(k d_m) and B_k the same of the
+        # sines, each contracted over the M sinusoids in one fixed order,
+        # so that a value does not depend on the tile's shape.
+        half = length // 2
+        trig = np.empty((2, *freqs.shape[:-1], j1 - j0, m))
+        _anchor_phases(freqs, phases, wd, fs, length, j0, j1, trig[0])
+        np.sin(trig[0], out=trig[1])
+        np.cos(trig[0], out=trig[0])
+        a = np.einsum("...jm,k...m->...jk", trig[0], tables[0])
+        b = np.einsum("...jm,k...m->...jk", trig[1], tables[1])
+        acc = np.empty((*a.shape[:-1], length))
+        np.subtract(a[..., :half], b[..., :half], out=acc[..., half:])
+        np.add(a[..., half:0:-1], b[..., half:0:-1], out=acc[..., :half])
+        return acc.reshape(*acc.shape[:-2], -1)[..., lo - j0 * length : hi - j0 * length]
+    theta = np.empty((*freqs.shape[:-1], j1 - j0, m))
+    _anchor_phases(freqs, phases, wd, fs, length, j0, j1, theta)
     sin = np.sin(theta) if order else None
     cos = np.cos(theta, out=theta)
     # mu_k = sum_m cos^(k)(theta_m) d_m^k / k!, with d_m = wd f_m / fs the
@@ -235,7 +349,7 @@ def _block_sums(
     mu = np.empty((order + 1, *theta.shape[:-1]))
     np.sum(cos, axis=-1, out=mu[0])
     if order:
-        weight = np.ones((*freqs.shape[:-1], 1, freqs.shape[-1]))
+        weight = np.ones((*freqs.shape[:-1], 1, m))
         term = np.empty_like(theta)
         for k in range(1, order + 1):
             weight *= freqs[..., None, :]
@@ -258,15 +372,21 @@ def _block_sums(
     return acc.reshape(*acc.shape[:-2], -1)[..., skip : skip + hi - lo]
 
 
-def block_elements(spec: FadingSpec, n: int) -> int:
-    """Float64 scratch that link_gains holds for one link's block in a call
-    for n samples. For each quadrature: the M anchor phases, and when
-    K > 0 their sines, the weights d^k / k! and one moment term, M each;
-    the K + 1 moments; and Horner's values at up to min(L, n) samples,
-    twice, as numpy's broadcast in-place steps buffer a copy."""
-    length, order = block_plan(spec)
+def block_elements(spec: FadingSpec, n: int) -> tuple[int, int]:
+    """Float64 scratch that link_gains holds in a call for n samples, as
+    (per link, per block of a link). Per link, under rotation: the tables
+    of cos and sin at L/2 + 1 offsets for the two quadratures, 2(L + 2)M,
+    and the product of their last turn, LM/2. Per block, for each
+    quadrature: under rotation, the M anchor cosines and M sines, the
+    L/2 + 1 sums A_k and B_k each, and the L gains; otherwise the M anchor
+    phases, and when K > 0 their sines, the weights d^k / k! and one moment
+    term, M each, the K + 1 moments, and Horner's values at up to min(L, n)
+    samples, twice, as numpy's broadcast in-place steps buffer a copy."""
+    mode, length, order = block_plan(spec)
     m = spec.num_sinusoids
-    return 2 * ((4 if order else 1) * m + order + 1 + 2 * min(length, n))
+    if mode == "rotation":
+        return (2 * length + 4 + length // 2) * m, 2 * (2 * m + 2 * length + 2)
+    return 0, 2 * ((4 if order else 1) * m + order + 1 + 2 * min(length, n))
 
 
 def link_gains(
@@ -284,7 +404,7 @@ def link_gains(
     anchored at absolute multiples of L, so a value does not depend on
     where a call starts or ends. Links and blocks are taken in tiles whose
     scratch holds at most numerics.CHUNK_ELEMENTS float64 elements (and at
-    least one link's block); the tiling never changes a value.
+    least one link's tables and block); the tiling never changes a value.
     """
     n_links, m = alphas.shape
     out = np.empty((n_links, n), dtype=np.complex128)
@@ -304,27 +424,30 @@ def link_gains(
     if n == 0:
         return out
     plan = block_plan(spec)
-    length = plan[0]
+    length = plan.length
     wd = 2.0 * np.pi * spec.max_doppler_hz
     scale = 1.0 / math.sqrt(m)
     # Both quadratures of a link side by side: (2, B, M).
     freqs = np.stack([np.cos(alphas), np.sin(alphas)])
     phases = np.stack([psis, thetas])
     first, last = start // length, (start + n - 1) // length + 1
-    per_block = block_elements(spec, n)
-    blocks = max(1, min(last - first, numerics.CHUNK_ELEMENTS // per_block))
-    group = max(1, numerics.CHUNK_ELEMENTS // (blocks * per_block))
+    per_link, per_block = block_elements(spec, n)
+    blocks = max(1, min(last - first, (numerics.CHUNK_ELEMENTS - per_link) // per_block))
+    group = max(1, numerics.CHUNK_ELEMENTS // (per_link + blocks * per_block))
     for b0 in range(0, n_links, group):
         rows = slice(b0, b0 + group)
+        # The rotation tables, once per group of links for all its tiles.
+        tables = _rotation_tables(freqs[:, rows], wd / fs, length) if plan.mode == "rotation" else None
         for j in range(first, last, blocks):
             lo, hi = max(start, j * length), min(start + n, (j + blocks) * length)
-            re, im = _block_sums(freqs[:, rows], phases[:, rows], wd, fs, plan, lo, hi)
+            re, im = _block_sums(freqs[:, rows], phases[:, rows], wd, fs, plan, tables, lo, hi)
             g = out[rows, lo - start : hi - start]
             np.multiply(re, scale, out=g.real)
             np.multiply(im, scale, out=g.imag)
             if rician:
                 g *= math.sqrt(1.0 / (k + 1.0))
                 g += los(lo, hi)
+        del tables  # before the next group's are built
     return out
 
 

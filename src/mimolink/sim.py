@@ -27,8 +27,8 @@ layers take uniforms. A chunk holds as many trials as fit
 numerics.CHUNK_ELEMENTS by the memory model trial_elements: three 4x4 FER
 frames at fs = 1 MHz, where a frame lies in one of the fading kernel's
 Taylor blocks and its scratch is a few times M per link; one at low sample
-rates, where a frame spans many blocks or the kernel is the direct sum;
-about twenty 2x1 FER or uncoded ZF frames; two uncoded 4x4 ML frames. The
+rates, where each link holds rotation tables of 68M elements; about twenty
+2x1 FER frames at 1 MHz or uncoded ZF frames; two uncoded 4x4 ML frames. The
 serial path runs one chunk at a time and checks the error target after
 each; the process pool gets waves of WAVE_FRAMES trials split evenly over
 its workers, and each worker runs its span chunk by chunk.
@@ -249,10 +249,11 @@ def trial_elements(config: SimConfig) -> int:
     as tracemalloc measures it, rounded up. FER chain, per link: 11 per
     sinusoid (the fading uniforms and angle tables, and the cosines, sines
     and phases that link_gains reads), 4 per sample (gains and channel
-    matrices), and fading.block_elements for each block a frame touches;
-    plus 3 per frame bit. BER chain: 13 per complex channel entry, plus
-    detect.ml_elements per vector under ML. chunk_trials sizes chunks by
-    it, and SimConfig.validate bounds it by MAX_TRIAL_ELEMENTS.
+    matrices), and fading.block_elements, once for the rotation tables and
+    once for each block a frame touches; plus 3 per frame bit. BER chain:
+    13 per complex channel entry, plus detect.ml_elements per vector under
+    ML. chunk_trials sizes chunks by it, and SimConfig.validate bounds it
+    by MAX_TRIAL_ELEMENTS.
     """
     ch = config.channel
     n_symbols = config.frame_bits // 2
@@ -264,8 +265,9 @@ def trial_elements(config: SimConfig) -> int:
         return n_vec * per_vec
     code = ostbc_code(*config.code)
     rows = n_symbols // code.n_symbols * code.block_len
-    blocks = -(-rows // block_plan(ch.fading)[0])
-    per_link = 11 * ch.fading.num_sinusoids + 4 * rows + blocks * block_elements(ch.fading, rows)
+    blocks = -(-rows // block_plan(ch.fading).length)
+    table, per_block = block_elements(ch.fading, rows)
+    per_link = 11 * ch.fading.num_sinusoids + 4 * rows + table + blocks * per_block
     return ch.n_rx * ch.n_tx * per_link + 3 * config.frame_bits
 
 

@@ -11,8 +11,10 @@ from mimolink import numerics
 from mimolink.fading import (
     K_AWGN_SENTINEL,
     MAX_BLOCK_TURN,
+    MAX_TABLE,
     MAX_VALIDATION_SAMPLES,
     MIN_VALIDATION_SAMPLES,
+    ROTATION_BLOCK,
     TAYLOR_TOL,
     EnvelopeStats,
     FadingModel,
@@ -139,32 +141,35 @@ def _mp_gains(spec, alphas, psis, thetas, samples):
     return out
 
 
-def _taylor_error_bound_holds(spec, u, start, n, samples):
-    """link_gains from sample start is within the Taylor kernel's accuracy
+def _error_bound_holds(spec, u, start, n, samples):
+    """link_gains from sample start is within the block kernels' accuracy
     bound at the given samples: its deviation from the 120-bit reference is
     at most twice the direct sum's, plus 1e-14. At large t both are limited
     by the rounding of the phase arguments, which the factor 2 allows for;
-    near t = 0 the 1e-14 covers the truncation and the polynomial's
-    rounding."""
+    near t = 0 the 1e-14 covers a Taylor block's truncation and the
+    rounding of its polynomial or of a rotation block's products."""
     angles = fading_angles(spec, u)
-    taylor = link_gains(spec, *angles, start, n)[:, samples - start]
+    blocks = link_gains(spec, *angles, start, n)[:, samples - start]
     procs = [FadingProcess(spec, *fading_angles(spec, row)) for row in u]
     direct = np.stack([_outer_product_gains(p, samples / spec.sample_rate_hz) for p in procs])
     ref = _mp_gains(spec, *angles, samples)
-    taylor_err, direct_err = np.max(np.abs(taylor - ref)), np.max(np.abs(direct - ref))
-    assert taylor_err <= 2.0 * direct_err + 1e-14, (taylor_err, direct_err)
+    blocks_err, direct_err = np.max(np.abs(blocks - ref)), np.max(np.abs(direct - ref))
+    assert blocks_err <= 2.0 * direct_err + 1e-14, (blocks_err, direct_err)
 
 
 @pytest.mark.parametrize("spec", [
     FAST_SPEC,
     FadingSpec(model=FadingModel.RICIAN, k_factor=4.0, los_doppler_hz=100.0, los_phase_rad=0.3),
+    # Too many sinusoids for the rotation tables: the direct sum.
+    FadingSpec(sample_rate_hz=256.0, num_sinusoids=MAX_TABLE // (2 * (ROTATION_BLOCK + 2)) + 1),
 ])
 def test_link_gains_tiles_match_outer_products(spec, monkeypatch):
     """Every tiling of links and samples gives the same bytes, and so does
     fading_next, link by link and over a batched process. Where the plan
-    is the direct sum (fs = 256) those are the reference bytes; where it is
-    Taylor blocks (fs = 1 MHz) they keep the accuracy bound against the
-    120-bit reference."""
+    is the direct sum (M above the rotation tables' cap) those are the
+    reference bytes; where it is rotation blocks (fs = 256) or Taylor
+    blocks (fs = 1 MHz) they keep the accuracy bound against the 120-bit
+    reference."""
     n, draws = 300, 1 + 2 * spec.num_sinusoids
     u = np.stack([RngStream(6, sid).uniform(draws) for sid in range(5)])
     procs = [fading_init(spec, RngStream(6, sid)) for sid in range(5)]
@@ -175,33 +180,36 @@ def test_link_gains_tiles_match_outer_products(spec, monkeypatch):
         batch = FadingProcess(spec, *fading_angles(spec, u.reshape(1, 5, draws)))
         np.testing.assert_array_equal(fading_next(batch, n), expected[None])
     np.testing.assert_array_equal(np.stack([fading_next(p, n) for p in procs]), expected)
-    if block_plan(spec) == (1, 0):
+    if block_plan(spec).mode == "direct":
         t = np.arange(n) / spec.sample_rate_hz
         np.testing.assert_array_equal(expected, np.stack([_outer_product_gains(p, t) for p in procs]))
     else:
-        _taylor_error_bound_holds(spec, u[:2], 0, n, np.arange(0, n, 13))
+        _error_bound_holds(spec, u[:2], 0, n, np.arange(0, n, 13))
 
 
-@pytest.mark.parametrize("fs", [1e6, 1e5, 1e4, 256.0])
+@pytest.mark.parametrize("fs", [1e6, 1e5, 1e4, 256.0, 1e3, 2560.0])
 @pytest.mark.parametrize("start", [0, 10**5, 10**7])
 def test_link_gains_matches_mpmath(fs, start):
     """The kernel against a 120-bit reference at f_d = 100 Hz, over two
-    blocks and their edges, from t = 0 up to 10^7 samples."""
+    blocks and their edges, from t = 0 up to 10^7 samples: Taylor blocks
+    at 100 kHz and 1 MHz, rotation blocks at 256 Hz to 10 kHz."""
     spec = FadingSpec(max_doppler_hz=100.0, sample_rate_hz=fs)
-    length = block_plan(spec)[0]
+    length = block_plan(spec).length
     n = 2 * length + 3
     offsets = np.unique(np.r_[np.linspace(0, n - 1, 12).astype(int), length - 1, length, 2 * length])
     u = np.stack([RngStream(9, sid).uniform(1 + 2 * spec.num_sinusoids) for sid in range(2)])
-    _taylor_error_bound_holds(spec, u, start, n, start + offsets[offsets < n])
+    _error_bound_holds(spec, u, start, n, start + offsets[offsets < n])
 
 
-@pytest.mark.parametrize("fs", [1e6, 1e4])
+@pytest.mark.parametrize("fs", [1e6, 1e4, 256.0, 1e3])
 def test_taylor_blocks_are_seamless_and_tile_invariant(fs, monkeypatch):
     """Calls split at, next to and across block edges, and every tiling of
-    a call that starts mid-block, give the same bytes as one call."""
+    a call that starts mid-block, give the same bytes as one call: Taylor
+    blocks at 1 MHz, rotation blocks at 256 Hz to 10 kHz, whose tables a
+    tile of several links shares."""
     spec = FadingSpec(max_doppler_hz=100.0, sample_rate_hz=fs)
-    length, order = block_plan(spec)
-    assert length > 1 and order > 0
+    mode, length, order = block_plan(spec)
+    assert length > 1 and (order > 0) == (mode == "taylor")
     n = 3 * length + 5
     whole = fading_next(fading_init(spec, RngStream(12, 0)), n)
     for cut in (length - 1, length, length + 1, 2 * length + 3):
@@ -211,28 +219,35 @@ def test_taylor_blocks_are_seamless_and_tile_invariant(fs, monkeypatch):
     angles = fading_angles(spec, u)
     start = length // 2 + 1
     expected = link_gains(spec, *angles, start, n)
-    per_block = block_elements(spec, n)
-    for budget in (1, 40, per_block - 1, per_block, 2 * per_block + 1, 3 * per_block, 10**9):
+    per_link, per_block = block_elements(spec, n)
+    block = per_link + per_block
+    for budget in (1, 40, block - 1, block, per_link + 2 * per_block + 1, per_link + 3 * per_block,
+                   2 * (per_link + 4 * per_block), 10**9):
         monkeypatch.setattr(numerics, "CHUNK_ELEMENTS", budget)
         np.testing.assert_array_equal(link_gains(spec, *angles, start, n), expected)
 
 
 def test_block_plan_rule():
     """Every fading spec of the golden CSVs and the benchmark workloads
-    gets a plan whose truncation bound holds; near Nyquist the plan is the
-    direct sum."""
-    # (f_d, f_s): the FER goldens and workloads at fs = 1 MHz with Dopplers
-    # 25, 50 and 100 Hz, fer-vs-samplerate at 200 kHz, and validate-fading
-    # at 256 Hz (its default and validate-fading-1m) and 1 kHz.
-    for fd, fs in ((25.0, 1e6), (50.0, 1e6), (100.0, 1e6), (100.0, 2e5), (100.0, 256.0), (100.0, 1e3)):
+    gets its plan: Taylor blocks at 200 kHz and above, exactly the plans
+    the FER goldens and workloads were recorded with, within their
+    truncation bound; rotation blocks at low rates, near Nyquist included.
+    The direct sum stands where M is too large for the rotation tables."""
+    # The FER goldens and workloads at fs = 1 MHz with Dopplers 25, 50 and
+    # 100 Hz, and fer-vs-samplerate at 200 kHz.
+    for fd, fs, length, order in ((25.0, 1e6, 512, 8), (50.0, 1e6, 512, 9), (100.0, 1e6, 256, 9),
+                                  (100.0, 2e5, 128, 11)):
         spec = FadingSpec(max_doppler_hz=fd, sample_rate_hz=fs)
-        length, order = block_plan(spec)
+        assert block_plan(spec) == ("taylor", length, order)
         half_turn = length // 2 * 2.0 * math.pi * fd / fs
-        bound = math.sqrt(spec.num_sinusoids) * half_turn ** (order + 1) / math.factorial(order + 1)
-        assert bound <= TAYLOR_TOL, (fd, fs, length, order)
-        assert length == 1 or (length % 2 == 0 and half_turn <= MAX_BLOCK_TURN)
-    assert block_plan(FadingSpec(max_doppler_hz=100.0, sample_rate_hz=256.0)) == (1, 0)
-    assert block_plan(FadingSpec(max_doppler_hz=100.0, sample_rate_hz=1e6))[0] > 1
+        assert half_turn <= MAX_BLOCK_TURN
+        assert math.sqrt(spec.num_sinusoids) * half_turn ** (order + 1) / math.factorial(order + 1) <= TAYLOR_TOL
+    # validate-fading at 256 Hz (its default and validate-fading-1m) and
+    # 1 kHz, and fer-vs-samplerate at 300 Hz to 10 kHz.
+    for fs in (256.0, 300.0, 1e3, 2560.0, 1e4):
+        assert block_plan(FadingSpec(max_doppler_hz=100.0, sample_rate_hz=fs)) == ("rotation", ROTATION_BLOCK, 0)
+    big_m = MAX_TABLE // (2 * (ROTATION_BLOCK + 2)) + 1
+    assert block_plan(FadingSpec(sample_rate_hz=256.0, num_sinusoids=big_m)) == ("direct", 1, 0)
 
 
 def test_rayleigh_unit_mean_power():

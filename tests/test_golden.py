@@ -3,10 +3,13 @@
 The cases together cover all five OSTBC designs, every correlation level,
 Rician fading with a moving line of sight, all three detectors (ZF at 0 dB
 included, ML also at an odd 3x2 antenna split), the error-target cut, and
-the worker pool, with at least 500 frames per CSV. A change to any one
-trial's outcome on any of these paths changes a digest. Two validate-fading cases, Rayleigh and Rician with a
-moving line of sight, pin its stream and its CSV header. The digests were recorded with the per-frame engine that
-run_frame still implements, so they also pin the batched engine to it.
+the worker pool, with at least 500 frames per CSV. The last FER case runs
+at 300 Hz to 10 kHz, where the fading kernel takes its low-rate plans, not
+the long Taylor blocks of 1 MHz. A change to any one trial's outcome on any
+of these paths changes a digest. Two validate-fading cases, Rayleigh and
+Rician with a moving line of sight, pin its stream and its CSV header. The
+digests were recorded with the per-frame engine that run_frame still
+implements, so they also pin the batched engine to it.
 """
 
 import hashlib
@@ -71,6 +74,12 @@ CASES = [
         (*_VALIDATE, "--fading", "rician", "--k", "4", "--los-doppler-hz", "100",
          "--doppler-hz", "100", "--sample-rate-hz", "1000"),
         "14b5c18bad82c671b260eac04cebf28a842757c4ed6ad753667cb40ff37bcdfc",
+    ),
+    (
+        ("fer-vs-samplerate", "--code", "2x1", "--nr", "2", "--fading", "rician", "--k", "4",
+         "--los-doppler-hz", "100", "--correlation", "high", "--rates", "300,1000,2560,10000",
+         "--gain-db", "-6", "--max-frames", "500", *_FIXED),
+        "e34a32851bcec4ccdaa8de25ecdf7a206496823ab6501f229b17ec73bf28a072",
     ),
 ]
 

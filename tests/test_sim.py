@@ -216,9 +216,13 @@ def test_config_validation_bounds_trial_memory():
         channel=ChannelSpec(n_tx=2, n_rx=1, fading=FadingSpec(
             model=FadingModel.RICIAN, k_factor=4.0, los_doppler_hz=100.0)),
     ), 50.0),
-    # At fs = 10 kHz a frame spans ten of the fading kernel's blocks.
+    # At fs = 10 kHz and 1 kHz a frame spans three of the fading kernel's
+    # rotation blocks, whose tables each link holds.
     _point_config(_fer_config(
         channel=ChannelSpec(n_tx=4, n_rx=4, fading=FadingSpec(sample_rate_hz=1e4)), frame_bits=120,
+    ), -5.0),
+    _point_config(_fer_config(
+        channel=ChannelSpec(n_tx=4, n_rx=4, fading=FadingSpec(sample_rate_hz=1e3)), frame_bits=120,
     ), -5.0),
     _point_config(_ber_config(detector=DetectorKind.ZF, frame_bits=120), 10.0),
     _point_config(_ber_config(detector=DetectorKind.ML, frame_bits=120), 10.0),
@@ -226,7 +230,7 @@ def test_config_validation_bounds_trial_memory():
     # with one transmit antenna, where the residuals outweigh the distances.
     _point_config(_ber_config(detector=DetectorKind.ML, channel=ChannelSpec(n_tx=3, n_rx=2), frame_bits=120), 10.0),
     _point_config(_ber_config(detector=DetectorKind.ML, channel=ChannelSpec(n_tx=1, n_rx=4), frame_bits=120), 10.0),
-], ids=["fer-4x4-4x3/4", "fer-2x1-rician", "fer-4x4-10khz", "ber-zf", "ber-ml", "ber-ml-3x2", "ber-ml-1x4"])
+], ids=["fer-4x4-4x3/4", "fer-2x1-rician", "fer-4x4-10khz", "fer-4x4-1khz", "ber-zf", "ber-ml", "ber-ml-3x2", "ber-ml-1x4"])
 def test_trial_elements_bounds_a_measured_chunk(cfg):
     """The memory model is an upper bound on what a chunk allocates: the
     tracemalloc peak of one _run_chunk stays within chunk_trials *
