@@ -11,6 +11,14 @@ where Rt and Rr are exponential correlation matrices R[i, j] = rho^|i-j|
 (the same rho at both ends). The covariance of vec(H) is then
 g^2 * (Rt kron Rr) for column-major vectorization.
 
+The mixing gives the bits of np.einsum("ij,njk,kl->nil", Rr^{1/2}, G,
+Rt^{1/2}) without a complex product. The roots come out of their complex
+eigendecomposition exactly real, so each term
+(Rr^{1/2}[i, j] * G[j, k]) * Rt^{1/2}[k, l] is a real scaling of the real
+and imaginary parts of link (j, k). einsum adds the terms of an entry one
+at a time, from zero, j-major and k-minor; _mix adds them in that order,
+with the samples as the inner axis of every step.
+
 SNR convention: for a transmit row x with total energy 1, snr_db is the
 ratio of transmit energy to noise power per receive antenna, so the complex
 noise variance per receive antenna is 10^(-snr_db / 10).
@@ -91,10 +99,13 @@ def correlation_matrix(n: int, rho: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _correlation_sqrt(n: int, rho: float) -> np.ndarray:
-    """Hermitian square root of correlation_matrix(n, rho), read-only.
+    """Symmetric square root of correlation_matrix(n, rho), as a read-only
+    real array.
 
     Cached per (n, rho): it is constant for a channel spec, and every
-    channel of a run needs it.
+    channel of a run needs it. The root is computed in complex arithmetic
+    and comes out exactly real; _mix relies on that, so a nonzero imaginary
+    part raises.
     """
     # Eigendecomposition square root. Exponential correlation matrices with
     # rho < 1 are strictly positive definite, so the clip only guards
@@ -102,6 +113,9 @@ def _correlation_sqrt(n: int, rho: float) -> np.ndarray:
     w, v = np.linalg.eigh(correlation_matrix(n, rho))
     w = np.clip(w.real, 0.0, None)
     root = (v * np.sqrt(w)) @ v.conj().T
+    if np.any(root.imag):
+        raise ArithmeticError(f"the correlation root for n={n}, rho={rho} is not real")
+    root = root.real.copy()
     root.setflags(write=False)
     return root
 
@@ -183,12 +197,58 @@ def channel_matrix_at(proc: ChannelProcess, n_samples: int) -> np.ndarray:
     spec = proc.spec
     gains = fading_next(proc.fading, n_samples)
     shape = (*gains.shape[:-2], n_samples, spec.n_rx, spec.n_tx)
-    g = np.ascontiguousarray(np.swapaxes(gains, -1, -2)).reshape(-1, spec.n_rx, spec.n_tx)
-    if spec.correlation != 0.0:
-        rr = _correlation_sqrt(spec.n_rx, spec.correlation)
-        rt = _correlation_sqrt(spec.n_tx, spec.correlation)
-        g = np.einsum("ij,njk,kl->nil", rr, g, rt)
-    return (path_gain(spec) * g).reshape(shape)
+    if spec.correlation == 0.0:
+        h = np.ascontiguousarray(np.swapaxes(gains, -1, -2)).reshape(shape)
+        return path_gain(spec) * h
+    planes = _planes(gains)
+    del gains  # freed before the mixing scratch is allocated
+    rr = _correlation_sqrt(spec.n_rx, spec.correlation)
+    rt = _correlation_sqrt(spec.n_tx, spec.correlation)
+    h = _mix(planes, rr, rt)
+    h *= path_gain(spec)
+    return h.reshape(shape)
+
+
+def _planes(gains: np.ndarray) -> np.ndarray:
+    """The (..., links, n_samples) gains as float64 planes, shape
+    (links, 2, n): the real and the imaginary parts of each link, with the
+    samples of every channel inner."""
+    links = gains.shape[-2]
+    planes = np.empty((links, 2, *gains.shape[:-2], gains.shape[-1]))
+    np.copyto(planes[:, 0], np.moveaxis(gains.real, -2, 0))
+    np.copyto(planes[:, 1], np.moveaxis(gains.imag, -2, 0))
+    return planes.reshape(links, 2, -1)
+
+
+def _mix(planes: np.ndarray, rr: np.ndarray, rt: np.ndarray) -> np.ndarray:
+    """Rr^{1/2} G Rt^{1/2} for the n matrices G of _planes, shape
+    (n, n_rx, n_tx): the bits of np.einsum("ij,njk,kl->nil", rr, g, rt)
+    for the complex (n, n_rx, n_tx) g and real roots rr and rt, by the
+    argument of the module docstring.
+
+    Each step multiplies a contiguous row by a scalar or adds arrays of one
+    shape, because a broadcasting step makes numpy allocate iterator
+    buffers about as large as its output.
+    """
+    n_rx, n_tx = len(rr), len(rt)
+    n = planes.shape[-1]
+    planes = planes.reshape(n_rx, n_tx, 2 * n)
+    r, t = rr.tolist(), rt.tolist()
+    scaled = np.empty((n_rx, 2 * n))
+    term = np.empty((n_tx, n_rx, 2 * n))
+    acc = np.zeros_like(term)
+    for j in range(n_rx):
+        for k in range(n_tx):
+            for i in range(n_rx):
+                np.multiply(planes[j, k], r[i][j], out=scaled[i])
+            for l in range(n_tx):
+                np.multiply(scaled, t[k][l], out=term[l])
+            acc += term
+    del scaled, term
+    h = np.empty((n, n_rx, n_tx), dtype=np.complex128)
+    parts = acc.reshape(n_tx, n_rx, 2, n).transpose(3, 1, 0, 2)
+    np.copyto(h.view(np.float64).reshape(n, n_rx, n_tx, 2), parts)
+    return h
 
 
 def receive(h: np.ndarray, x: np.ndarray, noise_var: float, draw) -> np.ndarray:

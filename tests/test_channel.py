@@ -72,6 +72,65 @@ def test_correlation_sqrt_reconstructs_matrix():
         np.testing.assert_allclose(root @ root.conj().T, correlation_matrix(n, 0.9), atol=1e-10)
 
 
+def test_correlation_sqrt_is_exactly_real(monkeypatch):
+    """The root, computed in complex arithmetic from the complex correlation
+    matrix, has imaginary parts of exactly 0 over a grid of rho for every
+    antenna count; the mixing reads its real part alone. A root with a
+    nonzero imaginary part raises instead of losing it."""
+    rhos = [*np.linspace(0.0, 1.0, 401)[:-1], 0.37, 0.999, 1.0 - 1e-12]
+    for n in range(1, channel.MAX_ANTENNAS + 1):
+        for rho in rhos:
+            root = channel._correlation_sqrt.__wrapped__(n, float(rho))
+            assert root.dtype == np.float64 and root.shape == (n, n)
+    hermitian = np.array([[1.0, 0.5j], [-0.5j, 1.0]])
+    monkeypatch.setattr(channel, "correlation_matrix", lambda n, rho: hermitian)
+    with pytest.raises(ArithmeticError, match="not real"):
+        channel._correlation_sqrt.__wrapped__(2, 0.5)
+
+
+def _einsum_mix(rr, g, rt):
+    """The mixing as one complex einsum, the form the kernel reproduces."""
+    return np.einsum("ij,njk,kl->nil", rr.astype(np.complex128), g, rt.astype(np.complex128))
+
+
+@pytest.mark.parametrize("n_rx", range(1, 5))
+@pytest.mark.parametrize("n_tx", range(1, 5))
+def test_mix_equals_einsum_bit_for_bit(n_rx, n_tx):
+    """channel._mix of the gains' planes equals the complex einsum of the
+    (n, n_rx, n_tx) matrices bit for bit, signed zeros included, for every
+    shape, correlation and row count, with leading trial axes that the
+    planes fold into their sample axis."""
+    rng = np.random.default_rng(n_rx * 10 + n_tx)
+    leads = [(), (3,), (2, 2)]
+    for i, rho in enumerate((0.1, 0.37, 0.5, 0.9, 0.999)):
+        rr, rt = channel._correlation_sqrt(n_rx, rho), channel._correlation_sqrt(n_tx, rho)
+        for j, rows in enumerate((1, 7, 80, 240, 780)):
+            lead = leads[(i + j) % len(leads)]
+            shape = (*lead, n_rx * n_tx, rows)
+            gains = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            g = np.ascontiguousarray(np.swapaxes(gains, -1, -2)).reshape(-1, n_rx, n_tx)
+            got = channel._mix(channel._planes(gains), rr, rt)
+            assert got.shape == g.shape
+            np.testing.assert_array_equal(got.view(np.uint64), _einsum_mix(rr, g, rt).view(np.uint64))
+
+
+def test_correlated_channel_matrices_equal_einsum_of_uncorrelated():
+    """channel_matrix_at of a correlated batch of channels is, bit for bit,
+    path_gain times the einsum of the same links' uncorrelated matrices at
+    0 dB, over successive calls."""
+    fading = FadingSpec(model=FadingModel.RICIAN, k_factor=4.0, los_doppler_hz=100.0)
+    spec = ChannelSpec(n_tx=3, n_rx=4, fading=fading, correlation=0.37, path_gain_db=-7.0)
+    plain = ChannelSpec(n_tx=3, n_rx=4, fading=fading)
+    u = np.stack([_link_uniforms(spec, 5, i) for i in range(6)]).reshape(2, 3, 12, -1)
+    mixed, unmixed = channel_init(spec, u), channel_init(plain, u)
+    rr, rt = channel._correlation_sqrt(4, 0.37), channel._correlation_sqrt(3, 0.37)
+    for n in (80, 13):
+        g = channel_matrix_at(unmixed, n)
+        want = channel.path_gain(spec) * _einsum_mix(rr, g.reshape(-1, 4, 3), rt)
+        got = channel_matrix_at(mixed, n)
+        np.testing.assert_array_equal(got.view(np.uint64), want.reshape(g.shape).view(np.uint64))
+
+
 def test_channel_spec_validation():
     with pytest.raises(ValueError):
         ChannelSpec(n_tx=0, n_rx=1, fading=FAST_FADING).validate()

@@ -3,13 +3,16 @@
 The cases together cover all five OSTBC designs, every correlation level,
 Rician fading with a moving line of sight, all three detectors (ZF at 0 dB
 included, ML also at an odd 3x2 antenna split), the error-target cut, and
-the worker pool, with at least 500 frames per CSV. The last FER case runs
-at 300 Hz to 10 kHz, where the fading kernel takes its low-rate plans, not
-the long Taylor blocks of 1 MHz. A change to any one trial's outcome on any
-of these paths changes a digest. Two validate-fading cases, Rayleigh and
-Rician with a moving line of sight, pin its stream and its CSV header. The
-digests were recorded with the per-frame engine that run_frame still
-implements, so they also pin the batched engine to it.
+the worker pool, with at least 500 frames per CSV. One FER case runs at
+300 Hz to 10 kHz, where the fading kernel takes its low-rate plans, not
+the long Taylor blocks of 1 MHz. Two more mix correlated links at shapes
+the others miss: four receive antennas over two transmit at an explicit
+coefficient, and one receive antenna at high correlation. A change to any
+one trial's outcome on any of these paths changes a digest. Two
+validate-fading cases, Rayleigh and Rician with a moving line of sight,
+pin its stream and its CSV header. The digests were recorded with the
+per-frame engine that run_frame still implements, so they also pin the
+batched engine to it.
 """
 
 import hashlib
@@ -80,6 +83,20 @@ CASES = [
          "--los-doppler-hz", "100", "--correlation", "high", "--rates", "300,1000,2560,10000",
          "--gain-db", "-6", "--max-frames", "500", *_FIXED),
         "e34a32851bcec4ccdaa8de25ecdf7a206496823ab6501f229b17ec73bf28a072",
+    ),
+    (
+        # Correlated mixing with more receive than transmit antennas, at an
+        # explicit coefficient that no named level gives.
+        ("fer-vs-gain", "--code", "2x1", "--nr", "4", "--correlation", "0.37",
+         "--gain-db", "-8,-4", "--max-frames", "500", *_FIXED),
+        "3819e20a6ef1ca1a21e4792fd1ea1fb10fe4317e4ec231d5d5ab80fe7b42d27d",
+    ),
+    (
+        # One receive antenna: the receive root is 1x1, the transmit root
+        # 3x3 at high correlation.
+        ("fer-vs-gain", "--code", "3x3/4", "--nr", "1", "--correlation", "high",
+         "--gain-db", "-2,2", "--max-frames", "500", *_FIXED),
+        "3de843119edb6c726f38750cd7d85fe63759c5ad742c06414c7a73f8848b5be9",
     ),
 ]
 

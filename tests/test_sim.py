@@ -209,6 +209,24 @@ def test_config_validation_bounds_trial_memory():
     assert chunk_trials(_point_config(fer, -5.0)) == numerics.CHUNK_ELEMENTS // (16 * (352 + 32 + 308) + 36)
 
 
+# The FER shapes of the benchmark workloads, with correlated links, so
+# that the mixing kernel's scratch is measured: a 4x4 4x3/4 frame at
+# correlation low, and a 2x2 Alamouti frame over Rician links at high.
+_FER_4X4_LOW = _point_config(_fer_config(
+    channel=ChannelSpec(n_tx=4, n_rx=4, correlation=0.1), frame_bits=120,
+), -5.0)
+_FER_2X2_RICIAN_HIGH = _point_config(_fer_config(
+    experiment=Experiment.FER_VS_DOPPLER, code=(2, Fraction(1)), frame_bits=120,
+    channel=ChannelSpec(n_tx=2, n_rx=2, correlation=0.9, path_gain_db=-5.0, fading=FadingSpec(
+        model=FadingModel.RICIAN, k_factor=4.0, los_doppler_hz=100.0)),
+), 50.0)
+
+
+def test_benchmark_fer_chunk_sizes():
+    assert chunk_trials(_FER_4X4_LOW) == 3
+    assert chunk_trials(_FER_2X2_RICIAN_HIGH) == 13
+
+
 @pytest.mark.parametrize("cfg", [
     _point_config(_fer_config(channel=ChannelSpec(n_tx=4, n_rx=4), frame_bits=120), -5.0),
     _point_config(_fer_config(
@@ -224,13 +242,18 @@ def test_config_validation_bounds_trial_memory():
     _point_config(_fer_config(
         channel=ChannelSpec(n_tx=4, n_rx=4, fading=FadingSpec(sample_rate_hz=1e3)), frame_bits=120,
     ), -5.0),
+    _FER_4X4_LOW,
+    _FER_2X2_RICIAN_HIGH,
     _point_config(_ber_config(detector=DetectorKind.ZF, frame_bits=120), 10.0),
     _point_config(_ber_config(detector=DetectorKind.ML, frame_bits=120), 10.0),
     # ML with an odd split and fewer receive than transmit antennas, and
     # with one transmit antenna, where the residuals outweigh the distances.
     _point_config(_ber_config(detector=DetectorKind.ML, channel=ChannelSpec(n_tx=3, n_rx=2), frame_bits=120), 10.0),
     _point_config(_ber_config(detector=DetectorKind.ML, channel=ChannelSpec(n_tx=1, n_rx=4), frame_bits=120), 10.0),
-], ids=["fer-4x4-4x3/4", "fer-2x1-rician", "fer-4x4-10khz", "fer-4x4-1khz", "ber-zf", "ber-ml", "ber-ml-3x2", "ber-ml-1x4"])
+], ids=[
+    "fer-4x4-4x3/4", "fer-2x1-rician", "fer-4x4-10khz", "fer-4x4-1khz", "fer-4x4-low", "fer-2x2-rician-high",
+    "ber-zf", "ber-ml", "ber-ml-3x2", "ber-ml-1x4",
+])
 def test_trial_elements_bounds_a_measured_chunk(cfg):
     """The memory model is an upper bound on what a chunk allocates: the
     tracemalloc peak of one _run_chunk stays within chunk_trials *
