@@ -257,7 +257,7 @@ def receive(h: np.ndarray, x: np.ndarray, noise_var: float, draw) -> np.ndarray:
     of draw(2 * y.size): uniforms in one row, or in one row per frame."""
     y = np.einsum("nrt,nt->nr", h, x)
     if noise_var:
-        y = y + complex_normal_from(draw(2 * y.size), noise_var).reshape(y.shape)
+        y += complex_normal_from(draw(2 * y.size), noise_var).reshape(y.shape)
     return y
 
 

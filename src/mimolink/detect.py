@@ -33,13 +33,14 @@ import math
 
 import numpy as np
 
+from . import numerics
+
 __all__ = [
     "DetectorKind",
     "DetectionFailure",
     "zf_detect_batch",
     "mmse_detect_batch",
     "ml_detect_batch",
-    "ml_elements",
     "zf_estimate_batch",
     "mmse_estimate_batch",
 ]
@@ -143,15 +144,6 @@ def _head_antennas(n_tx: int) -> int:
     return -(-n_tx // 2)
 
 
-def ml_elements(n_rx: int, n_tx: int, m: int) -> int:
-    """Float64 scratch that ml_detect_batch holds per vector for an m-point
-    constellation: 6 per hypothesis (the cross terms, the distances and
-    their temporaries) and 2 per (head or tail hypothesis, receive antenna)
-    for the residuals and tail images."""
-    a = _head_antennas(n_tx)
-    return 6 * m**n_tx + 2 * (m**a + m ** (n_tx - a)) * n_rx
-
-
 def ml_detect_batch(h: np.ndarray, y: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Exhaustive maximum-likelihood detection of a batch.
 
@@ -164,27 +156,36 @@ def ml_detect_batch(h: np.ndarray, y: np.ndarray, points: np.ndarray) -> np.ndar
     ties resolve to the lexicographically smallest hypothesis (antenna 0
     most significant, constellation order as given), which is the
     smallest row-major (i, j). The search size |points|^N_t must stay
-    under one million.
+    under one million. Tiles of vectors (one at least) keep the scratch
+    within numerics.CHUNK_ELEMENTS; the tiling never changes a decision.
     """
     h, y = _check_y_h(h, y)
-    n_tx = h.shape[-1]
+    n_rx, n_tx = h.shape[1:]
     points = np.asarray(points, dtype=np.complex128)
     if len(points) ** n_tx > ML_MAX_HYPOTHESES:
         raise ValueError("hypothesis space too large for exhaustive search")
     a = _head_antennas(n_tx)
     head = _hypothesis_grid(points, a)
     tail = head if n_tx - a == a else _hypothesis_grid(points, n_tx - a)
-    # Residuals (n, Ka, N_r) and tail images (n, Kb, N_r), whose float64
-    # views interleave real and imaginary parts, so that one real matmul
-    # gives Re(r^H b).
-    hx = h.swapaxes(-1, -2) / math.sqrt(n_tx)
-    r = head @ hx[:, :a]
-    np.subtract(y[:, None, :], r, out=r)
-    b = tail @ hx[:, a:]
-    rv, bv = r.view(np.float64), b.view(np.float64)
-    cross = rv @ bv.swapaxes(-1, -2)
-    dist = np.einsum("nkr,nkr->nk", rv, rv)[:, :, None] + np.einsum("nkr,nkr->nk", bv, bv)[:, None, :]
-    cross *= 2.0
-    dist -= cross
-    i, j = np.divmod(np.argmin(dist.reshape(len(y), -1), axis=1), len(tail))
-    return np.concatenate([head[i], tail[j]], axis=1)
+    # Scratch per vector: 6 per hypothesis (cross terms, distances, argmin's
+    # copy) and 2 per receive antenna and head or tail hypothesis or transmit
+    # antenna: the residuals r, tail images b and scaled channel. The float64
+    # views of r and b interleave real and imaginary parts: r^H b is real.
+    per_vector = 6 * len(head) * len(tail) + 2 * (len(head) + len(tail) + n_tx) * n_rx
+    tile = max(1, numerics.CHUNK_ELEMENTS // per_vector)
+    out = np.empty((len(y), n_tx), dtype=np.complex128)
+    for lo in range(0, len(y), tile):
+        hx = h[lo : lo + tile].swapaxes(-1, -2) / math.sqrt(n_tx)
+        r = head @ hx[:, :a]
+        np.subtract(y[lo : lo + tile, None, :], r, out=r)
+        b = tail @ hx[:, a:]
+        rv, bv = r.view(np.float64), b.view(np.float64)
+        cross = rv @ bv.swapaxes(-1, -2)
+        dist = np.einsum("nkr,nkr->nk", rv, rv)[:, :, None] + np.einsum("nkr,nkr->nk", bv, bv)[:, None, :]
+        cross *= 2.0
+        dist -= cross
+        i, j = np.divmod(np.argmin(dist.reshape(len(r), -1), axis=1), len(tail))
+        out[lo : lo + tile, :a] = head[i]
+        out[lo : lo + tile, a:] = tail[j]
+        del hx, r, b, rv, bv, cross, dist  # before the next tile's are built
+    return out

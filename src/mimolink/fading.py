@@ -44,7 +44,7 @@ three plans from the spec alone:
 Because the blocks are absolute, a value depends only on its sample index,
 never on where a call starts or how it is tiled: links and blocks are
 taken in tiles of at most numerics.CHUNK_ELEMENTS float64 elements
-(0.5 MiB) of scratch, besides numpy's iterator buffers.
+(0.5 MiB) of scratch, numpy's iterator buffers included.
 A FadingProcess is a cursor over the kernel: it holds the angle tables of
 one link or of a batch of links, and fading_next asks link_gains for all of
 them at the process's next sample indices.
@@ -74,7 +74,6 @@ __all__ = [
     "fading_next",
     "BlockPlan",
     "block_plan",
-    "block_elements",
     "link_gains",
     "validate_process",
     "pdf_envelope_rician",
@@ -195,7 +194,8 @@ def fading_angles(spec: FadingSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarr
     psis = -np.pi + 2.0 * np.pi * u[..., 1 : m + 1]
     thetas = -np.pi + 2.0 * np.pi * u[..., m + 1 :]
     i = np.arange(1, m + 1)
-    alphas = (2.0 * np.pi * i - np.pi + theta) / (4.0 * m)
+    alphas = 2.0 * np.pi * i - np.pi + theta
+    alphas /= 4.0 * m
     return alphas, psis, thetas
 
 
@@ -372,21 +372,26 @@ def _block_sums(
     return acc.reshape(*acc.shape[:-2], -1)[..., skip : skip + hi - lo]
 
 
-def block_elements(spec: FadingSpec, n: int) -> tuple[int, int]:
-    """Float64 scratch that link_gains holds in a call for n samples, as
-    (per link, per block of a link). Per link, under rotation: the tables
-    of cos and sin at L/2 + 1 offsets for the two quadratures, 2(L + 2)M,
-    and the product of their last turn, LM/2. Per block, for each
-    quadrature: under rotation, the M anchor cosines and M sines, the
-    L/2 + 1 sums A_k and B_k each, and the L gains; otherwise the M anchor
-    phases, and when K > 0 their sines, the weights d^k / k! and one moment
-    term, M each, the K + 1 moments, and Horner's values at up to min(L, n)
-    samples, twice, as numpy's broadcast in-place steps buffer a copy."""
+def _tile_elements(spec: FadingSpec, start: int, n: int) -> tuple[int, int, int]:
+    """Float64 scratch of link_gains for samples start, ..., start + n - 1,
+    per link, per block of a link and per block of a tile's samples (L, or
+    n if the call lies in one block); a broadcast or strided step may buffer
+    each operand up to its output's size. Per link: the frequencies and
+    phases, 4M; under rotation the tables, 2(L + 2)M, their build's steps,
+    8M, and its last product with two buffers, 3LM/2; under Taylor the
+    weights, 2M. Per block of a link: the anchors' times, 2, the anchor
+    phases, and their sines (rotation) or sines and a moment term (Taylor),
+    2M each, then the larger of a broadcast step's buffers, 6M, and the
+    rest: the sums A_k and B_k, 2(L + 2), and the 2L gains with three
+    buffers, or the 2(K + 1) moments and Horner's values with two buffers,
+    6 per sample. Per block of samples: the Rician LOS steps, 6 a sample."""
     mode, length, order = block_plan(spec)
     m = spec.num_sinusoids
+    samples = n if start // length == (start + n - 1) // length else length
+    los = 6 * samples if spec.model is FadingModel.RICIAN else 0
     if mode == "rotation":
-        return (2 * length + 4 + length // 2) * m, 2 * (2 * m + 2 * length + 2)
-    return 0, 2 * ((4 if order else 1) * m + order + 1 + 2 * min(length, n))
+        return (7 * length // 2 + 16) * m, 2 + 4 * m + max(6 * m, 7 * length + 4), los
+    return (6 if order else 4) * m, 2 + (6 if order else 2) * m + max(6 * m, 2 * order + 2 + 6 * samples), los
 
 
 def link_gains(
@@ -427,27 +432,27 @@ def link_gains(
     length = plan.length
     wd = 2.0 * np.pi * spec.max_doppler_hz
     scale = 1.0 / math.sqrt(m)
-    # Both quadratures of a link side by side: (2, B, M).
-    freqs = np.stack([np.cos(alphas), np.sin(alphas)])
-    phases = np.stack([psis, thetas])
     first, last = start // length, (start + n - 1) // length + 1
-    per_link, per_block = block_elements(spec, n)
-    blocks = max(1, min(last - first, (numerics.CHUNK_ELEMENTS - per_link) // per_block))
-    group = max(1, numerics.CHUNK_ELEMENTS // (per_link + blocks * per_block))
+    per_link, per_block, shared = _tile_elements(spec, start, n)
+    blocks = max(1, min(last - first, (numerics.CHUNK_ELEMENTS - per_link) // (per_block + shared)))
+    group = max(1, (numerics.CHUNK_ELEMENTS - blocks * shared) // (per_link + blocks * per_block))
     for b0 in range(0, n_links, group):
         rows = slice(b0, b0 + group)
-        # The rotation tables, once per group of links for all its tiles.
-        tables = _rotation_tables(freqs[:, rows], wd / fs, length) if plan.mode == "rotation" else None
+        # Both quadratures side by side, (2, group, M), and the group's tables.
+        freqs = np.stack([np.cos(alphas[rows]), np.sin(alphas[rows])])
+        phases = np.stack([psis[rows], thetas[rows]])
+        tables = _rotation_tables(freqs, wd / fs, length) if plan.mode == "rotation" else None
         for j in range(first, last, blocks):
             lo, hi = max(start, j * length), min(start + n, (j + blocks) * length)
-            re, im = _block_sums(freqs[:, rows], phases[:, rows], wd, fs, plan, tables, lo, hi)
+            re, im = _block_sums(freqs, phases, wd, fs, plan, tables, lo, hi)
             g = out[rows, lo - start : hi - start]
             np.multiply(re, scale, out=g.real)
             np.multiply(im, scale, out=g.imag)
             if rician:
                 g *= math.sqrt(1.0 / (k + 1.0))
                 g += los(lo, hi)
-        del tables  # before the next group's are built
+            del re, im  # before the next tile's sums are built
+        del freqs, phases, tables  # before the next group's are built
     return out
 
 

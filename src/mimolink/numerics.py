@@ -32,9 +32,9 @@ EXPERIMENT_SHIFT = 48
 # Trial indices a stream id can hold: the low field's 32 bits.
 MAX_TRIALS = 1 << ROLE_SHIFT
 
-# Float64 elements (0.5 MiB) of scratch that the batched kernels may keep
-# live at once: it sets how many trials a sim.run_wave chunk batches and the
-# tile size of fading.link_gains.
+# Float64 elements (0.5 MiB): the budget of one sim._run_chunk's arrays, by
+# sim.trial_elements, and of the scratch of each kernel call inside it, which
+# tiles to fit; kernels run one at a time, so a chunk peaks below twice this.
 CHUNK_ELEMENTS = 1 << 16
 
 I0E_SERIES_CUTOFF = 15.0
@@ -142,14 +142,16 @@ def _box_muller(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # 1 - u maps [0,1) to (0,1], keeping log() finite.
     r = np.sqrt(-2.0 * np.log1p(-u[..., :pairs]))
     ang = 2.0 * np.pi * u[..., pairs:]
-    return r * np.cos(ang), r * np.sin(ang)
+    return np.cos(ang) * r, np.multiply(np.sin(ang, out=ang), r, out=ang)
 
 
 def complex_normal_from(u: np.ndarray, var: float) -> np.ndarray:
     """Circularly symmetric complex normals with E|z|^2 = var from the
     uniforms of u's last axis (see _box_muller), half as many as uniforms."""
     c, s = _box_muller(u)
-    return (c + 1j * s) * math.sqrt(var / 2.0)
+    z = 1j * s  # (c + 1j * s) * sqrt(var / 2), in place
+    z += c
+    return np.multiply(z, math.sqrt(var / 2.0), out=z)
 
 
 def _i0e_series(x: np.ndarray) -> np.ndarray:

@@ -23,12 +23,10 @@ so a trial's outcome does not depend on its chunk. run_wave draws through
 one rekeyed PhiloxStreams, chunk_trials(config) trials at a time;
 run_frame, the single-trial reference, runs a chunk of one trial on fresh
 RngStreams. This module alone derives stream ids: the channel and fading
-layers take uniforms. A chunk holds as many trials as fit
-numerics.CHUNK_ELEMENTS by the memory model trial_elements: three 4x4 FER
-frames at fs = 1 MHz, where a frame lies in one of the fading kernel's
-Taylor blocks and its scratch is a few times M per link; one at low sample
-rates, where each link holds rotation tables of 68M elements; about twenty
-2x1 FER frames at 1 MHz or uncoded ZF frames; two uncoded 4x4 ML frames. The
+layers take uniforms. A chunk holds as many trials as their arrays fit
+numerics.CHUNK_ELEMENTS by trial_elements, and the fading and ML kernels
+tile their scratch within the same budget, one call at a time: five 4x4
+FER frames at any sample rate, 23 2x2 FER or uncoded 4x4 frames. The
 serial path runs one chunk at a time and checks the error target after
 each; the process pool gets waves of WAVE_FRAMES trials split evenly over
 its workers, and each worker runs its span chunk by chunk.
@@ -55,15 +53,8 @@ import numpy as np
 
 from . import numerics
 from .channel import MAX_ANTENNAS, ChannelSpec, apply_channel, channel_init, noise_variance, path_gain, receive
-from .detect import (
-    DetectionFailure,
-    DetectorKind,
-    ml_detect_batch,
-    ml_elements,
-    mmse_detect_batch,
-    zf_detect_batch,
-)
-from .fading import FadingSpec, block_elements, block_plan, fading_draws
+from .detect import DetectionFailure, DetectorKind, ml_detect_batch, mmse_detect_batch, zf_detect_batch
+from .fading import FadingSpec, fading_draws
 from .modem import QPSK_POINTS, bernoulli_bits, qpsk_demodulate, qpsk_modulate
 from .numerics import MAX_TRIALS, PhiloxStreams, RngStream, complex_normal_from, pack_stream_id
 from .stbc import combine_array, encode_array, ostbc_code
@@ -245,30 +236,30 @@ def _detect(config: SimConfig, h: np.ndarray, y: np.ndarray, noise_var: float) -
 
 
 def trial_elements(config: SimConfig) -> int:
-    """A trial's share of a run_wave chunk's peak of live float64 elements,
-    as tracemalloc measures it, rounded up. FER chain, per link: 11 per
-    sinusoid (the fading uniforms and angle tables, and the cosines, sines
-    and phases that link_gains reads), 4 per sample (gains and channel
-    matrices), and fading.block_elements, once for the rotation tables and
-    once for each block a frame touches; plus 3 per frame bit. BER chain:
-    13 per complex channel entry, plus detect.ml_elements per vector under
-    ML. chunk_trials sizes chunks by it, and SimConfig.validate bounds it
-    by MAX_TRIAL_ELEMENTS.
+    """Float64 elements of the arrays that _run_chunk holds for one trial
+    at its peak, counted from their shapes; a kernel call inside the chunk
+    keeps its own scratch within numerics.CHUNK_ELEMENTS. A trial sends
+    rows, one channel matrix each: the codeword rows of the FER chain,
+    whose links hold fading_draws + 3M uniforms and then angles each, or
+    one row per transmit vector. Per channel entry 6: the complex matrix
+    and the two arrays of its size that make it (the mixing planes and
+    sums, or the draw's uniforms and normals); per receive and transmit
+    entry 2: the mixing's scaled rows and the receive rows, the codewords
+    or transmit vectors; per symbol 2, and 2 for the combiner's estimates
+    or 16 for the detectors' estimates and the slicer's distances. The
+    noise, 8 per receive entry, comes once the mixing's arrays are freed.
+    chunk_trials sizes chunks by it; SimConfig.validate bounds it.
     """
     ch = config.channel
-    n_symbols = config.frame_bits // 2
+    links = ch.n_rx * ch.n_tx
+    symbols = config.frame_bits // 2
     if config.experiment is Experiment.BER_VS_SNR:
-        n_vec = n_symbols // ch.n_tx
-        per_vec = 13 * ch.n_rx * ch.n_tx
-        if config.detector is DetectorKind.ML:
-            per_vec += ml_elements(ch.n_rx, ch.n_tx, len(QPSK_POINTS))
-        return n_vec * per_vec
-    code = ostbc_code(*config.code)
-    rows = n_symbols // code.n_symbols * code.block_len
-    blocks = -(-rows // block_plan(ch.fading).length)
-    table, per_block = block_elements(ch.fading, rows)
-    per_link = 11 * ch.fading.num_sinusoids + 4 * rows + table + blocks * per_block
-    return ch.n_rx * ch.n_tx * per_link + 3 * config.frame_bits
+        rows, per_link, per_symbol = symbols // ch.n_tx, 0, 18
+    else:
+        code = ostbc_code(*config.code)
+        rows = symbols // code.n_symbols * code.block_len
+        per_link, per_symbol = fading_draws(ch.fading) + 3 * ch.fading.num_sinusoids, 4
+    return links * per_link + rows * (6 * links + 2 * (ch.n_rx + ch.n_tx)) + per_symbol * symbols
 
 
 def chunk_trials(config: SimConfig) -> int:
@@ -335,7 +326,8 @@ def _run_chunk(config: SimConfig, draw, trials: range) -> list[tuple[bool, int, 
         code = ostbc_code(*config.code)
         x = encode_array(code, syms.reshape(-1, code.n_symbols)).reshape(f, -1, n_tx)
         u = uniforms(ROLE_FADING, fading_draws(ch.fading), n_rx * n_tx).reshape(f, n_rx * n_tx, -1)
-        y, h = apply_channel(channel_init(ch, u), x, config.snr_db, noise)
+        proc, u = channel_init(ch, u), None  # the angle tables replace the uniforms
+        y, h = apply_channel(proc, x, config.snr_db, noise)
         t_len = code.block_len
         s_hat = combine_array(code, y.reshape(-1, t_len, n_rx), h.reshape(-1, n_rx, n_tx)[::t_len])
         bits_hat = qpsk_demodulate(s_hat.ravel())

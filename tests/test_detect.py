@@ -2,10 +2,12 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mimolink import numerics
 from mimolink.detect import (
     DetectionFailure,
     DetectorKind,
@@ -178,12 +180,52 @@ def test_ml_matches_per_vector_enumeration(n_tx, n_rx, points):
     x = points[(stream.uniform(n * n_tx).reshape(n, n_tx) * len(points)).astype(int)]
     h = stream.complex_normal((n, n_rx, n_tx))
     y = np.einsum("nrt,nt->nr", h, x) / math.sqrt(n_tx) + stream.complex_normal((n, n_rx), var=0.3)
+    np.testing.assert_array_equal(ml_detect_batch(h, y, points), _enumerate_ml(h, y, points))
+
+
+def _enumerate_ml(h, y, points):
+    """Per-vector ML decisions by enumerating the hypotheses in
+    lexicographic order."""
+    n_tx = h.shape[-1]
     hyps = np.array(list(itertools.product(points, repeat=n_tx)))
-    want = np.empty_like(x)
-    for k in range(n):
+    want = np.empty((len(y), n_tx), dtype=np.complex128)
+    for k in range(len(y)):
         dist = [float(np.sum(np.abs(y[k] - h[k] @ hyp / math.sqrt(n_tx)) ** 2)) for hyp in hyps]
         want[k] = hyps[int(np.argmin(dist))]
-    np.testing.assert_array_equal(ml_detect_batch(h, y, points), want)
+    return want
+
+
+@pytest.mark.parametrize("n_rx, n_tx", [(4, 4), (2, 3), (4, 1)])
+def test_ml_tiles_give_the_same_decisions(n_rx, n_tx, monkeypatch):
+    """Any tiling of the vectors gives the same decisions, the
+    enumeration's: a budget of one element and of exactly one vector's
+    scratch (tiles of one vector), of a few vectors, and one tile for the
+    whole batch."""
+    stream = RngStream(41, 4 * n_tx + n_rx)
+    _, h, y = _random_case(stream, 40, n_rx, n_tx, snr_db=3.0)
+    want = _enumerate_ml(h, y, QPSK_POINTS)
+    a = -(-n_tx // 2)
+    head, tail = 4**a, 4 ** (n_tx - a)
+    one_vector = 6 * head * tail + 2 * (head + tail + n_tx) * n_rx
+    for budget in (1, one_vector, 7 * one_vector + 1, 10**9):
+        monkeypatch.setattr(numerics, "CHUNK_ELEMENTS", budget)
+        np.testing.assert_array_equal(ml_detect_batch(h, y, QPSK_POINTS), want)
+
+
+@pytest.mark.parametrize("n_rx, n_tx", [(4, 4), (2, 3), (4, 1), (1, 1)])
+def test_ml_scratch_stays_within_the_budget(n_rx, n_tx):
+    """One call on a batch far larger than a tile allocates at most
+    numerics.CHUNK_ELEMENTS float64 elements besides its decisions."""
+    stream = RngStream(42, 4 * n_tx + n_rx)
+    _, h, y = _random_case(stream, 3000, n_rx, n_tx, snr_db=3.0)
+    ml_detect_batch(h[:1], y[:1], QPSK_POINTS)
+    tracemalloc.start()
+    try:
+        decided = ml_detect_batch(h, y, QPSK_POINTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - decided.nbytes <= 8 * numerics.CHUNK_ELEMENTS
 
 
 def test_ml_zero_channel_picks_hypothesis_zero():

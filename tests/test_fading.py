@@ -1,6 +1,7 @@
 """Statistical and structural tests for the sum-of-sinusoids fading models."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -20,7 +21,7 @@ from mimolink.fading import (
     FadingModel,
     FadingProcess,
     FadingSpec,
-    block_elements,
+    _tile_elements,
     block_plan,
     check_validation_samples,
     fading_angles,
@@ -187,6 +188,35 @@ def test_link_gains_tiles_match_outer_products(spec, monkeypatch):
         _error_bound_holds(spec, u[:2], 0, n, np.arange(0, n, 13))
 
 
+@pytest.mark.parametrize("model", [FadingModel.RAYLEIGH, FadingModel.RICIAN])
+@pytest.mark.parametrize("fs, links, n, budget", [
+    (256.0, 1, 10**6, None),
+    (1e6, 1, 10**6, None),
+    (1e6, 48, 80, None),
+    (1e4, 48, 80, None),
+    # A budget below one link's block: the tiles hold one link's block.
+    (1e4, 48, 80, 2000),
+])
+def test_link_gains_scratch_stays_within_the_budget(fs, links, n, budget, model, monkeypatch):
+    """One link_gains call allocates, besides its gains, at most
+    numerics.CHUNK_ELEMENTS float64 elements, numpy's iterator buffers
+    included, or one link's block where that is larger: long single-link
+    calls at a rotation and a Taylor plan, and calls of 48 links by 80
+    samples, three 4x4 FER frames."""
+    if budget is not None:
+        monkeypatch.setattr(numerics, "CHUNK_ELEMENTS", budget)
+    spec = FadingSpec(sample_rate_hz=fs, model=model, k_factor=4.0, los_doppler_hz=100.0)
+    angles = fading_angles(spec, np.stack([RngStream(13, sid).uniform(1 + 2 * spec.num_sinusoids) for sid in range(links)]))
+    link_gains(spec, *angles, 0, 100)  # fills the plan cache
+    tracemalloc.start()
+    try:
+        gains = link_gains(spec, *angles, 0, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - gains.nbytes <= 8 * max(numerics.CHUNK_ELEMENTS, sum(_tile_elements(spec, 0, n)))
+
+
 @pytest.mark.parametrize("fs", [1e6, 1e5, 1e4, 256.0, 1e3, 2560.0])
 @pytest.mark.parametrize("start", [0, 10**5, 10**7])
 def test_link_gains_matches_mpmath(fs, start):
@@ -219,7 +249,7 @@ def test_taylor_blocks_are_seamless_and_tile_invariant(fs, monkeypatch):
     angles = fading_angles(spec, u)
     start = length // 2 + 1
     expected = link_gains(spec, *angles, start, n)
-    per_link, per_block = block_elements(spec, n)
+    per_link, per_block, _ = _tile_elements(spec, start, n)  # no line-of-sight term
     block = per_link + per_block
     for budget in (1, 40, block - 1, block, per_link + 2 * per_block + 1, per_link + 3 * per_block,
                    2 * (per_link + 4 * per_block), 10**9):

@@ -172,41 +172,45 @@ def test_config_validation_errors():
 
 
 def test_config_validation_bounds_trial_memory():
-    """A trial whose scratch estimate exceeds MAX_TRIAL_ELEMENTS is a
-    configuration error. Only validate() runs here, so a missing bound
-    fails the test without allocating anything."""
-    # 4x3/4 over 4x4 links with M = 32 at fs = 1 MHz: blocks of 256 samples
-    # with K = 9. 120 bits are 80 rows in one block: 16 links of
-    # 11 * 32 + 4 * 80 + 2 * (4 * 32 + 10 + 2 * 80), plus 3 * 120. The
-    # largest frame that validates, a multiple of 6 bits, has 111,872 rows.
+    """A trial whose arrays exceed MAX_TRIAL_ELEMENTS is a configuration
+    error. Only validate() runs here, so a missing bound fails the test
+    without allocating anything."""
+    # 4x3/4 over 4x4 links with M = 32: 120 bits are 60 symbols and 80
+    # rows. 16 links of 1 + 2 * 32 uniforms and 3 * 32 angles, 80 rows of
+    # 6 * 16 channel and 2 * 8 receive and transmit elements, and 4 per
+    # symbol. The largest frame that validates, a multiple of 6 bits, has
+    # 145,864 rows.
     fer = _fer_config(channel=ChannelSpec(n_tx=4, n_rx=4))
-    assert sim.trial_elements(replace(fer, frame_bits=120)) == 16 * (352 + 320 + 596) + 360
-    largest = 167_808
+    assert sim.trial_elements(replace(fer, frame_bits=120)) == 16 * 161 + 80 * 112 + 4 * 60
+    largest = 218_796
     replace(fer, frame_bits=largest).validate()
     with pytest.raises(ValueError, match="MAX_TRIAL_ELEMENTS"):
         replace(fer, frame_bits=largest + 6).validate()
     with pytest.raises(ValueError, match="MAX_TRIAL_ELEMENTS"):
         _fer_config(channel=ChannelSpec(n_tx=2, n_rx=1), code=(2, Fraction(1)), frame_bits=2_000_000_000).validate()
-    # num_sinusoids is capped by the fading spec, and a large M still
-    # counts against the trial bound.
+    # num_sinusoids is capped by the fading spec, and M counts against the
+    # trial bound: at M = 65,536 each of the 16 links holds 5M + 1
+    # elements, and the largest frame shrinks to 150,444 bits.
     big_m = ChannelSpec(fading=FadingSpec(num_sinusoids=numerics.CHUNK_ELEMENTS))
-    with pytest.raises(ValueError, match="MAX_TRIAL_ELEMENTS"):
-        _fer_config(channel=big_m, frame_bits=24).validate()
+    replace(fer, channel=big_m, frame_bits=150_444).validate()
+    for frame_bits in (150_450, largest):
+        with pytest.raises(ValueError, match="MAX_TRIAL_ELEMENTS"):
+            replace(fer, channel=big_m, frame_bits=frame_bits).validate()
     for detector in DetectorKind:
         ber = _ber_config(detector=detector, frame_bits=120)
         ber.validate()
         with pytest.raises(ValueError, match="MAX_TRIAL_ELEMENTS"):
             replace(ber, frame_bits=2_000_000_000).validate()
-    # 4x4 ML charges 13 * 16 + 6 * 256 + 2 * (16 + 16) * 4 = 2,000 elements
-    # per vector of 8 bits, so the largest frame that validates has 8,388
-    # vectors.
+    # Uncoded 4x4 charges a vector of 8 bits 6 * 16 + 2 * 8 elements and
+    # 18 per symbol: 184, whatever the detector, as ML tiles its own
+    # search. The largest frame that validates has 91,180 vectors.
     ml = _ber_config(detector=DetectorKind.ML)
-    assert sim.trial_elements(replace(ml, frame_bits=120)) == 15 * 2_000
-    replace(ml, frame_bits=67_104).validate()
+    assert sim.trial_elements(replace(ml, frame_bits=120)) == 15 * 184
+    replace(ml, frame_bits=729_440).validate()
     with pytest.raises(ValueError, match="MAX_TRIAL_ELEMENTS"):
-        replace(ml, frame_bits=67_112).validate()
-    # chunk_trials reads the same estimate: 12 bits are 8 rows.
-    assert chunk_trials(_point_config(fer, -5.0)) == numerics.CHUNK_ELEMENTS // (16 * (352 + 32 + 308) + 36)
+        replace(ml, frame_bits=729_448).validate()
+    # chunk_trials reads the same count: 12 bits are 8 rows.
+    assert chunk_trials(_point_config(fer, -5.0)) == numerics.CHUNK_ELEMENTS // (16 * 161 + 8 * 112 + 4 * 6)
 
 
 # The FER shapes of the benchmark workloads, with correlated links, so
@@ -223,8 +227,8 @@ _FER_2X2_RICIAN_HIGH = _point_config(_fer_config(
 
 
 def test_benchmark_fer_chunk_sizes():
-    assert chunk_trials(_FER_4X4_LOW) == 3
-    assert chunk_trials(_FER_2X2_RICIAN_HIGH) == 13
+    assert chunk_trials(_FER_4X4_LOW) == 5
+    assert chunk_trials(_FER_2X2_RICIAN_HIGH) == 23
 
 
 @pytest.mark.parametrize("cfg", [
@@ -245,6 +249,14 @@ def test_benchmark_fer_chunk_sizes():
     _FER_4X4_LOW,
     _FER_2X2_RICIAN_HIGH,
     _point_config(_ber_config(detector=DetectorKind.ZF, frame_bits=120), 10.0),
+    _point_config(_ber_config(detector=DetectorKind.MMSE, frame_bits=120), 10.0),
+    # The linear detectors at small antenna counts, where the slicer's
+    # distances outweigh the channel.
+    *[
+        _point_config(_ber_config(detector=detector, channel=ChannelSpec(n_tx=1, n_rx=n_rx), frame_bits=120), 10.0)
+        for detector in (DetectorKind.ZF, DetectorKind.MMSE)
+        for n_rx in (1, 4)
+    ],
     _point_config(_ber_config(detector=DetectorKind.ML, frame_bits=120), 10.0),
     # ML with an odd split and fewer receive than transmit antennas, and
     # with one transmit antenna, where the residuals outweigh the distances.
@@ -252,22 +264,32 @@ def test_benchmark_fer_chunk_sizes():
     _point_config(_ber_config(detector=DetectorKind.ML, channel=ChannelSpec(n_tx=1, n_rx=4), frame_bits=120), 10.0),
 ], ids=[
     "fer-4x4-4x3/4", "fer-2x1-rician", "fer-4x4-10khz", "fer-4x4-1khz", "fer-4x4-low", "fer-2x2-rician-high",
-    "ber-zf", "ber-ml", "ber-ml-3x2", "ber-ml-1x4",
+    "ber-zf", "ber-mmse", "ber-zf-1x1", "ber-zf-1x4", "ber-mmse-1x1", "ber-mmse-1x4",
+    "ber-ml", "ber-ml-3x2", "ber-ml-1x4",
 ])
 def test_trial_elements_bounds_a_measured_chunk(cfg):
     """The memory model is an upper bound on what a chunk allocates: the
     tracemalloc peak of one _run_chunk stays within chunk_trials *
-    trial_elements float64 elements."""
+    trial_elements float64 elements of arrays plus one kernel call's
+    numerics.CHUNK_ELEMENTS of scratch, and in chunks of 4 and 8 times as
+    many trials, where the arrays dominate, the peak grows by at most
+    trial_elements a trial. Every one of these shapes, the low-rate FER
+    frames included, batches at least two trials."""
     streams = sim.PhiloxStreams(cfg.master_seed).uniform
     step = chunk_trials(cfg)
+    assert step >= 2
     sim._run_chunk(cfg, streams, range(step))  # fills the per-process caches
-    tracemalloc.start()
-    try:
-        sim._run_chunk(cfg, streams, range(step, 2 * step))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * step * sim.trial_elements(cfg)
+
+    def peak(trials: int) -> int:
+        tracemalloc.start()
+        try:
+            sim._run_chunk(cfg, streams, range(step, step + trials))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(step) <= 8 * (step * sim.trial_elements(cfg) + numerics.CHUNK_ELEMENTS)
+    assert peak(8 * step) - peak(4 * step) <= 8 * 4 * step * sim.trial_elements(cfg)
 
 
 def test_stream_ids_never_collide(monkeypatch):
