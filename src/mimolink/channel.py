@@ -23,9 +23,14 @@ SNR convention: for a transmit row x with total energy 1, snr_db is the
 ratio of transmit energy to noise power per receive antenna, so the complex
 noise variance per receive antenna is 10^(-snr_db / 10).
 
-A ChannelProcess is one channel or a batch of them. The frame chain of sim
-starts it with channel_init, from uniforms the caller draws, and advances
-it with apply_channel, which makes one fading_next call for every link.
+A ChannelProcess is one channel or a batch of them, started with
+channel_init from uniforms the caller draws. apply_channel advances it and
+adds receiver noise in one call; the pieces it is made of stand alone for
+sim's frame chain, which shares them across the points of a sweep:
+unit_gain_matrices mixes the links (one fading_next call for all of them),
+channel_matrix_at scales that by the path gain, receiver_noise draws the
+noise, receive adds it to H x, and channel_restart runs the same links'
+angle tables under another Doppler or sample rate.
 """
 
 from __future__ import annotations
@@ -50,7 +55,10 @@ __all__ = [
     "path_gain",
     "noise_variance",
     "channel_init",
+    "channel_restart",
+    "unit_gain_matrices",
     "channel_matrix_at",
+    "receiver_noise",
     "receive",
     "apply_channel",
 ]
@@ -190,23 +198,40 @@ def channel_init(spec: ChannelSpec, u: np.ndarray) -> ChannelProcess:
     return ChannelProcess(spec, FadingProcess(spec.fading, *fading_angles(spec.fading, u)))
 
 
-def channel_matrix_at(proc: ChannelProcess, n_samples: int) -> np.ndarray:
+def channel_restart(proc: ChannelProcess, spec: ChannelSpec) -> ChannelProcess:
+    """proc's channels at t = 0 under spec: the same links' angle tables,
+    which depend on a spec only through its link count and M, with the
+    Doppler, sample rate, line of sight, correlation and path gain of spec.
+    proc itself is left as it is."""
+    shape = (spec.n_rx * spec.n_tx, spec.fading.num_sinusoids)
+    if proc.fading.alphas.shape[-2:] != shape:
+        raise ValueError(f"spec needs angle tables of shape (..., {shape[0]}, {shape[1]})")
+    f = proc.fading
+    return ChannelProcess(spec, FadingProcess(spec.fading, f.alphas, f.psis, f.thetas))
+
+
+def unit_gain_matrices(proc: ChannelProcess, n_samples: int) -> np.ndarray:
     """Advance every link and return the next n_samples channel matrices
-    g * Rr^{1/2} G Rt^{1/2}, shape (..., n_samples, n_rx, n_tx) for a
-    process with leading axes (...)."""
+    at unit path gain, Rr^{1/2} G Rt^{1/2}, shape (..., n_samples, n_rx,
+    n_tx) for a process with leading axes (...)."""
     spec = proc.spec
     gains = fading_next(proc.fading, n_samples)
     shape = (*gains.shape[:-2], n_samples, spec.n_rx, spec.n_tx)
     if spec.correlation == 0.0:
-        h = np.ascontiguousarray(np.swapaxes(gains, -1, -2)).reshape(shape)
-        return path_gain(spec) * h
+        return np.ascontiguousarray(np.swapaxes(gains, -1, -2)).reshape(shape)
     planes = _planes(gains)
     del gains  # freed before the mixing scratch is allocated
     rr = _correlation_sqrt(spec.n_rx, spec.correlation)
     rt = _correlation_sqrt(spec.n_tx, spec.correlation)
-    h = _mix(planes, rr, rt)
-    h *= path_gain(spec)
-    return h.reshape(shape)
+    return _mix(planes, rr, rt).reshape(shape)
+
+
+def channel_matrix_at(proc: ChannelProcess, n_samples: int) -> np.ndarray:
+    """Advance every link and return the next n_samples channel matrices
+    g * Rr^{1/2} G Rt^{1/2}: unit_gain_matrices scaled in place by g."""
+    h = unit_gain_matrices(proc, n_samples)
+    h *= path_gain(proc.spec)
+    return h
 
 
 def _planes(gains: np.ndarray) -> np.ndarray:
@@ -251,13 +276,23 @@ def _mix(planes: np.ndarray, rr: np.ndarray, rt: np.ndarray) -> np.ndarray:
     return h
 
 
-def receive(h: np.ndarray, x: np.ndarray, noise_var: float, draw) -> np.ndarray:
-    """Receive rows y = H x + w for channel matrices h (n, n_rx, n_tx) and
-    transmit rows x (n, n_tx). Unless noise_var is 0, w is complex_normal_from
-    of draw(2 * y.size): uniforms in one row, or in one row per frame."""
+def receiver_noise(shape: tuple[int, ...], snr_db: float, draw) -> np.ndarray | None:
+    """Receiver noise of noise_variance(snr_db) for receive rows of the
+    given shape: complex_normal_from of draw(2 * size), uniforms in one row
+    or in one row per frame. None, and nothing drawn, at snr_db = inf."""
+    noise_var = noise_variance(snr_db)
+    if not noise_var:
+        return None
+    return complex_normal_from(draw(2 * math.prod(shape)), noise_var).reshape(shape)
+
+
+def receive(h: np.ndarray, x: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+    """Receive rows y = H x + w for channel matrices h (n, n_rx, n_tx),
+    transmit rows x (n, n_tx) and noise w (n, n_rx), or y = H x if w is
+    None."""
     y = np.einsum("nrt,nt->nr", h, x)
-    if noise_var:
-        y += complex_normal_from(draw(2 * y.size), noise_var).reshape(y.shape)
+    if w is not None:
+        y += w
     return y
 
 
@@ -282,5 +317,7 @@ def apply_channel(
     if x.ndim != len(lead) + 2 or x.shape[:-2] != lead or x.shape[-1] != spec.n_tx:
         raise ValueError(f"x must have shape {(*lead, 'n', spec.n_tx)}, got {x.shape}")
     h = channel_matrix_at(proc, x.shape[-2])
-    y = receive(h.reshape(-1, spec.n_rx, spec.n_tx), x.reshape(-1, spec.n_tx), noise_variance(snr_db), draw)
+    rows = x.reshape(-1, spec.n_tx)
+    w = receiver_noise((len(rows), spec.n_rx), snr_db, draw)
+    y = receive(h.reshape(-1, spec.n_rx, spec.n_tx), rows, w)
     return y.reshape(*x.shape[:-1], spec.n_rx), h

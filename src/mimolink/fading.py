@@ -424,7 +424,12 @@ def link_gains(
         )
 
     if rician and k > K_AWGN_SENTINEL:
-        out[:] = los(start, start + n)
+        # The line-of-sight phasor alone, in tiles of samples whose steps
+        # hold 6 elements a sample, as a Rician tile's do.
+        step = max(1, numerics.CHUNK_ELEMENTS // 6)
+        for lo in range(start, start + n, step):
+            hi = min(lo + step, start + n)
+            out[:, lo - start : hi - start] = los(lo, hi)
         return out
     if n == 0:
         return out

@@ -20,6 +20,7 @@ __all__ = [
     "RngStream",
     "PhiloxStreams",
     "complex_normal_from",
+    "normal_pairs",
     "pack_stream_id",
     "bessel_i0e",
     "bessel_j0",
@@ -145,12 +146,20 @@ def _box_muller(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(ang) * r, np.multiply(np.sin(ang, out=ang), r, out=ang)
 
 
+def normal_pairs(u: np.ndarray) -> np.ndarray:
+    """c + 1j * s for the cosine and sine normals of _box_muller(u): complex
+    normals with E|z|^2 = 2, half as many as the uniforms of u's last axis.
+    complex_normal_from scales them by sqrt(var / 2)."""
+    c, s = _box_muller(u)
+    z = 1j * s
+    z += c
+    return z
+
+
 def complex_normal_from(u: np.ndarray, var: float) -> np.ndarray:
     """Circularly symmetric complex normals with E|z|^2 = var from the
-    uniforms of u's last axis (see _box_muller), half as many as uniforms."""
-    c, s = _box_muller(u)
-    z = 1j * s  # (c + 1j * s) * sqrt(var / 2), in place
-    z += c
+    uniforms of u's last axis: normal_pairs(u) times sqrt(var / 2)."""
+    z = normal_pairs(u)
     return np.multiply(z, math.sqrt(var / 2.0), out=z)
 
 

@@ -15,19 +15,33 @@ error target is met, which makes the output bit-identical for any worker
 count.
 
 There is one frame chain, _run_chunk, which simulates a chunk of trials
-as arrays: one batch of channels, one per frame, through channel_init and
-apply_channel, then one batched call each for encoding, combining or
-detection, and demapping. It takes a stream source, draw(stream_id, out),
-and each trial draws its own streams from counter zero in the same order,
-so a trial's outcome does not depend on its chunk. run_wave draws through
-one rekeyed PhiloxStreams, chunk_trials(config) trials at a time;
-run_frame, the single-trial reference, runs a chunk of one trial on fresh
-RngStreams. This module alone derives stream ids: the channel and fading
-layers take uniforms. A chunk holds as many trials as their arrays fit
-numerics.CHUNK_ELEMENTS by trial_elements, and the fading and ML kernels
-tile their scratch within the same budget, one call at a time: five 4x4
-FER frames at any sample rate, 23 2x2 FER or uncoded 4x4 frames. The
-serial path runs one chunk at a time and checks the error target after
+as arrays at every running point of a sweep: one batch of channels, one
+per frame, from channel_init, then one batched call each for encoding,
+combining or detection, and demapping. Stream ids never name a point, so
+a trial draws the same uniforms at every point, and the part of the chain
+that the swept value does not enter, the prefix, runs once per chunk:
+bits, codewords, the links' angle tables and the receiver noise for the
+FER experiments, with the unit-gain channel matrices under a gain sweep;
+bits, the i.i.d. channel, H x and the noise's normal pairs for BER-vs-SNR.
+The rest, the suffix, runs once per point, one point at a time: from the
+path-gain product, from the link gains under a Doppler or sample-rate
+sweep, or from the noise scaling. Each shared array holds the value that
+a one-point chain computes, and each suffix applies the same numpy
+operations to it, so a point's outcomes equal those of a one-point sweep.
+
+_run_chunk takes a stream source, draw(stream_id, out), and each trial
+draws its own streams from counter zero in the same order, so a trial's
+outcome does not depend on its chunk. run_wave draws through one rekeyed
+PhiloxStreams, chunk_trials(config) trials at a time; run_frame, the
+single-trial reference, runs a chunk of one trial on fresh RngStreams.
+This module alone derives stream ids: the channel and fading layers take
+uniforms. A chunk holds as many trials as their arrays fit
+numerics.CHUNK_ELEMENTS by trial_elements, whatever the number of points,
+and the fading and ML kernels tile their scratch within the same budget,
+one call at a time: five 4x4 FER frames at any sample rate, 19 2x2 FER
+frames and 23 uncoded 4x4 frames. run_experiment folds the outcomes of every running
+point in trial order, and each point drops out at its own cut. The
+serial path runs one chunk at a time and checks the error targets after
 each; the process pool gets waves of WAVE_FRAMES trials split evenly over
 its workers, and each worker runs its span chunk by chunk.
 
@@ -52,11 +66,24 @@ from fractions import Fraction
 import numpy as np
 
 from . import numerics
-from .channel import MAX_ANTENNAS, ChannelSpec, apply_channel, channel_init, noise_variance, path_gain, receive
+# apply_channel is unused here; the benchmark's trace wraps sim.apply_channel.
+from .channel import apply_channel  # noqa: F401
+from .channel import (
+    MAX_ANTENNAS,
+    ChannelSpec,
+    channel_init,
+    channel_matrix_at,
+    channel_restart,
+    noise_variance,
+    path_gain,
+    receive,
+    receiver_noise,
+    unit_gain_matrices,
+)
 from .detect import DetectionFailure, DetectorKind, ml_detect_batch, mmse_detect_batch, zf_detect_batch
 from .fading import FadingSpec, fading_draws
 from .modem import QPSK_POINTS, bernoulli_bits, qpsk_demodulate, qpsk_modulate
-from .numerics import MAX_TRIALS, PhiloxStreams, RngStream, complex_normal_from, pack_stream_id
+from .numerics import MAX_TRIALS, PhiloxStreams, RngStream, complex_normal_from, normal_pairs, pack_stream_id
 from .stbc import combine_array, encode_array, ostbc_code
 
 __all__ = [
@@ -105,10 +132,13 @@ ROLE_FADING = 2
 ROLE_IID_CHANNEL = ROLE_FADING + MAX_LINKS
 VALIDATE_FADING_STREAM = pack_stream_id(EXPERIMENT_IDS[VALIDATE_FADING], 0, 0)
 
+# A trial's outcome: (frame_error, bit_errors, bits).
+Outcome = tuple[bool, int, int]
+
 # Trials handed to the worker pool per scheduling wave, split evenly over
 # the workers. Any value gives identical results; it only trades frames
 # simulated past the stopping cut against dispatch overhead. The serial
-# path instead runs one run_wave chunk at a time (see chunk_trials), so it
+# path instead runs one _run_chunk at a time (see chunk_trials), so it
 # stops within a chunk of the cut.
 WAVE_FRAMES = 1024
 
@@ -216,7 +246,7 @@ def _point_config(config: SimConfig, x: float) -> SimConfig:
     return replace(config, channel=ch)
 
 
-def run_frame(config: SimConfig, trial_index: int) -> tuple[bool, int, int]:
+def run_frame(config: SimConfig, trial_index: int) -> Outcome:
     """Simulate one frame: (frame_error, bit_errors, bits) of _run_chunk
     over this one trial, drawing each stream from a fresh RngStream. The
     single-trial reference that run_wave is tested against."""
@@ -224,7 +254,7 @@ def run_frame(config: SimConfig, trial_index: int) -> tuple[bool, int, int]:
     def draw(stream_id: int, out: np.ndarray) -> None:
         out[:] = RngStream(config.master_seed, stream_id).uniform(out.size)
 
-    return _run_chunk(config, draw, range(trial_index, trial_index + 1))[0]
+    return _run_chunk([config], draw, range(trial_index, trial_index + 1))[0][0]
 
 
 def _detect(config: SimConfig, h: np.ndarray, y: np.ndarray, noise_var: float) -> np.ndarray:
@@ -238,59 +268,67 @@ def _detect(config: SimConfig, h: np.ndarray, y: np.ndarray, noise_var: float) -
 def trial_elements(config: SimConfig) -> int:
     """Float64 elements of the arrays that _run_chunk holds for one trial
     at its peak, counted from their shapes; a kernel call inside the chunk
-    keeps its own scratch within numerics.CHUNK_ELEMENTS. A trial sends
-    rows, one channel matrix each: the codeword rows of the FER chain,
-    whose links hold fading_draws + 3M uniforms and then angles each, or
-    one row per transmit vector. Per channel entry 6: the complex matrix
-    and the two arrays of its size that make it (the mixing planes and
-    sums, or the draw's uniforms and normals); per receive and transmit
-    entry 2: the mixing's scaled rows and the receive rows, the codewords
-    or transmit vectors; per symbol 2, and 2 for the combiner's estimates
-    or 16 for the detectors' estimates and the slicer's distances. The
-    noise, 8 per receive entry, comes once the mixing's arrays are freed.
+    keeps its own scratch within numerics.CHUNK_ELEMENTS. The count does
+    not grow with the points of a sweep: a chunk holds its prefix once and
+    runs the points' suffixes one at a time, each freeing its arrays
+    before the next.
+
+    A trial sends rows, one channel matrix each: the codeword rows of the
+    FER chain, or one row per transmit vector. Per channel entry 6: the
+    complex matrix and the two arrays of its size that make it (the mixing
+    planes and sums, or the draw's uniforms and normals), or a gain
+    sweep's shared unit-gain matrix and a point's scaled copy, with room
+    for the combiner's conjugated receive rows. Per transmit entry 2: the
+    codewords or transmit vectors. The FER chain charges a link its
+    fading_draws + 3M uniforms and then angles; a receive entry 4, the
+    shared noise and a point's receive rows or the mixing's scaled rows;
+    and a symbol 8, the symbols and then the combiner's sums and the
+    temporaries of its last expression. BER-vs-SNR charges a receive
+    entry 2, a point's receive rows, as its shared H x and noise pairs
+    take the room of the draw's uniforms and normals; and a symbol 18, the
+    symbols and then the detectors' estimates and the slicer's distances.
     chunk_trials sizes chunks by it; SimConfig.validate bounds it.
     """
     ch = config.channel
     links = ch.n_rx * ch.n_tx
     symbols = config.frame_bits // 2
     if config.experiment is Experiment.BER_VS_SNR:
-        rows, per_link, per_symbol = symbols // ch.n_tx, 0, 18
-    else:
-        code = ostbc_code(*config.code)
-        rows = symbols // code.n_symbols * code.block_len
-        per_link, per_symbol = fading_draws(ch.fading) + 3 * ch.fading.num_sinusoids, 4
-    return links * per_link + rows * (6 * links + 2 * (ch.n_rx + ch.n_tx)) + per_symbol * symbols
+        rows = symbols // ch.n_tx
+        return rows * (6 * links + 2 * ch.n_rx + 2 * ch.n_tx) + 18 * symbols
+    code = ostbc_code(*config.code)
+    rows = symbols // code.n_symbols * code.block_len
+    per_link = fading_draws(ch.fading) + 3 * ch.fading.num_sinusoids
+    return links * per_link + rows * (6 * links + 4 * ch.n_rx + 2 * ch.n_tx) + 8 * symbols
 
 
 def chunk_trials(config: SimConfig) -> int:
-    """Trials that one run_wave chunk batches: as many as fit
+    """Trials that one _run_chunk batches: as many as fit
     numerics.CHUNK_ELEMENTS by trial_elements, and at least one."""
     return max(1, numerics.CHUNK_ELEMENTS // trial_elements(config))
 
 
-def run_wave(config: SimConfig, start: int, stop: int) -> list[tuple[bool, int, int]]:
-    """Outcomes of trials [start, stop), in index order, simulated in chunks
-    of chunk_trials(config) trials.
+def run_wave(config: SimConfig, start: int, stop: int) -> list[Outcome]:
+    """Outcomes of one point config's trials [start, stop), in index order.
 
     Equal to [run_frame(config, t) for t in range(start, stop)]: both run
     _run_chunk, and a PhiloxStreams draw fills exactly the uniforms an
     RngStream of the same (seed, stream id) returns.
     """
-    draw = PhiloxStreams(config.master_seed).uniform
-    step = chunk_trials(config)
-    out: list[tuple[bool, int, int]] = []
-    for a in range(start, stop, step):
-        out.extend(_run_chunk(config, draw, range(a, min(a + step, stop))))
-    return out
+    return _simulate_range([config], start, stop)[0]
 
 
-def _run_chunk(config: SimConfig, draw, trials: range) -> list[tuple[bool, int, int]]:
-    """Outcomes of the trials, in index order; draw(stream_id, out) fills out
-    from the start of that stream. A detection failure (a singular channel
-    under ZF) re-runs a chunk of several trials one trial at a time, and
-    wipes a chunk of one: every bit counts as errored."""
+def _run_chunk(points: list[SimConfig], draw, trials: range) -> list[list[Outcome]]:
+    """Outcomes of the trials at each point config of one sweep (see
+    _point_config), in index order: the prefix once for the chunk, then
+    each point's suffix in turn (see the module docstring). draw(stream_id,
+    out) fills out from the start of that stream. A detection failure (a
+    singular channel under ZF) re-runs that point's chunk of several trials
+    one trial at a time, and wipes a chunk of one: every bit counts as
+    errored."""
+    config = points[0]
     exp_id = EXPERIMENT_IDS[config.experiment.value]
     ch = config.channel
+    n_rx, n_tx = ch.n_rx, ch.n_tx
     f = len(trials)
 
     def uniforms(role: int, per_trial: int, links: int = 1) -> np.ndarray:
@@ -306,44 +344,83 @@ def _run_chunk(config: SimConfig, draw, trials: range) -> list[tuple[bool, int, 
 
     bits = bernoulli_bits(uniforms(ROLE_BITS, config.frame_bits))
     syms = qpsk_modulate(bits.ravel())
-    n_rx, n_tx = ch.n_rx, ch.n_tx
+
+    def score(bits_hat: np.ndarray) -> list[Outcome]:
+        errors = np.count_nonzero(bits_hat.reshape(f, -1) != bits, axis=1)
+        return [(bool(e > 0), int(e), config.frame_bits) for e in errors]
 
     if config.experiment is Experiment.BER_VS_SNR:
-        x = syms.reshape(-1, n_tx) / math.sqrt(n_tx)
+        # Prefix: the i.i.d. channel, H x and the noise's normal pairs.
+        x, syms = syms.reshape(-1, n_tx) / math.sqrt(n_tx), None
         n_vec = len(x) // f
         h = complex_normal_from(uniforms(ROLE_IID_CHANNEL, 2 * n_vec * n_rx * n_tx), 1.0)
         h = path_gain(ch) * h.reshape(-1, n_rx, n_tx)
-        noise_var = noise_variance(config.snr_db)
-        y = receive(h, x, noise_var, noise)
-        try:
-            decided = _detect(config, h, y, noise_var)
-        except DetectionFailure:
-            if f == 1:
-                return [(True, config.frame_bits, config.frame_bits)]
-            return [o for t in trials for o in _run_chunk(config, draw, range(t, t + 1))]
-        bits_hat = qpsk_demodulate(decided.ravel())
+        hx = receive(h, x, None)
+        z = normal_pairs(noise(2 * hx.size)).reshape(hx.shape)
+
+        def point_outcomes(pc: SimConfig) -> list[Outcome]:
+            # receive's y = H x + w, with w as complex_normal_from scales it.
+            noise_var = noise_variance(pc.snr_db)
+            y = np.multiply(z, math.sqrt(noise_var / 2.0))
+            y += hx
+            try:
+                decided = _detect(pc, h, y, noise_var)
+            except DetectionFailure:
+                if f == 1:
+                    return [(True, config.frame_bits, config.frame_bits)]
+                return [o for t in trials for o in _run_chunk([pc], draw, range(t, t + 1))[0]]
+            return score(qpsk_demodulate(decided.ravel()))
+
+        return [point_outcomes(pc) for pc in points]
+
+    # Prefix: the codewords, the links' angle tables and the receiver
+    # noise, and under a gain sweep the unit-gain channel matrices.
+    code = ostbc_code(*config.code)
+    x, syms = encode_array(code, syms.reshape(-1, code.n_symbols)).reshape(-1, n_tx), None
+    rows = len(x) // f
+    u = uniforms(ROLE_FADING, fading_draws(ch.fading), n_rx * n_tx).reshape(f, n_rx * n_tx, -1)
+    proc, u = channel_init(ch, u), None  # the angle tables replace the uniforms
+    if config.experiment is Experiment.FER_VS_GAIN:
+        h0 = unit_gain_matrices(proc, rows).reshape(-1, n_rx, n_tx)
+
+        def channel(pc: SimConfig) -> np.ndarray:
+            # channel_matrix_at's in-place scaling, into a new array.
+            return np.multiply(h0, path_gain(pc.channel))
     else:
-        code = ostbc_code(*config.code)
-        x = encode_array(code, syms.reshape(-1, code.n_symbols)).reshape(f, -1, n_tx)
-        u = uniforms(ROLE_FADING, fading_draws(ch.fading), n_rx * n_tx).reshape(f, n_rx * n_tx, -1)
-        proc, u = channel_init(ch, u), None  # the angle tables replace the uniforms
-        y, h = apply_channel(proc, x, config.snr_db, noise)
-        t_len = code.block_len
-        s_hat = combine_array(code, y.reshape(-1, t_len, n_rx), h.reshape(-1, n_rx, n_tx)[::t_len])
-        bits_hat = qpsk_demodulate(s_hat.ravel())
 
-    errors = np.count_nonzero(bits_hat.reshape(f, -1) != bits, axis=1)
-    return [(bool(e > 0), int(e), config.frame_bits) for e in errors]
+        def channel(pc: SimConfig) -> np.ndarray:
+            return channel_matrix_at(channel_restart(proc, pc.channel), rows).reshape(-1, n_rx, n_tx)
+
+    w = receiver_noise((len(x), n_rx), config.snr_db, noise)
+    t_len = code.block_len
+
+    def point_outcomes(pc: SimConfig) -> list[Outcome]:
+        h = channel(pc)
+        y = receive(h, x, w)
+        s_hat = combine_array(code, y.reshape(-1, t_len, n_rx), h[::t_len])
+        return score(qpsk_demodulate(s_hat.ravel()))
+
+    return [point_outcomes(pc) for pc in points]
 
 
-def _simulate_range(config: SimConfig, start: int, stop: int) -> list[tuple[bool, int, int]]:
-    """Worker body: outcomes for trials [start, stop), in index order."""
-    return run_wave(config, start, stop)
+def _simulate_range(points: list[SimConfig], start: int, stop: int) -> list[list[Outcome]]:
+    """Worker body: for each point config of one sweep, the outcomes of
+    trials [start, stop), in index order, simulated in chunks of
+    chunk_trials trials through one rekeyed PhiloxStreams."""
+    draw = PhiloxStreams(points[0].master_seed).uniform
+    step = chunk_trials(points[0])
+    out: list[list[Outcome]] = [[] for _ in points]
+    for a in range(start, stop, step):
+        for acc, part in zip(out, _run_chunk(points, draw, range(a, min(a + step, stop)))):
+            acc.extend(part)
+    return out
 
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """Aggregated counts and rates at one x value."""
+    """Aggregated counts and rates at one x value. elapsed_s is the wall
+    time from the start of the sweep to this point's cut: the points run
+    together, so it is not the time spent on this point alone."""
 
     x: float
     frames: int
@@ -393,46 +470,77 @@ def _split_range(start: int, stop: int, parts: int) -> list[tuple[int, int]]:
     return [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
-def _trial_outcomes(config: SimConfig, pool: ProcessPoolExecutor | None, workers: int):
-    """Outcomes of trials 0, 1, ... of a point config, in index order, simulated
-    a wave at a time (see WAVE_FRAMES) and only as the consumer asks for them."""
-    wave = WAVE_FRAMES if pool is not None else chunk_trials(config)
+def _simulate_wave(
+    points: list[SimConfig], start: int, stop: int, pool: ProcessPoolExecutor | None, workers: int
+) -> list[list[Outcome]]:
+    """_simulate_range of trials [start, stop): in this process, or split
+    evenly over the pool's workers, waiting for the whole wave so that no
+    task outlives a cut."""
+    if pool is None or stop - start < 2 * workers:
+        return _simulate_range(points, start, stop)
+    starts, stops = zip(*_split_range(start, stop, workers))
+    parts = list(pool.map(_simulate_range, [points] * len(starts), starts, stops))
+    return [[o for part in parts for o in part[i]] for i in range(len(points))]
+
+
+@dataclass
+class _Tally:
+    """Running counts of one sweep point."""
+
+    frames: int = 0
+    frame_errors: int = 0
+    bits: int = 0
+    bit_errors: int = 0
+
+    def fold(self, outcomes, target: int) -> bool:
+        """Add outcomes in trial order, up to and including the one that
+        meets the error target; True once it is met."""
+        for fe, be, nb in outcomes:
+            self.frames += 1
+            self.frame_errors += int(fe)
+            self.bit_errors += be
+            self.bits += nb
+            if self.frame_errors >= target:
+                return True
+        return False
+
+    def point(self, x: float, elapsed_s: float) -> SweepPoint:
+        return SweepPoint(
+            x=x,
+            frames=self.frames,
+            frame_errors=self.frame_errors,
+            bits=self.bits,
+            bit_errors=self.bit_errors,
+            fer=self.frame_errors / self.frames,
+            ber=self.bit_errors / self.bits,
+            ci95_fer=wilson_interval(self.frame_errors, self.frames),
+            ci95_ber=wilson_interval(self.bit_errors, self.bits),
+            elapsed_s=elapsed_s,
+        )
+
+
+def _run_sweep(config: SimConfig, pool: ProcessPoolExecutor | None, workers: int) -> list[SweepPoint]:
+    """Simulate every sweep point at once: trials 0, 1, ... of all points
+    still running, a wave at a time (a chunk on the serial path, see
+    chunk_trials; WAVE_FRAMES trials in the pool). Each point folds its
+    outcomes in trial order and drops out at its own cut: the trial that
+    meets the error target, or max_frames."""
+    t0 = time.perf_counter()
+    points = [_point_config(config, x) for x in config.sweep]
+    tallies = [_Tally() for _ in points]
+    results: list[SweepPoint | None] = [None] * len(points)
+    active = list(range(len(points)))
+    wave = WAVE_FRAMES if pool is not None else chunk_trials(points[0])
     for start in range(0, config.max_frames, wave):
         stop = min(start + wave, config.max_frames)
-        if pool is None or stop - start < 2 * workers:
-            yield from _simulate_range(config, start, stop)
-        else:
-            starts, stops = zip(*_split_range(start, stop, workers))
-            # Wait for the whole wave, so that no task outlives the cut.
-            for part in list(pool.map(_simulate_range, [config] * len(starts), starts, stops)):
-                yield from part
-
-
-def _run_point(config: SimConfig, x: float, pool: ProcessPoolExecutor | None, workers: int) -> SweepPoint:
-    """Fold one sweep point's outcomes in trial order, up to and including
-    the trial that meets the error target."""
-    pc = _point_config(config, x)
-    t0 = time.perf_counter()
-    frames = frame_errors = bits = bit_errors = 0
-    for fe, be, nb in _trial_outcomes(pc, pool, workers):
-        frames += 1
-        frame_errors += int(fe)
-        bit_errors += be
-        bits += nb
-        if frame_errors >= pc.target_frame_errors:
+        parts = _simulate_wave([points[i] for i in active], start, stop, pool, workers)
+        for i, outcomes in zip(list(active), parts):
+            if tallies[i].fold(outcomes, config.target_frame_errors) or stop == config.max_frames:
+                results[i] = tallies[i].point(config.sweep[i], time.perf_counter() - t0)
+                active.remove(i)
+        if not active:
             break
-    return SweepPoint(
-        x=x,
-        frames=frames,
-        frame_errors=frame_errors,
-        bits=bits,
-        bit_errors=bit_errors,
-        fer=frame_errors / frames,
-        ber=bit_errors / bits,
-        ci95_fer=wilson_interval(frame_errors, frames),
-        ci95_ber=wilson_interval(bit_errors, bits),
-        elapsed_s=time.perf_counter() - t0,
-    )
+    return results
 
 
 def run_experiment(config: SimConfig, workers: int = 1) -> SimResult:
@@ -448,7 +556,7 @@ def run_experiment(config: SimConfig, workers: int = 1) -> SimResult:
     config.validate()
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
     with pool as executor:
-        points = [_run_point(config, x, executor, workers) for x in config.sweep]
+        points = _run_sweep(config, executor, workers)
     return SimResult(config=config, points=points)
 
 

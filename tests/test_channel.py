@@ -13,6 +13,8 @@ from mimolink.channel import (
     apply_channel,
     channel_init,
     channel_matrix_at,
+    channel_restart,
+    unit_gain_matrices,
     correlation_matrix,
     correlation_rho,
     noise_variance,
@@ -329,3 +331,24 @@ def test_batched_channels_equal_single_channels(spec):
         np.testing.assert_array_equal(flat_h[i], h1)
     with pytest.raises(ValueError, match="x must have shape"):
         apply_channel(batch, flat_x, 5.0, noise(0))
+
+
+def test_channel_restart_equals_a_fresh_channel():
+    """A process restarted under another Doppler, sample rate, correlation
+    and path gain gives, bit for bit, the matrices of a process started
+    under that spec from the same uniforms; the original keeps its spec
+    and cursor. unit_gain_matrices is channel_matrix_at before the gain."""
+    spec = ChannelSpec(n_tx=3, n_rx=2, fading=FAST_FADING, correlation=0.5)
+    other = ChannelSpec(n_tx=3, n_rx=2, correlation=0.9, path_gain_db=-7.0,
+                        fading=FadingSpec(max_doppler_hz=40.0, sample_rate_hz=1e4))
+    u = _link_uniforms(spec, 18, 0)
+    proc = channel_init(spec, u)
+    restarted = channel_restart(proc, other)
+    np.testing.assert_array_equal(channel_matrix_at(restarted, 50), channel_matrix_at(channel_init(other, u), 50))
+    assert proc.spec == spec and proc.fading.sample_index == 0
+    unit = channel.path_gain(other) * unit_gain_matrices(channel_restart(proc, other), 50)
+    np.testing.assert_array_equal(unit, channel_matrix_at(channel_restart(proc, other), 50))
+    for bad in (ChannelSpec(n_tx=2, n_rx=2, fading=FAST_FADING),
+                ChannelSpec(n_tx=3, n_rx=2, fading=FadingSpec(num_sinusoids=16))):
+        with pytest.raises(ValueError, match="angle tables"):
+            channel_restart(proc, bad)

@@ -188,7 +188,12 @@ def test_link_gains_tiles_match_outer_products(spec, monkeypatch):
         _error_bound_holds(spec, u[:2], 0, n, np.arange(0, n, 13))
 
 
-@pytest.mark.parametrize("model", [FadingModel.RAYLEIGH, FadingModel.RICIAN])
+@pytest.mark.parametrize("model, k_factor", [
+    pytest.param(FadingModel.RAYLEIGH, 4.0, id="FadingModel.RAYLEIGH"),
+    pytest.param(FadingModel.RICIAN, 4.0, id="FadingModel.RICIAN"),
+    # Above K_AWGN_SENTINEL: the line-of-sight phasor alone.
+    pytest.param(FadingModel.RICIAN, 1e12, id="awgn-limit"),
+])
 @pytest.mark.parametrize("fs, links, n, budget", [
     (256.0, 1, 10**6, None),
     (1e6, 1, 10**6, None),
@@ -196,16 +201,18 @@ def test_link_gains_tiles_match_outer_products(spec, monkeypatch):
     (1e4, 48, 80, None),
     # A budget below one link's block: the tiles hold one link's block.
     (1e4, 48, 80, 2000),
+    (1e6, 16, 10**5, None),
 ])
-def test_link_gains_scratch_stays_within_the_budget(fs, links, n, budget, model, monkeypatch):
+def test_link_gains_scratch_stays_within_the_budget(fs, links, n, budget, model, k_factor, monkeypatch):
     """One link_gains call allocates, besides its gains, at most
     numerics.CHUNK_ELEMENTS float64 elements, numpy's iterator buffers
     included, or one link's block where that is larger: long single-link
-    calls at a rotation and a Taylor plan, and calls of 48 links by 80
-    samples, three 4x4 FER frames."""
+    calls at a rotation and a Taylor plan, calls of 48 links by 80
+    samples, three 4x4 FER frames, and of 16 links by 1e5 samples, at the
+    AWGN limit too."""
     if budget is not None:
         monkeypatch.setattr(numerics, "CHUNK_ELEMENTS", budget)
-    spec = FadingSpec(sample_rate_hz=fs, model=model, k_factor=4.0, los_doppler_hz=100.0)
+    spec = FadingSpec(sample_rate_hz=fs, model=model, k_factor=k_factor, los_doppler_hz=100.0)
     angles = fading_angles(spec, np.stack([RngStream(13, sid).uniform(1 + 2 * spec.num_sinusoids) for sid in range(links)]))
     link_gains(spec, *angles, 0, 100)  # fills the plan cache
     tracemalloc.start()
@@ -215,6 +222,18 @@ def test_link_gains_scratch_stays_within_the_budget(fs, links, n, budget, model,
     finally:
         tracemalloc.stop()
     assert peak - gains.nbytes <= 8 * max(numerics.CHUNK_ELEMENTS, sum(_tile_elements(spec, 0, n)))
+
+
+def test_awgn_limit_tiles_keep_the_bytes(monkeypatch):
+    """Above K_AWGN_SENTINEL the phasor is built in tiles of samples; every
+    tiling, from a start off the tile grid, gives the bytes of one tile."""
+    spec = FadingSpec(sample_rate_hz=1e4, model=FadingModel.RICIAN, k_factor=1e12,
+                      los_doppler_hz=37.0, los_phase_rad=0.3)
+    angles = fading_angles(spec, np.stack([RngStream(14, sid).uniform(1 + 2 * spec.num_sinusoids) for sid in range(3)]))
+    expected = link_gains(spec, *angles, 12_345, 2_001)
+    for budget in (1, 6, 600, 10**9):
+        monkeypatch.setattr(numerics, "CHUNK_ELEMENTS", budget)
+        np.testing.assert_array_equal(link_gains(spec, *angles, 12_345, 2_001), expected)
 
 
 @pytest.mark.parametrize("fs", [1e6, 1e5, 1e4, 256.0, 1e3, 2560.0])

@@ -7,12 +7,14 @@ the worker pool, with at least 500 frames per CSV. One FER case runs at
 300 Hz to 10 kHz, where the fading kernel takes its low-rate plans, not
 the long Taylor blocks of 1 MHz. Two more mix correlated links at shapes
 the others miss: four receive antennas over two transmit at an explicit
-coefficient, and one receive antenna at high correlation. A change to any
-one trial's outcome on any of these paths changes a digest. Two
-validate-fading cases, Rayleigh and Rician with a moving line of sight,
-pin its stream and its CSV header. The digests were recorded with the
-per-frame engine that run_frame still implements, so they also pin the
-batched engine to it.
+coefficient, and one receive antenna at high correlation. Two sweeps stop
+each point on its own trial, an MMSE one among them, and the cut FER sweep
+runs on one worker and on two. A change to any one trial's outcome on any
+of these paths changes a digest. Two validate-fading cases, Rayleigh and
+Rician with a moving line of sight, pin its stream and its CSV header. The
+digests were recorded with the per-frame engine that run_frame still
+implements, and the last two with the point-by-point sweep engine, so they
+also pin the batched, sweep-shared engine to both.
 """
 
 import hashlib
@@ -30,6 +32,13 @@ _RICIAN = (
 )
 _RICIAN_SHA = "141ec55a1b74942557ae48480cbefbb11ecaabca34e2395dc87c7fd9fa0d7fc7"
 _VALIDATE = ("validate-fading", "--samples", "100000")
+# The error target cuts the first two points mid-chunk.
+_CUT_GAIN = (
+    "fer-vs-gain", "--code", "4x3/4", "--nr", "2", "--correlation", "low",
+    "--frame-bits", "24", "--gain-db", "-12:6:0", "--snr-db", "10",
+    "--target-errors", "150", "--max-frames", "600",
+)
+_CUT_GAIN_SHA = "7110ea050d642ba2fd92078b931d619b8683c5ffa5f371202981ce637811c9d6"
 
 CASES = [
     (
@@ -56,13 +65,7 @@ CASES = [
     ),
     (_RICIAN, _RICIAN_SHA),
     ((*_RICIAN, "--workers", "2"), _RICIAN_SHA),
-    (
-        # The error target cuts the first two points mid-chunk.
-        ("fer-vs-gain", "--code", "4x3/4", "--nr", "2", "--correlation", "low",
-         "--frame-bits", "24", "--gain-db", "-12:6:0", "--snr-db", "10",
-         "--target-errors", "150", "--max-frames", "600"),
-        "7110ea050d642ba2fd92078b931d619b8683c5ffa5f371202981ce637811c9d6",
-    ),
+    (_CUT_GAIN, _CUT_GAIN_SHA),
     ((*_BER, "--detector", "zf"), "d62246837b881de7942ae43b1211d0a1dc709c7a23e01358649fe08dcfc1bfbb"),
     ((*_BER, "--detector", "mmse"), "a712fbd0cb1996094968e9303fda3a43826b1b831acb54c3e6e0c572e1e0f8b0"),
     ((*_BER, "--detector", "ml"), "a74c06c32ba019e482f08645bc414e3cb04c85a357a51e07cfdca3ac93283530"),
@@ -98,6 +101,15 @@ CASES = [
          "--gain-db", "-2,2", "--max-frames", "500", *_FIXED),
         "3de843119edb6c726f38750cd7d85fe63759c5ad742c06414c7a73f8848b5be9",
     ),
+    (
+        # The error target cuts the points at 104, 135 and 256 trials, and
+        # the last runs to max_frames, so each point of the sweep stops on
+        # its own trial.
+        ("ber-vs-snr", "--detector", "mmse", "--frame-bits", "16", "--snr-db", "0:6:18",
+         "--target-errors", "100", "--max-frames", "600"),
+        "b216347fb4ac601bed13dc47c443ca0d7de6232445baff29f51df38e4a8808d1",
+    ),
+    ((*_CUT_GAIN, "--workers", "2"), _CUT_GAIN_SHA),
 ]
 
 

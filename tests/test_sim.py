@@ -177,12 +177,12 @@ def test_config_validation_bounds_trial_memory():
     without allocating anything."""
     # 4x3/4 over 4x4 links with M = 32: 120 bits are 60 symbols and 80
     # rows. 16 links of 1 + 2 * 32 uniforms and 3 * 32 angles, 80 rows of
-    # 6 * 16 channel and 2 * 8 receive and transmit elements, and 4 per
+    # 6 * 16 channel, 4 * 4 receive and 2 * 4 transmit elements, and 8 per
     # symbol. The largest frame that validates, a multiple of 6 bits, has
-    # 145,864 rows.
+    # 133,132 rows.
     fer = _fer_config(channel=ChannelSpec(n_tx=4, n_rx=4))
-    assert sim.trial_elements(replace(fer, frame_bits=120)) == 16 * 161 + 80 * 112 + 4 * 60
-    largest = 218_796
+    assert sim.trial_elements(replace(fer, frame_bits=120)) == 16 * 161 + 80 * 120 + 8 * 60
+    largest = 199_698
     replace(fer, frame_bits=largest).validate()
     with pytest.raises(ValueError, match="MAX_TRIAL_ELEMENTS"):
         replace(fer, frame_bits=largest + 6).validate()
@@ -190,10 +190,10 @@ def test_config_validation_bounds_trial_memory():
         _fer_config(channel=ChannelSpec(n_tx=2, n_rx=1), code=(2, Fraction(1)), frame_bits=2_000_000_000).validate()
     # num_sinusoids is capped by the fading spec, and M counts against the
     # trial bound: at M = 65,536 each of the 16 links holds 5M + 1
-    # elements, and the largest frame shrinks to 150,444 bits.
+    # elements, and the largest frame shrinks to 137,310 bits.
     big_m = ChannelSpec(fading=FadingSpec(num_sinusoids=numerics.CHUNK_ELEMENTS))
-    replace(fer, channel=big_m, frame_bits=150_444).validate()
-    for frame_bits in (150_450, largest):
+    replace(fer, channel=big_m, frame_bits=137_310).validate()
+    for frame_bits in (137_316, largest):
         with pytest.raises(ValueError, match="MAX_TRIAL_ELEMENTS"):
             replace(fer, channel=big_m, frame_bits=frame_bits).validate()
     for detector in DetectorKind:
@@ -210,7 +210,7 @@ def test_config_validation_bounds_trial_memory():
     with pytest.raises(ValueError, match="MAX_TRIAL_ELEMENTS"):
         replace(ml, frame_bits=729_448).validate()
     # chunk_trials reads the same count: 12 bits are 8 rows.
-    assert chunk_trials(_point_config(fer, -5.0)) == numerics.CHUNK_ELEMENTS // (16 * 161 + 8 * 112 + 4 * 6)
+    assert chunk_trials(_point_config(fer, -5.0)) == numerics.CHUNK_ELEMENTS // (16 * 161 + 8 * 120 + 8 * 6)
 
 
 # The FER shapes of the benchmark workloads, with correlated links, so
@@ -228,7 +228,21 @@ _FER_2X2_RICIAN_HIGH = _point_config(_fer_config(
 
 def test_benchmark_fer_chunk_sizes():
     assert chunk_trials(_FER_4X4_LOW) == 5
-    assert chunk_trials(_FER_2X2_RICIAN_HIGH) == 23
+    assert chunk_trials(_FER_2X2_RICIAN_HIGH) == 19
+
+
+# Three values of each experiment's swept quantity.
+_SWEEPS = {
+    Experiment.FER_VS_GAIN: (-7.0, -5.0, -3.0),
+    Experiment.FER_VS_DOPPLER: (25.0, 50.0, 100.0),
+    Experiment.FER_VS_SAMPLE_RATE: (1e5, 2e5, 1e6),
+    Experiment.BER_VS_SNR: (5.0, 10.0, 15.0),
+}
+
+
+def _sweep_points(cfg: SimConfig) -> list[SimConfig]:
+    """The point configs of a three-point sweep around cfg."""
+    return [_point_config(cfg, x) for x in _SWEEPS[cfg.experiment]]
 
 
 @pytest.mark.parametrize("cfg", [
@@ -248,6 +262,12 @@ def test_benchmark_fer_chunk_sizes():
     ), -5.0),
     _FER_4X4_LOW,
     _FER_2X2_RICIAN_HIGH,
+    # A gain sweep holds its unit-gain matrices and noise through every
+    # point's combiner, which outweighs the channel at one receive antenna
+    # and long frames.
+    _point_config(_fer_config(
+        code=(2, Fraction(1)), channel=ChannelSpec(n_tx=2, n_rx=1, correlation=0.5), frame_bits=1200,
+    ), -5.0),
     _point_config(_ber_config(detector=DetectorKind.ZF, frame_bits=120), 10.0),
     _point_config(_ber_config(detector=DetectorKind.MMSE, frame_bits=120), 10.0),
     # The linear detectors at small antenna counts, where the slicer's
@@ -264,26 +284,28 @@ def test_benchmark_fer_chunk_sizes():
     _point_config(_ber_config(detector=DetectorKind.ML, channel=ChannelSpec(n_tx=1, n_rx=4), frame_bits=120), 10.0),
 ], ids=[
     "fer-4x4-4x3/4", "fer-2x1-rician", "fer-4x4-10khz", "fer-4x4-1khz", "fer-4x4-low", "fer-2x2-rician-high",
+    "fer-2x1-gain-1200",
     "ber-zf", "ber-mmse", "ber-zf-1x1", "ber-zf-1x4", "ber-mmse-1x1", "ber-mmse-1x4",
     "ber-ml", "ber-ml-3x2", "ber-ml-1x4",
 ])
 def test_trial_elements_bounds_a_measured_chunk(cfg):
-    """The memory model is an upper bound on what a chunk allocates: the
-    tracemalloc peak of one _run_chunk stays within chunk_trials *
-    trial_elements float64 elements of arrays plus one kernel call's
-    numerics.CHUNK_ELEMENTS of scratch, and in chunks of 4 and 8 times as
-    many trials, where the arrays dominate, the peak grows by at most
-    trial_elements a trial. Every one of these shapes, the low-rate FER
-    frames included, batches at least two trials."""
+    """The memory model is an upper bound on what a chunk of three sweep
+    points allocates: the tracemalloc peak of one _run_chunk stays within
+    chunk_trials * trial_elements float64 elements of arrays plus one
+    kernel call's numerics.CHUNK_ELEMENTS of scratch, and in chunks of 4
+    and 8 times as many trials, where the arrays dominate, the peak grows
+    by at most trial_elements a trial. Every one of these shapes, the
+    low-rate FER frames included, batches at least two trials."""
+    points = _sweep_points(cfg)
     streams = sim.PhiloxStreams(cfg.master_seed).uniform
     step = chunk_trials(cfg)
     assert step >= 2
-    sim._run_chunk(cfg, streams, range(step))  # fills the per-process caches
+    sim._run_chunk(points, streams, range(step))  # fills the per-process caches
 
     def peak(trials: int) -> int:
         tracemalloc.start()
         try:
-            sim._run_chunk(cfg, streams, range(step, step + trials))
+            sim._run_chunk(points, streams, range(step, step + trials))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -452,7 +474,7 @@ def test_reference_chain_reproduces_run_frame_ber(detector):
 
         decided = []
         for v in range(len(x)):
-            y = receive(h[v : v + 1], x[v : v + 1], 0.0, None) + w[v : v + 1]
+            y = receive(h[v : v + 1], x[v : v + 1], w[v : v + 1])
             decided.append(detect(h[v : v + 1], y)[0])
         bits_hat = qpsk_demodulate(np.concatenate(decided))
 
@@ -486,9 +508,11 @@ def test_stopping_rule_exact_cutoff():
 
 
 def test_serial_point_stops_in_the_chunk_of_the_cut(monkeypatch):
-    """The serial path simulates whole chunks, in order, and none past the
-    chunk that holds the trial meeting the error target."""
-    cfg = _fer_config(snr_db=0.0, sweep=(-5.0,), max_frames=5000, target_frame_errors=50)
+    """The serial path simulates whole chunks, in order, and none of a
+    point past the chunk that holds its trial meeting the error target:
+    a point that is cut drops out of the chunks that the others still
+    run."""
+    cfg = _fer_config(snr_db=0.0, sweep=(-5.0, 0.0), max_frames=5000, target_frame_errors=50)
     # A fixed chunk size, so that the cut stays mid-chunk whatever the
     # memory model makes of this config.
     step = 16
@@ -496,14 +520,17 @@ def test_serial_point_stops_in_the_chunk_of_the_cut(monkeypatch):
     spans = []
     simulate = sim._simulate_range
 
-    def recording(config, start, stop):
-        spans.append((start, stop))
-        return simulate(config, start, stop)
+    def recording(points, start, stop):
+        spans.append((start, stop, [p.channel.path_gain_db for p in points]))
+        return simulate(points, start, stop)
 
     monkeypatch.setattr(sim, "_simulate_range", recording)
-    cut = run_experiment(cfg).points[0].frames - 1  # the trial that met the target
-    assert cut >= step and 0 < cut % step < step - 1  # mid-chunk, past the first
-    assert spans == [(a, a + step) for a in range(0, cut + 1, step)]
+    cuts = [p.frames - 1 for p in run_experiment(cfg).points]  # the trials that met the target
+    assert 1 <= cuts[0] // step < cuts[1] // step  # the points stop in different chunks
+    for x, cut in zip(cfg.sweep, cuts):
+        assert 0 < cut % step < step - 1  # mid-chunk, past the first
+        assert [(a, b) for a, b, xs in spans if x in xs] == [(a, a + step) for a in range(0, cut + 1, step)]
+    assert [(a, b) for a, b, _ in spans] == [(a, a + step) for a in range(0, cuts[1] + 1, step)]
 
 
 def test_max_frames_binds_when_target_unreachable():
@@ -663,3 +690,51 @@ def test_zf_failure_wipes_only_its_frame(monkeypatch):
     expected[bad - start] = (True, cfg.frame_bits, cfg.frame_bits)
     assert wiped == expected
     assert wiped == [run_frame(cfg, t) for t in range(start, stop)]
+
+
+# One multi-point sweep of each experiment kind whose points stop on
+# different trials: at the error target mid-chunk, or at max_frames.
+_SWEEP_CONFIGS = [
+    _fer_config(snr_db=4.0, sweep=(-10.0, -4.0, 2.0), max_frames=150, target_frame_errors=20),
+    _fer_config(
+        experiment=Experiment.FER_VS_DOPPLER, code=(2, Fraction(1)), frame_bits=24, snr_db=12.0,
+        channel=ChannelSpec(n_tx=2, n_rx=1, correlation=0.5, fading=FadingSpec(
+            model=FadingModel.RICIAN, k_factor=2.0, los_doppler_hz=50.0, sample_rate_hz=1e3)),
+        sweep=(25.0, 100.0, 400.0), max_frames=150, target_frame_errors=20,
+    ),
+    _fer_config(
+        experiment=Experiment.FER_VS_SAMPLE_RATE, code=(3, Fraction(1, 2)), frame_bits=32, snr_db=10.0,
+        channel=ChannelSpec(n_tx=3, n_rx=2, correlation=0.1, fading=FadingSpec(max_doppler_hz=400.0)),
+        sweep=(1e3, 1e4, 1e6), max_frames=150, target_frame_errors=20,
+    ),
+    _ber_config(detector=DetectorKind.MMSE, frame_bits=8, sweep=(0.0, 6.0, 12.0, 18.0),
+                max_frames=150, target_frame_errors=20),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("cfg", _SWEEP_CONFIGS, ids=lambda c: c.experiment.value)
+def test_sweep_points_equal_one_point_runs(cfg, workers):
+    """Each point of a multi-point sweep equals the one-point sweep at its
+    x in every field but elapsed_s: sharing the trials' prefix across the
+    points changes no outcome, and each point stops at its own cut."""
+    multi = run_experiment(cfg, workers=workers).points
+    singles = [run_experiment(replace(cfg, sweep=(x,)), workers=workers).points[0] for x in cfg.sweep]
+    assert [replace(p, elapsed_s=0.0) for p in multi] == [replace(p, elapsed_s=0.0) for p in singles]
+    assert len({p.frames for p in multi}) > 1  # the points stop on different trials
+
+
+def test_gain_sweep_initialises_each_trial_once(monkeypatch):
+    """A 4-point gain sweep draws and starts each trial's channels once,
+    as a 1-point sweep over the same trials does."""
+    calls = []
+    init = sim.channel_init
+    monkeypatch.setattr(sim, "channel_init", lambda spec, u: calls.append(len(u)) or init(spec, u))
+    cfg = _fer_config(sweep=(-12.0, -8.0, -4.0, 0.0), max_frames=50, target_frame_errors=10**6)
+
+    def count(sweep):
+        calls.clear()
+        assert [p.frames for p in run_experiment(replace(cfg, sweep=sweep)).points] == [50] * len(sweep)
+        return len(calls), sum(calls)  # channel_init calls, and the trials they start
+
+    assert count(cfg.sweep) == count(cfg.sweep[:1]) == (len(calls), 50)
