@@ -331,8 +331,7 @@ def main(argv=None) -> int:
         if args.command == "validate-fading":
             text = _validate_fading_csv(args, spec, rng)
         else:
-            result = run_experiment(config, workers=args.workers)
-            text = emit_csv(result, config)
+            text = emit_csv(run_experiment(config, workers=args.workers))
         with open(args.out, "w", newline="\n") as fh:
             fh.write(text)
         if args.plot_script:

@@ -7,12 +7,12 @@ or max_frames frames, whichever comes first.
 
 Reproducibility is structural, not incidental. Each frame derives every
 random quantity it needs from counter-based streams keyed by
-(master_seed, experiment id, role, trial index), so frame outcomes are pure
-functions of (config, trial_index). The engine may farm trials out to
-worker processes in any arrangement; results are aggregated by scanning
-outcomes in trial-index order and cutting off at the exact frame where the
-error target is met, which makes the output bit-identical for any worker
-count.
+(master_seed, experiment id, role, trial index), so a trial's outcome,
+one int, its bit-error count, is a pure function of (config, trial_index).
+The engine may farm trials out to worker processes in any arrangement; a
+point folds the counts in trial-index order, a count above zero being a
+frame error, and cuts off at the exact frame where the error target is
+met, which makes emit_csv(result) bit-identical for any worker count.
 
 There is one frame chain, _run_chunk, which simulates a chunk of trials
 as arrays at every running point of a sweep: one batch of channels, one
@@ -39,11 +39,11 @@ uniforms. A chunk holds as many trials as their arrays fit
 numerics.CHUNK_ELEMENTS by trial_elements, whatever the number of points,
 and the fading and ML kernels tile their scratch within the same budget,
 one call at a time: five 4x4 FER frames at any sample rate, 19 2x2 FER
-frames and 23 uncoded 4x4 frames. run_experiment folds the outcomes of every running
-point in trial order, and each point drops out at its own cut. The
-serial path runs one chunk at a time and checks the error targets after
-each; the process pool gets waves of WAVE_FRAMES trials split evenly over
-its workers, and each worker runs its span chunk by chunk.
+frames and 23 uncoded 4x4 frames. Each point of a sweep drops out at its
+own cut. The serial path runs one chunk at a time and checks the error
+targets after each; the process pool gets waves of WAVE_FRAMES trials
+split evenly over its workers, and each worker runs its span chunk by
+chunk, shipping back one int array per point.
 
 Frame chain for the FER experiments: Bernoulli bits -> QPSK -> OSTBC encode
 -> time-varying correlated channel + AWGN -> combine (channel of each
@@ -131,9 +131,6 @@ ROLE_NOISE = 1
 ROLE_FADING = 2
 ROLE_IID_CHANNEL = ROLE_FADING + MAX_LINKS
 VALIDATE_FADING_STREAM = pack_stream_id(EXPERIMENT_IDS[VALIDATE_FADING], 0, 0)
-
-# A trial's outcome: (frame_error, bit_errors, bits).
-Outcome = tuple[bool, int, int]
 
 # Trials handed to the worker pool per scheduling wave, split evenly over
 # the workers. Any value gives identical results; it only trades frames
@@ -246,15 +243,15 @@ def _point_config(config: SimConfig, x: float) -> SimConfig:
     return replace(config, channel=ch)
 
 
-def run_frame(config: SimConfig, trial_index: int) -> Outcome:
-    """Simulate one frame: (frame_error, bit_errors, bits) of _run_chunk
-    over this one trial, drawing each stream from a fresh RngStream. The
-    single-trial reference that run_wave is tested against."""
+def run_frame(config: SimConfig, trial_index: int) -> int:
+    """Simulate one frame: the bit-error count of _run_chunk over this one
+    trial, drawing each stream from a fresh RngStream. The single-trial
+    reference that run_wave is tested against."""
 
     def draw(stream_id: int, out: np.ndarray) -> None:
         out[:] = RngStream(config.master_seed, stream_id).uniform(out.size)
 
-    return _run_chunk([config], draw, range(trial_index, trial_index + 1))[0][0]
+    return int(_run_chunk([config], draw, range(trial_index, trial_index + 1))[0][0])
 
 
 def _detect(config: SimConfig, h: np.ndarray, y: np.ndarray, noise_var: float) -> np.ndarray:
@@ -307,8 +304,9 @@ def chunk_trials(config: SimConfig) -> int:
     return max(1, numerics.CHUNK_ELEMENTS // trial_elements(config))
 
 
-def run_wave(config: SimConfig, start: int, stop: int) -> list[Outcome]:
-    """Outcomes of one point config's trials [start, stop), in index order.
+def run_wave(config: SimConfig, start: int, stop: int) -> np.ndarray:
+    """Bit-error counts of one point config's trials [start, stop), in
+    index order.
 
     Equal to [run_frame(config, t) for t in range(start, stop)]: both run
     _run_chunk, and a PhiloxStreams draw fills exactly the uniforms an
@@ -317,14 +315,14 @@ def run_wave(config: SimConfig, start: int, stop: int) -> list[Outcome]:
     return _simulate_range([config], start, stop)[0]
 
 
-def _run_chunk(points: list[SimConfig], draw, trials: range) -> list[list[Outcome]]:
-    """Outcomes of the trials at each point config of one sweep (see
-    _point_config), in index order: the prefix once for the chunk, then
-    each point's suffix in turn (see the module docstring). draw(stream_id,
-    out) fills out from the start of that stream. A detection failure (a
-    singular channel under ZF) re-runs that point's chunk of several trials
-    one trial at a time, and wipes a chunk of one: every bit counts as
-    errored."""
+def _run_chunk(points: list[SimConfig], draw, trials: range) -> list[np.ndarray]:
+    """Bit-error counts of the trials at each point config of one sweep
+    (see _point_config), in index order: the prefix once for the chunk,
+    then each point's suffix in turn (see the module docstring).
+    draw(stream_id, out) fills out from the start of that stream. A
+    detection failure (a singular channel under ZF) re-runs that point's
+    chunk of several trials one trial at a time, and wipes a chunk of one:
+    every bit counts as errored."""
     config = points[0]
     exp_id = EXPERIMENT_IDS[config.experiment.value]
     ch = config.channel
@@ -345,9 +343,8 @@ def _run_chunk(points: list[SimConfig], draw, trials: range) -> list[list[Outcom
     bits = bernoulli_bits(uniforms(ROLE_BITS, config.frame_bits))
     syms = qpsk_modulate(bits.ravel())
 
-    def score(bits_hat: np.ndarray) -> list[Outcome]:
-        errors = np.count_nonzero(bits_hat.reshape(f, -1) != bits, axis=1)
-        return [(bool(e > 0), int(e), config.frame_bits) for e in errors]
+    def score(bits_hat: np.ndarray) -> np.ndarray:
+        return np.count_nonzero(bits_hat.reshape(f, -1) != bits, axis=1)
 
     if config.experiment is Experiment.BER_VS_SNR:
         # Prefix: the i.i.d. channel, H x and the noise's normal pairs.
@@ -358,7 +355,7 @@ def _run_chunk(points: list[SimConfig], draw, trials: range) -> list[list[Outcom
         hx = receive(h, x, None)
         z = normal_pairs(noise(2 * hx.size)).reshape(hx.shape)
 
-        def point_outcomes(pc: SimConfig) -> list[Outcome]:
+        def point_errors(pc: SimConfig) -> np.ndarray:
             # receive's y = H x + w, with w as complex_normal_from scales it.
             noise_var = noise_variance(pc.snr_db)
             y = np.multiply(z, math.sqrt(noise_var / 2.0))
@@ -367,11 +364,11 @@ def _run_chunk(points: list[SimConfig], draw, trials: range) -> list[list[Outcom
                 decided = _detect(pc, h, y, noise_var)
             except DetectionFailure:
                 if f == 1:
-                    return [(True, config.frame_bits, config.frame_bits)]
-                return [o for t in trials for o in _run_chunk([pc], draw, range(t, t + 1))[0]]
+                    return np.full(1, config.frame_bits)
+                return np.concatenate([_run_chunk([pc], draw, range(t, t + 1))[0] for t in trials])
             return score(qpsk_demodulate(decided.ravel()))
 
-        return [point_outcomes(pc) for pc in points]
+        return [point_errors(pc) for pc in points]
 
     # Prefix: the codewords, the links' angle tables and the receiver
     # noise, and under a gain sweep the unit-gain channel matrices.
@@ -394,26 +391,23 @@ def _run_chunk(points: list[SimConfig], draw, trials: range) -> list[list[Outcom
     w = receiver_noise((len(x), n_rx), config.snr_db, noise)
     t_len = code.block_len
 
-    def point_outcomes(pc: SimConfig) -> list[Outcome]:
+    def point_errors(pc: SimConfig) -> np.ndarray:
         h = channel(pc)
         y = receive(h, x, w)
         s_hat = combine_array(code, y.reshape(-1, t_len, n_rx), h[::t_len])
         return score(qpsk_demodulate(s_hat.ravel()))
 
-    return [point_outcomes(pc) for pc in points]
+    return [point_errors(pc) for pc in points]
 
 
-def _simulate_range(points: list[SimConfig], start: int, stop: int) -> list[list[Outcome]]:
-    """Worker body: for each point config of one sweep, the outcomes of
-    trials [start, stop), in index order, simulated in chunks of
+def _simulate_range(points: list[SimConfig], start: int, stop: int) -> list[np.ndarray]:
+    """Worker body: for each point config of one sweep, the bit-error
+    counts of trials [start, stop), in index order, simulated in chunks of
     chunk_trials trials through one rekeyed PhiloxStreams."""
     draw = PhiloxStreams(points[0].master_seed).uniform
     step = chunk_trials(points[0])
-    out: list[list[Outcome]] = [[] for _ in points]
-    for a in range(start, stop, step):
-        for acc, part in zip(out, _run_chunk(points, draw, range(a, min(a + step, stop)))):
-            acc.extend(part)
-    return out
+    chunks = [_run_chunk(points, draw, range(a, min(a + step, stop))) for a in range(start, stop, step)]
+    return [np.concatenate(point) for point in zip(*chunks)]
 
 
 @dataclass(frozen=True)
@@ -472,7 +466,7 @@ def _split_range(start: int, stop: int, parts: int) -> list[tuple[int, int]]:
 
 def _simulate_wave(
     points: list[SimConfig], start: int, stop: int, pool: ProcessPoolExecutor | None, workers: int
-) -> list[list[Outcome]]:
+) -> list[np.ndarray]:
     """_simulate_range of trials [start, stop): in this process, or split
     evenly over the pool's workers, waiting for the whole wave so that no
     task outlives a cut."""
@@ -480,41 +474,40 @@ def _simulate_wave(
         return _simulate_range(points, start, stop)
     starts, stops = zip(*_split_range(start, stop, workers))
     parts = list(pool.map(_simulate_range, [points] * len(starts), starts, stops))
-    return [[o for part in parts for o in part[i]] for i in range(len(points))]
+    return [np.concatenate(point) for point in zip(*parts)]
 
 
 @dataclass
 class _Tally:
-    """Running counts of one sweep point."""
+    """Running counts of one sweep point. A trial with any bit error is a
+    frame error."""
 
     frames: int = 0
     frame_errors: int = 0
-    bits: int = 0
     bit_errors: int = 0
 
-    def fold(self, outcomes, target: int) -> bool:
-        """Add outcomes in trial order, up to and including the one that
-        meets the error target; True once it is met."""
-        for fe, be, nb in outcomes:
-            self.frames += 1
-            self.frame_errors += int(fe)
-            self.bit_errors += be
-            self.bits += nb
-            if self.frame_errors >= target:
-                return True
-        return False
+    def fold(self, bit_errors: np.ndarray, target: int) -> bool:
+        """Add bit-error counts in trial order, up to and including the
+        trial that meets the error target; True once it is met."""
+        errored = np.cumsum(bit_errors > 0)
+        n = min(int(np.searchsorted(errored, target - self.frame_errors)) + 1, len(bit_errors))
+        self.frames += n
+        self.frame_errors += int(np.count_nonzero(bit_errors[:n]))
+        self.bit_errors += int(bit_errors[:n].sum())
+        return self.frame_errors >= target
 
-    def point(self, x: float, elapsed_s: float) -> SweepPoint:
+    def point(self, x: float, frame_bits: int, elapsed_s: float) -> SweepPoint:
+        bits = self.frames * frame_bits
         return SweepPoint(
             x=x,
             frames=self.frames,
             frame_errors=self.frame_errors,
-            bits=self.bits,
+            bits=bits,
             bit_errors=self.bit_errors,
             fer=self.frame_errors / self.frames,
-            ber=self.bit_errors / self.bits,
+            ber=self.bit_errors / bits,
             ci95_fer=wilson_interval(self.frame_errors, self.frames),
-            ci95_ber=wilson_interval(self.bit_errors, self.bits),
+            ci95_ber=wilson_interval(self.bit_errors, bits),
             elapsed_s=elapsed_s,
         )
 
@@ -523,8 +516,8 @@ def _run_sweep(config: SimConfig, pool: ProcessPoolExecutor | None, workers: int
     """Simulate every sweep point at once: trials 0, 1, ... of all points
     still running, a wave at a time (a chunk on the serial path, see
     chunk_trials; WAVE_FRAMES trials in the pool). Each point folds its
-    outcomes in trial order and drops out at its own cut: the trial that
-    meets the error target, or max_frames."""
+    trials' bit-error counts in trial order and drops out at its own cut:
+    the trial that meets the error target, or max_frames."""
     t0 = time.perf_counter()
     points = [_point_config(config, x) for x in config.sweep]
     tallies = [_Tally() for _ in points]
@@ -534,9 +527,9 @@ def _run_sweep(config: SimConfig, pool: ProcessPoolExecutor | None, workers: int
     for start in range(0, config.max_frames, wave):
         stop = min(start + wave, config.max_frames)
         parts = _simulate_wave([points[i] for i in active], start, stop, pool, workers)
-        for i, outcomes in zip(list(active), parts):
-            if tallies[i].fold(outcomes, config.target_frame_errors) or stop == config.max_frames:
-                results[i] = tallies[i].point(config.sweep[i], time.perf_counter() - t0)
+        for i, bit_errors in zip(list(active), parts):
+            if tallies[i].fold(bit_errors, config.target_frame_errors) or stop == config.max_frames:
+                results[i] = tallies[i].point(config.sweep[i], config.frame_bits, time.perf_counter() - t0)
                 active.remove(i)
         if not active:
             break
@@ -619,18 +612,19 @@ def render_csv(pairs: list[tuple[str, str]], columns: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_csv(result: SimResult, config: SimConfig) -> str:
+def emit_csv(result: SimResult) -> str:
     """Render a result as CSV text (see render_csv).
 
-    The header echoes the full configuration, including the seed; each data
-    row is one sweep point, counts exact and rates to six digits.
+    The header echoes the full configuration, result.config, including the
+    seed; each data row is one sweep point, counts exact and rates to six
+    digits.
     """
     rows = [
         (p.x, p.frames, p.frame_errors, p.fer, *p.ci95_fer,
          p.bits, p.bit_errors, p.ber, *p.ci95_ber)
         for p in result.points
     ]
-    return render_csv(_echo_pairs(config), _CSV_HEADER, rows)
+    return render_csv(_echo_pairs(result.config), _CSV_HEADER, rows)
 
 
 def parse_csv(text: str) -> tuple[dict[str, str], list[dict[str, float]]]:

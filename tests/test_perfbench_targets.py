@@ -1,11 +1,16 @@
 """The benchmark's per-layer trace (perfbench/run.py --trace 1) wraps names
 that mimolink's modules look up when they call into another layer. A name
 that a change deletes or renames would break the trace, so every one of
-them must stay an attribute of its module."""
+them must stay an attribute of its module, and a traced run must still
+write the bytes of an untraced one."""
 
 import importlib
 import importlib.util
+import os
+import sys
 from pathlib import Path
+
+import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -26,3 +31,29 @@ def test_traced_names_are_module_attributes():
         if not hasattr(importlib.import_module(f"mimolink.{mod}"), attr)
     ]
     assert missing == []
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--workers 2 needs two CPUs")
+def test_traced_pool_run_writes_the_untraced_csv(tmp_path, monkeypatch):
+    """A traced run through the process pool writes the CSV of an untraced
+    run byte for byte, and the spans that the workers record reach the
+    tracer with their tasks' results."""
+    import mimolink
+    import mimolink.cli
+
+    tracing = _load_tracing()
+    # The workers pickle their results' _Shipped class by module name.
+    monkeypatch.setitem(sys.modules, tracing.__name__, tracing)
+    argv = [
+        "fer-vs-doppler", "--code", "2x1", "--nr", "2", "--fading", "rician", "--los-doppler-hz", "100",
+        "--dopplers", "25,100", "--gain-db", "-8", "--frame-bits", "24", "--max-frames", "40",
+        "--target-errors", "1000", "--workers", "2",
+    ]
+    plain, traced = tmp_path / "plain.csv", tmp_path / "traced.csv"
+    assert mimolink.cli.main([*argv, "--out", str(plain)]) == 0
+    tracer = tracing.Tracer()
+    with tracer.installed(mimolink):
+        assert mimolink.cli.main([*argv, "--out", str(traced)]) == 0
+    assert traced.read_bytes() == plain.read_bytes()
+    worker_spans = {span[1] for span in tracer.spans if tracing.span_pid(span) != os.getpid()}
+    assert "fading.fading_next" in worker_spans

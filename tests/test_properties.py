@@ -76,7 +76,7 @@ def test_csv_round_trips_counts_exactly(points):
         code=(2, Fraction(1)),
         sweep=(0.0,),
     )
-    meta, rows = parse_csv(emit_csv(SimResult(config=config, points=points), config))
+    meta, rows = parse_csv(emit_csv(SimResult(config=config, points=points)))
     assert meta["experiment"] == "fer_vs_gain"
     counts = ("frames", "frame_errors", "bits", "bit_errors")
     assert [tuple(r[c] for c in counts) for r in rows] == [

@@ -376,11 +376,9 @@ def test_run_frame_deterministic():
 
 def test_run_frame_counts_are_consistent():
     cfg = _ber_config()
-    for trial in range(64):
-        frame_error, bit_errors, bits = run_frame(cfg, trial)
-        assert bits == cfg.frame_bits
-        assert 0 <= bit_errors <= bits
-        assert frame_error == (bit_errors > 0)
+    counts = [run_frame(cfg, trial) for trial in range(64)]
+    assert all(type(c) is int and 0 <= c <= cfg.frame_bits for c in counts)
+    assert 0 < counts.count(0) < len(counts)  # clean and errored frames
 
 
 def test_noise_free_strong_los_frame_is_clean():
@@ -394,7 +392,7 @@ def test_noise_free_strong_los_frame_is_clean():
         sweep=(0.0,),
     )
     for trial in range(16):
-        assert run_frame(cfg, trial) == (False, 0, 12)
+        assert run_frame(cfg, trial) == 0
 
 
 def test_reference_chain_reproduces_run_frame():
@@ -436,7 +434,7 @@ def test_reference_chain_reproduces_run_frame():
         bits_hat = np.concatenate(bits_hat)
 
         bit_errors = int(np.count_nonzero(bits_hat != bits))
-        assert run_frame(point, trial) == (bit_errors > 0, bit_errors, point.frame_bits)
+        assert run_frame(point, trial) == bit_errors
 
 
 @pytest.mark.parametrize("detector", list(DetectorKind), ids=lambda d: d.value)
@@ -479,12 +477,12 @@ def test_reference_chain_reproduces_run_frame_ber(detector):
         bits_hat = qpsk_demodulate(np.concatenate(decided))
 
         bit_errors = int(np.count_nonzero(bits_hat != bits))
-        expected.append((bit_errors > 0, bit_errors, point.frame_bits))
+        expected.append(bit_errors)
 
     assert len(set(expected)) > 1  # trials genuinely differ
     assert [run_frame(point, t) for t in trials] == expected
     assert chunk_trials(point) > 1
-    assert run_wave(point, trials.start, trials.stop) == expected
+    assert run_wave(point, trials.start, trials.stop).tolist() == expected
 
 
 def test_stopping_rule_exact_cutoff():
@@ -495,9 +493,8 @@ def test_stopping_rule_exact_cutoff():
     errors = 0
     serial_frames = 0
     for trial in range(5000):
-        err, bit_err, _ = run_frame(point, trial)
         serial_frames += 1
-        errors += int(err)
+        errors += run_frame(point, trial) > 0
         if errors >= 20:
             break
 
@@ -531,6 +528,40 @@ def test_serial_point_stops_in_the_chunk_of_the_cut(monkeypatch):
         assert 0 < cut % step < step - 1  # mid-chunk, past the first
         assert [(a, b) for a, b, xs in spans if x in xs] == [(a, a + step) for a in range(0, cut + 1, step)]
     assert [(a, b) for a, b, _ in spans] == [(a, a + step) for a in range(0, cuts[1] + 1, step)]
+
+
+def _fold_by_trial(tally: sim._Tally, bit_errors, target: int) -> bool:
+    """The stopping rule one trial at a time: the oracle of _Tally.fold."""
+    for e in bit_errors:
+        tally.frames += 1
+        tally.frame_errors += int(e > 0)
+        tally.bit_errors += int(e)
+        if tally.frame_errors >= target:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("waves, target", [
+    ([[3, 0, 1]], 1),  # cut at the first trial
+    ([[0, 2, 0, 5, 1, 0]], 2),  # cut mid-array
+    ([[0, 1, 0, 4]], 2),  # cut at the last trial
+    ([[0, 1, 0], [2, 0]], 5),  # target never met
+    ([[1, 0, 2], [0, 0, 3, 1, 1]], 4),  # met in a later fold after a partial one
+    ([[0, 0, 0, 0], [0, 0]], 1),  # no errors at all
+    ([[0, 12, 0]], 1),  # a wiped trial, frame_bits = 12, is a frame error
+], ids=["first", "mid", "last", "never", "later-fold", "all-zero", "wiped"])
+def test_tally_fold_matches_per_trial_loop(waves, target):
+    tally, oracle = sim._Tally(), sim._Tally()
+    for wave in waves:
+        met = tally.fold(np.array(wave, dtype=np.intp), target)
+        assert met == _fold_by_trial(oracle, wave, target)
+        assert tally == oracle
+        assert all(type(v) is int for v in (tally.frames, tally.frame_errors, tally.bit_errors))
+        if met:
+            break
+    point = tally.point(0.0, 12, 0.0)
+    assert point.bits == 12 * oracle.frames
+    assert point.bit_errors == oracle.bit_errors
 
 
 def test_max_frames_binds_when_target_unreachable():
@@ -576,9 +607,9 @@ def test_ber_decreases_with_snr():
 
 def test_emit_csv_matches_golden_fixture():
     cfg = _fer_config()
-    assert emit_csv(run_experiment(cfg), cfg) == GOLDEN_FER_CSV
+    assert emit_csv(run_experiment(cfg)) == GOLDEN_FER_CSV
     cfg = _ber_config()
-    assert emit_csv(run_experiment(cfg), cfg) == GOLDEN_BER_CSV
+    assert emit_csv(run_experiment(cfg)) == GOLDEN_BER_CSV
 
 
 def test_parse_csv_roundtrip():
@@ -636,7 +667,7 @@ def test_run_wave_matches_run_frame(cfg):
     step = chunk_trials(cfg)
     start = 5 if step == 1 else step // 2 + 3
     stop = start + 2 * step + 3
-    assert run_wave(cfg, start, stop) == [run_frame(cfg, t) for t in range(start, stop)]
+    assert run_wave(cfg, start, stop).tolist() == [run_frame(cfg, t) for t in range(start, stop)]
 
 
 def test_run_wave_with_single_trial_chunks(monkeypatch):
@@ -646,7 +677,7 @@ def test_run_wave_with_single_trial_chunks(monkeypatch):
     expected = [run_frame(cfg, t) for t in range(3, 9)]
     monkeypatch.setattr(numerics, "CHUNK_ELEMENTS", 1)
     assert chunk_trials(cfg) == 1
-    assert run_wave(cfg, 3, 9) == expected
+    assert run_wave(cfg, 3, 9).tolist() == expected
 
 
 def test_run_wave_on_pool_spans():
@@ -660,7 +691,7 @@ def test_run_wave_on_pool_spans():
         # end off the chunk grid.
         spans = sim._split_range(sim.WAVE_FRAMES, 2 * sim.WAVE_FRAMES, workers)
         for a, b in spans:
-            assert run_wave(cfg, a, b) == [run_frame(cfg, t) for t in range(a, b)]
+            assert run_wave(cfg, a, b).tolist() == [run_frame(cfg, t) for t in range(a, b)]
 
 
 def test_zf_failure_wipes_only_its_frame(monkeypatch):
@@ -669,8 +700,8 @@ def test_zf_failure_wipes_only_its_frame(monkeypatch):
     cfg = _point_config(_ber_config(detector=DetectorKind.ZF, frame_bits=120, master_seed=3), 10.0)
     start, stop = 2, 2 + chunk_trials(cfg)
     bad = start + 7
-    clean = run_wave(cfg, start, stop)
-    assert clean[bad - start] != (True, cfg.frame_bits, cfg.frame_bits)
+    clean = run_wave(cfg, start, stop).tolist()
+    assert clean[bad - start] < cfg.frame_bits
 
     # Trial `bad`'s first channel matrix, regenerated from its stream (the
     # path gain is 0 dB, so the draw is the matrix).
@@ -685,9 +716,9 @@ def test_zf_failure_wipes_only_its_frame(monkeypatch):
         return real_zf(h, y, points)
 
     monkeypatch.setattr(sim, "zf_detect_batch", zf_failing_on_poison)
-    wiped = run_wave(cfg, start, stop)
+    wiped = run_wave(cfg, start, stop).tolist()
     expected = list(clean)
-    expected[bad - start] = (True, cfg.frame_bits, cfg.frame_bits)
+    expected[bad - start] = cfg.frame_bits
     assert wiped == expected
     assert wiped == [run_frame(cfg, t) for t in range(start, stop)]
 
