@@ -41,12 +41,14 @@ from .fading import (
 )
 from .numerics import RngStream
 from .sim import (
+    MAX_SWEEP_POINTS,
     VALIDATE_FADING,
     VALIDATE_FADING_STREAM,
     Experiment,
     SimConfig,
     _point_config,
     check_sweep,
+    check_workers,
     emit_csv,
     fading_pairs,
     render_csv,
@@ -88,8 +90,8 @@ def _parse_sweep(text: str) -> tuple[float, ...]:
         if stop < start:
             raise ValueError("range stop must not precede start")
         steps = (stop - start) / step
-        if steps >= 10_000:
-            raise ValueError("range must have fewer than 10000 steps")
+        if steps >= MAX_SWEEP_POINTS:
+            raise ValueError(f"range must have fewer than {MAX_SWEEP_POINTS} steps")
         values = tuple(start + i * step for i in range(round(steps) + 1))
         if values[-1] > stop + 1e-9 * max(1.0, abs(stop)):
             values = values[:-1]
@@ -320,9 +322,7 @@ def main(argv=None) -> int:
         else:
             config = _build_config(args)
             config.validate()
-            cpus = os.cpu_count() or 1
-            if not 1 <= args.workers <= cpus:
-                raise ValueError(f"--workers must lie in 1..{cpus}, the CPU count")
+            check_workers(args.workers, "--workers")
     except ValueError as exc:
         print(f"mimolink: invalid configuration: {exc}", file=sys.stderr)
         return 1

@@ -7,20 +7,19 @@ from the constellation (unscaled), so callers compare decisions against the
 symbols they modulated, not against x. Each detects a batch: channels h
 of shape (n, N_r, N_t) and observations y of shape (n, N_r).
 
-zf_detect_batch    pseudo-inverse projection, then per-antenna slicing
-mmse_detect_batch  regularized projection (H^H H + noise_var N_t I)^{-1} H^H y,
-                   which is the true MMSE filter for this power convention
-ml_detect_batch    exhaustive search over all |C|^N_t hypotheses, by halves:
-                   every pairing of a head-antenna and a tail-antenna
-                   partial hypothesis, scored with one batched matmul;
-                   ties go to the lexicographically smallest hypothesis
+zf_detect_batch    QPSK after (H^H H)^{-1} H^H y
+mmse_detect_batch  QPSK after (H^H H + noise_var N_t I)^{-1} H^H y, the true
+                   MMSE filter for this power convention
+ml_detect_batch    exhaustive search over all |C|^N_t hypotheses of any
+                   constellation, by halves of the antennas; ties go to
+                   the lexicographically smallest hypothesis
 
-The linear detectors' pre-slicing estimates (in the transmit domain, i.e.
-targeting x = s / sqrt(N_t)) are available through zf_estimate_batch and
-mmse_estimate_batch, since several of their analytic properties (the MMSE
-estimate shrinking to zero as noise_var grows, MMSE converging to ZF as
-noise_var vanishes) live on the estimate, not on the hard decisions.
-
+ZF and MMSE share one solve and decide by the modem's rule,
+modem.qpsk_demodulate: the signs of an estimate's real and imaginary parts
+pick the nearest point, and an exact zero goes to the point with the
+smaller Gray index (00, 01, 11, 10), the order of QPSK_POINTS. Their
+estimates of x come from zf_estimate_batch and mmse_estimate_batch, on
+which properties such as MMSE converging to ZF as noise_var vanishes live.
 ZF raises DetectionFailure when H^H H is numerically singular (smallest
 eigenvalue below 1e-12 times the largest); MMSE with noise_var > 0 cannot
 fail that way.
@@ -34,6 +33,7 @@ import math
 import numpy as np
 
 from . import numerics
+from .modem import qpsk_demodulate, qpsk_modulate
 
 __all__ = [
     "DetectorKind",
@@ -62,12 +62,6 @@ class DetectionFailure(Exception):
     """The channel matrix was too ill-conditioned to invert."""
 
 
-def _slice_to(points: np.ndarray, estimates: np.ndarray) -> np.ndarray:
-    # Nearest constellation point per estimate; ties go to the lowest index.
-    d = np.abs(estimates[..., None] - points) ** 2
-    return points[np.argmin(d, axis=-1)]
-
-
 def _check_y_h(h: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = np.asarray(h, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
@@ -78,55 +72,52 @@ def _check_y_h(h: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h, y
 
 
-def zf_estimate_batch(h: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pre-slicing zero-forcing estimates (H^H H)^-1 H^H y, shape (n, N_t).
-
-    Raises DetectionFailure if any channel in the batch is singular.
-    """
-    h, y = _check_y_h(h, y)
-    hh = h.conj().swapaxes(-1, -2)
-    gram = hh @ h
-    eig = np.linalg.eigvalsh(gram)
-    if np.any((eig[:, 0] < SINGULARITY_RTOL * eig[:, -1]) | (eig[:, -1] <= 0.0)):
-        raise DetectionFailure("channel matrix numerically singular under ZF")
-    rhs = np.einsum("ntr,nr->nt", hh, y)
-    return np.linalg.solve(gram, rhs[..., None])[..., 0]
-
-
-def mmse_estimate_batch(h: np.ndarray, y: np.ndarray, noise_var: float) -> np.ndarray:
-    """Pre-slicing MMSE estimates (H^H H + noise_var N_t I)^-1 H^H y.
-
-    The regularizer noise_var * N_t * I matches transmit power 1/N_t per
-    antenna; with noise_var = 0 the filter degenerates to zero forcing.
-    """
-    if noise_var < 0.0:
-        raise ValueError("noise_var must be nonnegative")
+def _solve(h: np.ndarray, y: np.ndarray, noise_var: float | None) -> np.ndarray:
+    # (H^H H + noise_var N_t I)^-1 H^H y. Zero forcing passes None: no
+    # regulariser (a zero one can flip signed zeros), a singularity check.
     h, y = _check_y_h(h, y)
     n_tx = h.shape[-1]
     hh = h.conj().swapaxes(-1, -2)
-    gram = hh @ h + noise_var * n_tx * np.eye(n_tx)
+    gram = hh @ h
+    if noise_var is None:
+        eig = np.linalg.eigvalsh(gram)
+        if np.any((eig[:, 0] < SINGULARITY_RTOL * eig[:, -1]) | (eig[:, -1] <= 0.0)):
+            raise DetectionFailure("channel matrix numerically singular under ZF")
+    else:
+        gram += noise_var * n_tx * np.eye(n_tx)
     rhs = np.einsum("ntr,nr->nt", hh, y)
     return np.linalg.solve(gram, rhs[..., None])[..., 0]
 
 
-def zf_detect_batch(h: np.ndarray, y: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Zero-forcing detection of a batch: h (n, N_r, N_t), y (n, N_r).
-
-    Returns hard decisions (n, N_t) from `points`. Raises DetectionFailure
-    if any channel in the batch is singular.
-    """
-    x_hat = zf_estimate_batch(h, y)
-    n_tx = np.asarray(h).shape[-1]
-    return _slice_to(points, x_hat * math.sqrt(n_tx))
+def _decide(x_hat: np.ndarray) -> np.ndarray:
+    # The modem's sign tests decide s from x = s / sqrt(N_t) unscaled.
+    return qpsk_modulate(qpsk_demodulate(x_hat.ravel())).reshape(x_hat.shape)
 
 
-def mmse_detect_batch(
-    h: np.ndarray, y: np.ndarray, points: np.ndarray, noise_var: float
-) -> np.ndarray:
-    """Linear MMSE detection of a batch, same shapes as zf_detect_batch."""
-    x_hat = mmse_estimate_batch(h, y, noise_var)
-    n_tx = np.asarray(h).shape[-1]
-    return _slice_to(points, x_hat * math.sqrt(n_tx))
+def zf_estimate_batch(h: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pre-slicing zero-forcing estimates (H^H H)^-1 H^H y, shape (n, N_t).
+    Raises DetectionFailure if any channel in the batch is singular."""
+    return _solve(h, y, None)
+
+
+def mmse_estimate_batch(h: np.ndarray, y: np.ndarray, noise_var: float) -> np.ndarray:
+    """Pre-slicing MMSE estimates (H^H H + noise_var N_t I)^-1 H^H y: the
+    regularizer matches transmit power 1/N_t per antenna, and noise_var = 0
+    degenerates the filter to zero forcing."""
+    if noise_var < 0.0:
+        raise ValueError("noise_var must be nonnegative")
+    return _solve(h, y, noise_var)
+
+
+def zf_detect_batch(h: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Zero-forcing QPSK decisions (n, N_t) for h (n, N_r, N_t), y (n, N_r).
+    Raises DetectionFailure if any channel in the batch is singular."""
+    return _decide(zf_estimate_batch(h, y))
+
+
+def mmse_detect_batch(h: np.ndarray, y: np.ndarray, noise_var: float) -> np.ndarray:
+    """Linear MMSE QPSK decisions, shaped as zf_detect_batch's."""
+    return _decide(mmse_estimate_batch(h, y, noise_var))
 
 
 def _hypothesis_grid(points: np.ndarray, n_tx: int) -> np.ndarray:
@@ -136,12 +127,6 @@ def _hypothesis_grid(points: np.ndarray, n_tx: int) -> np.ndarray:
     m = len(points)
     idx = np.indices((m,) * n_tx).reshape(n_tx, m**n_tx).T
     return points[idx]
-
-
-def _head_antennas(n_tx: int) -> int:
-    # The ML search splits the antennas into a head of ceil(N_t / 2) and
-    # the tail.
-    return -(-n_tx // 2)
 
 
 def ml_detect_batch(h: np.ndarray, y: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -164,7 +149,7 @@ def ml_detect_batch(h: np.ndarray, y: np.ndarray, points: np.ndarray) -> np.ndar
     points = np.asarray(points, dtype=np.complex128)
     if len(points) ** n_tx > ML_MAX_HYPOTHESES:
         raise ValueError("hypothesis space too large for exhaustive search")
-    a = _head_antennas(n_tx)
+    a = -(-n_tx // 2)
     head = _hypothesis_grid(points, a)
     tail = head if n_tx - a == a else _hypothesis_grid(points, n_tx - a)
     # Scratch per vector: 6 per hypothesis (cross terms, distances, argmin's

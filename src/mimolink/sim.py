@@ -39,7 +39,7 @@ uniforms. A chunk holds as many trials as their arrays fit
 numerics.CHUNK_ELEMENTS by trial_elements, whatever the number of points,
 and the fading and ML kernels tile their scratch within the same budget,
 one call at a time: five 4x4 FER frames at any sample rate, 19 2x2 FER
-frames and 23 uncoded 4x4 frames. Each point of a sweep drops out at its
+frames and 24 uncoded 4x4 frames. Each point of a sweep drops out at its
 own cut. The serial path runs one chunk at a time and checks the error
 targets after each; the process pool gets waves of WAVE_FRAMES trials
 split evenly over its workers, and each worker runs its span chunk by
@@ -58,6 +58,7 @@ from __future__ import annotations
 import contextlib
 import enum
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -92,6 +93,7 @@ __all__ = [
     "SweepPoint",
     "SimResult",
     "check_sweep",
+    "check_workers",
     "run_frame",
     "run_wave",
     "run_experiment",
@@ -138,6 +140,9 @@ VALIDATE_FADING_STREAM = pack_stream_id(EXPERIMENT_IDS[VALIDATE_FADING], 0, 0)
 # path instead runs one _run_chunk at a time (see chunk_trials), so it
 # stops within a chunk of the cut.
 WAVE_FRAMES = 1024
+
+# Most points a sweep may hold: a worker ships an int array per point a wave.
+MAX_SWEEP_POINTS = 10_000
 
 # Float64 elements (128 MiB) of scratch that one trial may need, by
 # trial_elements. A chunk holds at least one trial, so this bounds the
@@ -217,15 +222,24 @@ class SimConfig:
 
 
 def check_sweep(sweep: tuple[float, ...]) -> tuple[float, ...]:
-    """Return sweep if it is a non-empty, strictly increasing run of finite
-    values; raise ValueError otherwise."""
+    """Return sweep if it is a non-empty, strictly increasing run of at most
+    MAX_SWEEP_POINTS finite values; raise ValueError otherwise."""
     if len(sweep) == 0:
         raise ValueError("sweep must not be empty")
+    if len(sweep) > MAX_SWEEP_POINTS:
+        raise ValueError(f"sweep has {len(sweep)} points, more than MAX_SWEEP_POINTS={MAX_SWEEP_POINTS}")
     if any(not math.isfinite(v) for v in sweep):
         raise ValueError("sweep values must be finite")
     if any(b <= a for a, b in zip(sweep, sweep[1:])):
         raise ValueError("sweep must be strictly increasing")
     return sweep
+
+
+def check_workers(workers: int, name: str = "workers") -> None:
+    """Raise ValueError unless 1 <= workers <= os.cpu_count() (1 if unknown)."""
+    cpus = os.cpu_count() or 1
+    if not 1 <= workers <= cpus:
+        raise ValueError(f"{name} must lie in 1..{cpus}, the CPU count")
 
 
 def _point_config(config: SimConfig, x: float) -> SimConfig:
@@ -256,9 +270,9 @@ def run_frame(config: SimConfig, trial_index: int) -> int:
 
 def _detect(config: SimConfig, h: np.ndarray, y: np.ndarray, noise_var: float) -> np.ndarray:
     if config.detector is DetectorKind.ZF:
-        return zf_detect_batch(h, y, QPSK_POINTS)
+        return zf_detect_batch(h, y)
     if config.detector is DetectorKind.MMSE:
-        return mmse_detect_batch(h, y, QPSK_POINTS, noise_var)
+        return mmse_detect_batch(h, y, noise_var)
     return ml_detect_batch(h, y, QPSK_POINTS)
 
 
@@ -282,8 +296,9 @@ def trial_elements(config: SimConfig) -> int:
     and a symbol 8, the symbols and then the combiner's sums and the
     temporaries of its last expression. BER-vs-SNR charges a receive
     entry 2, a point's receive rows, as its shared H x and noise pairs
-    take the room of the draw's uniforms and normals; and a symbol 18, the
-    symbols and then the detectors' estimates and the slicer's distances.
+    take the room of the draw's uniforms and normals; and a symbol 16, the
+    symbols and then the linear detectors' solve, whose conjugate copy of
+    the channel peaks at one transmit and four receive antennas.
     chunk_trials sizes chunks by it; SimConfig.validate bounds it.
     """
     ch = config.channel
@@ -291,7 +306,7 @@ def trial_elements(config: SimConfig) -> int:
     symbols = config.frame_bits // 2
     if config.experiment is Experiment.BER_VS_SNR:
         rows = symbols // ch.n_tx
-        return rows * (6 * links + 2 * ch.n_rx + 2 * ch.n_tx) + 18 * symbols
+        return rows * (6 * links + 2 * ch.n_rx + 2 * ch.n_tx) + 16 * symbols
     code = ostbc_code(*config.code)
     rows = symbols // code.n_symbols * code.block_len
     per_link = fading_draws(ch.fading) + 3 * ch.fading.num_sinusoids
@@ -542,10 +557,9 @@ def run_experiment(config: SimConfig, workers: int = 1) -> SimResult:
     workers > 1 distributes trials over a process pool. The outcome of a
     trial is a pure function of (config, trial index) and aggregation scans
     trials in index order with a deterministic cutoff, so the result is
-    identical for every worker count.
+    identical for every worker count, from 1 to the CPU count.
     """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    check_workers(workers)
     config.validate()
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
     with pool as executor:

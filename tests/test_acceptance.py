@@ -184,7 +184,7 @@ def test_criterion_5_detector_waterfalls(capsys):
             target_frame_errors=10**9,
             master_seed=15,
         )
-        return run_experiment(cfg, workers=4).points
+        return run_experiment(cfg, workers=min(4, os.cpu_count() or 1)).points
 
     # shared seed: every detector sees identical bits, channels, and noise
     curves = {d: run(d, (8.0, 12.0, 16.0), 2500) for d in DetectorKind}

@@ -431,6 +431,22 @@ def test_bad_sweep_string_exits_one(tmp_path):
     assert not out.exists()
 
 
+def test_sweep_over_the_cap_exits_one(tmp_path, monkeypatch):
+    """A sweep may hold at most sim.MAX_SWEEP_POINTS values, as a comma
+    list or as a range, whose step count is checked before its values are
+    built; nothing runs."""
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("a sweep over the cap ran"))
+    out = tmp_path / "cap.csv"
+    cap = sim.MAX_SWEEP_POINTS
+    for sweep in (",".join(str(i) for i in range(cap + 1)), f"0:1:{cap}", "0:1e-300:1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["ber-vs-snr", "--detector", "zf", "--snr-db", sweep, "--out", str(out)])
+        assert exc.value.code == 1
+    assert cli._parse_sweep(",".join(str(i) for i in range(cap))) == tuple(float(i) for i in range(cap))
+    assert len(cli._parse_sweep(f"0:1:{cap - 1}")) == cap
+    assert not out.exists()
+
+
 def test_workers_above_cpu_count_exit_one(tmp_path, monkeypatch, capsys):
     """--workers is checked against the CPU count before any pool exists."""
     class NoPool:

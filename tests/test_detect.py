@@ -41,8 +41,8 @@ def test_detector_kind_values():
 def test_noiseless_recovery_all_detectors():
     rng = RngStream(1, 0)
     s, h, y = _random_case(rng, 500, 4, 4, snr_db=None)
-    np.testing.assert_array_equal(zf_detect_batch(h, y, QPSK_POINTS), s)
-    np.testing.assert_array_equal(mmse_detect_batch(h, y, QPSK_POINTS, 0.0), s)
+    np.testing.assert_array_equal(zf_detect_batch(h, y), s)
+    np.testing.assert_array_equal(mmse_detect_batch(h, y, 0.0), s)
     np.testing.assert_array_equal(ml_detect_batch(h, y, QPSK_POINTS), s)
 
 
@@ -53,8 +53,8 @@ def test_identity_channel_slices_directly():
     h = np.broadcast_to(np.eye(4, dtype=np.complex128), (64, 4, 4)).copy()
     y = s / 2.0  # H x with x = s / sqrt(4)
     for decided in (
-        zf_detect_batch(h, y, QPSK_POINTS),
-        mmse_detect_batch(h, y, QPSK_POINTS, 0.0),
+        zf_detect_batch(h, y),
+        mmse_detect_batch(h, y, 0.0),
         ml_detect_batch(h, y, QPSK_POINTS),
     ):
         np.testing.assert_array_equal(decided, s)
@@ -65,18 +65,62 @@ def test_zf_matches_normal_equation_oracle():
     pseudo-inverse H^+ = (H^H H)^-1 H^H taken from an SVD."""
     rng = RngStream(3, 0)
     s, h, y = _random_case(rng, 1000, 4, 4, snr_db=10.0)
-    got = zf_detect_batch(h, y, QPSK_POINTS)
+    got = zf_detect_batch(h, y)
     for n in range(len(y)):
         est = 2.0 * (np.linalg.pinv(h[n]) @ y[n])
         want = QPSK_POINTS[np.argmin(np.abs(est[:, None] - QPSK_POINTS), axis=1)]
         np.testing.assert_array_equal(got[n], want)
 
 
+def _argmin_oracle(est, n_tx):
+    """Nearest QPSK point to each estimate of x = s / sqrt(N_t), by an
+    argmin over the four squared distances; ties go to the lowest index."""
+    d = np.abs(math.sqrt(n_tx) * est[..., None] - QPSK_POINTS) ** 2
+    return QPSK_POINTS[np.argmin(d, axis=-1)]
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 10.0, 20.0])
+def test_linear_decisions_equal_the_argmin_census(snr_db):
+    """The sign tests decide as the argmin over all four points does, on
+    100,000 ZF and 100,000 MMSE estimates at each SNR. The two rules part
+    only where one part of an estimate is some 1e-13 of the other or less,
+    which random estimates do not reach."""
+    rng = RngStream(50, int(snr_db))
+    _, h, y = _random_case(rng, 25_000, 4, 4, snr_db=snr_db)
+    nv = 10.0 ** (-snr_db / 10.0)
+    zf, mmse = zf_estimate_batch(h, y), mmse_estimate_batch(h, y, nv)
+    assert zf.size == mmse.size == 100_000
+    np.testing.assert_array_equal(zf_detect_batch(h, y), _argmin_oracle(zf, 4))
+    np.testing.assert_array_equal(mmse_detect_batch(h, y, nv), _argmin_oracle(mmse, 4))
+
+
+def test_tiny_part_decides_by_its_sign():
+    """-1e-17 + 3j is nearer (-1+1j)/sqrt2 than (1+1j)/sqrt2, by less than
+    the rounding of the two squared distances: both round to the same
+    double, so an argmin over them picks index 0. The sign tests do not
+    round."""
+    h, y = np.ones((1, 1, 1)), np.array([[-1e-17 + 3j]])
+    want = (-1 + 1j) / math.sqrt(2.0)
+    assert zf_detect_batch(h, y)[0, 0] == want
+    assert mmse_detect_batch(h, y, 1e-3)[0, 0] == want
+    assert _argmin_oracle(zf_estimate_batch(h, y), 1)[0, 0] != want
+
+
+def test_exact_zeros_tie_in_gray_order():
+    """An estimate with an exact zero part is equidistant from two points
+    (from all four at 0): it goes to the one with the smaller Gray index,
+    as the argmin over QPSK_POINTS breaks the tie."""
+    y = np.array([[complex(re, im)] for re in (-1.0, -0.0, 0.0, 1.0) for im in (-1.0, -0.0, 0.0, 1.0)])
+    h = np.ones((len(y), 1, 1))
+    np.testing.assert_array_equal(zf_detect_batch(h, y), _argmin_oracle(y, 1))
+    np.testing.assert_array_equal(mmse_detect_batch(h, y, 0.0), _argmin_oracle(y, 1))
+
+
 def test_mmse_with_zero_noise_equals_zf():
     rng = RngStream(4, 0)
     s, h, y = _random_case(rng, 1000, 4, 4, snr_db=8.0)
     np.testing.assert_array_equal(
-        mmse_detect_batch(h, y, QPSK_POINTS, 0.0), zf_detect_batch(h, y, QPSK_POINTS)
+        mmse_detect_batch(h, y, 0.0), zf_detect_batch(h, y)
     )
 
 
@@ -84,7 +128,7 @@ def test_mmse_continuous_at_small_noise():
     rng = RngStream(5, 0)
     s, h, y = _random_case(rng, 1000, 4, 4, snr_db=8.0)
     np.testing.assert_array_equal(
-        mmse_detect_batch(h, y, QPSK_POINTS, 1e-12), zf_detect_batch(h, y, QPSK_POINTS)
+        mmse_detect_batch(h, y, 1e-12), zf_detect_batch(h, y)
     )
 
 
@@ -139,7 +183,7 @@ def test_mmse_huge_noise_degenerates_to_matched_filter():
     decisions follow the matched-filter quadrants."""
     rng = RngStream(6, 0)
     s, h, y = _random_case(rng, 16, 4, 4, snr_db=10.0)
-    decided = mmse_detect_batch(h, y, QPSK_POINTS, 1e12)
+    decided = mmse_detect_batch(h, y, 1e12)
     mf = np.einsum("ntr,nr->nt", h.conj().swapaxes(-1, -2), y)
     want = QPSK_POINTS[np.argmin(np.abs(mf[..., None] - QPSK_POINTS), axis=-1)]
     np.testing.assert_array_equal(decided, want)
@@ -250,8 +294,8 @@ def test_ml_never_worse_than_linear_detectors():
     rng = RngStream(8, 0)
     s, h, y = _random_case(rng, 20_000, 4, 4, snr_db=10.0)
     nv = 10.0 ** (-10.0 / 10.0)
-    err_zf = np.count_nonzero(zf_detect_batch(h, y, QPSK_POINTS) != s)
-    err_mmse = np.count_nonzero(mmse_detect_batch(h, y, QPSK_POINTS, nv) != s)
+    err_zf = np.count_nonzero(zf_detect_batch(h, y) != s)
+    err_mmse = np.count_nonzero(mmse_detect_batch(h, y, nv) != s)
     err_ml = np.count_nonzero(ml_detect_batch(h, y, QPSK_POINTS) != s)
     assert err_ml < err_mmse < err_zf
     assert err_ml > 0  # the comparison is meaningful, not all-zero
@@ -267,7 +311,7 @@ def test_orthogonal_channel_reduces_to_per_stream_slicing():
         idx = (stream.uniform(4) * 4).astype(int)
         s = QPSK_POINTS[idx]
         y = q @ s / 2.0 + stream.complex_normal((4,), var=0.05)
-        got = zf_detect_batch(q[None], y[None], QPSK_POINTS)[0]
+        got = zf_detect_batch(q[None], y[None])[0]
         matched = 2.0 * (q.conj().T @ y)
         want = QPSK_POINTS[np.argmin(np.abs(matched[:, None] - QPSK_POINTS), axis=1)]
         np.testing.assert_array_equal(got, want)
@@ -282,7 +326,7 @@ def test_scale_invariance():
         ml_detect_batch(h, y, QPSK_POINTS), ml_detect_batch(c * h, c * y, QPSK_POINTS)
     )
     np.testing.assert_array_equal(
-        zf_detect_batch(h, y, QPSK_POINTS), zf_detect_batch(c * h, c * y, QPSK_POINTS)
+        zf_detect_batch(h, y), zf_detect_batch(c * h, c * y)
     )
 
 
@@ -290,18 +334,18 @@ def test_singular_channel_raises_for_zf():
     h = np.ones((1, 4, 4), dtype=np.complex128)  # rank one
     y = np.ones((1, 4), dtype=np.complex128)
     with pytest.raises(DetectionFailure):
-        zf_detect_batch(h, y, QPSK_POINTS)
+        zf_detect_batch(h, y)
     with pytest.raises(DetectionFailure):
-        zf_detect_batch(np.zeros((1, 4, 4)), y, QPSK_POINTS)
+        zf_detect_batch(np.zeros((1, 4, 4)), y)
     # MMSE regularizes the same channel without complaint
-    mmse_detect_batch(h, y, QPSK_POINTS, 0.1)
+    mmse_detect_batch(h, y, 0.1)
 
 
 def test_tall_channel_supported():
     """More receive than transmit antennas is the easy overdetermined case."""
     rng = RngStream(11, 0)
     s, h, y = _random_case(rng, 200, 4, 2, snr_db=None)
-    np.testing.assert_array_equal(zf_detect_batch(h, y, QPSK_POINTS), s)
+    np.testing.assert_array_equal(zf_detect_batch(h, y), s)
 
 
 def test_hypothesis_budget_enforced():
@@ -314,10 +358,10 @@ def test_hypothesis_budget_enforced():
 
 def test_shape_validation():
     with pytest.raises(ValueError):
-        zf_detect_batch(np.ones((2, 2, 2)), np.ones((3, 2)), QPSK_POINTS)
+        zf_detect_batch(np.ones((2, 2, 2)), np.ones((3, 2)))
     with pytest.raises(ValueError):
         ml_detect_batch(np.ones((1, 2, 2)), np.ones((1, 3)), QPSK_POINTS)
     with pytest.raises(ValueError):
         ml_detect_batch(np.ones((2, 2)), np.ones((2,)), QPSK_POINTS)
     with pytest.raises(ValueError):
-        mmse_detect_batch(np.ones((1, 2, 2)), np.ones((1, 2)), QPSK_POINTS, -0.1)
+        mmse_detect_batch(np.ones((1, 2, 2)), np.ones((1, 2)), -0.1)

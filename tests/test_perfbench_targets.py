@@ -57,3 +57,26 @@ def test_traced_pool_run_writes_the_untraced_csv(tmp_path, monkeypatch):
     assert traced.read_bytes() == plain.read_bytes()
     worker_spans = {span[1] for span in tracer.spans if tracing.span_pid(span) != os.getpid()}
     assert "fading.fading_next" in worker_spans
+
+
+@pytest.mark.parametrize("detector", ["zf", "mmse", "ml"])
+def test_traced_detector_run_writes_the_untraced_csv(tmp_path, detector):
+    """A traced ber-vs-snr run writes the bytes of an untraced one, and the
+    trace records the detector's spans, which give detect.*_s."""
+    import mimolink
+    import mimolink.cli
+
+    tracing = _load_tracing()
+    argv = [
+        "ber-vs-snr", "--detector", detector, "--nt", "2", "--nr", "2", "--snr-db", "0,10",
+        "--frame-bits", "16", "--max-frames", "12", "--target-errors", "1000",
+    ]
+    plain, traced = tmp_path / "plain.csv", tmp_path / "traced.csv"
+    assert mimolink.cli.main([*argv, "--out", str(plain)]) == 0
+    tracer = tracing.Tracer()
+    with tracer.installed(mimolink):
+        assert mimolink.cli.main([*argv, "--out", str(traced)]) == 0
+    assert traced.read_bytes() == plain.read_bytes()
+    span = f"detect.{detector}_detect_batch"
+    assert tracing.LAYER_OF_SPAN[span] == f"detect.{detector}_s"
+    assert span in {rec[1] for rec in tracer.spans}

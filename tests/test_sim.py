@@ -2,6 +2,7 @@
 worker-count invariance, frame simulation, and the CSV round trip."""
 
 import math
+import os
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -202,13 +203,13 @@ def test_config_validation_bounds_trial_memory():
         with pytest.raises(ValueError, match="MAX_TRIAL_ELEMENTS"):
             replace(ber, frame_bits=2_000_000_000).validate()
     # Uncoded 4x4 charges a vector of 8 bits 6 * 16 + 2 * 8 elements and
-    # 18 per symbol: 184, whatever the detector, as ML tiles its own
-    # search. The largest frame that validates has 91,180 vectors.
+    # 16 per symbol: 176, whatever the detector, as ML tiles its own
+    # search. The largest frame that validates has 95,325 vectors.
     ml = _ber_config(detector=DetectorKind.ML)
-    assert sim.trial_elements(replace(ml, frame_bits=120)) == 15 * 184
-    replace(ml, frame_bits=729_440).validate()
+    assert sim.trial_elements(replace(ml, frame_bits=120)) == 15 * 176
+    replace(ml, frame_bits=762_600).validate()
     with pytest.raises(ValueError, match="MAX_TRIAL_ELEMENTS"):
-        replace(ml, frame_bits=729_448).validate()
+        replace(ml, frame_bits=762_608).validate()
     # chunk_trials reads the same count: 12 bits are 8 rows.
     assert chunk_trials(_point_config(fer, -5.0)) == numerics.CHUNK_ELEMENTS // (16 * 161 + 8 * 120 + 8 * 6)
 
@@ -270,13 +271,15 @@ def _sweep_points(cfg: SimConfig) -> list[SimConfig]:
     ), -5.0),
     _point_config(_ber_config(detector=DetectorKind.ZF, frame_bits=120), 10.0),
     _point_config(_ber_config(detector=DetectorKind.MMSE, frame_bits=120), 10.0),
-    # The linear detectors at small antenna counts, where the slicer's
-    # distances outweigh the channel.
+    # The linear detectors at small antenna counts, where the decisions
+    # and the solve's scratch outweigh the channel, and at long frames.
     *[
         _point_config(_ber_config(detector=detector, channel=ChannelSpec(n_tx=1, n_rx=n_rx), frame_bits=120), 10.0)
         for detector in (DetectorKind.ZF, DetectorKind.MMSE)
         for n_rx in (1, 4)
     ],
+    _point_config(_ber_config(detector=DetectorKind.ZF, channel=ChannelSpec(n_tx=1, n_rx=1), frame_bits=480), 10.0),
+    _point_config(_ber_config(detector=DetectorKind.MMSE, channel=ChannelSpec(n_tx=2, n_rx=2), frame_bits=480), 10.0),
     _point_config(_ber_config(detector=DetectorKind.ML, frame_bits=120), 10.0),
     # ML with an odd split and fewer receive than transmit antennas, and
     # with one transmit antenna, where the residuals outweigh the distances.
@@ -286,6 +289,7 @@ def _sweep_points(cfg: SimConfig) -> list[SimConfig]:
     "fer-4x4-4x3/4", "fer-2x1-rician", "fer-4x4-10khz", "fer-4x4-1khz", "fer-4x4-low", "fer-2x2-rician-high",
     "fer-2x1-gain-1200",
     "ber-zf", "ber-mmse", "ber-zf-1x1", "ber-zf-1x4", "ber-mmse-1x1", "ber-mmse-1x4",
+    "ber-zf-1x1-480", "ber-mmse-2x2-480",
     "ber-ml", "ber-ml-3x2", "ber-ml-1x4",
 ])
 def test_trial_elements_bounds_a_measured_chunk(cfg):
@@ -453,8 +457,8 @@ def test_reference_chain_reproduces_run_frame_ber(detector):
     ch = point.channel
     noise_var = noise_variance(point.snr_db)
     detect = {
-        DetectorKind.ZF: lambda h, y: zf_detect_batch(h, y, QPSK_POINTS),
-        DetectorKind.MMSE: lambda h, y: mmse_detect_batch(h, y, QPSK_POINTS, noise_var),
+        DetectorKind.ZF: zf_detect_batch,
+        DetectorKind.MMSE: lambda h, y: mmse_detect_batch(h, y, noise_var),
         DetectorKind.ML: lambda h, y: ml_detect_batch(h, y, QPSK_POINTS),
     }[detector]
 
@@ -571,7 +575,28 @@ def test_max_frames_binds_when_target_unreachable():
     assert point.frame_errors <= 30
 
 
-def test_worker_count_does_not_change_results():
+def test_sweep_over_the_cap_is_a_config_error():
+    over = tuple(x / 1000 for x in range(sim.MAX_SWEEP_POINTS + 1))
+    with pytest.raises(ValueError, match="MAX_SWEEP_POINTS"):
+        _ber_config(sweep=over).validate()
+    with pytest.raises(ValueError, match="MAX_SWEEP_POINTS"):
+        run_experiment(_ber_config(sweep=over))
+    _ber_config(sweep=over[:-1]).validate()
+
+
+def test_workers_above_cpu_count_raise_before_any_pool(monkeypatch):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a process pool was built")
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", NoPool)
+    with pytest.raises(ValueError, match="CPU count"):
+        run_experiment(_ber_config(), workers=(os.cpu_count() or 1) + 1)
+
+
+def test_worker_count_does_not_change_results(monkeypatch):
+    # Three workers split a wave unevenly, also on a host of fewer CPUs.
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
     cfg = _fer_config(snr_db=0.0, max_frames=2000, target_frame_errors=25)
     results = [run_experiment(cfg, workers=w) for w in (1, 2, 3)]
     key = lambda p: (p.x, p.frames, p.frame_errors, p.bits, p.bit_errors,
@@ -710,10 +735,10 @@ def test_zf_failure_wipes_only_its_frame(monkeypatch):
     poison = stream.complex_normal((cfg.frame_bits // 2 // 4, 4, 4))[0]
     real_zf = sim.zf_detect_batch
 
-    def zf_failing_on_poison(h, y, points):
+    def zf_failing_on_poison(h, y):
         if np.any(np.all(h == poison, axis=(1, 2))):
             raise DetectionFailure("forced")
-        return real_zf(h, y, points)
+        return real_zf(h, y)
 
     monkeypatch.setattr(sim, "zf_detect_batch", zf_failing_on_poison)
     wiped = run_wave(cfg, start, stop).tolist()
