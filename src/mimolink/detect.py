@@ -14,14 +14,28 @@ ml_detect_batch    exhaustive search over all |C|^N_t hypotheses of any
                    constellation, by halves of the antennas; ties go to
                    the lexicographically smallest hypothesis
 
+Detection is two steps. prepare_channels(kind, h) does once the work that
+depends on the channels alone: H^H and the Gram matrix H^H H for ZF and
+MMSE, with ZF's singularity verdict, and for ML the head and tail
+hypothesis images with the tail images' squared norms. Each detect call
+takes either channels, which it prepares itself (ML a tile at a time), or
+a prepared batch in their place, so that one batch of channels serves the
+observations of many noise levels at the cost of their solve or search.
+Both forms run the same operations on the same arrays, so they decide
+alike bit for bit.
+
 ZF and MMSE share one solve and decide by the modem's rule,
 modem.qpsk_demodulate: the signs of an estimate's real and imaginary parts
 pick the nearest point, and an exact zero goes to the point with the
 smaller Gray index (00, 01, 11, 10), the order of QPSK_POINTS. Their
 estimates of x come from zf_estimate_batch and mmse_estimate_batch, on
 which properties such as MMSE converging to ZF as noise_var vanishes live.
-ZF raises DetectionFailure when H^H H is numerically singular (smallest
-eigenvalue below 1e-12 times the largest); MMSE with noise_var > 0 cannot
+Preparing for ZF raises DetectionFailure when H^H H is numerically
+singular (smallest eigenvalue below 1e-12 times the largest). A Gram
+matrix G passes without an eigensolve when det G / (tr G)^N_t, a lower
+bound on that eigenvalue ratio for Hermitian PSD G, is at least
+CERTIFICATE_FLOOR; only the others, rare among random channels, get
+np.linalg.eigvalsh and the rule itself. MMSE with noise_var > 0 cannot
 fail that way.
 """
 
@@ -29,6 +43,7 @@ from __future__ import annotations
 
 import enum
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +53,9 @@ from .modem import qpsk_demodulate, qpsk_modulate
 __all__ = [
     "DetectorKind",
     "DetectionFailure",
+    "PreparedChannels",
+    "prepare_channels",
+    "prepared_elements",
     "zf_detect_batch",
     "mmse_detect_batch",
     "ml_detect_batch",
@@ -47,6 +65,11 @@ __all__ = [
 
 # Relative eigenvalue floor below which H^H H is treated as singular.
 SINGULARITY_RTOL = 1e-12
+
+# det G / (tr G)^n at or above which a Gram matrix is non-singular without
+# an eigensolve: 1,000 times SINGULARITY_RTOL, a margin that absorbs the
+# rounding of the LU factors behind det.
+CERTIFICATE_FLOOR = 1e-9
 
 # Cap on constellation^n_tx, keeping exhaustive ML search tractable.
 ML_MAX_HYPOTHESES = 1_000_000
@@ -62,30 +85,127 @@ class DetectionFailure(Exception):
     """The channel matrix was too ill-conditioned to invert."""
 
 
-def _check_y_h(h: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True, eq=False)
+class PreparedChannels:
+    """A batch of channels of shape (n, N_r, N_t), prepared by
+    prepare_channels for one detector kind; a detect call of that kind
+    takes it in place of h."""
+
+    kind: DetectorKind
+    shape: tuple[int, int, int]
+
+
+@dataclass(frozen=True, eq=False)
+class _LinearChannels(PreparedChannels):
+    hh: np.ndarray  # H^H, (n, N_t, N_r)
+    gram: np.ndarray  # H^H H, (n, N_t, N_t)
+
+
+@dataclass(frozen=True, eq=False)
+class _MLChannels(PreparedChannels):
+    points: np.ndarray  # the constellation
+    head: np.ndarray  # head hypotheses x_i, (Ka, a)
+    tail: np.ndarray  # tail hypotheses x_j, (Kb, N_t - a)
+    head_images: np.ndarray  # H_head x_i, (n, Ka, N_r)
+    tail_images: np.ndarray  # b_j = H_tail x_j, (n, Kb, N_r)
+    tail_norms: np.ndarray  # ||b_j||^2, (n, Kb)
+
+
+def _ml_split(m: int, n_tx: int) -> tuple[int, int, int]:
+    # Head antennas a = ceil(N_t / 2), and the head and tail hypothesis
+    # counts Ka = m^a and Kb = m^(N_t - a) for a constellation of m points.
+    if m**n_tx > ML_MAX_HYPOTHESES:
+        raise ValueError("hypothesis space too large for exhaustive search")
+    a = -(-n_tx // 2)
+    return a, m**a, m ** (n_tx - a)
+
+
+def prepared_elements(kind: DetectorKind, n_rx: int, n_tx: int, m: int = 4) -> int:
+    """Float64 elements that prepare_channels holds per channel matrix, for
+    a constellation of m points under ML: H^H and H^H H for ZF and MMSE;
+    the head and tail images and the tail norms for ML."""
+    if kind is DetectorKind.ML:
+        _, ka, kb = _ml_split(m, n_tx)
+        return 2 * (ka + kb) * n_rx + kb
+    return 2 * (n_rx + n_tx) * n_tx
+
+
+def _singular(gram: np.ndarray) -> np.ndarray:
+    # Per Gram matrix, the rule: smallest eigenvalue below SINGULARITY_RTOL
+    # times the largest, or a largest that is not positive. Matrices whose
+    # certificate reaches CERTIFICATE_FLOOR pass without an eigensolve; a
+    # NaN certificate (tr G = 0, or an overflow) does not, so its matrix
+    # gets one.
+    n = gram.shape[-1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cert = np.linalg.det(gram).real / np.trace(gram, axis1=-2, axis2=-1).real ** n
+    singular = np.zeros(len(gram), dtype=bool)
+    doubtful = ~(cert >= CERTIFICATE_FLOOR)
+    if np.any(doubtful):
+        eig = np.linalg.eigvalsh(gram[doubtful])
+        singular[doubtful] = (eig[:, 0] < SINGULARITY_RTOL * eig[:, -1]) | (eig[:, -1] <= 0.0)
+    return singular
+
+
+def prepare_channels(kind: DetectorKind, h: np.ndarray, points: np.ndarray | None = None) -> PreparedChannels:
+    """The work of detecting through channels h (n, N_r, N_t) that does not
+    depend on the observations, done once for a detector kind: H^H and the
+    Gram matrix H^H H for ZF and MMSE, and for ML over the constellation
+    points (required) the head and tail images and the tail norms, as
+    ml_detect_batch describes them. Preparing for ZF raises
+    DetectionFailure if any channel in the batch is singular."""
     h = np.asarray(h, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.complex128)
-    if h.ndim != 3 or y.ndim != 2:
-        raise ValueError(f"bad ranks: h {h.shape}, y {y.shape}")
-    if h.shape[-2] != y.shape[-1] or h.shape[0] != y.shape[0]:
-        raise ValueError(f"h {h.shape} and y {y.shape} do not agree")
-    return h, y
-
-
-def _solve(h: np.ndarray, y: np.ndarray, noise_var: float | None) -> np.ndarray:
-    # (H^H H + noise_var N_t I)^-1 H^H y. Zero forcing passes None: no
-    # regulariser (a zero one can flip signed zeros), a singularity check.
-    h, y = _check_y_h(h, y)
-    n_tx = h.shape[-1]
-    hh = h.conj().swapaxes(-1, -2)
-    gram = hh @ h
-    if noise_var is None:
-        eig = np.linalg.eigvalsh(gram)
-        if np.any((eig[:, 0] < SINGULARITY_RTOL * eig[:, -1]) | (eig[:, -1] <= 0.0)):
+    if h.ndim != 3:
+        raise ValueError(f"bad rank: h {h.shape}")
+    n_rx, n_tx = h.shape[1:]
+    if kind is not DetectorKind.ML:
+        hh = h.conj().swapaxes(-1, -2)
+        gram = hh @ h
+        if kind is DetectorKind.ZF and np.any(_singular(gram)):
             raise DetectionFailure("channel matrix numerically singular under ZF")
-    else:
-        gram += noise_var * n_tx * np.eye(n_tx)
-    rhs = np.einsum("ntr,nr->nt", hh, y)
+        return _LinearChannels(kind, h.shape, hh, gram)
+    points = np.asarray(points, dtype=np.complex128)
+    a, ka, kb = _ml_split(len(points), n_tx)
+    head = _hypothesis_grid(points, a)
+    tail = head if kb == ka else _hypothesis_grid(points, n_tx - a)
+    hx = h.swapaxes(-1, -2) / math.sqrt(n_tx)
+    head_images = head @ hx[:, :a]
+    tail_images = tail @ hx[:, a:]
+    bv = tail_images.view(np.float64)
+    tail_norms = np.einsum("nkr,nkr->nk", bv, bv)
+    return _MLChannels(kind, h.shape, points, head, tail, head_images, tail_images, tail_norms)
+
+
+def _check_y(shape: tuple[int, ...], y: np.ndarray) -> np.ndarray:
+    # y as complex128, once it holds one N_r-vector per channel of shape.
+    y = np.asarray(y, dtype=np.complex128)
+    if len(shape) != 3 or y.ndim != 2:
+        raise ValueError(f"bad ranks: h {shape}, y {y.shape}")
+    if shape[-2] != y.shape[-1] or shape[0] != y.shape[0]:
+        raise ValueError(f"h {shape} and y {y.shape} do not agree")
+    return y
+
+
+def _prepared(kind: DetectorKind, h, y: np.ndarray, points=None) -> tuple[PreparedChannels, np.ndarray]:
+    # (prepared channels, checked y): h is prepared here unless it comes
+    # prepared for this kind.
+    if isinstance(h, PreparedChannels):
+        if h.kind is not kind:
+            raise ValueError(f"channels prepared for {h.kind.value}, not {kind.value}")
+        return h, _check_y(h.shape, y)
+    y = _check_y(np.shape(h), y)
+    return prepare_channels(kind, h, points), y
+
+
+def _solve(channels: _LinearChannels, y: np.ndarray, noise_var: float | None) -> np.ndarray:
+    # (H^H H + noise_var N_t I)^-1 H^H y. Zero forcing passes None: no
+    # regulariser (a zero one can flip signed zeros); its channels passed
+    # the singularity check when they were prepared.
+    gram = channels.gram
+    if noise_var is not None:
+        n_tx = gram.shape[-1]
+        gram = gram + noise_var * n_tx * np.eye(n_tx)
+    rhs = np.einsum("ntr,nr->nt", channels.hh, y)
     return np.linalg.solve(gram, rhs[..., None])[..., 0]
 
 
@@ -94,29 +214,33 @@ def _decide(x_hat: np.ndarray) -> np.ndarray:
     return qpsk_modulate(qpsk_demodulate(x_hat.ravel())).reshape(x_hat.shape)
 
 
-def zf_estimate_batch(h: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pre-slicing zero-forcing estimates (H^H H)^-1 H^H y, shape (n, N_t).
-    Raises DetectionFailure if any channel in the batch is singular."""
-    return _solve(h, y, None)
+def zf_estimate_batch(h, y: np.ndarray) -> np.ndarray:
+    """Pre-slicing zero-forcing estimates (H^H H)^-1 H^H y, shape (n, N_t),
+    for channels h or prepare_channels(DetectorKind.ZF, h). Raises
+    DetectionFailure if any channel in the batch is singular."""
+    return _solve(*_prepared(DetectorKind.ZF, h, y), None)
 
 
-def mmse_estimate_batch(h: np.ndarray, y: np.ndarray, noise_var: float) -> np.ndarray:
-    """Pre-slicing MMSE estimates (H^H H + noise_var N_t I)^-1 H^H y: the
-    regularizer matches transmit power 1/N_t per antenna, and noise_var = 0
+def mmse_estimate_batch(h, y: np.ndarray, noise_var: float) -> np.ndarray:
+    """Pre-slicing MMSE estimates (H^H H + noise_var N_t I)^-1 H^H y, for
+    channels h or prepare_channels(DetectorKind.MMSE, h): the regularizer
+    matches transmit power 1/N_t per antenna, and noise_var = 0
     degenerates the filter to zero forcing."""
     if noise_var < 0.0:
         raise ValueError("noise_var must be nonnegative")
-    return _solve(h, y, noise_var)
+    return _solve(*_prepared(DetectorKind.MMSE, h, y), noise_var)
 
 
-def zf_detect_batch(h: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Zero-forcing QPSK decisions (n, N_t) for h (n, N_r, N_t), y (n, N_r).
-    Raises DetectionFailure if any channel in the batch is singular."""
+def zf_detect_batch(h, y: np.ndarray) -> np.ndarray:
+    """Zero-forcing QPSK decisions (n, N_t) for h (n, N_r, N_t), or h
+    prepared for ZF, and y (n, N_r). Raises DetectionFailure if any
+    channel in the batch is singular."""
     return _decide(zf_estimate_batch(h, y))
 
 
-def mmse_detect_batch(h: np.ndarray, y: np.ndarray, noise_var: float) -> np.ndarray:
-    """Linear MMSE QPSK decisions, shaped as zf_detect_batch's."""
+def mmse_detect_batch(h, y: np.ndarray, noise_var: float) -> np.ndarray:
+    """Linear MMSE QPSK decisions, shaped as zf_detect_batch's, for h or h
+    prepared for MMSE."""
     return _decide(mmse_estimate_batch(h, y, noise_var))
 
 
@@ -129,48 +253,71 @@ def _hypothesis_grid(points: np.ndarray, n_tx: int) -> np.ndarray:
     return points[idx]
 
 
-def ml_detect_batch(h: np.ndarray, y: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Exhaustive maximum-likelihood detection of a batch.
+def _search_elements(ka: int, kb: int, n_rx: int) -> int:
+    # Scratch of the search per vector: 6 per hypothesis (cross terms,
+    # distances, argmin's copy) and 2 per receive antenna and head
+    # hypothesis, the residuals r.
+    return 6 * ka * kb + 2 * ka * n_rx
+
+
+def _ml_search(channels: _MLChannels, y: np.ndarray) -> np.ndarray:
+    # Tiles of vectors, one at least, keep the scratch within
+    # numerics.CHUNK_ELEMENTS. The float64 views of r and b interleave
+    # real and imaginary parts: r^H b is real.
+    n, n_rx, n_tx = channels.shape
+    head, tail = channels.head, channels.tail
+    a = head.shape[1]
+    tile = max(1, numerics.CHUNK_ELEMENTS // _search_elements(len(head), len(tail), n_rx))
+    out = np.empty((n, n_tx), dtype=np.complex128)
+    for lo in range(0, n, tile):
+        r = np.subtract(y[lo : lo + tile, None, :], channels.head_images[lo : lo + tile])
+        rv, bv = r.view(np.float64), channels.tail_images[lo : lo + tile].view(np.float64)
+        cross = rv @ bv.swapaxes(-1, -2)
+        dist = np.einsum("nkr,nkr->nk", rv, rv)[:, :, None] + channels.tail_norms[lo : lo + tile, None, :]
+        cross *= 2.0
+        dist -= cross
+        i, j = np.divmod(np.argmin(dist.reshape(len(r), -1), axis=1), len(tail))
+        out[lo : lo + tile, :a] = head[i]
+        out[lo : lo + tile, a:] = tail[j]
+        del r, rv, bv, cross, dist  # before the next tile's are built
+    return out
+
+
+def ml_detect_batch(h, y: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Exhaustive maximum-likelihood detection of a batch, for channels h
+    or h prepared for ML over the same points.
 
     Minimizes ||y - H x||^2 over every constellation combination, as a
     half-grid search: with a = ceil(N_t / 2) head antennas, hypothesis
     (i, j) pairs head hypothesis i with tail hypothesis j, and
     ||y - H x||^2 = ||r_i||^2 + ||b_j||^2 - 2 Re(r_i^H b_j) for the head
     residual r_i = y - H_head x_i and the tail image b_j = H_tail x_j. The
-    cross terms of a vector are one (Ka, N_r) @ (N_r, Kb) product. Distance
-    ties resolve to the lexicographically smallest hypothesis (antenna 0
-    most significant, constellation order as given), which is the
-    smallest row-major (i, j). The search size |points|^N_t must stay
-    under one million. Tiles of vectors (one at least) keep the scratch
-    within numerics.CHUNK_ELEMENTS; the tiling never changes a decision.
+    head images, the tail images and their norms depend on the channel
+    alone (see prepare_channels). The cross terms of a vector are one
+    (Ka, N_r) @ (N_r, Kb) product. Distance ties resolve to the
+    lexicographically smallest hypothesis (antenna 0 most significant,
+    constellation order as given), which is the smallest row-major (i, j).
+    The search size |points|^N_t must stay under one million. Tiles of
+    vectors (one at least) keep the scratch within numerics.CHUNK_ELEMENTS,
+    unprepared channels' images included; the tiling never changes a
+    decision.
     """
-    h, y = _check_y_h(h, y)
-    n_rx, n_tx = h.shape[1:]
     points = np.asarray(points, dtype=np.complex128)
-    if len(points) ** n_tx > ML_MAX_HYPOTHESES:
-        raise ValueError("hypothesis space too large for exhaustive search")
-    a = -(-n_tx // 2)
-    head = _hypothesis_grid(points, a)
-    tail = head if n_tx - a == a else _hypothesis_grid(points, n_tx - a)
-    # Scratch per vector: 6 per hypothesis (cross terms, distances, argmin's
-    # copy) and 2 per receive antenna and head or tail hypothesis or transmit
-    # antenna: the residuals r, tail images b and scaled channel. The float64
-    # views of r and b interleave real and imaginary parts: r^H b is real.
-    per_vector = 6 * len(head) * len(tail) + 2 * (len(head) + len(tail) + n_tx) * n_rx
-    tile = max(1, numerics.CHUNK_ELEMENTS // per_vector)
+    if isinstance(h, PreparedChannels):
+        channels, y = _prepared(DetectorKind.ML, h, y)
+        if not np.array_equal(channels.points, points):
+            raise ValueError("channels prepared for another constellation")
+        return _ml_search(channels, y)
+    h = np.asarray(h, dtype=np.complex128)
+    y = _check_y(h.shape, y)
+    n_rx, n_tx = h.shape[1:]
+    _, ka, kb = _ml_split(len(points), n_tx)
+    # Per vector: the search's scratch, the prepared images and norms, and
+    # the scaled channel that makes them.
+    per_vector = _search_elements(ka, kb, n_rx) + prepared_elements(DetectorKind.ML, n_rx, n_tx, len(points))
+    tile = max(1, numerics.CHUNK_ELEMENTS // (per_vector + 2 * n_tx * n_rx))
     out = np.empty((len(y), n_tx), dtype=np.complex128)
     for lo in range(0, len(y), tile):
-        hx = h[lo : lo + tile].swapaxes(-1, -2) / math.sqrt(n_tx)
-        r = head @ hx[:, :a]
-        np.subtract(y[lo : lo + tile, None, :], r, out=r)
-        b = tail @ hx[:, a:]
-        rv, bv = r.view(np.float64), b.view(np.float64)
-        cross = rv @ bv.swapaxes(-1, -2)
-        dist = np.einsum("nkr,nkr->nk", rv, rv)[:, :, None] + np.einsum("nkr,nkr->nk", bv, bv)[:, None, :]
-        cross *= 2.0
-        dist -= cross
-        i, j = np.divmod(np.argmin(dist.reshape(len(r), -1), axis=1), len(tail))
-        out[lo : lo + tile, :a] = head[i]
-        out[lo : lo + tile, a:] = tail[j]
-        del hx, r, b, rv, bv, cross, dist  # before the next tile's are built
+        channels = prepare_channels(DetectorKind.ML, h[lo : lo + tile], points)
+        out[lo : lo + tile] = _ml_search(channels, y[lo : lo + tile])
     return out

@@ -22,10 +22,13 @@ a trial draws the same uniforms at every point, and the part of the chain
 that the swept value does not enter, the prefix, runs once per chunk:
 bits, codewords, the links' angle tables and the receiver noise for the
 FER experiments, with the unit-gain channel matrices under a gain sweep;
-bits, the i.i.d. channel, H x and the noise's normal pairs for BER-vs-SNR.
-The rest, the suffix, runs once per point, one point at a time: from the
-path-gain product, from the link gains under a Doppler or sample-rate
-sweep, or from the noise scaling. Each shared array holds the value that
+bits, the i.i.d. channel, H x, the channels prepared for the detector
+(detect.prepare_channels: H^H and the Gram matrices with ZF's singularity
+verdict, or ML's hypothesis images and tail norms) and the noise's normal
+pairs for BER-vs-SNR. The rest, the suffix, runs once per point, one
+point at a time: from the path-gain product, from the link gains under a
+Doppler or sample-rate sweep, or from the noise scaling, through the
+detector's solve or search. Each shared array holds the value that
 a one-point chain computes, and each suffix applies the same numpy
 operations to it, so a point's outcomes equal those of a one-point sweep.
 
@@ -39,11 +42,12 @@ uniforms. A chunk holds as many trials as their arrays fit
 numerics.CHUNK_ELEMENTS by trial_elements, whatever the number of points,
 and the fading and ML kernels tile their scratch within the same budget,
 one call at a time: five 4x4 FER frames at any sample rate, 19 2x2 FER
-frames and 24 uncoded 4x4 frames. Each point of a sweep drops out at its
-own cut. The serial path runs one chunk at a time and checks the error
-targets after each; the process pool gets waves of WAVE_FRAMES trials
-split evenly over its workers, and each worker runs its span chunk by
-chunk, shipping back one int array per point.
+frames, and 18 uncoded 4x4 frames under ZF or MMSE and 9 under ML. Each
+point of a sweep drops out at its own cut. The serial path runs one chunk
+at a time and checks the error targets after each; the process pool gets
+waves of WAVE_FRAMES trials split evenly over its workers, and each
+worker runs its span chunk by chunk, shipping back one int array per
+point.
 
 Frame chain for the FER experiments: Bernoulli bits -> QPSK -> OSTBC encode
 -> time-varying correlated channel + AWGN -> combine (channel of each
@@ -81,7 +85,15 @@ from .channel import (
     receiver_noise,
     unit_gain_matrices,
 )
-from .detect import DetectionFailure, DetectorKind, ml_detect_batch, mmse_detect_batch, zf_detect_batch
+from .detect import (
+    DetectionFailure,
+    DetectorKind,
+    ml_detect_batch,
+    mmse_detect_batch,
+    prepare_channels,
+    prepared_elements,
+    zf_detect_batch,
+)
 from .fading import FadingSpec, fading_draws
 from .modem import QPSK_POINTS, bernoulli_bits, qpsk_demodulate, qpsk_modulate
 from .numerics import MAX_TRIALS, PhiloxStreams, RngStream, complex_normal_from, normal_pairs, pack_stream_id
@@ -268,12 +280,13 @@ def run_frame(config: SimConfig, trial_index: int) -> int:
     return int(_run_chunk([config], draw, range(trial_index, trial_index + 1))[0][0])
 
 
-def _detect(config: SimConfig, h: np.ndarray, y: np.ndarray, noise_var: float) -> np.ndarray:
+def _detect(config: SimConfig, channels, y: np.ndarray, noise_var: float) -> np.ndarray:
+    # channels come from prepare_channels(config.detector, h, QPSK_POINTS).
     if config.detector is DetectorKind.ZF:
-        return zf_detect_batch(h, y)
+        return zf_detect_batch(channels, y)
     if config.detector is DetectorKind.MMSE:
-        return mmse_detect_batch(h, y, noise_var)
-    return ml_detect_batch(h, y, QPSK_POINTS)
+        return mmse_detect_batch(channels, y, noise_var)
+    return ml_detect_batch(channels, y, QPSK_POINTS)
 
 
 def trial_elements(config: SimConfig) -> int:
@@ -293,12 +306,17 @@ def trial_elements(config: SimConfig) -> int:
     codewords or transmit vectors. The FER chain charges a link its
     fading_draws + 3M uniforms and then angles; a receive entry 4, the
     shared noise and a point's receive rows or the mixing's scaled rows;
-    and a symbol 8, the symbols and then the combiner's sums and the
-    temporaries of its last expression. BER-vs-SNR charges a receive
-    entry 2, a point's receive rows, as its shared H x and noise pairs
-    take the room of the draw's uniforms and normals; and a symbol 16, the
-    symbols and then the linear detectors' solve, whose conjugate copy of
-    the channel peaks at one transmit and four receive antennas.
+    and a symbol 10, the symbols and then the combiner's sums and the
+    temporaries of its last expression, which outweigh the channel of a
+    gain sweep at one receive antenna. BER-vs-SNR charges a receive entry
+    2, a point's receive rows, as its shared H x and noise pairs take the
+    room of the draw's uniforms and normals; a row the channels that the
+    prefix prepares for the detector and every point reuses,
+    detect.prepared_elements: H^H and the Gram matrix for ZF and MMSE,
+    2 N_r N_t + 2 N_t^2, and ML's head and tail images with the tail
+    norms, 272 at 4x4 QPSK; and a symbol 16, the symbols and then a
+    point's solve and decisions. An uncoded 4x4 vector is charged 240
+    elements under ZF and MMSE and 448 under ML.
     chunk_trials sizes chunks by it; SimConfig.validate bounds it.
     """
     ch = config.channel
@@ -306,11 +324,12 @@ def trial_elements(config: SimConfig) -> int:
     symbols = config.frame_bits // 2
     if config.experiment is Experiment.BER_VS_SNR:
         rows = symbols // ch.n_tx
-        return rows * (6 * links + 2 * ch.n_rx + 2 * ch.n_tx) + 16 * symbols
+        prepared = prepared_elements(config.detector, ch.n_rx, ch.n_tx, len(QPSK_POINTS))
+        return rows * (6 * links + 2 * ch.n_rx + 2 * ch.n_tx + prepared) + 16 * symbols
     code = ostbc_code(*config.code)
     rows = symbols // code.n_symbols * code.block_len
     per_link = fading_draws(ch.fading) + 3 * ch.fading.num_sinusoids
-    return links * per_link + rows * (6 * links + 4 * ch.n_rx + 2 * ch.n_tx) + 8 * symbols
+    return links * per_link + rows * (6 * links + 4 * ch.n_rx + 2 * ch.n_tx) + 10 * symbols
 
 
 def chunk_trials(config: SimConfig) -> int:
@@ -335,9 +354,10 @@ def _run_chunk(points: list[SimConfig], draw, trials: range) -> list[np.ndarray]
     (see _point_config), in index order: the prefix once for the chunk,
     then each point's suffix in turn (see the module docstring).
     draw(stream_id, out) fills out from the start of that stream. A
-    detection failure (a singular channel under ZF) re-runs that point's
-    chunk of several trials one trial at a time, and wipes a chunk of one:
-    every bit counts as errored."""
+    detection failure (a singular channel under ZF), which preparing the
+    channels in the prefix raises, re-runs a chunk of several trials one
+    trial at a time at every point, and wipes a chunk of one: every bit
+    counts as errored at every point."""
     config = points[0]
     exp_id = EXPERIMENT_IDS[config.experiment.value]
     ch = config.channel
@@ -362,12 +382,21 @@ def _run_chunk(points: list[SimConfig], draw, trials: range) -> list[np.ndarray]
         return np.count_nonzero(bits_hat.reshape(f, -1) != bits, axis=1)
 
     if config.experiment is Experiment.BER_VS_SNR:
-        # Prefix: the i.i.d. channel, H x and the noise's normal pairs.
+        # Prefix: the i.i.d. channel, H x, the channels prepared for the
+        # detector and the noise's normal pairs.
         x, syms = syms.reshape(-1, n_tx) / math.sqrt(n_tx), None
         n_vec = len(x) // f
         h = complex_normal_from(uniforms(ROLE_IID_CHANNEL, 2 * n_vec * n_rx * n_tx), 1.0)
         h = path_gain(ch) * h.reshape(-1, n_rx, n_tx)
         hx = receive(h, x, None)
+        try:
+            # The prepared channels replace h.
+            channels, h = prepare_channels(config.detector, h, QPSK_POINTS), None
+        except DetectionFailure:
+            if f == 1:
+                return [np.full(1, config.frame_bits) for _ in points]
+            per_trial = [_run_chunk(points, draw, range(t, t + 1)) for t in trials]
+            return [np.concatenate(point) for point in zip(*per_trial)]
         z = normal_pairs(noise(2 * hx.size)).reshape(hx.shape)
 
         def point_errors(pc: SimConfig) -> np.ndarray:
@@ -375,13 +404,7 @@ def _run_chunk(points: list[SimConfig], draw, trials: range) -> list[np.ndarray]
             noise_var = noise_variance(pc.snr_db)
             y = np.multiply(z, math.sqrt(noise_var / 2.0))
             y += hx
-            try:
-                decided = _detect(pc, h, y, noise_var)
-            except DetectionFailure:
-                if f == 1:
-                    return np.full(1, config.frame_bits)
-                return np.concatenate([_run_chunk([pc], draw, range(t, t + 1))[0] for t in trials])
-            return score(qpsk_demodulate(decided.ravel()))
+            return score(qpsk_demodulate(_detect(pc, channels, y, noise_var).ravel()))
 
         return [point_errors(pc) for pc in points]
 

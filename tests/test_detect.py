@@ -9,11 +9,15 @@ import pytest
 
 from mimolink import numerics
 from mimolink.detect import (
+    SINGULARITY_RTOL,
     DetectionFailure,
     DetectorKind,
+    _singular,
     ml_detect_batch,
     mmse_detect_batch,
     mmse_estimate_batch,
+    prepare_channels,
+    prepared_elements,
     zf_detect_batch,
     zf_estimate_batch,
 )
@@ -339,6 +343,135 @@ def test_singular_channel_raises_for_zf():
         zf_detect_batch(np.zeros((1, 4, 4)), y)
     # MMSE regularizes the same channel without complaint
     mmse_detect_batch(h, y, 0.1)
+
+
+def _eigen_rule(gram):
+    """The singularity rule by the eigenvalues of every Gram matrix."""
+    eig = np.linalg.eigvalsh(gram)
+    return (eig[:, 0] < SINGULARITY_RTOL * eig[:, -1]) | (eig[:, -1] <= 0.0)
+
+
+def _gram(h):
+    return h.conj().swapaxes(-1, -2) @ h
+
+
+def _conditioned_channels(stream, n, n_rx, n_tx, ratio):
+    """n channels c U diag(sqrt(lambda)) V^H with random unitary U and V
+    and scales c from 10^-3 to 10^3, whose Gram matrices have the
+    eigenvalues c^2 lambda: lambda_max = 1, lambda_min = ratio and the rest
+    in between."""
+    def unitary(size):
+        q, _ = np.linalg.qr(stream.complex_normal((n, size, size)))
+        return q
+
+    lam = np.sort(stream.uniform(n * n_tx).reshape(n, n_tx), axis=1)
+    lam[:, 0], lam[:, -1] = ratio, 1.0
+    lam[:, 1:-1] = ratio + (1.0 - ratio) * lam[:, 1:-1]
+    u, v = unitary(n_rx)[:, :, :n_tx], unitary(n_tx)
+    scale = 10.0 ** (6.0 * stream.uniform(n) - 3.0)
+    return scale[:, None, None] * (u * np.sqrt(lam)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("n_rx, n_tx", [(4, 4), (4, 2), (2, 2), (1, 1)])
+def test_certificate_agrees_with_the_eigenvalue_rule(n_rx, n_tx):
+    """ZF's verdict, det G / (tr G)^N_t >= 1e-9 or else the eigenvalue
+    rule, is the eigenvalue rule's on 100,000 random Gram matrices, and on
+    matrices built with lambda_min / lambda_max at 1e-8, 1e-10, 1e-11,
+    1e-13 and 0, which the certificate cannot clear, and from H = 0."""
+    stream = RngStream(60, 4 * n_tx + n_rx)
+    gram = _gram(stream.complex_normal((100_000, n_rx, n_tx)))
+    np.testing.assert_array_equal(_singular(gram), _eigen_rule(gram))
+    zero = np.zeros((3, n_tx, n_tx), dtype=np.complex128)
+    assert _singular(zero).all() and _eigen_rule(zero).all()
+    if n_tx == 1:
+        return  # one eigenvalue: only H = 0 is singular
+    for ratio in (1e-8, 1e-10, 1e-11, 1e-13, 0.0):
+        gram = _gram(_conditioned_channels(stream, 2_000, n_rx, n_tx, ratio))
+        want = _eigen_rule(gram)
+        assert (want == (ratio < SINGULARITY_RTOL)).all()
+        np.testing.assert_array_equal(_singular(gram), want)
+
+
+def test_typical_channels_skip_the_eigensolve(monkeypatch):
+    """Random 4x4 channels all carry the certificate, so eigvalsh sees no
+    Gram matrix; one that cannot carry it goes to eigvalsh alone, and
+    raises only if the eigenvalue rule finds it singular."""
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args: seen.append(len(a)) or eigvalsh(a, *args))
+    stream = RngStream(61, 0)
+    s, h, y = _random_case(stream, 5_000, 4, 4, snr_db=10.0)
+    zf_detect_batch(h, y)
+    assert sum(seen) == 0
+    h[7] = _conditioned_channels(stream, 1, 4, 4, 1e-11)[0]
+    zf_detect_batch(h, y)
+    h[9] = 0.0
+    with pytest.raises(DetectionFailure):
+        zf_detect_batch(h, y)
+    assert seen == [1, 2]
+
+
+@pytest.mark.parametrize("kind", list(DetectorKind), ids=lambda k: k.value)
+def test_prepared_channels_decide_as_one_shot_calls(kind, monkeypatch):
+    """One batch of channels prepared once gives, at noise levels 1, 1e-1
+    and 1e-2, the decisions (and ZF and MMSE the estimates) of fresh calls
+    on the raw channels, bit for bit; ML also when the fresh call prepares
+    and searches in tiles of one vector or a few."""
+    stream = RngStream(62, 0)
+    n_rx, n_tx = (2, 3) if kind is DetectorKind.ML else (4, 4)
+    _, h, hx = _random_case(stream, 300, n_rx, n_tx, snr_db=None)
+    z = stream.complex_normal((300, n_rx))
+    channels = prepare_channels(kind, h, QPSK_POINTS)
+    a = -(-n_tx // 2)
+    one_vector = 6 * 4 ** (2 * a) + 2 * 4**a * n_rx
+    for noise_var in (1.0, 1e-1, 1e-2):
+        y = hx + math.sqrt(noise_var) * z
+        if kind is DetectorKind.ZF:
+            np.testing.assert_array_equal(zf_estimate_batch(channels, y), zf_estimate_batch(h, y))
+            np.testing.assert_array_equal(zf_detect_batch(channels, y), zf_detect_batch(h, y))
+        elif kind is DetectorKind.MMSE:
+            np.testing.assert_array_equal(
+                mmse_estimate_batch(channels, y, noise_var), mmse_estimate_batch(h, y, noise_var))
+            np.testing.assert_array_equal(
+                mmse_detect_batch(channels, y, noise_var), mmse_detect_batch(h, y, noise_var))
+        else:
+            want = ml_detect_batch(h, y, QPSK_POINTS)
+            np.testing.assert_array_equal(ml_detect_batch(channels, y, QPSK_POINTS), want)
+            for budget in (1, one_vector, 7 * one_vector + 1):
+                monkeypatch.setattr(numerics, "CHUNK_ELEMENTS", budget)
+                np.testing.assert_array_equal(ml_detect_batch(h, y, QPSK_POINTS), want)
+                np.testing.assert_array_equal(ml_detect_batch(channels, y, QPSK_POINTS), want)
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n_rx, n_tx", [(4, 4), (2, 3), (4, 1), (1, 1)])
+def test_prepared_elements_count_the_prepared_arrays(n_rx, n_tx):
+    """prepared_elements is the float64 size, per channel matrix, of the
+    arrays that prepared channels hold per channel matrix."""
+    n = 7
+    h = RngStream(63, 4 * n_tx + n_rx).complex_normal((n, n_rx, n_tx))
+    # ZF needs N_r >= N_t; MMSE holds the same arrays.
+    for kind in (DetectorKind.ZF, DetectorKind.MMSE, DetectorKind.ML)[n_rx < n_tx:]:
+        arrays = [v for v in vars(prepare_channels(kind, h, QPSK_POINTS)).values() if isinstance(v, np.ndarray)]
+        held = sum(v.nbytes for v in arrays if v.ndim > 1 and len(v) == n)
+        assert held == 8 * n * prepared_elements(kind, n_rx, n_tx)
+
+
+def test_prepared_channels_check_their_use():
+    """Prepared channels serve only their own kind, constellation and
+    number of vectors."""
+    stream = RngStream(64, 0)
+    _, h, y = _random_case(stream, 10, 4, 4, snr_db=10.0)
+    zf = prepare_channels(DetectorKind.ZF, h)
+    with pytest.raises(ValueError):
+        mmse_detect_batch(zf, y, 0.1)
+    with pytest.raises(ValueError):
+        zf_detect_batch(zf, y[:-1])
+    ml = prepare_channels(DetectorKind.ML, h, QPSK_POINTS)
+    with pytest.raises(ValueError):
+        ml_detect_batch(ml, y, _BPSK)
+    with pytest.raises(ValueError):
+        prepare_channels(DetectorKind.ML, h, np.exp(2j * np.pi * np.arange(32) / 32))
 
 
 def test_tall_channel_supported():

@@ -178,12 +178,12 @@ def test_config_validation_bounds_trial_memory():
     without allocating anything."""
     # 4x3/4 over 4x4 links with M = 32: 120 bits are 60 symbols and 80
     # rows. 16 links of 1 + 2 * 32 uniforms and 3 * 32 angles, 80 rows of
-    # 6 * 16 channel, 4 * 4 receive and 2 * 4 transmit elements, and 8 per
+    # 6 * 16 channel, 4 * 4 receive and 2 * 4 transmit elements, and 10 per
     # symbol. The largest frame that validates, a multiple of 6 bits, has
-    # 133,132 rows.
+    # 131,564 rows.
     fer = _fer_config(channel=ChannelSpec(n_tx=4, n_rx=4))
-    assert sim.trial_elements(replace(fer, frame_bits=120)) == 16 * 161 + 80 * 120 + 8 * 60
-    largest = 199_698
+    assert sim.trial_elements(replace(fer, frame_bits=120)) == 16 * 161 + 80 * 120 + 10 * 60
+    largest = 197_346
     replace(fer, frame_bits=largest).validate()
     with pytest.raises(ValueError, match="MAX_TRIAL_ELEMENTS"):
         replace(fer, frame_bits=largest + 6).validate()
@@ -191,10 +191,10 @@ def test_config_validation_bounds_trial_memory():
         _fer_config(channel=ChannelSpec(n_tx=2, n_rx=1), code=(2, Fraction(1)), frame_bits=2_000_000_000).validate()
     # num_sinusoids is capped by the fading spec, and M counts against the
     # trial bound: at M = 65,536 each of the 16 links holds 5M + 1
-    # elements, and the largest frame shrinks to 137,310 bits.
+    # elements, and the largest frame shrinks to 135,696 bits.
     big_m = ChannelSpec(fading=FadingSpec(num_sinusoids=numerics.CHUNK_ELEMENTS))
-    replace(fer, channel=big_m, frame_bits=137_310).validate()
-    for frame_bits in (137_316, largest):
+    replace(fer, channel=big_m, frame_bits=135_696).validate()
+    for frame_bits in (135_702, largest):
         with pytest.raises(ValueError, match="MAX_TRIAL_ELEMENTS"):
             replace(fer, channel=big_m, frame_bits=frame_bits).validate()
     for detector in DetectorKind:
@@ -202,16 +202,22 @@ def test_config_validation_bounds_trial_memory():
         ber.validate()
         with pytest.raises(ValueError, match="MAX_TRIAL_ELEMENTS"):
             replace(ber, frame_bits=2_000_000_000).validate()
-    # Uncoded 4x4 charges a vector of 8 bits 6 * 16 + 2 * 8 elements and
-    # 16 per symbol: 176, whatever the detector, as ML tiles its own
-    # search. The largest frame that validates has 95,325 vectors.
-    ml = _ber_config(detector=DetectorKind.ML)
-    assert sim.trial_elements(replace(ml, frame_bits=120)) == 15 * 176
-    replace(ml, frame_bits=762_600).validate()
-    with pytest.raises(ValueError, match="MAX_TRIAL_ELEMENTS"):
-        replace(ml, frame_bits=762_608).validate()
+    # Uncoded 4x4 charges a vector of 8 bits 6 * 16 + 2 * 8 elements, 16
+    # per symbol and the prepared channels that every point reuses: H^H and
+    # the Gram matrix under ZF and MMSE, 2 * 16 + 2 * 16 (240 in all), and
+    # under ML the 16 head and 16 tail images of 2 * 4 elements and the 16
+    # tail norms (448 in all); ML tiles its search's scratch itself. The
+    # largest frames that validate have 69,905 and 37,449 vectors.
+    for detector, vector, largest in (
+        (DetectorKind.ZF, 240, 559_240), (DetectorKind.MMSE, 240, 559_240), (DetectorKind.ML, 448, 299_592),
+    ):
+        ber = _ber_config(detector=detector)
+        assert sim.trial_elements(replace(ber, frame_bits=120)) == 15 * vector
+        replace(ber, frame_bits=largest).validate()
+        with pytest.raises(ValueError, match="MAX_TRIAL_ELEMENTS"):
+            replace(ber, frame_bits=largest + 8).validate()
     # chunk_trials reads the same count: 12 bits are 8 rows.
-    assert chunk_trials(_point_config(fer, -5.0)) == numerics.CHUNK_ELEMENTS // (16 * 161 + 8 * 120 + 8 * 6)
+    assert chunk_trials(_point_config(fer, -5.0)) == numerics.CHUNK_ELEMENTS // (16 * 161 + 8 * 120 + 10 * 6)
 
 
 # The FER shapes of the benchmark workloads, with correlated links, so
@@ -230,6 +236,13 @@ _FER_2X2_RICIAN_HIGH = _point_config(_fer_config(
 def test_benchmark_fer_chunk_sizes():
     assert chunk_trials(_FER_4X4_LOW) == 5
     assert chunk_trials(_FER_2X2_RICIAN_HIGH) == 19
+
+
+def test_benchmark_ber_chunk_sizes():
+    """The legs of the uncoded 4x4 benchmark: 120-bit frames of 15 vectors,
+    whose prepared channels the chunk holds through every SNR point."""
+    for detector, trials in ((DetectorKind.ZF, 18), (DetectorKind.MMSE, 18), (DetectorKind.ML, 9)):
+        assert chunk_trials(_point_config(_ber_config(detector=detector, frame_bits=120), 10.0)) == trials
 
 
 # Three values of each experiment's swept quantity.
@@ -292,14 +305,18 @@ def _sweep_points(cfg: SimConfig) -> list[SimConfig]:
     "ber-zf-1x1-480", "ber-mmse-2x2-480",
     "ber-ml", "ber-ml-3x2", "ber-ml-1x4",
 ])
-def test_trial_elements_bounds_a_measured_chunk(cfg):
+def test_trial_elements_bounds_a_measured_chunk(cfg, monkeypatch):
     """The memory model is an upper bound on what a chunk of three sweep
     points allocates: the tracemalloc peak of one _run_chunk stays within
     chunk_trials * trial_elements float64 elements of arrays plus one
     kernel call's numerics.CHUNK_ELEMENTS of scratch, and in chunks of 4
     and 8 times as many trials, where the arrays dominate, the peak grows
-    by at most trial_elements a trial. Every one of these shapes, the
-    low-rate FER frames included, batches at least two trials."""
+    by at most trial_elements a trial. The arrays of the chunk that runs,
+    chunk_trials trials, fit trial_elements a trial by themselves: measured
+    with a one-element budget, which shrinks the fading and ML kernels'
+    tiles to one sample or vector, and so their scratch to next to
+    nothing. Every one of these shapes, the low-rate FER frames included,
+    batches at least two trials."""
     points = _sweep_points(cfg)
     streams = sim.PhiloxStreams(cfg.master_seed).uniform
     step = chunk_trials(cfg)
@@ -316,6 +333,8 @@ def test_trial_elements_bounds_a_measured_chunk(cfg):
 
     assert peak(step) <= 8 * (step * sim.trial_elements(cfg) + numerics.CHUNK_ELEMENTS)
     assert peak(8 * step) - peak(4 * step) <= 8 * 4 * step * sim.trial_elements(cfg)
+    monkeypatch.setattr(numerics, "CHUNK_ELEMENTS", 1)
+    assert peak(step) <= 8 * step * sim.trial_elements(cfg)
 
 
 def test_stream_ids_never_collide(monkeypatch):
@@ -721,31 +740,72 @@ def test_run_wave_on_pool_spans():
 
 def test_zf_failure_wipes_only_its_frame(monkeypatch):
     """A singular channel in one frame of a chunk scores that frame as all
-    errored; its neighbours in the chunk are scored as usual."""
+    errored at every point of the sweep; its neighbours in the chunk are
+    scored as usual. The channel is all zero: its stream's uniforms are
+    zeroed, for the chunk's draws and the single-trial oracle's alike, so
+    preparing it for ZF fails in the chunk's prefix, once for all points."""
     cfg = _point_config(_ber_config(detector=DetectorKind.ZF, frame_bits=120, master_seed=3), 10.0)
+    points = [cfg, _point_config(cfg, 20.0)]
     start, stop = 2, 2 + chunk_trials(cfg)
     bad = start + 7
-    clean = run_wave(cfg, start, stop).tolist()
-    assert clean[bad - start] < cfg.frame_bits
+    clean = [c.tolist() for c in sim._simulate_range(points, start, stop)]
+    assert all(c[bad - start] < cfg.frame_bits for c in clean)
 
-    # Trial `bad`'s first channel matrix, regenerated from its stream (the
-    # path gain is 0 dB, so the draw is the matrix).
-    stream = RngStream(cfg.master_seed, pack_stream_id(
-        sim.EXPERIMENT_IDS[cfg.experiment.value], sim.ROLE_IID_CHANNEL, bad))
-    poison = stream.complex_normal((cfg.frame_bits // 2 // 4, 4, 4))[0]
-    real_zf = sim.zf_detect_batch
+    bad_stream = pack_stream_id(sim.EXPERIMENT_IDS[cfg.experiment.value], sim.ROLE_IID_CHANNEL, bad)
 
-    def zf_failing_on_poison(h, y):
-        if np.any(np.all(h == poison, axis=(1, 2))):
-            raise DetectionFailure("forced")
-        return real_zf(h, y)
+    def zeroed(stream_id: int, u: np.ndarray) -> np.ndarray:
+        if stream_id == bad_stream:
+            u[:] = 0.0  # radii sqrt(-2 log1p(-0)) = 0: every entry is zero
+        return u
 
-    monkeypatch.setattr(sim, "zf_detect_batch", zf_failing_on_poison)
-    wiped = run_wave(cfg, start, stop).tolist()
-    expected = list(clean)
-    expected[bad - start] = cfg.frame_bits
-    assert wiped == expected
-    assert wiped == [run_frame(cfg, t) for t in range(start, stop)]
+    class Streams(sim.PhiloxStreams):
+        def uniform(self, stream_id, out):
+            return zeroed(stream_id, super().uniform(stream_id, out))
+
+    class Stream(RngStream):
+        def uniform(self, n):
+            return zeroed(self.stream_id, super().uniform(n))
+
+    failed = []  # the vectors of each prepare_channels call that raised
+    prepare = sim.prepare_channels
+
+    def recording(kind, h, constellation):
+        try:
+            return prepare(kind, h, constellation)
+        except DetectionFailure:
+            failed.append(len(h))
+            raise
+
+    monkeypatch.setattr(sim, "PhiloxStreams", Streams)
+    monkeypatch.setattr(sim, "RngStream", Stream)
+    monkeypatch.setattr(sim, "prepare_channels", recording)
+    wiped = [w.tolist() for w in sim._simulate_range(points, start, stop)]
+    # The chunk's prefix fails once for all points, and then the bad trial's.
+    assert failed == [(stop - start) * 15, 15]
+    for pc, c, w in zip(points, clean, wiped):
+        expected = list(c)
+        expected[bad - start] = cfg.frame_bits
+        assert w == expected
+        assert w == [run_frame(pc, t) for t in range(start, stop)]
+
+
+def test_ber_sweep_prepares_each_trial_once(monkeypatch):
+    """A 3-point SNR sweep prepares each trial's channels for the detector
+    once, in the chunk's prefix, as a 1-point sweep over the same trials
+    does: the Gram matrices and ZF's singularity verdict, or ML's images."""
+    calls = []
+    prepare = sim.prepare_channels
+    monkeypatch.setattr(sim, "prepare_channels", lambda kind, h, pts: calls.append(len(h)) or prepare(kind, h, pts))
+    for detector in DetectorKind:
+        cfg = _ber_config(detector=detector, frame_bits=120, sweep=(0.0, 10.0, 20.0), max_frames=50,
+                          target_frame_errors=10**6)
+
+        def count(sweep):
+            calls.clear()
+            assert [p.frames for p in run_experiment(replace(cfg, sweep=sweep)).points] == [50] * len(sweep)
+            return len(calls), sum(calls)  # prepare_channels calls, and the vectors they prepare
+
+        assert count(cfg.sweep) == count(cfg.sweep[:1]) == (-(-50 // chunk_trials(_sweep_points(cfg)[0])), 50 * 15)
 
 
 # One multi-point sweep of each experiment kind whose points stop on
