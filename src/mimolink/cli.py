@@ -262,7 +262,9 @@ def _write_plot_script(path: str, csv_path: str, command: str) -> None:
         settings += ["set logscale x"] if logx else []
         series = [(col, "linespoints", ylabel), (col + 1, "lines dashtype 2", "95% lo"),
                   (col + 2, "lines dashtype 2", "95% hi")]
-    sources = [f"plot '{csv_path}'"] + ["     ''"] * (len(series) - 1)
+    # gnuplot escapes a quote inside a single-quoted string by doubling it.
+    quoted = csv_path.replace("'", "''")
+    sources = [f"plot '{quoted}'"] + ["     ''"] * (len(series) - 1)
     plots = [f"{src} using 1:{c} with {style} title '{title}'"
              for src, (c, style, title) in zip(sources, series)]
     lines = [
@@ -279,8 +281,11 @@ def _write_plot_script(path: str, csv_path: str, command: str) -> None:
 
 
 def _check_output_path(flag: str, path: str) -> None:
-    """Raise ValueError unless path can be opened for writing: not a
-    directory, in an existing, writable directory."""
+    """Raise ValueError unless path can be opened for writing: a file name,
+    not empty, not ending in a path separator and not a directory, in an
+    existing, writable directory."""
+    if not path or path.endswith(tuple(sep for sep in (os.sep, os.altsep) if sep)):
+        raise ValueError(f"{flag} {path!r} does not name a file")
     parent = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path):
         raise ValueError(f"{flag} {path} is a directory")
@@ -308,7 +313,7 @@ def main(argv=None) -> int:
 
     try:
         _check_output_path("--out", args.out)
-        if args.plot_script:
+        if args.plot_script is not None:
             _check_output_path("--plot-script", args.plot_script)
             if os.path.realpath(args.plot_script) == os.path.realpath(args.out):
                 raise ValueError(f"--plot-script {args.plot_script} is the --out file")
@@ -334,7 +339,7 @@ def main(argv=None) -> int:
             text = emit_csv(run_experiment(config, workers=args.workers))
         with open(args.out, "w", newline="\n") as fh:
             fh.write(text)
-        if args.plot_script:
+        if args.plot_script is not None:
             _write_plot_script(args.plot_script, args.out, args.command)
     except Exception as exc:  # noqa: BLE001 - any runtime failure maps to exit 2
         print(f"mimolink: runtime failure: {exc}", file=sys.stderr)

@@ -1,28 +1,27 @@
-"""Linear and maximum-likelihood detectors for uncoded spatial multiplexing.
+"""Linear and maximum-likelihood QPSK detectors for uncoded spatial
+multiplexing.
 
-The transmit model is y = H x + w with x carrying one constellation symbol
-per transmit antenna, scaled by 1/sqrt(N_t) so the total transmit energy per
+The transmit model is y = H x + w with x carrying one QPSK symbol per
+transmit antenna, scaled by 1/sqrt(N_t) so the total transmit energy per
 channel use is 1. All three detectors return hard symbol decisions drawn
-from the constellation (unscaled), so callers compare decisions against the
-symbols they modulated, not against x. Each detects a batch: channels h
-of shape (n, N_r, N_t) and observations y of shape (n, N_r).
+from modem.QPSK_POINTS (unscaled), so callers compare decisions against
+the symbols they modulated, not against x. Each detects a batch: channels
+H of shape (n, N_r, N_t) and observations y of shape (n, N_r).
 
 zf_detect_batch    QPSK after (H^H H)^{-1} H^H y
 mmse_detect_batch  QPSK after (H^H H + noise_var N_t I)^{-1} H^H y, the true
                    MMSE filter for this power convention
-ml_detect_batch    exhaustive search over all |C|^N_t hypotheses of any
-                   constellation, by halves of the antennas; ties go to
-                   the lexicographically smallest hypothesis
+ml_detect_batch    exhaustive search over all 4^N_t hypotheses, by halves
+                   of the antennas; ties go to the lexicographically
+                   smallest hypothesis
 
 Detection is two steps. prepare_channels(kind, h) does once the work that
 depends on the channels alone: H^H and the Gram matrix H^H H for ZF and
 MMSE, with ZF's singularity verdict, and for ML the head and tail
-hypothesis images with the tail images' squared norms. Each detect call
-takes either channels, which it prepares itself (ML a tile at a time), or
-a prepared batch in their place, so that one batch of channels serves the
-observations of many noise levels at the cost of their solve or search.
-Both forms run the same operations on the same arrays, so they decide
-alike bit for bit.
+hypothesis images with the tail images' squared norms. Each detect and
+estimate call takes the channels prepared for its own kind, and nothing
+else, so that one batch of channels serves the observations of many noise
+levels at the cost of their solve or search alone.
 
 ZF and MMSE share one solve and decide by the modem's rule,
 modem.qpsk_demodulate: the signs of an estimate's real and imaginary parts
@@ -48,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .modem import qpsk_demodulate, qpsk_modulate
+from .modem import QPSK_POINTS, qpsk_demodulate, qpsk_modulate
 
 __all__ = [
     "DetectorKind",
@@ -71,9 +70,6 @@ SINGULARITY_RTOL = 1e-12
 # rounding of the LU factors behind det.
 CERTIFICATE_FLOOR = 1e-9
 
-# Cap on constellation^n_tx, keeping exhaustive ML search tractable.
-ML_MAX_HYPOTHESES = 1_000_000
-
 
 class DetectorKind(enum.Enum):
     ZF = "zf"
@@ -88,8 +84,7 @@ class DetectionFailure(Exception):
 @dataclass(frozen=True, eq=False)
 class PreparedChannels:
     """A batch of channels of shape (n, N_r, N_t), prepared by
-    prepare_channels for one detector kind; a detect call of that kind
-    takes it in place of h."""
+    prepare_channels for one detector kind, whose detect calls take it."""
 
     kind: DetectorKind
     shape: tuple[int, int, int]
@@ -103,7 +98,6 @@ class _LinearChannels(PreparedChannels):
 
 @dataclass(frozen=True, eq=False)
 class _MLChannels(PreparedChannels):
-    points: np.ndarray  # the constellation
     head: np.ndarray  # head hypotheses x_i, (Ka, a)
     tail: np.ndarray  # tail hypotheses x_j, (Kb, N_t - a)
     head_images: np.ndarray  # H_head x_i, (n, Ka, N_r)
@@ -111,21 +105,19 @@ class _MLChannels(PreparedChannels):
     tail_norms: np.ndarray  # ||b_j||^2, (n, Kb)
 
 
-def _ml_split(m: int, n_tx: int) -> tuple[int, int, int]:
+def _ml_split(n_tx: int) -> tuple[int, int, int]:
     # Head antennas a = ceil(N_t / 2), and the head and tail hypothesis
-    # counts Ka = m^a and Kb = m^(N_t - a) for a constellation of m points.
-    if m**n_tx > ML_MAX_HYPOTHESES:
-        raise ValueError("hypothesis space too large for exhaustive search")
+    # counts Ka = 4^a and Kb = 4^(N_t - a).
     a = -(-n_tx // 2)
-    return a, m**a, m ** (n_tx - a)
+    return a, 4**a, 4 ** (n_tx - a)
 
 
-def prepared_elements(kind: DetectorKind, n_rx: int, n_tx: int, m: int = 4) -> int:
-    """Float64 elements that prepare_channels holds per channel matrix, for
-    a constellation of m points under ML: H^H and H^H H for ZF and MMSE;
-    the head and tail images and the tail norms for ML."""
+def prepared_elements(kind: DetectorKind, n_rx: int, n_tx: int) -> int:
+    """Float64 elements that prepare_channels holds per channel matrix:
+    H^H and H^H H for ZF and MMSE; the head and tail images and the tail
+    norms for ML."""
     if kind is DetectorKind.ML:
-        _, ka, kb = _ml_split(m, n_tx)
+        _, ka, kb = _ml_split(n_tx)
         return 2 * (ka + kb) * n_rx + kb
     return 2 * (n_rx + n_tx) * n_tx
 
@@ -147,13 +139,12 @@ def _singular(gram: np.ndarray) -> np.ndarray:
     return singular
 
 
-def prepare_channels(kind: DetectorKind, h: np.ndarray, points: np.ndarray | None = None) -> PreparedChannels:
+def prepare_channels(kind: DetectorKind, h: np.ndarray) -> PreparedChannels:
     """The work of detecting through channels h (n, N_r, N_t) that does not
     depend on the observations, done once for a detector kind: H^H and the
-    Gram matrix H^H H for ZF and MMSE, and for ML over the constellation
-    points (required) the head and tail images and the tail norms, as
-    ml_detect_batch describes them. Preparing for ZF raises
-    DetectionFailure if any channel in the batch is singular."""
+    Gram matrix H^H H for ZF and MMSE, and for ML the head and tail images
+    and the tail norms, as ml_detect_batch describes them. Preparing for ZF
+    raises DetectionFailure if any channel in the batch is singular."""
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 3:
         raise ValueError(f"bad rank: h {h.shape}")
@@ -164,37 +155,28 @@ def prepare_channels(kind: DetectorKind, h: np.ndarray, points: np.ndarray | Non
         if kind is DetectorKind.ZF and np.any(_singular(gram)):
             raise DetectionFailure("channel matrix numerically singular under ZF")
         return _LinearChannels(kind, h.shape, hh, gram)
-    points = np.asarray(points, dtype=np.complex128)
-    a, ka, kb = _ml_split(len(points), n_tx)
-    head = _hypothesis_grid(points, a)
-    tail = head if kb == ka else _hypothesis_grid(points, n_tx - a)
+    a, ka, kb = _ml_split(n_tx)
+    head = _hypothesis_grid(a)
+    tail = head if kb == ka else _hypothesis_grid(n_tx - a)
     hx = h.swapaxes(-1, -2) / math.sqrt(n_tx)
     head_images = head @ hx[:, :a]
     tail_images = tail @ hx[:, a:]
     bv = tail_images.view(np.float64)
     tail_norms = np.einsum("nkr,nkr->nk", bv, bv)
-    return _MLChannels(kind, h.shape, points, head, tail, head_images, tail_images, tail_norms)
+    return _MLChannels(kind, h.shape, head, tail, head_images, tail_images, tail_norms)
 
 
-def _check_y(shape: tuple[int, ...], y: np.ndarray) -> np.ndarray:
-    # y as complex128, once it holds one N_r-vector per channel of shape.
+def _prepared(kind: DetectorKind, channels, y: np.ndarray) -> tuple[PreparedChannels, np.ndarray]:
+    # (channels, y as complex128), once the channels come prepared for this
+    # kind and y holds one N_r-vector per channel.
+    if not isinstance(channels, PreparedChannels):
+        raise ValueError(f"{kind.value} detection takes prepare_channels({kind}, h), not {type(channels).__name__}")
+    if channels.kind is not kind:
+        raise ValueError(f"channels prepared for {channels.kind.value}, not {kind.value}")
     y = np.asarray(y, dtype=np.complex128)
-    if len(shape) != 3 or y.ndim != 2:
-        raise ValueError(f"bad ranks: h {shape}, y {y.shape}")
-    if shape[-2] != y.shape[-1] or shape[0] != y.shape[0]:
-        raise ValueError(f"h {shape} and y {y.shape} do not agree")
-    return y
-
-
-def _prepared(kind: DetectorKind, h, y: np.ndarray, points=None) -> tuple[PreparedChannels, np.ndarray]:
-    # (prepared channels, checked y): h is prepared here unless it comes
-    # prepared for this kind.
-    if isinstance(h, PreparedChannels):
-        if h.kind is not kind:
-            raise ValueError(f"channels prepared for {h.kind.value}, not {kind.value}")
-        return h, _check_y(h.shape, y)
-    y = _check_y(np.shape(h), y)
-    return prepare_channels(kind, h, points), y
+    if y.shape != channels.shape[:2]:
+        raise ValueError(f"channels {channels.shape} and y {y.shape} do not agree")
+    return channels, y
 
 
 def _solve(channels: _LinearChannels, y: np.ndarray, noise_var: float | None) -> np.ndarray:
@@ -214,60 +196,70 @@ def _decide(x_hat: np.ndarray) -> np.ndarray:
     return qpsk_modulate(qpsk_demodulate(x_hat.ravel())).reshape(x_hat.shape)
 
 
-def zf_estimate_batch(h, y: np.ndarray) -> np.ndarray:
+def zf_estimate_batch(channels: PreparedChannels, y: np.ndarray) -> np.ndarray:
     """Pre-slicing zero-forcing estimates (H^H H)^-1 H^H y, shape (n, N_t),
-    for channels h or prepare_channels(DetectorKind.ZF, h). Raises
-    DetectionFailure if any channel in the batch is singular."""
-    return _solve(*_prepared(DetectorKind.ZF, h, y), None)
+    for channels = prepare_channels(DetectorKind.ZF, h), which has cleared
+    every channel of the batch as non-singular."""
+    return _solve(*_prepared(DetectorKind.ZF, channels, y), None)
 
 
-def mmse_estimate_batch(h, y: np.ndarray, noise_var: float) -> np.ndarray:
+def mmse_estimate_batch(channels: PreparedChannels, y: np.ndarray, noise_var: float) -> np.ndarray:
     """Pre-slicing MMSE estimates (H^H H + noise_var N_t I)^-1 H^H y, for
-    channels h or prepare_channels(DetectorKind.MMSE, h): the regularizer
+    channels = prepare_channels(DetectorKind.MMSE, h): the regularizer
     matches transmit power 1/N_t per antenna, and noise_var = 0
     degenerates the filter to zero forcing."""
     if noise_var < 0.0:
         raise ValueError("noise_var must be nonnegative")
-    return _solve(*_prepared(DetectorKind.MMSE, h, y), noise_var)
+    return _solve(*_prepared(DetectorKind.MMSE, channels, y), noise_var)
 
 
-def zf_detect_batch(h, y: np.ndarray) -> np.ndarray:
-    """Zero-forcing QPSK decisions (n, N_t) for h (n, N_r, N_t), or h
-    prepared for ZF, and y (n, N_r). Raises DetectionFailure if any
-    channel in the batch is singular."""
-    return _decide(zf_estimate_batch(h, y))
+def zf_detect_batch(channels: PreparedChannels, y: np.ndarray) -> np.ndarray:
+    """Zero-forcing QPSK decisions (n, N_t) for channels (n, N_r, N_t)
+    prepared for ZF and observations y (n, N_r)."""
+    return _decide(zf_estimate_batch(channels, y))
 
 
-def mmse_detect_batch(h, y: np.ndarray, noise_var: float) -> np.ndarray:
-    """Linear MMSE QPSK decisions, shaped as zf_detect_batch's, for h or h
-    prepared for MMSE."""
-    return _decide(mmse_estimate_batch(h, y, noise_var))
+def mmse_detect_batch(channels: PreparedChannels, y: np.ndarray, noise_var: float) -> np.ndarray:
+    """Linear MMSE QPSK decisions, shaped as zf_detect_batch's, for
+    channels prepared for MMSE."""
+    return _decide(mmse_estimate_batch(channels, y, noise_var))
 
 
-def _hypothesis_grid(points: np.ndarray, n_tx: int) -> np.ndarray:
-    # All |C|^n_tx transmit hypotheses in lexicographic order: the first
-    # antenna's symbol index is the most significant digit. Row b of the
-    # result is the hypothesis with index b; n_tx = 0 gives one empty one.
-    m = len(points)
-    idx = np.indices((m,) * n_tx).reshape(n_tx, m**n_tx).T
-    return points[idx]
+def _hypothesis_grid(n_tx: int) -> np.ndarray:
+    # All 4^n_tx QPSK transmit hypotheses in lexicographic order: the first
+    # antenna's index into QPSK_POINTS is the most significant digit. Row b
+    # of the result is the hypothesis with index b; n_tx = 0 gives one
+    # empty one.
+    idx = np.indices((4,) * n_tx).reshape(n_tx, 4**n_tx).T
+    return QPSK_POINTS[idx]
 
 
-def _search_elements(ka: int, kb: int, n_rx: int) -> int:
-    # Scratch of the search per vector: 6 per hypothesis (cross terms,
-    # distances, argmin's copy) and 2 per receive antenna and head
-    # hypothesis, the residuals r.
-    return 6 * ka * kb + 2 * ka * n_rx
+def ml_detect_batch(channels: PreparedChannels, y: np.ndarray) -> np.ndarray:
+    """Exhaustive maximum-likelihood QPSK detection of a batch, for channels
+    prepared for ML.
 
-
-def _ml_search(channels: _MLChannels, y: np.ndarray) -> np.ndarray:
-    # Tiles of vectors, one at least, keep the scratch within
-    # numerics.CHUNK_ELEMENTS. The float64 views of r and b interleave
-    # real and imaginary parts: r^H b is real.
+    Minimizes ||y - H x||^2 over every combination of QPSK_POINTS, as a
+    half-grid search: with a = ceil(N_t / 2) head antennas, hypothesis
+    (i, j) pairs head hypothesis i with tail hypothesis j, and
+    ||y - H x||^2 = ||r_i||^2 + ||b_j||^2 - 2 Re(r_i^H b_j) for the head
+    residual r_i = y - H_head x_i and the tail image b_j = H_tail x_j. The
+    head images, the tail images and their norms depend on the channel
+    alone (see prepare_channels). The cross terms of a vector are one
+    (Ka, N_r) @ (N_r, Kb) product. Distance ties resolve to the
+    lexicographically smallest hypothesis (antenna 0 most significant,
+    QPSK_POINTS order), which is the smallest row-major (i, j). Tiles of
+    vectors (one at least) keep the search's scratch within
+    numerics.CHUNK_ELEMENTS; the tiling never changes a decision.
+    """
+    channels, y = _prepared(DetectorKind.ML, channels, y)
     n, n_rx, n_tx = channels.shape
     head, tail = channels.head, channels.tail
     a = head.shape[1]
-    tile = max(1, numerics.CHUNK_ELEMENTS // _search_elements(len(head), len(tail), n_rx))
+    # Scratch per vector: 6 per hypothesis (cross terms, distances,
+    # argmin's copy) and 2 per receive antenna and head hypothesis, the
+    # residuals r. The float64 views of r and b interleave real and
+    # imaginary parts: r^H b is real.
+    tile = max(1, numerics.CHUNK_ELEMENTS // (6 * len(head) * len(tail) + 2 * len(head) * n_rx))
     out = np.empty((n, n_tx), dtype=np.complex128)
     for lo in range(0, n, tile):
         r = np.subtract(y[lo : lo + tile, None, :], channels.head_images[lo : lo + tile])
@@ -280,44 +272,4 @@ def _ml_search(channels: _MLChannels, y: np.ndarray) -> np.ndarray:
         out[lo : lo + tile, :a] = head[i]
         out[lo : lo + tile, a:] = tail[j]
         del r, rv, bv, cross, dist  # before the next tile's are built
-    return out
-
-
-def ml_detect_batch(h, y: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Exhaustive maximum-likelihood detection of a batch, for channels h
-    or h prepared for ML over the same points.
-
-    Minimizes ||y - H x||^2 over every constellation combination, as a
-    half-grid search: with a = ceil(N_t / 2) head antennas, hypothesis
-    (i, j) pairs head hypothesis i with tail hypothesis j, and
-    ||y - H x||^2 = ||r_i||^2 + ||b_j||^2 - 2 Re(r_i^H b_j) for the head
-    residual r_i = y - H_head x_i and the tail image b_j = H_tail x_j. The
-    head images, the tail images and their norms depend on the channel
-    alone (see prepare_channels). The cross terms of a vector are one
-    (Ka, N_r) @ (N_r, Kb) product. Distance ties resolve to the
-    lexicographically smallest hypothesis (antenna 0 most significant,
-    constellation order as given), which is the smallest row-major (i, j).
-    The search size |points|^N_t must stay under one million. Tiles of
-    vectors (one at least) keep the scratch within numerics.CHUNK_ELEMENTS,
-    unprepared channels' images included; the tiling never changes a
-    decision.
-    """
-    points = np.asarray(points, dtype=np.complex128)
-    if isinstance(h, PreparedChannels):
-        channels, y = _prepared(DetectorKind.ML, h, y)
-        if not np.array_equal(channels.points, points):
-            raise ValueError("channels prepared for another constellation")
-        return _ml_search(channels, y)
-    h = np.asarray(h, dtype=np.complex128)
-    y = _check_y(h.shape, y)
-    n_rx, n_tx = h.shape[1:]
-    _, ka, kb = _ml_split(len(points), n_tx)
-    # Per vector: the search's scratch, the prepared images and norms, and
-    # the scaled channel that makes them.
-    per_vector = _search_elements(ka, kb, n_rx) + prepared_elements(DetectorKind.ML, n_rx, n_tx, len(points))
-    tile = max(1, numerics.CHUNK_ELEMENTS // (per_vector + 2 * n_tx * n_rx))
-    out = np.empty((len(y), n_tx), dtype=np.complex128)
-    for lo in range(0, len(y), tile):
-        channels = prepare_channels(DetectorKind.ML, h[lo : lo + tile], points)
-        out[lo : lo + tile] = _ml_search(channels, y[lo : lo + tile])
     return out

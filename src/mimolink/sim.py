@@ -95,7 +95,7 @@ from .detect import (
     zf_detect_batch,
 )
 from .fading import FadingSpec, fading_draws
-from .modem import QPSK_POINTS, bernoulli_bits, qpsk_demodulate, qpsk_modulate
+from .modem import bernoulli_bits, qpsk_demodulate, qpsk_modulate
 from .numerics import MAX_TRIALS, PhiloxStreams, RngStream, complex_normal_from, normal_pairs, pack_stream_id
 from .stbc import combine_array, encode_array, ostbc_code
 
@@ -281,12 +281,13 @@ def run_frame(config: SimConfig, trial_index: int) -> int:
 
 
 def _detect(config: SimConfig, channels, y: np.ndarray, noise_var: float) -> np.ndarray:
-    # channels come from prepare_channels(config.detector, h, QPSK_POINTS).
+    # channels come from prepare_channels(config.detector, h), which the
+    # chunk's prefix calls once for every point of the sweep.
     if config.detector is DetectorKind.ZF:
         return zf_detect_batch(channels, y)
     if config.detector is DetectorKind.MMSE:
         return mmse_detect_batch(channels, y, noise_var)
-    return ml_detect_batch(channels, y, QPSK_POINTS)
+    return ml_detect_batch(channels, y)
 
 
 def trial_elements(config: SimConfig) -> int:
@@ -324,7 +325,7 @@ def trial_elements(config: SimConfig) -> int:
     symbols = config.frame_bits // 2
     if config.experiment is Experiment.BER_VS_SNR:
         rows = symbols // ch.n_tx
-        prepared = prepared_elements(config.detector, ch.n_rx, ch.n_tx, len(QPSK_POINTS))
+        prepared = prepared_elements(config.detector, ch.n_rx, ch.n_tx)
         return rows * (6 * links + 2 * ch.n_rx + 2 * ch.n_tx + prepared) + 16 * symbols
     code = ostbc_code(*config.code)
     rows = symbols // code.n_symbols * code.block_len
@@ -391,7 +392,7 @@ def _run_chunk(points: list[SimConfig], draw, trials: range) -> list[np.ndarray]
         hx = receive(h, x, None)
         try:
             # The prepared channels replace h.
-            channels, h = prepare_channels(config.detector, h, QPSK_POINTS), None
+            channels, h = prepare_channels(config.detector, h), None
         except DetectionFailure:
             if f == 1:
                 return [np.full(1, config.frame_bits) for _ in points]

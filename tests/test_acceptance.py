@@ -13,8 +13,10 @@ from scipy import stats as sps
 from mimolink.channel import ChannelSpec
 from mimolink.cli import main as cli_main
 from mimolink.detect import (
+    DetectorKind,
     ml_detect_batch,
     mmse_estimate_batch,
+    prepare_channels,
     zf_estimate_batch,
 )
 from mimolink.fading import (
@@ -170,7 +172,6 @@ def test_criterion_4_rayleigh_worst_fer_ordering(capsys):
 
 def test_criterion_5_detector_waterfalls(capsys):
     """4x4 uncoded QPSK: ML under 1e-3 at 20 dB; ML < MMSE < ZF with CI gaps."""
-    from mimolink.detect import DetectorKind
 
     def run(detector, sweep, max_frames):
         cfg = SimConfig(
@@ -216,7 +217,7 @@ def test_criterion_6_detector_oracles(capsys):
     h = rng.complex_normal((n, 4, 4))
     y = np.einsum("nrt,nt->nr", h, s) / 2.0 + rng.complex_normal((n, 4), var=0.1)
 
-    got = ml_detect_batch(h, y, QPSK_POINTS)
+    got = ml_detect_batch(prepare_channels(DetectorKind.ML, h), y)
     mismatches = 0
     hypotheses = [np.array(c) for c in itertools.product(QPSK_POINTS, repeat=4)]
     for i in range(n):
@@ -230,8 +231,8 @@ def test_criterion_6_detector_oracles(capsys):
     gap = float(
         np.max(
             np.abs(
-                mmse_estimate_batch(h[keep], y[keep], 1e-12)
-                - zf_estimate_batch(h[keep], y[keep])
+                mmse_estimate_batch(prepare_channels(DetectorKind.MMSE, h[keep]), y[keep], 1e-12)
+                - zf_estimate_batch(prepare_channels(DetectorKind.ZF, h[keep]), y[keep])
             )
         )
     )

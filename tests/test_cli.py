@@ -212,6 +212,16 @@ def test_plot_script_bytes(tmp_path, command):
     assert plot.read_bytes() == PLOT_SCRIPTS[command].format(csv=out).encode()
 
 
+def test_plot_script_quotes_the_csv_path(tmp_path):
+    """A quote in the --out path is doubled in the plot script, gnuplot's
+    escape inside a single-quoted string."""
+    out, plot = tmp_path / "a'b.csv", tmp_path / "out.gp"
+    command = "fer-vs-gain"
+    rc = main([command, *PLOT_ARGS[command], "--out", str(out), "--plot-script", str(plot)])
+    assert rc == 0
+    assert plot.read_bytes() == PLOT_SCRIPTS[command].format(csv=f"{tmp_path}/a''b.csv").encode()
+
+
 def test_validate_fading_csv(tmp_path):
     out = tmp_path / "val.csv"
     rc = main(
@@ -379,6 +389,11 @@ def test_unusable_output_paths_exit_one_before_simulating(tmp_path, monkeypatch,
         (["--out", str(out), "--plot-script", str(tmp_path)], "--plot-script"),
         # One file for both would keep only the plot script.
         (["--out", str(out), "--plot-script", str(tmp_path / "." / "ok.csv")], "--plot-script"),
+        # No file name: empty, or a directory's path with its separator.
+        (["--out", ""], "--out"),
+        (["--out", str(out) + os.sep], "--out"),
+        (["--out", str(out), "--plot-script", ""], "--plot-script"),
+        (["--out", str(out), "--plot-script", str(tmp_path / "ok.gp") + os.sep], "--plot-script"),
     ]
     for command, extra in PLOT_ARGS.items():
         for paths, flag in bad_paths:

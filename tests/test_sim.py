@@ -466,8 +466,8 @@ def test_reference_chain_reproduces_run_frame_ber(detector):
     each trial's bits, i.i.d. channel and noise from their own streams,
     every vector received and detected on its own."""
     from mimolink.channel import noise_variance, path_gain, receive
-    from mimolink.detect import ml_detect_batch, mmse_detect_batch, zf_detect_batch
-    from mimolink.modem import QPSK_POINTS, bernoulli_bits, qpsk_demodulate, qpsk_modulate
+    from mimolink.detect import ml_detect_batch, mmse_detect_batch, prepare_channels, zf_detect_batch
+    from mimolink.modem import bernoulli_bits, qpsk_demodulate, qpsk_modulate
     from mimolink.numerics import complex_normal_from
     from mimolink.sim import EXPERIMENT_IDS, ROLE_BITS, ROLE_IID_CHANNEL, ROLE_NOISE
 
@@ -477,8 +477,8 @@ def test_reference_chain_reproduces_run_frame_ber(detector):
     noise_var = noise_variance(point.snr_db)
     detect = {
         DetectorKind.ZF: zf_detect_batch,
-        DetectorKind.MMSE: lambda h, y: mmse_detect_batch(h, y, noise_var),
-        DetectorKind.ML: lambda h, y: ml_detect_batch(h, y, QPSK_POINTS),
+        DetectorKind.MMSE: lambda channels, y: mmse_detect_batch(channels, y, noise_var),
+        DetectorKind.ML: ml_detect_batch,
     }[detector]
 
     trials = range(12)
@@ -496,7 +496,7 @@ def test_reference_chain_reproduces_run_frame_ber(detector):
         decided = []
         for v in range(len(x)):
             y = receive(h[v : v + 1], x[v : v + 1], w[v : v + 1])
-            decided.append(detect(h[v : v + 1], y)[0])
+            decided.append(detect(prepare_channels(detector, h[v : v + 1]), y)[0])
         bits_hat = qpsk_demodulate(np.concatenate(decided))
 
         bit_errors = int(np.count_nonzero(bits_hat != bits))
@@ -769,9 +769,9 @@ def test_zf_failure_wipes_only_its_frame(monkeypatch):
     failed = []  # the vectors of each prepare_channels call that raised
     prepare = sim.prepare_channels
 
-    def recording(kind, h, constellation):
+    def recording(kind, h):
         try:
-            return prepare(kind, h, constellation)
+            return prepare(kind, h)
         except DetectionFailure:
             failed.append(len(h))
             raise
@@ -795,7 +795,7 @@ def test_ber_sweep_prepares_each_trial_once(monkeypatch):
     does: the Gram matrices and ZF's singularity verdict, or ML's images."""
     calls = []
     prepare = sim.prepare_channels
-    monkeypatch.setattr(sim, "prepare_channels", lambda kind, h, pts: calls.append(len(h)) or prepare(kind, h, pts))
+    monkeypatch.setattr(sim, "prepare_channels", lambda kind, h: calls.append(len(h)) or prepare(kind, h))
     for detector in DetectorKind:
         cfg = _ber_config(detector=detector, frame_bits=120, sweep=(0.0, 10.0, 20.0), max_frames=50,
                           target_frame_errors=10**6)
