@@ -25,12 +25,17 @@ FER experiments, with the unit-gain channel matrices under a gain sweep;
 bits, the i.i.d. channel, H x, the channels prepared for the detector
 (detect.prepare_channels: H^H and the Gram matrices with ZF's singularity
 verdict, or ML's hypothesis images and tail norms) and the noise's normal
-pairs for BER-vs-SNR. The rest, the suffix, runs once per point, one
-point at a time: from the path-gain product, from the link gains under a
-Doppler or sample-rate sweep, or from the noise scaling, through the
-detector's solve or search. Each shared array holds the value that
-a one-point chain computes, and each suffix applies the same numpy
-operations to it, so a point's outcomes equal those of a one-point sweep.
+pairs z for BER-vs-SNR. The rest, the suffix, runs once per point, one
+point at a time: from the path-gain product, or from the link gains
+under a Doppler or sample-rate sweep. BER-vs-SNR hands H x, z and every
+point's noise variance to one detect call, which returns each point's
+decisions: ZF solves for H^H H x and H^H z once and each point is an
+axpy of the two, ML forms its noise-free distances and their noise term
+once per tile and each point is an axpy and an argmin, and MMSE forms
+each point's y = H x + sqrt(nv / 2) z and solves for it. Each shared
+array holds the value that a one-point chain computes, and each suffix
+applies the same numpy operations to it, so a point's outcomes equal
+those of a one-point sweep.
 
 _run_chunk takes a stream source, draw(stream_id, out), and each trial
 draws its own streams from counter zero in the same order, so a trial's
@@ -280,14 +285,15 @@ def run_frame(config: SimConfig, trial_index: int) -> int:
     return int(_run_chunk([config], draw, range(trial_index, trial_index + 1))[0][0])
 
 
-def _detect(config: SimConfig, channels, y: np.ndarray, noise_var: float) -> np.ndarray:
-    # channels come from prepare_channels(config.detector, h), which the
-    # chunk's prefix calls once for every point of the sweep.
-    if config.detector is DetectorKind.ZF:
-        return zf_detect_batch(channels, y)
-    if config.detector is DetectorKind.MMSE:
-        return mmse_detect_batch(channels, y, noise_var)
-    return ml_detect_batch(channels, y)
+def _detect(detector: DetectorKind, channels, hx: np.ndarray, z: np.ndarray, noise_vars: list[float]) -> np.ndarray:
+    # channels come from prepare_channels(detector, h), which the chunk's
+    # prefix calls once for every point of the sweep. The names are looked
+    # up here, at the call, where the benchmark's trace wraps them.
+    if detector is DetectorKind.ZF:
+        return zf_detect_batch(channels, hx, z, noise_vars)
+    if detector is DetectorKind.MMSE:
+        return mmse_detect_batch(channels, hx, z, noise_vars)
+    return ml_detect_batch(channels, hx, z, noise_vars)
 
 
 def trial_elements(config: SimConfig) -> int:
@@ -310,14 +316,20 @@ def trial_elements(config: SimConfig) -> int:
     and a symbol 10, the symbols and then the combiner's sums and the
     temporaries of its last expression, which outweigh the channel of a
     gain sweep at one receive antenna. BER-vs-SNR charges a receive entry
-    2, a point's receive rows, as its shared H x and noise pairs take the
-    room of the draw's uniforms and normals; a row the channels that the
-    prefix prepares for the detector and every point reuses,
+    4, the noise-free images H x and the noise's normal pairs z, which the
+    chunk holds from its prefix through the detect call; a row the
+    channels that the prefix prepares for the detector,
     detect.prepared_elements: H^H and the Gram matrix for ZF and MMSE,
     2 N_r N_t + 2 N_t^2, and ML's head and tail images with the tail
-    norms, 272 at 4x4 QPSK; and a symbol 16, the symbols and then a
-    point's solve and decisions. An uncoded 4x4 vector is charged 240
-    elements under ZF and MMSE and 448 under ML.
+    norms, 272 at 4x4 QPSK; and a symbol 14, the symbols and then the
+    detect call's arrays: ZF's two right-hand sides H^H H x and H^H z and
+    their solutions, 8, and a level's estimate and its sign tests. MMSE's
+    y and regularised Gram matrix at a level take the room of the
+    channel's draw, which preparing the channels frees. An uncoded 4x4
+    vector is charged 240 elements under ZF and MMSE and 448 under ML. A
+    detect call's decisions, a byte a bit at each of its points, stay
+    within another numerics.CHUNK_ELEMENTS (see _run_chunk), as ML's
+    search tiles do.
     chunk_trials sizes chunks by it; SimConfig.validate bounds it.
     """
     ch = config.channel
@@ -326,7 +338,7 @@ def trial_elements(config: SimConfig) -> int:
     if config.experiment is Experiment.BER_VS_SNR:
         rows = symbols // ch.n_tx
         prepared = prepared_elements(config.detector, ch.n_rx, ch.n_tx)
-        return rows * (6 * links + 2 * ch.n_rx + 2 * ch.n_tx + prepared) + 16 * symbols
+        return rows * (6 * links + 4 * ch.n_rx + 2 * ch.n_tx + prepared) + 14 * symbols
     code = ostbc_code(*config.code)
     rows = symbols // code.n_symbols * code.block_len
     per_link = fading_draws(ch.fading) + 3 * ch.fading.num_sinusoids
@@ -399,15 +411,17 @@ def _run_chunk(points: list[SimConfig], draw, trials: range) -> list[np.ndarray]
             per_trial = [_run_chunk(points, draw, range(t, t + 1)) for t in trials]
             return [np.concatenate(point) for point in zip(*per_trial)]
         z = normal_pairs(noise(2 * hx.size)).reshape(hx.shape)
-
-        def point_errors(pc: SimConfig) -> np.ndarray:
-            # receive's y = H x + w, with w as complex_normal_from scales it.
-            noise_var = noise_variance(pc.snr_db)
-            y = np.multiply(z, math.sqrt(noise_var / 2.0))
-            y += hx
-            return score(qpsk_demodulate(_detect(pc, channels, y, noise_var).ravel()))
-
-        return [point_errors(pc) for pc in points]
+        # One detect call decides every point at once, from receive's
+        # y = H x + w with w as complex_normal_from scales it; calls of at
+        # most per_call points keep their decisions, a byte a bit a point,
+        # within numerics.CHUNK_ELEMENTS.
+        noise_vars = [noise_variance(pc.snr_db) for pc in points]
+        per_call = max(1, 8 * numerics.CHUNK_ELEMENTS // bits.size)
+        return [
+            score(decided)
+            for lo in range(0, len(points), per_call)
+            for decided in _detect(config.detector, channels, hx, z, noise_vars[lo : lo + per_call])
+        ]
 
     # Prefix: the codewords, the links' angle tables and the receiver
     # noise, and under a gain sweep the unit-gain channel matrices.

@@ -28,7 +28,7 @@ from mimolink.fading import (
     rician_envelope_cdf_grid,
     validate_process,
 )
-from mimolink.modem import QPSK_POINTS
+from mimolink.modem import QPSK_POINTS, qpsk_demodulate
 from mimolink.numerics import RngStream
 from mimolink.sim import Experiment, SimConfig, parse_csv, run_experiment
 from mimolink.stbc import encode_array, combine_array, ostbc_code, supported_codes
@@ -217,13 +217,14 @@ def test_criterion_6_detector_oracles(capsys):
     h = rng.complex_normal((n, 4, 4))
     y = np.einsum("nrt,nt->nr", h, s) / 2.0 + rng.complex_normal((n, 4), var=0.1)
 
-    got = ml_detect_batch(prepare_channels(DetectorKind.ML, h), y)
+    # y whole is the noise-free part of one level's observation, z = 0.
+    got = ml_detect_batch(prepare_channels(DetectorKind.ML, h), y, np.zeros_like(y), [0.0])[0]
     mismatches = 0
     hypotheses = [np.array(c) for c in itertools.product(QPSK_POINTS, repeat=4)]
     for i in range(n):
         dists = [float(np.sum(np.abs(y[i] - h[i] @ x / 2.0) ** 2)) for x in hypotheses]
         best = hypotheses[int(np.argmin(dists))]
-        if not np.array_equal(got[i], best):
+        if not np.array_equal(got[i], qpsk_demodulate(best)):
             mismatches += 1
 
     eig = np.linalg.eigvalsh(h.conj().swapaxes(-1, -2) @ h)

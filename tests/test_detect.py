@@ -21,20 +21,38 @@ from mimolink.detect import (
     zf_detect_batch,
     zf_estimate_batch,
 )
-from mimolink.modem import QPSK_POINTS
+from mimolink.modem import QPSK_POINTS, qpsk_modulate
 from mimolink.numerics import RngStream
+
+_DETECT = {
+    DetectorKind.ZF: zf_detect_batch, DetectorKind.MMSE: mmse_detect_batch, DetectorKind.ML: ml_detect_batch,
+}
+
+
+def _symbols(bits):
+    """The QPSK points (n, N_t) whose bits one level's decisions
+    (n, 2 N_t) are."""
+    return qpsk_modulate(bits.ravel()).reshape(len(bits), -1)
+
+
+def _decide(kind, h, y, noise_var=0.0):
+    """The symbols that kind decides from observations y through channels
+    h at one level noise_var: y goes whole into the noise-free part hx,
+    with z = 0, so the level enters MMSE's filter alone."""
+    y = np.asarray(y)
+    return _symbols(_DETECT[kind](prepare_channels(kind, h), y, np.zeros_like(y), [noise_var])[0])
 
 
 def _zf(h, y):
-    return zf_detect_batch(prepare_channels(DetectorKind.ZF, h), y)
+    return _decide(DetectorKind.ZF, h, y)
 
 
 def _mmse(h, y, noise_var):
-    return mmse_detect_batch(prepare_channels(DetectorKind.MMSE, h), y, noise_var)
+    return _decide(DetectorKind.MMSE, h, y, noise_var)
 
 
 def _ml(h, y):
-    return ml_detect_batch(prepare_channels(DetectorKind.ML, h), y)
+    return _decide(DetectorKind.ML, h, y)
 
 
 def _zf_estimate(h, y):
@@ -259,35 +277,60 @@ def _enumerate_ml(h, y):
     return want
 
 
+_LEVELS = (1.0, 0.3, 1e-1)
+
+
+def _noisy_levels(stream, n, n_rx, n_tx):
+    """Noise-free images hx, unscaled normals z and the symbols per level
+    that enumeration decides from y = hx + sqrt(nv / 2) z, as the engine
+    forms y, at each of _LEVELS."""
+    _, h, hx = _random_case(stream, n, n_rx, n_tx, snr_db=None)
+    z = stream.complex_normal((n, n_rx))
+    want = []
+    for nv in _LEVELS:
+        y = np.multiply(z, math.sqrt(nv / 2.0))
+        y += hx
+        want.append(_enumerate_ml(h, y))
+    return h, hx, z, want
+
+
 @pytest.mark.parametrize("n_rx, n_tx", [(4, 4), (2, 3), (4, 1)])
 def test_ml_tiles_give_the_same_decisions(n_rx, n_tx, monkeypatch):
-    """Any tiling of the vectors gives the same decisions, the
-    enumeration's: a budget of one element and of exactly one vector's
-    search scratch (tiles of one vector), of a few vectors, and one tile
-    for the whole batch."""
+    """Any tiling of the vectors gives the same decisions at every level of
+    one call, bit for bit: a budget of one element and of exactly one
+    vector's search scratch (tiles of one vector), of a few vectors, and
+    the default budget (at 4x4, tiles of 39 and 1), each against one tile
+    for the whole batch, whose decisions are the enumeration's."""
     stream = RngStream(41, 4 * n_tx + n_rx)
-    _, h, y = _random_case(stream, 40, n_rx, n_tx, snr_db=3.0)
-    want = _enumerate_ml(h, y)
+    h, hx, z, want = _noisy_levels(stream, 40, n_rx, n_tx)
     channels = prepare_channels(DetectorKind.ML, h)
     a = -(-n_tx // 2)
     head, tail = 4**a, 4 ** (n_tx - a)
     one_vector = 6 * head * tail + 2 * head * n_rx
-    for budget in (1, one_vector, 7 * one_vector + 1, 10**9):
+    default = numerics.CHUNK_ELEMENTS
+    monkeypatch.setattr(numerics, "CHUNK_ELEMENTS", 10**9)
+    untiled = ml_detect_batch(channels, hx, z, _LEVELS)
+    assert untiled.shape == (len(_LEVELS), 40, 2 * n_tx)
+    for decided, symbols in zip(untiled, want):
+        np.testing.assert_array_equal(_symbols(decided), symbols)
+    for budget in (1, one_vector, 7 * one_vector + 1, default):
         monkeypatch.setattr(numerics, "CHUNK_ELEMENTS", budget)
-        np.testing.assert_array_equal(ml_detect_batch(channels, y), want)
+        np.testing.assert_array_equal(ml_detect_batch(channels, hx, z, _LEVELS), untiled)
 
 
 @pytest.mark.parametrize("n_rx, n_tx", [(4, 4), (2, 3), (4, 1), (1, 1)])
 def test_ml_scratch_stays_within_the_budget(n_rx, n_tx):
-    """The search of a prepared batch far larger than a tile allocates at
-    most numerics.CHUNK_ELEMENTS float64 elements besides its decisions."""
+    """The search of a prepared batch far larger than a tile, at three
+    levels, allocates at most numerics.CHUNK_ELEMENTS float64 elements
+    besides its decisions."""
     stream = RngStream(42, 4 * n_tx + n_rx)
-    _, h, y = _random_case(stream, 3000, n_rx, n_tx, snr_db=3.0)
-    _ml(h[:1], y[:1])
+    _, h, hx = _random_case(stream, 3000, n_rx, n_tx, snr_db=None)
+    z = stream.complex_normal((3000, n_rx))
+    _ml(h[:1], hx[:1])
     channels = prepare_channels(DetectorKind.ML, h)
     tracemalloc.start()
     try:
-        decided = ml_detect_batch(channels, y)
+        decided = ml_detect_batch(channels, hx, z, _LEVELS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -431,27 +474,28 @@ def test_typical_channels_skip_the_eigensolve(monkeypatch):
 
 @pytest.mark.parametrize("kind", list(DetectorKind), ids=lambda k: k.value)
 def test_prepared_channels_decide_as_one_shot_calls(kind):
-    """One batch of channels, prepared once and reused at noise levels 1,
-    1e-1 and 1e-2, gives at each level the decisions (and ZF and MMSE the
-    estimates) of channels freshly prepared for it, bit for bit: a call
-    leaves the prepared arrays as it found them, so an SNR sweep may share
-    them across its points."""
+    """One batch of channels, prepared once, gives in one call at noise
+    levels 1, 1e-1 and 1e-2 the decisions of a call per level on channels
+    freshly prepared for it, bit for bit, and ZF and MMSE the estimates of
+    one-shot calls: a call leaves the prepared arrays as it found them, and
+    the levels of a call do not touch one another, so an SNR sweep may
+    share them across its points."""
     stream = RngStream(62, 0)
     n_rx, n_tx = (2, 3) if kind is DetectorKind.ML else (4, 4)
     _, h, hx = _random_case(stream, 300, n_rx, n_tx, snr_db=None)
     z = stream.complex_normal((300, n_rx))
     channels = prepare_channels(kind, h)
-    for noise_var in (1.0, 1e-1, 1e-2):
+    levels = (1.0, 1e-1, 1e-2)
+    decided = _DETECT[kind](channels, hx, z, levels)
+    for level, noise_var in zip(decided, levels):
+        np.testing.assert_array_equal(level, _DETECT[kind](prepare_channels(kind, h), hx, z, [noise_var])[0])
         y = hx + math.sqrt(noise_var) * z
         if kind is DetectorKind.ZF:
             np.testing.assert_array_equal(zf_estimate_batch(channels, y), _zf_estimate(h, y))
-            np.testing.assert_array_equal(zf_detect_batch(channels, y), _zf(h, y))
         elif kind is DetectorKind.MMSE:
             np.testing.assert_array_equal(
                 mmse_estimate_batch(channels, y, noise_var), _mmse_estimate(h, y, noise_var))
-            np.testing.assert_array_equal(mmse_detect_batch(channels, y, noise_var), _mmse(h, y, noise_var))
-        else:
-            np.testing.assert_array_equal(ml_detect_batch(channels, y), _ml(h, y))
+    np.testing.assert_array_equal(_DETECT[kind](channels, hx, z, levels), decided)
 
 
 @pytest.mark.parametrize("n_rx, n_tx", [(4, 4), (2, 3), (4, 1), (1, 1)])
@@ -472,22 +516,55 @@ def test_prepared_channels_check_their_use():
     and every detect and estimate call takes prepared channels alone."""
     stream = RngStream(64, 0)
     _, h, y = _random_case(stream, 10, 4, 4, snr_db=10.0)
+    z = np.zeros_like(y)
     zf = prepare_channels(DetectorKind.ZF, h)
     with pytest.raises(ValueError):
-        mmse_detect_batch(zf, y, 0.1)
+        mmse_detect_batch(zf, y, z, [0.1])
     with pytest.raises(ValueError):
-        zf_detect_batch(zf, y[:-1])
+        zf_detect_batch(zf, y[:-1], z[:-1], [0.1])
     with pytest.raises(ValueError):
-        ml_detect_batch(prepare_channels(DetectorKind.ML, h), y[:, :-1])
+        zf_detect_batch(zf, y, z[:-1], [0.1])
+    with pytest.raises(ValueError):
+        ml_detect_batch(prepare_channels(DetectorKind.ML, h), y[:, :-1], z[:, :-1], [0.1])
     for call in (
-        lambda: zf_detect_batch(h, y),
-        lambda: mmse_detect_batch(h, y, 0.1),
-        lambda: ml_detect_batch(h, y),
+        lambda: zf_detect_batch(h, y, z, [0.1]),
+        lambda: mmse_detect_batch(h, y, z, [0.1]),
+        lambda: ml_detect_batch(h, y, z, [0.1]),
         lambda: zf_estimate_batch(h, y),
         lambda: mmse_estimate_batch(h, y, 0.1),
     ):
         with pytest.raises(ValueError, match="prepare_channels"):
             call()
+
+
+@pytest.mark.parametrize("kind", list(DetectorKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300, -0.1])
+def test_bad_noise_level_raises(kind, bad):
+    """A level that is not finite or is negative raises ValueError, alone
+    or among good levels, and so does MMSE's estimate at it. Unchecked, a
+    NaN or infinite level decided every symbol as (1+1j)/sqrt2."""
+    stream = RngStream(65, 0)
+    _, h, y = _random_case(stream, 6, 4, 4, snr_db=10.0)
+    channels = prepare_channels(kind, h)
+    for levels in ([bad], [0.1, bad]):
+        with pytest.raises(ValueError, match="noise_var"):
+            _DETECT[kind](channels, y, np.zeros_like(y), levels)
+    if kind is DetectorKind.MMSE:
+        with pytest.raises(ValueError, match="noise_var"):
+            mmse_estimate_batch(channels, y, bad)
+
+
+def test_levels_come_as_a_sequence():
+    """noise_vars is a sequence of levels, one decision array each; no
+    level at all decides nothing."""
+    stream = RngStream(66, 0)
+    _, h, y = _random_case(stream, 6, 2, 2, snr_db=10.0)
+    channels = prepare_channels(DetectorKind.ZF, h)
+    z = np.zeros_like(y)
+    assert zf_detect_batch(channels, y, z, []).shape == (0, 6, 4)
+    for levels in (0.1, [[0.1]]):
+        with pytest.raises(ValueError, match="noise_vars"):
+            zf_detect_batch(channels, y, z, levels)
 
 
 def test_tall_channel_supported():

@@ -66,6 +66,18 @@ def test_qpsk_roundtrip():
     np.testing.assert_array_equal(qpsk_demodulate(qpsk_modulate(bits)), bits)
 
 
+def test_decisions_are_fixed_points_of_the_round_trip():
+    """Demodulating a decision's symbols gives the decision back, for every
+    estimate: signed zeros on either axis, NaN and infinite parts included.
+    So the linear detectors' bits, one demodulation of the estimate, are
+    the bits of the symbols that a second pass through the modem gives."""
+    parts = [-np.inf, -1.0, -1e-300, -0.0, 0.0, 1e-300, 1.0, np.inf, np.nan]
+    estimates = np.array([complex(re, im) for re in parts for im in parts])
+    estimates = np.concatenate([estimates, np.random.default_rng(24).normal(size=(1000, 2)) @ [1.0, 1j]])
+    bits = qpsk_demodulate(estimates)
+    np.testing.assert_array_equal(qpsk_demodulate(qpsk_modulate(bits)), bits)
+
+
 def test_demodulate_known_point():
     np.testing.assert_array_equal(
         qpsk_demodulate(np.array([0.9 + 0.2j])), np.array([0, 0], dtype=np.uint8)

@@ -202,12 +202,13 @@ def test_config_validation_bounds_trial_memory():
         ber.validate()
         with pytest.raises(ValueError, match="MAX_TRIAL_ELEMENTS"):
             replace(ber, frame_bits=2_000_000_000).validate()
-    # Uncoded 4x4 charges a vector of 8 bits 6 * 16 + 2 * 8 elements, 16
-    # per symbol and the prepared channels that every point reuses: H^H and
-    # the Gram matrix under ZF and MMSE, 2 * 16 + 2 * 16 (240 in all), and
-    # under ML the 16 head and 16 tail images of 2 * 4 elements and the 16
-    # tail norms (448 in all); ML tiles its search's scratch itself. The
-    # largest frames that validate have 69,905 and 37,449 vectors.
+    # Uncoded 4x4 charges a vector of 8 bits 6 * 16 + 4 * 4 + 2 * 4
+    # elements, 14 per symbol and the prepared channels that every point
+    # reuses: H^H and the Gram matrix under ZF and MMSE, 2 * 16 + 2 * 16
+    # (240 in all), and under ML the 16 head and 16 tail images of 2 * 4
+    # elements and the 16 tail norms (448 in all); ML tiles its search's
+    # scratch itself. The largest frames that validate have 69,905 and
+    # 37,449 vectors.
     for detector, vector, largest in (
         (DetectorKind.ZF, 240, 559_240), (DetectorKind.MMSE, 240, 559_240), (DetectorKind.ML, 448, 299_592),
     ):
@@ -464,10 +465,12 @@ def test_reference_chain_reproduces_run_frame():
 def test_reference_chain_reproduces_run_frame_ber(detector):
     """Straight-line per-vector reimplementation of the uncoded 4x4 path:
     each trial's bits, i.i.d. channel and noise from their own streams,
-    every vector received and detected on its own."""
+    every vector received and detected on its own. Each received y goes to
+    the detector whole, as the noise-free part of one level's observation
+    with zero noise, so the detector does not see the engine's split of y."""
     from mimolink.channel import noise_variance, path_gain, receive
     from mimolink.detect import ml_detect_batch, mmse_detect_batch, prepare_channels, zf_detect_batch
-    from mimolink.modem import bernoulli_bits, qpsk_demodulate, qpsk_modulate
+    from mimolink.modem import bernoulli_bits, qpsk_modulate
     from mimolink.numerics import complex_normal_from
     from mimolink.sim import EXPERIMENT_IDS, ROLE_BITS, ROLE_IID_CHANNEL, ROLE_NOISE
 
@@ -476,9 +479,7 @@ def test_reference_chain_reproduces_run_frame_ber(detector):
     ch = point.channel
     noise_var = noise_variance(point.snr_db)
     detect = {
-        DetectorKind.ZF: zf_detect_batch,
-        DetectorKind.MMSE: lambda channels, y: mmse_detect_batch(channels, y, noise_var),
-        DetectorKind.ML: ml_detect_batch,
+        DetectorKind.ZF: zf_detect_batch, DetectorKind.MMSE: mmse_detect_batch, DetectorKind.ML: ml_detect_batch,
     }[detector]
 
     trials = range(12)
@@ -496,8 +497,9 @@ def test_reference_chain_reproduces_run_frame_ber(detector):
         decided = []
         for v in range(len(x)):
             y = receive(h[v : v + 1], x[v : v + 1], w[v : v + 1])
-            decided.append(detect(prepare_channels(detector, h[v : v + 1]), y)[0])
-        bits_hat = qpsk_demodulate(np.concatenate(decided))
+            channels = prepare_channels(detector, h[v : v + 1])
+            decided.append(detect(channels, y, np.zeros_like(y), [noise_var])[0])
+        bits_hat = np.concatenate(decided).ravel()
 
         bit_errors = int(np.count_nonzero(bits_hat != bits))
         expected.append(bit_errors)
@@ -790,22 +792,33 @@ def test_zf_failure_wipes_only_its_frame(monkeypatch):
 
 
 def test_ber_sweep_prepares_each_trial_once(monkeypatch):
-    """A 3-point SNR sweep prepares each trial's channels for the detector
+    """A 5-point SNR sweep prepares each trial's channels for the detector
     once, in the chunk's prefix, as a 1-point sweep over the same trials
-    does: the Gram matrices and ZF's singularity verdict, or ML's images."""
-    calls = []
-    prepare = sim.prepare_channels
+    does: the Gram matrices and ZF's singularity verdict, or ML's images.
+    ZF also solves once per chunk, for all five points at once, where MMSE,
+    whose filter depends on the point, solves once per point; ML solves
+    nothing."""
+    calls, solves = [], []
+    prepare, solve = sim.prepare_channels, np.linalg.solve
     monkeypatch.setattr(sim, "prepare_channels", lambda kind, h: calls.append(len(h)) or prepare(kind, h))
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(len(a)) or solve(a, b))
+    # np.linalg.solve calls per chunk, of the 5-point and the 1-point sweep
+    solves_per_chunk = {DetectorKind.ZF: (1, 1), DetectorKind.MMSE: (5, 1), DetectorKind.ML: (0, 0)}
     for detector in DetectorKind:
-        cfg = _ber_config(detector=detector, frame_bits=120, sweep=(0.0, 10.0, 20.0), max_frames=50,
+        cfg = _ber_config(detector=detector, frame_bits=120, sweep=(0.0, 5.0, 10.0, 15.0, 20.0), max_frames=50,
                           target_frame_errors=10**6)
+        chunks = -(-50 // chunk_trials(_sweep_points(cfg)[0]))
 
         def count(sweep):
             calls.clear()
+            solves.clear()
             assert [p.frames for p in run_experiment(replace(cfg, sweep=sweep)).points] == [50] * len(sweep)
-            return len(calls), sum(calls)  # prepare_channels calls, and the vectors they prepare
+            # prepare_channels calls, the vectors they prepare, solve calls
+            return len(calls), sum(calls), len(solves)
 
-        assert count(cfg.sweep) == count(cfg.sweep[:1]) == (-(-50 // chunk_trials(_sweep_points(cfg)[0])), 50 * 15)
+        many, one = solves_per_chunk[detector]
+        assert count(cfg.sweep) == (chunks, 50 * 15, chunks * many)
+        assert count(cfg.sweep[:1]) == (chunks, 50 * 15, chunks * one)
 
 
 # One multi-point sweep of each experiment kind whose points stop on
