@@ -21,13 +21,16 @@ combining or detection, and demapping. Stream ids never name a point, so
 a trial draws the same uniforms at every point, and the part of the chain
 that the swept value does not enter, the prefix, runs once per chunk:
 bits, codewords, the links' angle tables and the receiver noise for the
-FER experiments, with the unit-gain channel matrices under a gain sweep;
-bits, the i.i.d. channel, H x, the channels prepared for the detector
-(detect.prepare_channels: H^H and the Gram matrices with ZF's singularity
-verdict, or ML's hypothesis images and tail norms) and the noise's normal
-pairs z for BER-vs-SNR. The rest, the suffix, runs once per point, one
-point at a time: from the path-gain product, or from the link gains
-under a Doppler or sample-rate sweep. BER-vs-SNR hands H x, z and every
+FER experiments, and under a gain sweep the unit-gain channel matrices
+H0 and the combines S of H0 x and W of the noise under H0's block
+channels; bits, the i.i.d. channel, H x, the channels prepared for the
+detector (detect.prepare_channels: H^H and the Gram matrices with ZF's
+singularity verdict, or ML's hypothesis images and tail norms) and the
+noise's normal pairs z for BER-vs-SNR. The rest, the suffix, runs once
+per point, one point at a time: the link gains, mixing, y = H x + w and
+the combine under a Doppler or sample-rate sweep, and S + W / g under a
+gain sweep, since the combiner is linear in y and its normaliser ||h||^2
+scales by g^2; then the demapping. BER-vs-SNR hands H x, z and every
 point's noise variance to one detect call, which returns each point's
 decisions: ZF solves for H^H H x and H^H z once and each point is an
 axpy of the two, ML forms its noise-free distances and their noise term
@@ -35,7 +38,10 @@ once per tile and each point is an axpy and an argmin, and MMSE forms
 each point's y = H x + sqrt(nv / 2) z and solves for it. Each shared
 array holds the value that a one-point chain computes, and each suffix
 applies the same numpy operations to it, so a point's outcomes equal
-those of a one-point sweep.
+those of a one-point sweep. The closed forms (S + W / g, and the ZF and
+ML axpys) round otherwise than forming each point's y and combining or
+detecting it; tests/test_census.py counts the trials whose outcomes
+this moves, and finds none.
 
 _run_chunk takes a stream source, draw(stream_id, out), and each trial
 draws its own streams from counter zero in the same order, so a trial's
@@ -48,11 +54,12 @@ numerics.CHUNK_ELEMENTS by trial_elements, whatever the number of points,
 and the fading and ML kernels tile their scratch within the same budget,
 one call at a time: five 4x4 FER frames at any sample rate, 19 2x2 FER
 frames, and 18 uncoded 4x4 frames under ZF or MMSE and 9 under ML. Each
-point of a sweep drops out at its own cut. The serial path runs one chunk
-at a time and checks the error targets after each; the process pool gets
-waves of WAVE_FRAMES trials split evenly over its workers, and each
-worker runs its span chunk by chunk, shipping back one int array per
-point.
+point of a sweep drops out at its own cut, under its own stopping rule
+in _run_sweep (run_experiment gives every point the config's). The
+serial path runs one chunk at a time and checks the error targets after
+each; the process pool gets waves of WAVE_FRAMES trials split evenly
+over its workers, and each worker runs its span chunk by chunk, shipping
+back one int array per point.
 
 Frame chain for the FER experiments: Bernoulli bits -> QPSK -> OSTBC encode
 -> time-varying correlated channel + AWGN -> combine (channel of each
@@ -307,15 +314,20 @@ def trial_elements(config: SimConfig) -> int:
     A trial sends rows, one channel matrix each: the codeword rows of the
     FER chain, or one row per transmit vector. Per channel entry 6: the
     complex matrix and the two arrays of its size that make it (the mixing
-    planes and sums, or the draw's uniforms and normals), or a gain
-    sweep's shared unit-gain matrix and a point's scaled copy, with room
-    for the combiner's conjugated receive rows. Per transmit entry 2: the
-    codewords or transmit vectors. The FER chain charges a link its
-    fading_draws + 3M uniforms and then angles; a receive entry 4, the
-    shared noise and a point's receive rows or the mixing's scaled rows;
-    and a symbol 10, the symbols and then the combiner's sums and the
-    temporaries of its last expression, which outweigh the channel of a
-    gain sweep at one receive antenna. BER-vs-SNR charges a receive entry
+    planes and sums, or the draw's uniforms and normals). Per transmit
+    entry 2: the codewords or transmit vectors. The FER chain charges a
+    link its fading_draws + 3M uniforms and then angles; a receive entry
+    4, the shared noise and a point's receive rows or the mixing's scaled
+    rows, or under a gain sweep the noise-free rows y0 = H0 x or the
+    noise, each beside the conjugate that its combine takes; and a symbol
+    10, the symbols and then a combiner's sums and the temporaries of its
+    last expression, which outweigh the channel at one receive antenna.
+    A gain sweep's two combines run back to back, S of y0 and then W of
+    the noise, so its symbol charge holds S and W's scratch, and then S,
+    W and a point's S + W / g. Its block channels, a block_len-th of a
+    channel entry, are copied out of the unit-gain matrices, which are
+    freed with the codewords before the combines run; the noise is drawn
+    between the two, once y0 is freed. BER-vs-SNR charges a receive entry
     4, the noise-free images H x and the noise's normal pairs z, which the
     chunk holds from its prefix through the detect call; a row the
     channels that the prefix prepares for the detector,
@@ -424,31 +436,46 @@ def _run_chunk(points: list[SimConfig], draw, trials: range) -> list[np.ndarray]
         ]
 
     # Prefix: the codewords, the links' angle tables and the receiver
-    # noise, and under a gain sweep the unit-gain channel matrices.
+    # noise.
     code = ostbc_code(*config.code)
+    t_len = code.block_len
     x, syms = encode_array(code, syms.reshape(-1, code.n_symbols)).reshape(-1, n_tx), None
     rows = len(x) // f
     u = uniforms(ROLE_FADING, fading_draws(ch.fading), n_rx * n_tx).reshape(f, n_rx * n_tx, -1)
     proc, u = channel_init(ch, u), None  # the angle tables replace the uniforms
+
+    def combine(y: np.ndarray, h_blocks: np.ndarray) -> np.ndarray:
+        return combine_array(code, y.reshape(-1, t_len, n_rx), h_blocks)
+
+    def errors(s_hat: np.ndarray) -> np.ndarray:
+        return score(qpsk_demodulate(s_hat.ravel()))
+
     if config.experiment is Experiment.FER_VS_GAIN:
+        # The combiner is linear in y and its normaliser ||h||^2 scales by
+        # g^2, so combining y = g H0 x + w under g H0 gives S + W / g, with
+        # S and W the combines of H0 x and of w under the unit-gain H0. The
+        # prefix forms S and W; each point is an axpy and the demapping.
         h0 = unit_gain_matrices(proc, rows).reshape(-1, n_rx, n_tx)
+        y0, x = receive(h0, x, None), None
+        h_blocks, h0 = h0[::t_len].copy(), None  # a copy, so that h0 is freed here
+        s0, y0 = combine(y0, h_blocks), None
+        w = receiver_noise((f * rows, n_rx), config.snr_db, noise)
+        if w is None:
+            return [errors(s0) for _ in points]
+        s_w, w = combine(w, h_blocks), None
 
-        def channel(pc: SimConfig) -> np.ndarray:
-            # channel_matrix_at's in-place scaling, into a new array.
-            return np.multiply(h0, path_gain(pc.channel))
-    else:
+        def gain_errors(pc: SimConfig) -> np.ndarray:
+            s_hat = s_w / path_gain(pc.channel)
+            s_hat += s0
+            return errors(s_hat)
 
-        def channel(pc: SimConfig) -> np.ndarray:
-            return channel_matrix_at(channel_restart(proc, pc.channel), rows).reshape(-1, n_rx, n_tx)
+        return [gain_errors(pc) for pc in points]
 
     w = receiver_noise((len(x), n_rx), config.snr_db, noise)
-    t_len = code.block_len
 
     def point_errors(pc: SimConfig) -> np.ndarray:
-        h = channel(pc)
-        y = receive(h, x, w)
-        s_hat = combine_array(code, y.reshape(-1, t_len, n_rx), h[::t_len])
-        return score(qpsk_demodulate(s_hat.ravel()))
+        h = channel_matrix_at(channel_restart(proc, pc.channel), rows).reshape(-1, n_rx, n_tx)
+        return errors(combine(receive(h, x, w), h[::t_len]))
 
     return [point_errors(pc) for pc in points]
 
@@ -565,27 +592,39 @@ class _Tally:
         )
 
 
-def _run_sweep(config: SimConfig, pool: ProcessPoolExecutor | None, workers: int) -> list[SweepPoint]:
-    """Simulate every sweep point at once: trials 0, 1, ... of all points
-    still running, a wave at a time (a chunk on the serial path, see
-    chunk_trials; WAVE_FRAMES trials in the pool). Each point folds its
-    trials' bit-error counts in trial order and drops out at its own cut:
-    the trial that meets the error target, or max_frames."""
+def _run_sweep(config: SimConfig, rules: list[tuple[int, int]], workers: int) -> list[SweepPoint]:
+    """Simulate every sweep point of a validated config at once, point i
+    under its own stopping rule rules[i] = (target_frame_errors,
+    max_frames): trials 0, 1, ... of all points still running, a wave at
+    a time (a chunk on the serial path, see chunk_trials; WAVE_FRAMES
+    trials split over a pool of workers > 1 processes). A wave ends at the
+    lowest frame cap of the points it runs, so no point folds a trial past
+    its own cap. Each point folds its trials' bit-error counts in trial
+    order and drops out at its own cut: the trial that meets its error
+    target, or its cap. A point's result is that of a one-point sweep
+    under its rule, whatever its neighbours'."""
+    if len(rules) != len(config.sweep):
+        raise ValueError(f"{len(rules)} stopping rules for {len(config.sweep)} sweep points")
+    if any(target < 1 or not 1 <= cap <= MAX_TRIALS for target, cap in rules):
+        raise ValueError("each stopping rule needs a target of at least 1 and a cap in 1..MAX_TRIALS")
     t0 = time.perf_counter()
     points = [_point_config(config, x) for x in config.sweep]
     tallies = [_Tally() for _ in points]
     results: list[SweepPoint | None] = [None] * len(points)
     active = list(range(len(points)))
-    wave = WAVE_FRAMES if pool is not None else chunk_trials(points[0])
-    for start in range(0, config.max_frames, wave):
-        stop = min(start + wave, config.max_frames)
-        parts = _simulate_wave([points[i] for i in active], start, stop, pool, workers)
-        for i, bit_errors in zip(list(active), parts):
-            if tallies[i].fold(bit_errors, config.target_frame_errors) or stop == config.max_frames:
-                results[i] = tallies[i].point(config.sweep[i], config.frame_bits, time.perf_counter() - t0)
-                active.remove(i)
-        if not active:
-            break
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
+    with pool as executor:
+        wave = WAVE_FRAMES if executor is not None else chunk_trials(points[0])
+        start = 0
+        while active:
+            stop = min(start + wave, *(rules[i][1] for i in active))
+            parts = _simulate_wave([points[i] for i in active], start, stop, executor, workers)
+            for i, bit_errors in zip(list(active), parts):
+                target, cap = rules[i]
+                if tallies[i].fold(bit_errors, target) or stop == cap:
+                    results[i] = tallies[i].point(config.sweep[i], config.frame_bits, time.perf_counter() - t0)
+                    active.remove(i)
+            start = stop
     return results
 
 
@@ -599,10 +638,8 @@ def run_experiment(config: SimConfig, workers: int = 1) -> SimResult:
     """
     check_workers(workers)
     config.validate()
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
-    with pool as executor:
-        points = _run_sweep(config, executor, workers)
-    return SimResult(config=config, points=points)
+    rules = [(config.target_frame_errors, config.max_frames)] * len(config.sweep)
+    return SimResult(config=config, points=_run_sweep(config, rules, workers))
 
 
 _CSV_HEADER = (

@@ -30,7 +30,7 @@ from mimolink.fading import (
 )
 from mimolink.modem import QPSK_POINTS, qpsk_demodulate
 from mimolink.numerics import RngStream
-from mimolink.sim import Experiment, SimConfig, parse_csv, run_experiment
+from mimolink.sim import Experiment, SimConfig, _run_sweep, parse_csv, run_experiment
 from mimolink.stbc import encode_array, combine_array, ostbc_code, supported_codes
 
 
@@ -124,6 +124,7 @@ def test_criterion_4_rayleigh_worst_fer_ordering(capsys):
     # Error targets rise where the two curves run closest, so every 95% CI
     # pair is separated by a few standard errors, not by luck.
     plan = ((-6.0, 800, 12_000), (-5.5, 500, 12_000), (-5.0, 400, 18_000))
+    gains, rules = [g for g, _, _ in plan], [(target, cap) for _, target, cap in plan]
     workers = min(2, os.cpu_count() or 1)  # any count gives the same points
     results = {}
     for doppler in (50.0, 100.0):
@@ -131,20 +132,19 @@ def test_criterion_4_rayleigh_worst_fer_ordering(capsys):
             fading = FadingSpec(
                 model=model, max_doppler_hz=doppler, sample_rate_hz=1e6, k_factor=k
             )
-            points = []
-            for gain, target, max_frames in plan:
-                cfg = SimConfig(
-                    experiment=Experiment.FER_VS_GAIN,
-                    channel=ChannelSpec(n_tx=4, n_rx=4, fading=fading),
-                    code=(4, Fraction(3, 4)),
-                    snr_db=10.0,
-                    sweep=(gain,),
-                    max_frames=max_frames,
-                    target_frame_errors=target,
-                    master_seed=14,
-                )
-                points.append(run_experiment(cfg, workers=workers).points[0])
-            results[(doppler, model)] = points
+            # One sweep over the plan's gains, each point under its own
+            # target and cap: it equals the one-point run at each gain.
+            cfg = SimConfig(
+                experiment=Experiment.FER_VS_GAIN,
+                channel=ChannelSpec(n_tx=4, n_rx=4, fading=fading),
+                code=(4, Fraction(3, 4)),
+                snr_db=10.0,
+                sweep=tuple(gains),
+                max_frames=max(cap for _, cap in rules),
+                master_seed=14,
+            )
+            cfg.validate()
+            results[(doppler, model)] = _run_sweep(cfg, rules, workers)
 
     ok = True
     parts = []

@@ -12,18 +12,29 @@ here as the oracle: it replaces the engine's detect call and sees the
 same prefix (bits, channels, H x, z, the prepared channels), and every
 trial's count must equal the engine's, at every point, on every shape.
 The seed and the sizes were fixed before the first run; a count that
-differs is a finding, not a reason to pick another seed."""
+differs is a finding, not a reason to pick another seed.
+
+The same holds for the OSTBC combiner over a path-gain sweep. The engine
+combines the unit-gain H0 x and the noise w under the unit-gain block
+channels once per chunk, S and W, and decides each point on S + W / g;
+the per-point chain it replaces scales the channels by g, forms
+y = g H0 x + w and combines y under g H0 at every point. The oracle
+records the engine's prefix (bits, codewords, unit-gain matrices, noise)
+and runs that chain on it."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mimolink import sim
-from mimolink.channel import ChannelSpec
+from mimolink.channel import MAX_PATH_GAIN_DB, ChannelSpec, path_gain, receive
 from mimolink.detect import DetectorKind, zf_estimate_batch
+from mimolink.fading import FadingModel, FadingSpec
 from mimolink.modem import qpsk_demodulate
 from mimolink.sim import Experiment, SimConfig, _point_config
+from mimolink.stbc import combine_array, ostbc_code, supported_codes
 
 SEED = 7
 TRIALS = 1000
@@ -95,3 +106,104 @@ def test_closed_form_counts_equal_the_per_point_chain(detector, n_tx, n_rx, monk
     # The census is not vacuous: errors at the low points, fewer at the high.
     totals = [int(c.sum()) for c in chain]
     assert totals[0] > 0 and totals[-1] < totals[0]
+
+
+GAIN_TRIALS = 1200
+GAINS_DB = (-12.0, -9.0, -6.0, -3.0, 0.0, 3.0, 6.0)
+GAIN_FRAME_BITS = 24  # 12 symbols: whole blocks of every code
+
+# (code, n_rx, fading, correlation)
+_RAYLEIGH = FadingSpec()
+_RICIAN = FadingSpec(model=FadingModel.RICIAN, k_factor=4.0)
+_GAIN_SHAPES = [
+    *[(code, n_rx, _RAYLEIGH, 0.0) for code in supported_codes() for n_rx in (1, 2)],
+    ((4, Fraction(3, 4)), 4, _RAYLEIGH, 0.0),
+    ((4, Fraction(3, 4)), 2, _RICIAN, 0.9),
+]
+
+
+def _gain_config(code, n_rx, fading, correlation, sweep) -> SimConfig:
+    config = SimConfig(
+        experiment=Experiment.FER_VS_GAIN, code=code, frame_bits=GAIN_FRAME_BITS, sweep=sweep, master_seed=SEED,
+        channel=ChannelSpec(n_tx=code[0], n_rx=n_rx, correlation=correlation, fading=fading),
+    )
+    config.validate()
+    return config
+
+
+def _engine_and_per_point_chain(config: SimConfig, trials: int, monkeypatch) -> tuple[list, list]:
+    """The engine's per-trial bit-error counts at each point of the gain
+    sweep, and those of the per-point chain over the prefix that the
+    engine drew: the unit-gain matrices scaled by g, y = g H0 x + w, and
+    the combine of y under each block's first channel g H0."""
+    prefixes = []  # per chunk: the bits, codewords, unit-gain matrices and noise
+
+    def recording(name):
+        original = getattr(sim, name)
+
+        def record(*args):
+            out = original(*args)
+            if name == "bernoulli_bits":
+                prefixes.append({})
+            prefixes[-1][name] = out
+            return out
+
+        return record
+
+    for name in ("bernoulli_bits", "encode_array", "unit_gain_matrices", "receiver_noise"):
+        monkeypatch.setattr(sim, name, recording(name))
+    points = [_point_config(config, x) for x in config.sweep]
+    engine = sim._simulate_range(points, 0, trials)
+
+    code = ostbc_code(*config.code)
+    t_len, n_rx, n_tx = code.block_len, config.channel.n_rx, config.channel.n_tx
+    chain = [[] for _ in points]
+    for prefix in prefixes:
+        bits, w = prefix["bernoulli_bits"], prefix["receiver_noise"]
+        x = prefix["encode_array"].reshape(-1, n_tx)
+        h0 = prefix["unit_gain_matrices"].reshape(-1, n_rx, n_tx)
+        for counts, pc in zip(chain, points):
+            h = np.multiply(h0, path_gain(pc.channel))
+            s_hat = combine_array(code, receive(h, x, w).reshape(-1, t_len, n_rx), h[::t_len])
+            counts.append(np.count_nonzero(qpsk_demodulate(s_hat.ravel()).reshape(len(bits), -1) != bits, axis=1))
+    return engine, [np.concatenate(c) for c in chain]
+
+
+@pytest.mark.parametrize(
+    "code, n_rx, fading, correlation", _GAIN_SHAPES,
+    ids=[f"{c[0]}x{c[1]}-nr{r}-{f.model.value}" for c, r, f, _ in _GAIN_SHAPES],
+)
+def test_gain_sweep_counts_equal_the_per_point_chain(code, n_rx, fading, correlation, monkeypatch):
+    """100,800 symbol decisions a shape: 1,200 trials of 12 symbols at 7
+    gains from -12 to 6 dB, at 10 dB SNR. The number of trial-points whose
+    counts differ must be zero."""
+    config = _gain_config(code, n_rx, fading, correlation, GAINS_DB)
+    engine, chain = _engine_and_per_point_chain(config, GAIN_TRIALS, monkeypatch)
+    differing = sum(int(np.count_nonzero(a != b)) for a, b in zip(engine, chain))
+    assert differing == 0
+    # The census is not vacuous: errors at the low points, fewer at the high.
+    totals = [int(c.sum()) for c in chain]
+    assert totals[0] > 0 and totals[-1] < totals[0]
+
+
+@pytest.mark.filterwarnings("error")
+def test_extreme_gains_count_as_the_per_point_chain(monkeypatch):
+    """A sweep at -MAX_PATH_GAIN_DB, 0 and +MAX_PATH_GAIN_DB counts as the
+    per-point chain does, and warns of nothing.
+
+    combine_array raises on a block whose channel has ||h||^2 < 1e-300.
+    The per-point chain combines under g H0 and so tests g^2 ||H0||^2;
+    the engine combines under H0 and tests ||H0||^2 itself. A path gain
+    lies within MAX_PATH_GAIN_DB = 1000 dB, so g = 10^(dB / 20) lies in
+    [1e-50, 1e50] and g^2 in [1e-100, 1e100]: the chain raises where
+    ||H0||^2 < 1e-300 / g^2, a bound between 1e-400 and 1e-200, and the
+    engine where ||H0||^2 < 1e-300. The two rules therefore part only on
+    a block with ||H0||^2 < 1e-200, which a unit-power fading channel of
+    at least one link reaches with probability of order 1e-200. At
+    -1000 dB the signal is lost under the noise and at +1000 dB the
+    noise under the signal: the counts are those of a coin toss and zero."""
+    config = _gain_config((4, Fraction(3, 4)), 2, _RAYLEIGH, 0.0, (-MAX_PATH_GAIN_DB, 0.0, MAX_PATH_GAIN_DB))
+    engine, chain = _engine_and_per_point_chain(config, 200, monkeypatch)
+    assert all(np.array_equal(a, b) for a, b in zip(engine, chain))
+    lost, _, clean = (int(c.sum()) for c in chain)
+    assert 0.4 < lost / (200 * GAIN_FRAME_BITS) < 0.6 and clean == 0

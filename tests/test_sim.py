@@ -277,9 +277,9 @@ def _sweep_points(cfg: SimConfig) -> list[SimConfig]:
     ), -5.0),
     _FER_4X4_LOW,
     _FER_2X2_RICIAN_HIGH,
-    # A gain sweep holds its unit-gain matrices and noise through every
-    # point's combiner, which outweighs the channel at one receive antenna
-    # and long frames.
+    # A gain sweep runs its two combines, of the noise-free rows and of
+    # the noise, back to back and holds both through every point, which
+    # outweighs the channel at one receive antenna and long frames.
     _point_config(_fer_config(
         code=(2, Fraction(1)), channel=ChannelSpec(n_tx=2, n_rx=1, correlation=0.5), frame_bits=1200,
     ), -5.0),
@@ -841,16 +841,40 @@ _SWEEP_CONFIGS = [
 ]
 
 
+# Mixed stopping rules, (target_frame_errors, max_frames) for each point:
+# a cap below the others, which ends a wave of the points that run on, a
+# target that no point meets before its cap, and a low target.
+_MIXED_RULES = [(20, 150), (8, 60), (10**6, 90), (3, 150)]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("cfg", _SWEEP_CONFIGS, ids=lambda c: c.experiment.value)
 def test_sweep_points_equal_one_point_runs(cfg, workers):
     """Each point of a multi-point sweep equals the one-point sweep at its
     x in every field but elapsed_s: sharing the trials' prefix across the
-    points changes no outcome, and each point stops at its own cut."""
+    points changes no outcome, and each point stops at its own cut. That
+    holds as well when each point has its own stopping rule, as
+    sim._run_sweep takes them: no point folds a trial past its own cap."""
     multi = run_experiment(cfg, workers=workers).points
     singles = [run_experiment(replace(cfg, sweep=(x,)), workers=workers).points[0] for x in cfg.sweep]
     assert [replace(p, elapsed_s=0.0) for p in multi] == [replace(p, elapsed_s=0.0) for p in singles]
     assert len({p.frames for p in multi}) > 1  # the points stop on different trials
+
+    rules = _MIXED_RULES[: len(cfg.sweep)]
+    mixed = sim._run_sweep(cfg, rules, workers)
+    singles = [
+        run_experiment(replace(cfg, sweep=(x,), target_frame_errors=target, max_frames=cap), workers=workers).points[0]
+        for x, (target, cap) in zip(cfg.sweep, rules)
+    ]
+    assert [replace(p, elapsed_s=0.0) for p in mixed] == [replace(p, elapsed_s=0.0) for p in singles]
+    assert mixed[2].frames == 90  # the point without a reachable target stops at its cap
+
+
+def test_stopping_rules_must_fit_the_sweep():
+    cfg = _fer_config(sweep=(-10.0, -8.0))
+    for rules in ([(5, 40)], [(5, 40)] * 3, [(5, 40), (0, 40)], [(5, 40), (5, 0)], [(5, 0), (5, MAX_TRIALS + 1)]):
+        with pytest.raises(ValueError, match="stopping rule"):
+            sim._run_sweep(cfg, rules, 1)
 
 
 def test_gain_sweep_initialises_each_trial_once(monkeypatch):
