@@ -33,9 +33,10 @@ EXPERIMENT_SHIFT = 48
 # Trial indices a stream id can hold: the low field's 32 bits.
 MAX_TRIALS = 1 << ROLE_SHIFT
 
-# Float64 elements (0.5 MiB): the budget of one sim._run_chunk's arrays, by
-# sim.trial_elements, and of the scratch of each kernel call inside it, which
-# tiles to fit; kernels run one at a time, so a chunk peaks below twice this.
+# Float64 elements (0.5 MiB): the scratch budget of each kernel call inside
+# a sim._run_chunk (the fading and ML tiles, the BER decisions), which tiles
+# to fit. Kernels run one at a time, so a chunk's scratch stays within this,
+# beside its arrays, which sim.CHUNK_BUDGETS of these budgets bound.
 CHUNK_ELEMENTS = 1 << 16
 
 I0E_SERIES_CUTOFF = 15.0

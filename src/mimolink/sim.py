@@ -49,11 +49,12 @@ outcome does not depend on its chunk. run_wave draws through one rekeyed
 PhiloxStreams, chunk_trials(config) trials at a time; run_frame, the
 single-trial reference, runs a chunk of one trial on fresh RngStreams.
 This module alone derives stream ids: the channel and fading layers take
-uniforms. A chunk holds as many trials as their arrays fit
-numerics.CHUNK_ELEMENTS by trial_elements, whatever the number of points,
-and the fading and ML kernels tile their scratch within the same budget,
-one call at a time: five 4x4 FER frames at any sample rate, 19 2x2 FER
-frames, and 18 uncoded 4x4 frames under ZF or MMSE and 9 under ML. Each
+uniforms. A chunk holds as many trials as their arrays fit CHUNK_BUDGETS
+times numerics.CHUNK_ELEMENTS (2 MiB) by trial_elements, whatever the
+number of points: 20 4x4 FER frames at any sample rate, 77 2x2 FER
+frames, and 72 uncoded 4x4 frames under ZF or MMSE and 39 under ML. The
+fading and ML kernels tile their scratch within numerics.CHUNK_ELEMENTS,
+one call at a time, so a chunk peaks near 2.5 MiB. Each
 point of a sweep drops out at its own cut, under its own stopping rule
 in _run_sweep (run_experiment gives every point the config's). The
 serial path runs one chunk at a time and checks the error targets after
@@ -164,6 +165,16 @@ VALIDATE_FADING_STREAM = pack_stream_id(EXPERIMENT_IDS[VALIDATE_FADING], 0, 0)
 # path instead runs one _run_chunk at a time (see chunk_trials), so it
 # stops within a chunk of the cut.
 WAVE_FRAMES = 1024
+
+# The budget of one _run_chunk's arrays, by trial_elements, counted in
+# kernel scratch budgets (numerics.CHUNK_ELEMENTS): 2**18 float64 elements,
+# 2 MiB. At one budget a chunk holds five 4x4 4x3/4 FER frames, and numpy's
+# per-call cost outweighs the arithmetic. Any value gives identical results.
+# perfbench/run.py --seconds 6, medians of 3 seeds on a 2-CPU Xeon, at 1, 2,
+# 4 and 8 budgets: fer-gain-rayleigh 4,025, 4,841, 5,381 and 5,315 frames/s
+# at a peak RSS of 45.6, 46.0, 46.9 and 48.9 MiB; fer-doppler-rician-w2
+# 73.9, 74.3, 75.8 and 80.3 MiB. Eight buys no FER speed for its memory.
+CHUNK_BUDGETS = 4
 
 # Most points a sweep may hold: a worker ships an int array per point a wave.
 MAX_SWEEP_POINTS = 10_000
@@ -306,7 +317,8 @@ def _detect(detector: DetectorKind, channels, hx: np.ndarray, z: np.ndarray, noi
 def trial_elements(config: SimConfig) -> int:
     """Float64 elements of the arrays that _run_chunk holds for one trial
     at its peak, counted from their shapes; a kernel call inside the chunk
-    keeps its own scratch within numerics.CHUNK_ELEMENTS. The count does
+    tiles its own scratch within numerics.CHUNK_ELEMENTS, on top of the
+    chunk's arrays, whatever the chunk's size. The count does
     not grow with the points of a sweep: a chunk holds its prefix once and
     runs the points' suffixes one at a time, each freeing its arrays
     before the next.
@@ -340,9 +352,10 @@ def trial_elements(config: SimConfig) -> int:
     channel's draw, which preparing the channels frees. An uncoded 4x4
     vector is charged 240 elements under ZF and MMSE and 448 under ML. A
     detect call's decisions, a byte a bit at each of its points, stay
-    within another numerics.CHUNK_ELEMENTS (see _run_chunk), as ML's
-    search tiles do.
-    chunk_trials sizes chunks by it; SimConfig.validate bounds it.
+    within numerics.CHUNK_ELEMENTS (see _run_chunk), as ML's search tiles
+    do.
+    chunk_trials sizes chunks by it, against CHUNK_BUDGETS times that
+    budget; SimConfig.validate bounds it.
     """
     ch = config.channel
     links = ch.n_rx * ch.n_tx
@@ -358,9 +371,11 @@ def trial_elements(config: SimConfig) -> int:
 
 
 def chunk_trials(config: SimConfig) -> int:
-    """Trials that one _run_chunk batches: as many as fit
-    numerics.CHUNK_ELEMENTS by trial_elements, and at least one."""
-    return max(1, numerics.CHUNK_ELEMENTS // trial_elements(config))
+    """Trials that one _run_chunk batches: as many as fit the chunk budget,
+    CHUNK_BUDGETS times numerics.CHUNK_ELEMENTS, by trial_elements, and at
+    least one. The kernels' budget is read at the call, so shrinking it
+    shrinks the chunks too."""
+    return max(1, CHUNK_BUDGETS * numerics.CHUNK_ELEMENTS // trial_elements(config))
 
 
 def run_wave(config: SimConfig, start: int, stop: int) -> np.ndarray:

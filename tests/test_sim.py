@@ -217,8 +217,10 @@ def test_config_validation_bounds_trial_memory():
         replace(ber, frame_bits=largest).validate()
         with pytest.raises(ValueError, match="MAX_TRIAL_ELEMENTS"):
             replace(ber, frame_bits=largest + 8).validate()
-    # chunk_trials reads the same count: 12 bits are 8 rows.
-    assert chunk_trials(_point_config(fer, -5.0)) == numerics.CHUNK_ELEMENTS // (16 * 161 + 8 * 120 + 10 * 6)
+    # chunk_trials reads the same count against the chunk budget: 12 bits
+    # are 8 rows.
+    budget = sim.CHUNK_BUDGETS * numerics.CHUNK_ELEMENTS
+    assert chunk_trials(_point_config(fer, -5.0)) == budget // (16 * 161 + 8 * 120 + 10 * 6)
 
 
 # The FER shapes of the benchmark workloads, with correlated links, so
@@ -235,14 +237,20 @@ _FER_2X2_RICIAN_HIGH = _point_config(_fer_config(
 
 
 def test_benchmark_fer_chunk_sizes():
-    assert chunk_trials(_FER_4X4_LOW) == 5
-    assert chunk_trials(_FER_2X2_RICIAN_HIGH) == 19
+    """The chunk budget, 2**18 elements, over a trial's: 12,776 for the
+    4x4 frame and 3,404 for the 2x2 one."""
+    assert sim.CHUNK_BUDGETS * numerics.CHUNK_ELEMENTS == 1 << 18
+    assert [sim.trial_elements(c) for c in (_FER_4X4_LOW, _FER_2X2_RICIAN_HIGH)] == [12_776, 3_404]
+    assert chunk_trials(_FER_4X4_LOW) == 20
+    assert chunk_trials(_FER_2X2_RICIAN_HIGH) == 77
 
 
 def test_benchmark_ber_chunk_sizes():
     """The legs of the uncoded 4x4 benchmark: 120-bit frames of 15 vectors,
-    whose prepared channels the chunk holds through every SNR point."""
-    for detector, trials in ((DetectorKind.ZF, 18), (DetectorKind.MMSE, 18), (DetectorKind.ML, 9)):
+    whose prepared channels the chunk holds through every SNR point, 3,600
+    elements a trial under ZF and MMSE and 6,720 under ML, in a chunk
+    budget of 2**18."""
+    for detector, trials in ((DetectorKind.ZF, 72), (DetectorKind.MMSE, 72), (DetectorKind.ML, 39)):
         assert chunk_trials(_point_config(_ber_config(detector=detector, frame_bits=120), 10.0)) == trials
 
 
@@ -839,6 +847,25 @@ _SWEEP_CONFIGS = [
     _ber_config(detector=DetectorKind.MMSE, frame_bits=8, sweep=(0.0, 6.0, 12.0, 18.0),
                 max_frames=150, target_frame_errors=20),
 ]
+
+
+def test_chunk_budget_changes_no_byte(monkeypatch):
+    """Chunks of the chunk budget, of the kernels' budget and of three
+    trials give the same CSV bytes for each experiment kind, with points
+    cut mid-chunk and at the cap."""
+    def kernel_budget_chunks(config):
+        return max(1, numerics.CHUNK_ELEMENTS // sim.trial_elements(config))
+
+    def csvs():
+        return [emit_csv(run_experiment(cfg)) for cfg in _SWEEP_CONFIGS]
+
+    for cfg in _SWEEP_CONFIGS:
+        point = _point_config(cfg, cfg.sweep[0])
+        assert chunk_trials(point) > kernel_budget_chunks(point) > 3
+    expected = csvs()
+    for chunks in (kernel_budget_chunks, lambda config: 3):
+        monkeypatch.setattr(sim, "chunk_trials", chunks)
+        assert csvs() == expected
 
 
 # Mixed stopping rules, (target_frame_errors, max_frames) for each point:
