@@ -4,7 +4,7 @@ One subcommand per experiment plus a statistical self-check:
 
     mimolink fer-vs-gain       --gain-db -20:2:0 --out fer_gain.csv
     mimolink fer-vs-doppler    --dopplers 25,50,100 --out fer_doppler.csv
-    mimolink fer-vs-samplerate --rates 1e5,2e5,...,1e7 --out fer_rate.csv
+    mimolink fer-vs-samplerate --rates 1e5,2e5,5e5,1e6,2e6,5e6,1e7 --out fer_rate.csv
     mimolink ber-vs-snr        --detector ml --snr-db 0:4:20 --out ber.csv
     mimolink validate-fading   --fading rayleigh --samples 1000000 --out stats.csv
 
@@ -46,7 +46,6 @@ from .sim import (
     VALIDATE_FADING_STREAM,
     Experiment,
     SimConfig,
-    _point_config,
     check_sweep,
     check_workers,
     emit_csv,
@@ -56,9 +55,6 @@ from .sim import (
 )
 
 __all__ = ["main", "build_parser"]
-
-_FIGURE6_RATES = "1e5,2e5,5e5,1e6,2e6,5e6,1e7"
-
 
 class _Parser(argparse.ArgumentParser):
     # The interface reserves exit code 2 for runtime failures, so usage
@@ -108,37 +104,60 @@ def _parse_code(text: str) -> tuple[int, Fraction]:
         raise ValueError(f"code must look like 2x1, 4x1/2 or 4x3/4, got {text!r}") from None
 
 
-def _add_common(p: argparse.ArgumentParser, with_workers: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=1, metavar="U64",
                    help="master seed; fixes every random draw (default 1)")
     p.add_argument("--out", required=True, metavar="PATH.CSV",
                    help="output CSV path")
     p.add_argument("--plot-script", metavar="PATH",
                    help="also write a gnuplot script that plots the CSV")
-    if with_workers:
-        p.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="worker processes, at most the CPU count; never changes results (default 1)")
 
 
-def _add_fading(p: argparse.ArgumentParser) -> None:
+# The float flags of the subcommands, by argparse dest: default, metavar
+# and help. A subcommand's sweep flag takes the place of the float flag
+# whose value it sweeps and fills that flag's dest.
+_FADING_FLOATS = {
+    "k": (4.0, "K", "Rician K factor, linear (simulator default 4; free choice)"),
+    "los_doppler_hz": (0.0, "F", "line-of-sight Doppler shift (0 or 100 in the standard runs)"),
+    "los_phase_rad": (0.0, "PHI", None),
+}
+_FER_FLOATS = {"doppler_hz": (100.0, "F", None), "sample_rate_hz": (1e6, "FS", None),
+               "gain_db": (-5.0, "DB", None), "snr_db": (10.0, "DB", None)}
+_BER_FLOATS = {"gain_db": (0.0, "DB", None), "snr_db": (10.0, "DB", None)}
+
+
+def _add_floats(p: argparse.ArgumentParser, floats: dict, sweep: tuple = (None, None, None)) -> None:
+    """Add a flag for each of floats, but for the one whose dest the
+    sweep (flag, default, dest) fills, add the sweep's flag in its place."""
+    flag, sweep_default, swept = sweep
+    for dest, (default, metavar, help_line) in floats.items():
+        if dest == swept:
+            p.add_argument(flag, dest=dest, type=_parse_sweep, default=sweep_default, metavar="SWEEP")
+        else:
+            p.add_argument("--" + dest.replace("_", "-"), type=float, default=default, metavar=metavar,
+                           help=help_line)
+
+
+def _add_fading(p: argparse.ArgumentParser, sweep: tuple = (None, None, None)) -> None:
     p.add_argument("--fading", choices=["rayleigh", "rician"], default="rayleigh")
-    p.add_argument("--k", type=float, default=4.0, metavar="K",
-                   help="Rician K factor, linear (simulator default 4; free choice)")
-    p.add_argument("--los-doppler-hz", type=float, default=0.0, metavar="F",
-                   help="line-of-sight Doppler shift (0 or 100 in the standard runs)")
-    p.add_argument("--los-phase-rad", type=float, default=0.0, metavar="PHI")
+    _add_floats(p, _FADING_FLOATS, sweep)
     p.add_argument("--num-sinusoids", type=int, default=32, metavar="M")
 
 
-def _add_link(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--nr", type=int, default=4, metavar="N")
-    p.add_argument("--code", type=_parse_code, default="4x3/4", metavar="NTxRATE",
-                   help="OSTBC design: 2x1, 3x1/2, 3x3/4, 4x1/2 or 4x3/4 (default 4x3/4)")
-    p.add_argument("--correlation", default="low", metavar="LEVEL",
-                   help="spatial correlation: none/low/medium/high or a coefficient in [0,1)")
-    p.add_argument("--frame-bits", type=int, default=120, metavar="N")
-    p.add_argument("--max-frames", type=int, default=100_000, metavar="N")
-    p.add_argument("--target-errors", type=int, default=200, metavar="N")
+# The experiment subcommands, one row each: the Experiment it runs, its help
+# line, its sweep (flag, default, and the dest of the float flag it
+# replaces), and its plot's x label and log-x flag.
+_EXPERIMENTS = {
+    "fer-vs-gain": (Experiment.FER_VS_GAIN, "frame error rate over a path-gain sweep",
+                    ("--gain-db", "-20:2:0", "gain_db"), "path gain (dB)", False),
+    "fer-vs-doppler": (Experiment.FER_VS_DOPPLER, "frame error rate over maximum Doppler values",
+                       ("--dopplers", "25,50,100", "doppler_hz"), "max Doppler (Hz)", False),
+    "fer-vs-samplerate": (Experiment.FER_VS_SAMPLE_RATE, "frame error rate over channel sample rates",
+                          ("--rates", "1e5,2e5,5e5,1e6,2e6,5e6,1e7", "sample_rate_hz"),
+                          "sample rate (Hz)", True),
+    "ber-vs-snr": (Experiment.BER_VS_SNR, "uncoded 4x4 detector BER over an SNR sweep",
+                   ("--snr-db", "0:4:20", "snr_db"), "SNR (dB)", False),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,61 +165,46 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fer-vs-gain", parents=[], help="frame error rate over a path-gain sweep")
-    _add_fading(p)
-    _add_link(p)
-    p.add_argument("--doppler-hz", type=float, default=100.0, metavar="F")
-    p.add_argument("--sample-rate-hz", type=float, default=1e6, metavar="FS")
-    p.add_argument("--gain-db", type=_parse_sweep, default="-20:2:0", metavar="SWEEP")
-    p.add_argument("--snr-db", type=float, default=10.0, metavar="DB")
-    _add_common(p)
-
-    p = sub.add_parser("fer-vs-doppler", help="frame error rate over maximum Doppler values")
-    _add_fading(p)
-    _add_link(p)
-    p.add_argument("--dopplers", type=_parse_sweep, default="25,50,100", metavar="SWEEP")
-    p.add_argument("--sample-rate-hz", type=float, default=1e6, metavar="FS")
-    p.add_argument("--gain-db", type=float, default=-5.0, metavar="DB")
-    p.add_argument("--snr-db", type=float, default=10.0, metavar="DB")
-    _add_common(p)
-
-    p = sub.add_parser("fer-vs-samplerate", help="frame error rate over channel sample rates")
-    _add_fading(p)
-    _add_link(p)
-    p.add_argument("--rates", type=_parse_sweep, default=_FIGURE6_RATES, metavar="SWEEP")
-    p.add_argument("--doppler-hz", type=float, default=100.0, metavar="F")
-    p.add_argument("--gain-db", type=float, default=-5.0, metavar="DB")
-    p.add_argument("--snr-db", type=float, default=10.0, metavar="DB")
-    _add_common(p)
-
-    p = sub.add_parser("ber-vs-snr", help="uncoded 4x4 detector BER over an SNR sweep")
-    p.add_argument("--detector", choices=[d.value for d in DetectorKind], required=True)
-    p.add_argument("--snr-db", type=_parse_sweep, default="0:4:20", metavar="SWEEP")
-    p.add_argument("--nt", type=int, default=4, metavar="N")
-    p.add_argument("--nr", type=int, default=4, metavar="N")
-    p.add_argument("--gain-db", type=float, default=0.0, metavar="DB")
-    p.add_argument("--frame-bits", type=int, default=120, metavar="N")
-    p.add_argument("--max-frames", type=int, default=100_000, metavar="N")
-    p.add_argument("--target-errors", type=int, default=200, metavar="N")
-    _add_common(p)
+    for command, (experiment, help_line, sweep, *_) in _EXPERIMENTS.items():
+        p = sub.add_parser(command, help=help_line)
+        if experiment is Experiment.BER_VS_SNR:
+            p.add_argument("--detector", choices=[d.value for d in DetectorKind], required=True)
+            p.add_argument("--nt", type=int, default=4, metavar="N")
+            floats = _BER_FLOATS
+        else:
+            _add_fading(p, sweep)
+            p.add_argument("--code", type=_parse_code, default="4x3/4", metavar="NTxRATE",
+                           help="OSTBC design: 2x1, 3x1/2, 3x3/4, 4x1/2 or 4x3/4 (default 4x3/4)")
+            p.add_argument("--correlation", default="low", metavar="LEVEL",
+                           help="spatial correlation: none/low/medium/high or a coefficient in [0,1)")
+            floats = _FER_FLOATS
+        p.add_argument("--nr", type=int, default=4, metavar="N")
+        p.add_argument("--frame-bits", type=int, default=120, metavar="N")
+        p.add_argument("--max-frames", type=int, default=100_000, metavar="N")
+        p.add_argument("--target-errors", type=int, default=200, metavar="N")
+        _add_floats(p, floats, sweep)
+        _add_common(p)
+        p.add_argument("--workers", type=int, default=1, metavar="N",
+                       help="worker processes, at most the CPU count; never changes results (default 1)")
 
     p = sub.add_parser("validate-fading", help="statistical self-check of one fading process")
     _add_fading(p)
     p.add_argument("--doppler-hz", type=float, default=100.0, metavar="F")
     p.add_argument("--sample-rate-hz", type=float, default=256.0, metavar="FS")
     p.add_argument("--samples", type=int, default=1_000_000, metavar="N")
-    _add_common(p, with_workers=False)
+    _add_common(p)
 
     return parser
 
 
 def _fading_spec(args) -> FadingSpec:
-    # A FER subcommand lacks the flag of the quantity it sweeps (see _build_config).
     model = FadingModel(args.fading)
+    # Rayleigh fading drops --k, which must still be a valid K.
+    FadingSpec(k_factor=args.k).validate()
     return FadingSpec(
         model=model,
-        max_doppler_hz=getattr(args, "doppler_hz", None),
-        sample_rate_hz=getattr(args, "sample_rate_hz", None),
+        max_doppler_hz=args.doppler_hz,
+        sample_rate_hz=args.sample_rate_hz,
         num_sinusoids=args.num_sinusoids,
         k_factor=args.k if model is FadingModel.RICIAN else 0.0,
         los_doppler_hz=args.los_doppler_hz,
@@ -208,23 +212,12 @@ def _fading_spec(args) -> FadingSpec:
     )
 
 
-# The experiment subcommands: the Experiment each runs, the argparse dest
-# that holds its sweep, and its plot's x label, rate column (fer 4, ber 9
-# in the CSV) and log-x flag.
-_EXPERIMENTS = {
-    "fer-vs-gain": (Experiment.FER_VS_GAIN, "gain_db", "path gain (dB)", 4, False),
-    "fer-vs-doppler": (Experiment.FER_VS_DOPPLER, "dopplers", "max Doppler (Hz)", 4, False),
-    "fer-vs-samplerate": (Experiment.FER_VS_SAMPLE_RATE, "rates", "sample rate (Hz)", 4, True),
-    "ber-vs-snr": (Experiment.BER_VS_SNR, "snr_db", "SNR (dB)", 9, False),
-}
-
-
 def _build_config(args) -> SimConfig:
-    """The config of an experiment subcommand. Its swept field holds a stand-in
-    (the sweep itself, or None) until _point_config, the rule for every sweep
-    point, sets it to the sweep's first value."""
-    experiment, dest, *_ = _EXPERIMENTS[args.command]
-    sweep = getattr(args, dest)
+    """The config of an experiment subcommand at the first value of its
+    sweep, which fills the dest of the value it sweeps."""
+    experiment, _, (_, _, swept), *_ = _EXPERIMENTS[args.command]
+    sweep = getattr(args, swept)
+    args = argparse.Namespace(**{**vars(args), swept: sweep[0]})
     if experiment is Experiment.BER_VS_SNR:
         channel = ChannelSpec(n_tx=args.nt, n_rx=args.nr, path_gain_db=args.gain_db)
         code, detector = None, DetectorKind(args.detector)
@@ -233,7 +226,7 @@ def _build_config(args) -> SimConfig:
                               correlation=correlation_rho(args.correlation),
                               path_gain_db=args.gain_db)
         code, detector = args.code, None
-    config = SimConfig(
+    return SimConfig(
         experiment=experiment,
         channel=channel,
         code=code,
@@ -245,7 +238,6 @@ def _build_config(args) -> SimConfig:
         target_frame_errors=args.target_errors,
         master_seed=args.seed,
     )
-    return _point_config(config, sweep[0])
 
 
 def _write_plot_script(path: str, csv_path: str, command: str) -> None:
@@ -256,8 +248,9 @@ def _write_plot_script(path: str, csv_path: str, command: str) -> None:
         settings = ["set grid"]
         series = [(2, "points", "empirical"), (3, "lines", "theory")]
     else:
-        experiment, _, xlabel, col, logx = _EXPERIMENTS[command]
-        ylabel = "bit error rate" if experiment is Experiment.BER_VS_SNR else "frame error rate"
+        experiment, *_, xlabel, logx = _EXPERIMENTS[command]
+        # The CSV's ber or fer column, each followed by its 95% interval.
+        ylabel, col = ("bit error rate", 9) if experiment is Experiment.BER_VS_SNR else ("frame error rate", 4)
         settings = ["set logscale y", "set grid", "set key left bottom"]
         settings += ["set logscale x"] if logx else []
         series = [(col, "linespoints", ylabel), (col + 1, "lines dashtype 2", "95% lo"),

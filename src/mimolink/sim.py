@@ -1,9 +1,10 @@
 """Monte Carlo experiment engine.
 
 An experiment is a sweep over one x-axis variable (path gain, Doppler,
-sample rate, or SNR). Every sweep point simulates frames -- 120 information
-bits each by default -- until it has seen target_frame_errors frame errors
-or max_frames frames, whichever comes first.
+sample rate, or SNR), the config field that its Experiment row names.
+Every sweep point simulates frames -- 120 information bits each by
+default -- until it has seen target_frame_errors frame errors or
+max_frames frames, whichever comes first.
 
 Reproducibility is structural, not incidental. Each frame derives every
 random quantity it needs from counter-based streams keyed by
@@ -131,27 +132,33 @@ __all__ = [
 
 
 class Experiment(enum.Enum):
-    FER_VS_GAIN = "fer_vs_gain"
-    FER_VS_DOPPLER = "fer_vs_doppler"
-    FER_VS_SAMPLE_RATE = "fer_vs_sample_rate"
-    BER_VS_SNR = "ber_vs_snr"
+    """The experiments, one row each: the name that the CSV header echoes
+    (the value), its stream ids' experiment field (exp_id) and the field
+    its sweep sets (swept, a dotted path from SimConfig). _run_chunk runs
+    BER_VS_SNR on the uncoded chain, FER_VS_GAIN on the gain chain and any
+    other on the channel chain, which restarts links under each point's spec."""
+
+    FER_VS_GAIN = ("fer_vs_gain", 0, "channel.path_gain_db")
+    FER_VS_DOPPLER = ("fer_vs_doppler", 1, "channel.fading.max_doppler_hz")
+    FER_VS_SAMPLE_RATE = ("fer_vs_sample_rate", 2, "channel.fading.sample_rate_hz")
+    BER_VS_SNR = ("ber_vs_snr", 3, "snr_db")
+
+    def __new__(cls, value: str, exp_id: int, swept: str):
+        member = object.__new__(cls)
+        member._value_, member.exp_id, member.swept = value, exp_id, swept
+        return member
 
 
 # The stream-id layout, in one table: the experiment and role fields that
 # numerics.pack_stream_id packs with a trial index into the id of every
-# random stream. Experiments are keyed by the name the CSV header echoes.
+# random stream. The experiment fields are the Experiment rows' exp_id and
+# validate-fading's, keyed by the name the CSV header echoes.
 # Fading link i of a frame's channel (row-major, i < MAX_LINKS) draws its
 # channel_init uniforms from role ROLE_FADING + i, so ROLE_IID_CHANNEL sits
 # above the last link. validate-fading has a single stream; its experiment
 # field keeps it apart from every frame's. No other module derives ids.
 VALIDATE_FADING = "validate_fading"
-EXPERIMENT_IDS = {
-    Experiment.FER_VS_GAIN.value: 0,
-    Experiment.FER_VS_DOPPLER.value: 1,
-    Experiment.FER_VS_SAMPLE_RATE.value: 2,
-    Experiment.BER_VS_SNR.value: 3,
-    VALIDATE_FADING: 4,
-}
+EXPERIMENT_IDS = {e.value: e.exp_id for e in Experiment} | {VALIDATE_FADING: 4}
 MAX_LINKS = MAX_ANTENNAS * MAX_ANTENNAS
 ROLE_BITS = 0
 ROLE_NOISE = 1
@@ -278,18 +285,16 @@ def check_workers(workers: int, name: str = "workers") -> None:
 
 
 def _point_config(config: SimConfig, x: float) -> SimConfig:
-    """Resolve a sweep point into a concrete single-point config."""
-    ch, exp = config.channel, config.experiment
-    if exp is Experiment.FER_VS_GAIN:
-        ch = replace(ch, path_gain_db=x)
-    elif exp is Experiment.FER_VS_DOPPLER:
-        ch = replace(ch, fading=replace(ch.fading, max_doppler_hz=x))
-    elif exp is Experiment.FER_VS_SAMPLE_RATE:
-        ch = replace(ch, fading=replace(ch.fading, sample_rate_hz=x))
-    else:  # Experiment.BER_VS_SNR
-        config = replace(config, snr_db=x)
-    ch.validate()
-    return replace(config, channel=ch)
+    """Resolve a sweep point into a concrete single-point config: x written
+    into the field that the experiment sweeps."""
+
+    def with_x(obj, path: str):
+        name, _, rest = path.partition(".")
+        return replace(obj, **{name: with_x(getattr(obj, name), rest) if rest else x})
+
+    config = with_x(config, config.experiment.swept)
+    config.channel.validate()
+    return config
 
 
 def run_frame(config: SimConfig, trial_index: int) -> int:
@@ -399,7 +404,7 @@ def _run_chunk(points: list[SimConfig], draw, trials: range) -> list[np.ndarray]
     trial at a time at every point, and wipes a chunk of one: every bit
     counts as errored at every point."""
     config = points[0]
-    exp_id = EXPERIMENT_IDS[config.experiment.value]
+    exp_id = config.experiment.exp_id
     ch = config.channel
     n_rx, n_tx = ch.n_rx, ch.n_tx
     f = len(trials)

@@ -1,8 +1,11 @@
 """End-to-end tests of the command line interface."""
 
+import argparse
 import os
 import subprocess
 import sys
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -280,6 +283,28 @@ def test_usage_error_exits_one(capsys):
     assert exc.value.code == 1
 
 
+def test_sweep_flag_replaces_the_fixed_flag(tmp_path, capsys):
+    """A FER subcommand has no fixed flag for the value it sweeps: the
+    flag is a usage error, exit 1, and no CSV is written."""
+    out = tmp_path / "fixed.csv"
+    for argv in (["fer-vs-doppler", "--doppler-hz", "50"], ["fer-vs-samplerate", "--sample-rate-hz", "1e6"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out), *TINY])
+        assert exc.value.code == 1
+        assert argv[1] in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_each_experiment_is_one_cli_row_and_one_stream_id():
+    """Every Experiment is run by exactly one subcommand, and has its own
+    stream-id experiment field, apart from validate-fading's."""
+    assert Counter(row[0] for row in cli._EXPERIMENTS.values()) == Counter(sim.Experiment)
+    assert set(cli._EXPERIMENTS) | {"validate-fading"} == set(PARSED_DEFAULTS)
+    ids = sim.EXPERIMENT_IDS
+    assert set(ids) == {e.value for e in sim.Experiment} | {sim.VALIDATE_FADING}
+    assert len(set(ids.values())) == len(ids)
+
+
 def test_invalid_configuration_exits_one(tmp_path, capsys):
     out = tmp_path / "bad.csv"
     rc = main(["ber-vs-snr", "--detector", "zf", "--nr", "9", "--out", str(out)])
@@ -324,18 +349,21 @@ def test_invalid_configuration_exits_one(tmp_path, capsys):
     assert "max_frames" in capsys.readouterr().err
     assert not out.exists()
 
-    # Non-finite fading parameters. A run that started would synthesise a
-    # NaN channel and write a CSV.
-    fer = ["fer-vs-gain", "--code", "2x1", "--nr", "1", "--gain-db", "0", "--max-frames", "20",
-           "--fading", "rician"]
-    validate = ["validate-fading", "--fading", "rician", "--samples", "100000"]
-    for flag, bad in (("--los-phase-rad", "inf"), ("--los-doppler-hz", "nan"), ("--sample-rate-hz", "nan")):
+    # Non-finite fading parameters, and a negative K. A run that started
+    # would synthesise a NaN channel and write a CSV. Rayleigh fading drops
+    # K, but rejects a bad one as Rician fading does.
+    fer = ["fer-vs-gain", "--code", "2x1", "--nr", "1", "--gain-db", "0", "--max-frames", "20"]
+    validate = ["validate-fading", "--samples", "100000"]
+    bad_flags = (("--los-phase-rad", "inf"), ("--los-doppler-hz", "nan"), ("--sample-rate-hz", "nan"),
+                 ("--k", "nan"), ("--k", "inf"), ("--k", "-3"))
+    for flag, bad in bad_flags:
         for command in (fer, validate):
-            capsys.readouterr()
-            rc = main([*command, f"{flag}={bad}", "--out", str(out)])
-            assert rc == 1
-            assert flag[2:].replace("-", "_") in capsys.readouterr().err
-            assert not out.exists()
+            for fading in ("rician", "rayleigh"):
+                capsys.readouterr()
+                rc = main([*command, "--fading", fading, f"{flag}={bad}", "--out", str(out)])
+                assert rc == 1, (command[0], fading, flag, bad)
+                assert flag[2:].replace("-", "_") in capsys.readouterr().err
+                assert not out.exists()
 
     # Path gains past MAX_PATH_GAIN_DB. A run that started would overflow,
     # or meet a zero channel, or score every frame as wiped.
@@ -488,14 +516,59 @@ def test_workers_above_cpu_count_exit_one(tmp_path, monkeypatch, capsys):
     assert main(["fer-vs-gain", "--workers", "2", "--out", str(out), *TINY]) == 1
 
 
+_FADING_OPTIONS = {
+    "--fading": ("rayleigh", None), "--k": (4.0, "K"), "--los-doppler-hz": (0.0, "F"),
+    "--los-phase-rad": (0.0, "PHI"), "--num-sinusoids": (32, "M"),
+}
+_FRAME_OPTIONS = {"--frame-bits": (120, "N"), "--max-frames": (100_000, "N"), "--target-errors": (200, "N")}
+_FER_OPTIONS = {
+    **_FADING_OPTIONS, **_FRAME_OPTIONS, "--nr": (4, "N"), "--code": ((4, Fraction(3, 4)), "NTxRATE"),
+    "--correlation": ("low", "LEVEL"), "--snr-db": (10.0, "DB"),
+}
+_COMMON_OPTIONS = {"--seed": (1, "U64"), "--out": ("x.csv", "PATH.CSV"), "--plot-script": (None, "PATH")}
+_RUN_OPTIONS = {**_COMMON_OPTIONS, "--workers": (1, "N")}
+
+# Each subcommand's options: the value it parses to when omitted, and its
+# metavar. --detector and --out are required, so the parse passes them.
+PARSED_DEFAULTS = {
+    "fer-vs-gain": {
+        **_FER_OPTIONS, **_RUN_OPTIONS, "--doppler-hz": (100.0, "F"), "--sample-rate-hz": (1e6, "FS"),
+        "--gain-db": (tuple(float(v) for v in range(-20, 1, 2)), "SWEEP"),
+    },
+    "fer-vs-doppler": {
+        **_FER_OPTIONS, **_RUN_OPTIONS, "--sample-rate-hz": (1e6, "FS"), "--gain-db": (-5.0, "DB"),
+        "--dopplers": ((25.0, 50.0, 100.0), "SWEEP"),
+    },
+    "fer-vs-samplerate": {
+        **_FER_OPTIONS, **_RUN_OPTIONS, "--doppler-hz": (100.0, "F"), "--gain-db": (-5.0, "DB"),
+        "--rates": ((1e5, 2e5, 5e5, 1e6, 2e6, 5e6, 1e7), "SWEEP"),
+    },
+    "ber-vs-snr": {
+        **_FRAME_OPTIONS, **_RUN_OPTIONS, "--detector": ("zf", None), "--nt": (4, "N"), "--nr": (4, "N"),
+        "--gain-db": (0.0, "DB"), "--snr-db": ((0.0, 4.0, 8.0, 12.0, 16.0, 20.0), "SWEEP"),
+    },
+    "validate-fading": {
+        **_FADING_OPTIONS, **_COMMON_OPTIONS, "--doppler-hz": (100.0, "F"), "--sample-rate-hz": (256.0, "FS"),
+        "--samples": (1_000_000, "N"),
+    },
+}
+
+
 def test_parser_defaults_line_up_with_help():
+    """Every subcommand's option strings, metavars and parsed defaults."""
     parser = build_parser()
-    args = parser.parse_args(["fer-vs-gain", "--out", "x.csv"])
-    assert args.seed == 1
-    assert args.workers == 1
-    assert args.snr_db == 10.0
-    assert args.code == (4, __import__("fractions").Fraction(3, 4))
-    assert args.gain_db == tuple(float(v) for v in range(-20, 1, 2))
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(subcommands) == set(PARSED_DEFAULTS)
+    for command, expected in PARSED_DEFAULTS.items():
+        required = ["--detector", "zf"] if command == "ber-vs-snr" else []
+        args = parser.parse_args([command, "--out", "x.csv", *required])
+        options = {
+            flag: (getattr(args, action.dest), action.metavar)
+            for action in subcommands[command]._actions
+            for flag in action.option_strings
+            if action.dest != "help"
+        }
+        assert options == expected, command
 
 
 def test_module_entry_point(tmp_path):
