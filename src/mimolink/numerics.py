@@ -34,9 +34,10 @@ EXPERIMENT_SHIFT = 48
 MAX_TRIALS = 1 << ROLE_SHIFT
 
 # Float64 elements (0.5 MiB): the scratch budget of each kernel call inside
-# a sim._run_chunk (the fading and ML tiles, the BER decisions), which tiles
-# to fit. Kernels run one at a time, so a chunk's scratch stays within this,
-# beside its arrays, which sim.CHUNK_BUDGETS of these budgets bound.
+# a sim._run_chunk (the fading, combiner and ML tiles, the BER decisions),
+# which tiles to fit. Kernels run one at a time, so a chunk's scratch stays
+# within this, beside its arrays, which sim.CHUNK_BUDGETS of these budgets
+# bound.
 CHUNK_ELEMENTS = 1 << 16
 
 I0E_SERIES_CUTOFF = 15.0

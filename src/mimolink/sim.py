@@ -54,9 +54,9 @@ uniforms. A chunk holds as many trials as their arrays fit CHUNK_BUDGETS
 times numerics.CHUNK_ELEMENTS (2 MiB) by trial_elements, whatever the
 number of points: 20 4x4 FER frames at any sample rate, 77 2x2 FER
 frames, and 72 uncoded 4x4 frames under ZF or MMSE and 39 under ML. The
-fading and ML kernels tile their scratch within numerics.CHUNK_ELEMENTS,
-one call at a time, so a chunk peaks near 2.5 MiB. Each
-point of a sweep drops out at its own cut, under its own stopping rule
+fading, combining and ML kernels tile their scratch within
+numerics.CHUNK_ELEMENTS, one call at a time, so a chunk peaks near
+2.5 MiB. Each point of a sweep drops out at its own cut, under its own stopping rule
 in _run_sweep (run_experiment gives every point the config's). The
 serial path runs one chunk at a time and checks the error targets after
 each; the process pool gets waves of WAVE_FRAMES trials split evenly
@@ -336,12 +336,15 @@ def trial_elements(config: SimConfig) -> int:
     link its fading_draws + 3M uniforms and then angles; a receive entry
     4, the shared noise and a point's receive rows or the mixing's scaled
     rows, or under a gain sweep the noise-free rows y0 = H0 x or the
-    noise, each beside the conjugate that its combine takes; and a symbol
-    10, the symbols and then a combiner's sums and the temporaries of its
-    last expression, which outweigh the channel at one receive antenna.
-    A gain sweep's two combines run back to back, S of y0 and then W of
-    the noise, so its symbol charge holds S and W's scratch, and then S,
-    W and a point's S + W / g. Its block channels, a block_len-th of a
+    noise; and a symbol 10, the symbols and then a combiner's two real
+    sums, Re c and Im d, and the two complex temporaries of its last
+    expression, 6, which outweigh the channel at one receive antenna. The
+    combiner's fold (stbc.combine_array) copies its receive rows' planes
+    and forms its products and terms a tile at a time, as kernel scratch
+    within numerics.CHUNK_ELEMENTS. A gain sweep's two combines run back
+    to back, S of y0 and then W of the noise, so its symbol charge holds
+    S beside W's sums and temporaries, 8, and then S, W and a point's
+    S + W / g, 6. Its block channels, a block_len-th of a
     channel entry, are copied out of the unit-gain matrices, which are
     freed with the codewords before the combines run; the noise is drawn
     between the two, once y0 is freed. BER-vs-SNR charges a receive entry

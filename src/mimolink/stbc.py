@@ -36,6 +36,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import numerics
+
 __all__ = [
     "OstbcCode",
     "ostbc_code",
@@ -161,6 +163,14 @@ def combine_array(code: OstbcCode, y: np.ndarray, h: np.ndarray) -> np.ndarray:
     Exact on any noiseless block whose channel was constant over the block;
     with noise the estimate is the per-symbol ML statistic. Raises on an
     all-zero channel (the estimate would be undefined).
+
+    Re(c_i) sums Re(h_rm conj(y_tr)) A_i[t, m] and Im(d_i) sums
+    Im(h_rm conj(y_tr)) B_i[t, m] over the nonzero weights alone, one term
+    at a time from +0 with t outermost, then r, then m ascending: the terms
+    and the order of the einsum "brm,btr,ktm->bk" of h, conj(y) and the
+    dispersion matrices, whose sums this equals bit for bit on finite
+    inputs. (On an inf the einsum's zero-weight terms would give NaN.) The
+    blocks are taken in tiles whose scratch fits numerics.CHUNK_ELEMENTS.
     """
     y = np.asarray(y, dtype=np.complex128)
     h = np.asarray(h, dtype=np.complex128)
@@ -171,7 +181,82 @@ def combine_array(code: OstbcCode, y: np.ndarray, h: np.ndarray) -> np.ndarray:
     h_norm_sq = np.sum(np.abs(h) ** 2, axis=(1, 2))
     if np.any(h_norm_sq < 1e-300):
         raise ValueError("channel block has zero Frobenius norm")
-    yc = y.conj()
-    c = np.einsum("brm,btr,ktm->bk", h, yc, code.a_mats)
-    d = np.einsum("brm,btr,ktm->bk", h, yc, code.b_mats)
-    return math.sqrt(code.n_tx) * (c.real - 1j * d.imag) / h_norm_sq[:, None]
+    n, t_len, n_rx = y.shape
+    k, n_tx = code.n_symbols, code.n_tx
+    rows, weights = _fold_terms(code, n_rx)
+    # Scratch a block: the planes of h, of y repeated over m and of the
+    # products, and the terms.
+    per_block = 2 * n_rx * n_tx * (1 + 2 * t_len) + rows.size
+    tile = max(1, numerics.CHUNK_ELEMENTS // per_block)
+    scratch = np.empty(min(n, tile) * per_block)
+    sums = np.empty((n, 2 * k))
+    for lo in range(0, n, tile):
+        _fold(y[lo : lo + tile], h[lo : lo + tile], rows, weights, scratch, sums[lo : lo + tile].T)
+    c_re, d_im = sums[:, :k], sums[:, k:]
+    return math.sqrt(code.n_tx) * (c_re - 1j * d_im) / h_norm_sq[:, None]
+
+
+@functools.lru_cache(maxsize=None)
+def _fold_terms(code: OstbcCode, n_rx: int) -> tuple[np.ndarray, np.ndarray]:
+    """combine_array's terms at n_rx receive antennas, term axis first, one
+    column per sum: the real part of each symbol's c, then the imaginary
+    part of each symbol's d. Each term is a nonzero weight of a_mats (part
+    0, which weighs Re(h conj(y))) or of b_mats (part 1, Im(h conj(y)))
+    and its plane row ((part T + t) N_r + r) N_t + m, in the einsum's order:
+    t, then r, then m ascending. A column with fewer terms than the longest
+    ends in weight-0 terms, which leave a finite sum as it is."""
+    t_len, n_tx = code.block_len, code.n_tx
+    columns = [
+        [
+            (((part * t_len + t) * n_rx + r) * n_tx + m, mats[i, t, m])
+            for t in range(t_len)
+            for r in range(n_rx)
+            for m in np.flatnonzero(mats[i, t])
+        ]
+        for part, mats in enumerate((code.a_mats, code.b_mats))
+        for i in range(code.n_symbols)
+    ]
+    rows = np.zeros((max(map(len, columns)), len(columns)), dtype=np.intp)
+    weights = np.zeros(rows.shape)
+    for j, column in enumerate(columns):
+        rows[: len(column), j], weights[: len(column), j] = zip(*column)
+    rows.setflags(write=False)
+    weights.setflags(write=False)
+    return rows, weights[:, :, None]
+
+
+def _fold(y, h, rows, weights, scratch, out) -> None:
+    """Write combine_array's sums of the blocks of y and h into out, with
+    scratch arrays carved from the front of the flat array scratch.
+
+    Forms Re(h conj(y)) and Im(h conj(y)) over every (t, r, m), blocks
+    innermost, as h_re y_re + h_im y_im and h_im y_re - h_re y_im, four
+    products and a sum each as the einsum rounds them (numpy's vectorized
+    complex multiply may fuse a product into the sum, which rounds
+    otherwise). Gathers each term's plane row, scales it by its weight,
+    adds the terms one at a time and then +0, the einsum's start.
+    """
+    n, t_len, n_rx = y.shape
+    planes = (2, t_len, n_rx, h.shape[2], n)
+    views, start = [], 0
+    for shape in (planes[:1] + planes[2:], planes, planes, (*rows.shape, n)):
+        views.append(scratch[start : start + math.prod(shape)].reshape(shape))
+        start += math.prod(shape)
+    h_planes, y_planes, q, terms = views
+    h_planes[0] = h.real.transpose(1, 2, 0)
+    h_planes[1] = h.imag.transpose(1, 2, 0)
+    y_planes[0] = y.real.transpose(1, 2, 0)[:, :, None]
+    y_planes[1] = y.imag.transpose(1, 2, 0)[:, :, None]
+    np.multiply(h_planes[:, None], y_planes[:1], out=q)  # h_re y_re, h_im y_re
+    np.multiply(h_planes[1], y_planes[1], out=y_planes[0])  # h_im y_im
+    np.multiply(h_planes[0], y_planes[1], out=y_planes[1])  # h_re y_im
+    q[0] += y_planes[0]
+    q[1] -= y_planes[1]
+    # mode="clip" writes into terms directly, where "raise" would buffer;
+    # every row is in range.
+    np.take(q.reshape(-1, n), rows, axis=0, out=terms, mode="clip")
+    terms *= weights
+    total = terms[0]
+    for term in terms[1:]:
+        total += term
+    np.add(total, 0.0, out=out)

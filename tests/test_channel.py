@@ -18,6 +18,7 @@ from mimolink.channel import (
     correlation_matrix,
     correlation_rho,
     noise_variance,
+    receive,
 )
 from mimolink.fading import FadingModel, FadingSpec, fading_draws
 from mimolink.modem import qpsk_modulate
@@ -114,6 +115,35 @@ def test_mix_equals_einsum_bit_for_bit(n_rx, n_tx):
             got = channel._mix(channel._planes(gains), rr, rt)
             assert got.shape == g.shape
             np.testing.assert_array_equal(got.view(np.uint64), _einsum_mix(rr, g, rt).view(np.uint64))
+
+
+def _real_plane_receive(h, x):
+    """H x summed over t in ascending order from +0, each term's real and
+    imaginary parts formed from two real products apiece."""
+    re, im = np.zeros(h.shape[:2]), np.zeros(h.shape[:2])
+    for t in range(h.shape[2]):
+        h_t, x_t = h[:, :, t], x[:, None, t]
+        re = re + (h_t.real * x_t.real - h_t.imag * x_t.imag)
+        im = im + (h_t.real * x_t.imag + h_t.imag * x_t.real)
+    y = np.empty(h.shape[:2], dtype=np.complex128)
+    y.real, y.imag = re, im
+    return y
+
+
+@pytest.mark.parametrize("rows, n_rx, n_tx", [
+    (1, 1, 1), (7, 1, 2), (80, 2, 1), (240, 2, 2), (780, 3, 4), (4620, 2, 2), (5000, 4, 4),
+])
+def test_receive_equals_real_plane_sum_bit_for_bit(rows, n_rx, n_tx):
+    """receive(h, x, None) rounds as the real-plane sum over t in ascending
+    order from +0, bit for bit, signed zeros included, so that a change of
+    its sum order or product form shows here and not only in tolerances."""
+    rng = np.random.default_rng([rows, n_rx, n_tx])
+    h = rng.standard_normal((rows, n_rx, n_tx)) + 1j * rng.standard_normal((rows, n_rx, n_tx))
+    x = rng.standard_normal((rows, n_tx)) + 1j * rng.standard_normal((rows, n_tx))
+    h[0, 0, 0] = complex(-0.0, 0.0)
+    x[-1] = complex(0.0, -0.0)
+    got = receive(h, x, None)
+    np.testing.assert_array_equal(got.view(np.uint64), _real_plane_receive(h, x).view(np.uint64))
 
 
 def test_correlated_channel_matrices_equal_einsum_of_uncorrelated():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mimolink import numerics
 from mimolink.modem import qpsk_demodulate, qpsk_modulate
 from mimolink.numerics import RngStream
 from mimolink.stbc import (
@@ -150,6 +151,53 @@ def test_zero_channel_raises():
     code = ostbc_code(2, 1)
     with pytest.raises(ValueError):
         combine_array(code, np.zeros((1, 2, 1)), np.zeros((1, 1, 2)))
+
+
+def _einsum_combine(code, y, h):
+    """The combiner as two complex three-operand einsums, the form whose
+    bits the real-plane fold reproduces."""
+    h_norm_sq = np.sum(np.abs(h) ** 2, axis=(1, 2))
+    yc = y.conj()
+    c = np.einsum("brm,btr,ktm->bk", h, yc, code.a_mats)
+    d = np.einsum("brm,btr,ktm->bk", h, yc, code.b_mats)
+    return math.sqrt(code.n_tx) * (c.real - 1j * d.imag) / h_norm_sq[:, None]
+
+
+@pytest.mark.parametrize("n_rx", range(1, 5))
+@pytest.mark.parametrize("n_tx, rate", sorted(DESIGN_TABLE))
+def test_combine_equals_einsum_bit_for_bit(n_tx, rate, n_rx, monkeypatch):
+    """combine_array equals the two-einsum combiner bit for bit, signed
+    zeros included, for every code and receive count: at 1, 7 and 400
+    blocks, at 5,000, which spans several tiles of every shape, and in
+    tiles of one block; with h both as the engine passes it, a strided
+    view h[::T] of one channel a row, and as a contiguous copy; and with
+    blocks that hold exact and signed zeros."""
+    code = ostbc_code(n_tx, rate)
+    t_len = code.block_len
+    rng = np.random.default_rng([n_tx, rate.denominator, n_rx])
+
+    def normals(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def check(y, h):
+        want = _einsum_combine(code, y, h)
+        for channels in (h, h.copy()):
+            np.testing.assert_array_equal(combine_array(code, y, channels).view(np.uint64), want.view(np.uint64))
+
+    for blocks in (1, 7, 400, 5000):
+        h = normals(blocks * t_len, n_rx, n_tx)[::t_len]
+        y = normals(blocks, t_len, n_rx)
+        # A block of signed zeros under a channel of positive parts, where
+        # every real-plane product is a signed zero.
+        y[0] = complex(-0.0, -0.0)
+        h[0] = np.abs(h[0].real) + 1j * np.abs(h[0].imag)
+        h[-1, 0, 0] = complex(0.0, -0.0)  # an exact zero channel entry
+        h[-1, -1, -1] = complex(-0.0, 0.5)  # a signed-zero real part
+        y[-1, 0, 0] = complex(-0.0, 0.0)
+        y[blocks // 2, :, 0] = 0.0  # a silent receive antenna
+        check(y, h)
+    monkeypatch.setattr(numerics, "CHUNK_ELEMENTS", 1)
+    check(y[:7], h[:7])
 
 
 def test_block_bookkeeping():
