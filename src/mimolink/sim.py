@@ -56,12 +56,12 @@ number of points: 20 4x4 FER frames at any sample rate, 77 2x2 FER
 frames, and 72 uncoded 4x4 frames under ZF or MMSE and 39 under ML. The
 fading, combining and ML kernels tile their scratch within
 numerics.CHUNK_ELEMENTS, one call at a time, so a chunk peaks near
-2.5 MiB. Each point of a sweep drops out at its own cut, under its own stopping rule
-in _run_sweep (run_experiment gives every point the config's). The
-serial path runs one chunk at a time and checks the error targets after
-each; the process pool gets waves of WAVE_FRAMES trials split evenly
-over its workers, and each worker runs its span chunk by chunk, shipping
-back one int array per point.
+2.5 MiB. Each point of a sweep drops out at its own cut, under its own
+stopping rule in _run_sweep (run_experiment gives every point the
+config's). The serial path runs one chunk at a time and checks the error
+targets after each; the process pool gets waves of WAVE_FRAMES trials
+split evenly over its workers, and each worker runs its span chunk by
+chunk, shipping back one int array per point.
 
 Frame chain for the FER experiments: Bernoulli bits -> QPSK -> OSTBC encode
 -> time-varying correlated channel + AWGN -> combine (channel of each

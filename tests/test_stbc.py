@@ -180,8 +180,8 @@ def test_combine_equals_einsum_bit_for_bit(n_tx, rate, n_rx, monkeypatch):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     def check(y, h):
-        want = _einsum_combine(code, y, h)
         for channels in (h, h.copy()):
+            want = _einsum_combine(code, y, channels)
             np.testing.assert_array_equal(combine_array(code, y, channels).view(np.uint64), want.view(np.uint64))
 
     for blocks in (1, 7, 400, 5000):
