@@ -182,17 +182,16 @@ def combine_array(code: OstbcCode, y: np.ndarray, h: np.ndarray) -> np.ndarray:
     if np.any(h_norm_sq < 1e-300):
         raise ValueError("channel block has zero Frobenius norm")
     n, t_len, n_rx = y.shape
-    k, n_tx = code.n_symbols, code.n_tx
     rows, weights = _fold_terms(code, n_rx)
     # Scratch a block: the planes of h, of y repeated over m and of the
     # products, and the terms.
-    per_block = 2 * n_rx * n_tx * (1 + 2 * t_len) + rows.size
+    per_block = 2 * n_rx * code.n_tx * (1 + 2 * t_len) + rows.size
     tile = max(1, numerics.CHUNK_ELEMENTS // per_block)
     scratch = np.empty(min(n, tile) * per_block)
-    sums = np.empty((n, 2 * k))
+    sums = np.empty((n, 2 * code.n_symbols))
     for lo in range(0, n, tile):
         _fold(y[lo : lo + tile], h[lo : lo + tile], rows, weights, scratch, sums[lo : lo + tile].T)
-    c_re, d_im = sums[:, :k], sums[:, k:]
+    c_re, d_im = np.split(sums, 2, axis=1)
     return math.sqrt(code.n_tx) * (c_re - 1j * d_im) / h_norm_sq[:, None]
 
 
