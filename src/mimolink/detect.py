@@ -36,12 +36,16 @@ exact zero goes to the point with the smaller Gray index (00, 01, 11, 10),
 the order of QPSK_POINTS. Their estimates of x for one observation y come
 from zf_estimate_batch and mmse_estimate_batch, on which properties such
 as MMSE converging to ZF as noise_var vanishes live. Preparing for ZF
-raises DetectionFailure when H^H H is numerically singular (smallest
-eigenvalue below 1e-12 times the largest). A Gram matrix G passes without
-an eigensolve when det G / (tr G)^N_t, a lower bound on that eigenvalue
-ratio for Hermitian PSD G, is at least CERTIFICATE_FLOOR; only the others,
-rare among random channels, get np.linalg.eigvalsh and the rule itself.
-MMSE with noise_var > 0 cannot fail that way.
+flags, in PreparedChannels.singular, each channel whose H^H H is
+numerically singular (smallest eigenvalue below 1e-12 times the largest),
+and puts the identity in place of its Gram matrix, so that the batched
+solve runs for the others, whose results it leaves as they were; the
+estimates and decisions of a flagged channel are meaningless. A Gram
+matrix G passes without an eigensolve when det G / (tr G)^N_t, a lower
+bound on that eigenvalue ratio for Hermitian PSD G, is at least
+CERTIFICATE_FLOOR; only the others, rare among random channels, get
+np.linalg.eigvalsh and the rule itself. MMSE with noise_var > 0 cannot
+fail that way, and no MMSE or ML channel is flagged.
 """
 
 from __future__ import annotations
@@ -57,7 +61,6 @@ from .modem import GRAY_BITS, QPSK_POINTS, qpsk_demodulate
 
 __all__ = [
     "DetectorKind",
-    "DetectionFailure",
     "PreparedChannels",
     "prepare_channels",
     "prepared_elements",
@@ -83,10 +86,6 @@ class DetectorKind(enum.Enum):
     ML = "ml"
 
 
-class DetectionFailure(Exception):
-    """The channel matrix was too ill-conditioned to invert."""
-
-
 @dataclass(frozen=True, eq=False)
 class PreparedChannels:
     """A batch of channels of shape (n, N_r, N_t), prepared by
@@ -94,6 +93,7 @@ class PreparedChannels:
 
     kind: DetectorKind
     shape: tuple[int, int, int]
+    singular: np.ndarray  # ZF's verdict that H^H H is singular, (n,) bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,17 +158,20 @@ def prepare_channels(kind: DetectorKind, h: np.ndarray) -> PreparedChannels:
     depend on the observations, done once for a detector kind: H^H and the
     Gram matrix H^H H for ZF and MMSE, and for ML the head and tail images
     and the tail norms, as ml_detect_batch describes them. Preparing for ZF
-    raises DetectionFailure if any channel in the batch is singular."""
+    flags the singular channels in singular and gives each the identity
+    for its Gram matrix (see the module docstring)."""
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 3:
         raise ValueError(f"bad rank: h {h.shape}")
-    n_rx, n_tx = h.shape[1:]
+    n_tx = h.shape[2]
+    singular = np.zeros(len(h), dtype=bool)
     if kind is not DetectorKind.ML:
         hh = h.conj().swapaxes(-1, -2)
         gram = hh @ h
-        if kind is DetectorKind.ZF and np.any(_singular(gram)):
-            raise DetectionFailure("channel matrix numerically singular under ZF")
-        return _LinearChannels(kind, h.shape, hh, gram)
+        if kind is DetectorKind.ZF:
+            singular = _singular(gram)
+            gram[singular] = np.eye(n_tx)
+        return _LinearChannels(kind, h.shape, singular, hh, gram)
     a, ka, kb = _ml_split(n_tx)
     head = _hypothesis_indices(a)
     tail = head if kb == ka else _hypothesis_indices(n_tx - a)
@@ -178,7 +181,7 @@ def prepare_channels(kind: DetectorKind, h: np.ndarray) -> PreparedChannels:
     bv = tail_images.view(np.float64)
     tail_norms = np.einsum("nkr,nkr->nk", bv, bv)
     return _MLChannels(
-        kind, h.shape, GRAY_BITS[head].reshape(ka, -1), GRAY_BITS[tail].reshape(kb, -1),
+        kind, h.shape, singular, GRAY_BITS[head].reshape(ka, -1), GRAY_BITS[tail].reshape(kb, -1),
         head_images, tail_images, tail_norms,
     )
 
@@ -219,8 +222,8 @@ def _observed(kind: DetectorKind, channels, hx: np.ndarray, z: np.ndarray, noise
 
 def _solve(channels: _LinearChannels, y: np.ndarray, noise_var: float | None) -> np.ndarray:
     # (H^H H + noise_var N_t I)^-1 H^H y. Zero forcing passes None: no
-    # regulariser (a zero one can flip signed zeros); its channels passed
-    # the singularity check when they were prepared.
+    # regulariser (a zero one can flip signed zeros); preparing its
+    # channels put the identity in place of each singular Gram matrix.
     gram = channels.gram
     if noise_var is not None:
         n_tx = gram.shape[-1]
@@ -237,8 +240,8 @@ def _decide(x_hat: np.ndarray, out: np.ndarray) -> None:
 
 def zf_estimate_batch(channels: PreparedChannels, y: np.ndarray) -> np.ndarray:
     """Pre-slicing zero-forcing estimates (H^H H)^-1 H^H y, shape (n, N_t),
-    for channels = prepare_channels(DetectorKind.ZF, h), which has cleared
-    every channel of the batch as non-singular."""
+    for channels = prepare_channels(DetectorKind.ZF, h); those of the
+    channels flagged in channels.singular are meaningless."""
     return _solve(*_prepared(DetectorKind.ZF, channels, y), None)
 
 
@@ -258,7 +261,8 @@ def zf_detect_batch(channels: PreparedChannels, hx: np.ndarray, z: np.ndarray, n
 
     One solve per call: a = (H^H H)^-1 H^H hx and b = (H^H H)^-1 H^H z, as
     the two right-hand sides of one np.linalg.solve; level nv decides on
-    a + sqrt(nv / 2) b."""
+    a + sqrt(nv / 2) b. The decisions of the channels flagged in
+    channels.singular are meaningless."""
     channels, hx, z, levels = _observed(DetectorKind.ZF, channels, hx, z, noise_vars)
     n, _, n_tx = channels.shape
     out = np.empty((len(levels), n, 2 * n_tx), dtype=np.uint8)

@@ -46,22 +46,25 @@ this moves, and finds none.
 
 _run_chunk takes a stream source, draw(stream_id, out), and each trial
 draws its own streams from counter zero in the same order, so a trial's
-outcome does not depend on its chunk. run_wave draws through one rekeyed
-PhiloxStreams, chunk_trials(config) trials at a time; run_frame, the
-single-trial reference, runs a chunk of one trial on fresh RngStreams.
-This module alone derives stream ids: the channel and fading layers take
-uniforms. A chunk holds as many trials as their arrays fit CHUNK_BUDGETS
-times numerics.CHUNK_ELEMENTS (2 MiB) by trial_elements, whatever the
-number of points: 20 4x4 FER frames at any sample rate, 77 2x2 FER
-frames, and 72 uncoded 4x4 frames under ZF or MMSE and 39 under ML. The
-fading, combining and ML kernels tile their scratch within
+outcome does not depend on its chunk. A chunk is the one unit of work:
+_simulate_range runs one through a rekeyed PhiloxStreams, and run_frame,
+the single-trial reference, runs a chunk of one trial on fresh
+RngStreams. This module alone derives stream ids: the channel and fading
+layers take uniforms. A chunk holds as many trials as their arrays fit
+CHUNK_BUDGETS times numerics.CHUNK_ELEMENTS (2 MiB) by trial_elements,
+whatever the number of points: 20 4x4 FER frames at any sample rate, 77
+2x2 FER frames, and 72 uncoded 4x4 frames under ZF or MMSE and 39 under
+ML. The fading, combining and ML kernels tile their scratch within
 numerics.CHUNK_ELEMENTS, one call at a time, so a chunk peaks near
 2.5 MiB. Each point of a sweep drops out at its own cut, under its own
 stopping rule in _run_sweep (run_experiment gives every point the
-config's). The serial path runs one chunk at a time and checks the error
-targets after each; the process pool gets waves of WAVE_FRAMES trials
-split evenly over its workers, and each worker runs its span chunk by
-chunk, shipping back one int array per point.
+config's). _simulate_wave cuts a wave of trials into chunks of
+chunk_trials and runs each once: the serial path's wave is one chunk, and
+it checks the error targets after each; the process pool gets waves of
+WAVE_FRAMES trials, ceil(chunks / workers) chunks to a task, and each
+chunk ships back one int array per point. A frame with a channel that
+ZF's preparation flags as singular (detect.PreparedChannels.singular) is
+scored as all errored, at every point.
 
 Frame chain for the FER experiments: Bernoulli bits -> QPSK -> OSTBC encode
 -> time-varying correlated channel + AWGN -> combine (channel of each
@@ -100,7 +103,6 @@ from .channel import (
     unit_gain_matrices,
 )
 from .detect import (
-    DetectionFailure,
     DetectorKind,
     ml_detect_batch,
     mmse_detect_batch,
@@ -166,11 +168,11 @@ ROLE_FADING = 2
 ROLE_IID_CHANNEL = ROLE_FADING + MAX_LINKS
 VALIDATE_FADING_STREAM = pack_stream_id(EXPERIMENT_IDS[VALIDATE_FADING], 0, 0)
 
-# Trials handed to the worker pool per scheduling wave, split evenly over
-# the workers. Any value gives identical results; it only trades frames
-# simulated past the stopping cut against dispatch overhead. The serial
-# path instead runs one _run_chunk at a time (see chunk_trials), so it
-# stops within a chunk of the cut.
+# Trials handed to the worker pool per scheduling wave, in chunks of
+# chunk_trials, ceil(chunks / workers) chunks to a task. Any value gives
+# identical results; it only trades frames simulated past the stopping cut
+# against dispatch overhead. The serial path instead runs one _run_chunk
+# at a time (see chunk_trials), so it stops within a chunk of the cut.
 WAVE_FRAMES = 1024
 
 # The budget of one _run_chunk's arrays, by trial_elements, counted in
@@ -394,18 +396,16 @@ def run_wave(config: SimConfig, start: int, stop: int) -> np.ndarray:
     _run_chunk, and a PhiloxStreams draw fills exactly the uniforms an
     RngStream of the same (seed, stream id) returns.
     """
-    return _simulate_range([config], start, stop)[0]
+    return _simulate_wave([config], start, stop)[0]
 
 
 def _run_chunk(points: list[SimConfig], draw, trials: range) -> list[np.ndarray]:
     """Bit-error counts of the trials at each point config of one sweep
     (see _point_config), in index order: the prefix once for the chunk,
     then each point's suffix in turn (see the module docstring).
-    draw(stream_id, out) fills out from the start of that stream. A
-    detection failure (a singular channel under ZF), which preparing the
-    channels in the prefix raises, re-runs a chunk of several trials one
-    trial at a time at every point, and wipes a chunk of one: every bit
-    counts as errored at every point."""
+    draw(stream_id, out) fills out from the start of that stream. A trial
+    with a channel that preparing for ZF flags as singular counts every
+    bit as errored, at every point; the others are scored as usual."""
     config = points[0]
     exp_id = config.experiment.exp_id
     ch = config.channel
@@ -437,14 +437,8 @@ def _run_chunk(points: list[SimConfig], draw, trials: range) -> list[np.ndarray]
         h = complex_normal_from(uniforms(ROLE_IID_CHANNEL, 2 * n_vec * n_rx * n_tx), 1.0)
         h = path_gain(ch) * h.reshape(-1, n_rx, n_tx)
         hx = receive(h, x, None)
-        try:
-            # The prepared channels replace h.
-            channels, h = prepare_channels(config.detector, h), None
-        except DetectionFailure:
-            if f == 1:
-                return [np.full(1, config.frame_bits) for _ in points]
-            per_trial = [_run_chunk(points, draw, range(t, t + 1)) for t in trials]
-            return [np.concatenate(point) for point in zip(*per_trial)]
+        channels, h = prepare_channels(config.detector, h), None  # the prepared channels replace h
+        wiped = channels.singular.reshape(f, -1).any(axis=1)
         z = normal_pairs(noise(2 * hx.size)).reshape(hx.shape)
         # One detect call decides every point at once, from receive's
         # y = H x + w with w as complex_normal_from scales it; calls of at
@@ -453,7 +447,7 @@ def _run_chunk(points: list[SimConfig], draw, trials: range) -> list[np.ndarray]
         noise_vars = [noise_variance(pc.snr_db) for pc in points]
         per_call = max(1, 8 * numerics.CHUNK_ELEMENTS // bits.size)
         return [
-            score(decided)
+            np.where(wiped, config.frame_bits, score(decided))
             for lo in range(0, len(points), per_call)
             for decided in _detect(config.detector, channels, hx, z, noise_vars[lo : lo + per_call])
         ]
@@ -504,13 +498,10 @@ def _run_chunk(points: list[SimConfig], draw, trials: range) -> list[np.ndarray]
 
 
 def _simulate_range(points: list[SimConfig], start: int, stop: int) -> list[np.ndarray]:
-    """Worker body: for each point config of one sweep, the bit-error
-    counts of trials [start, stop), in index order, simulated in chunks of
-    chunk_trials trials through one rekeyed PhiloxStreams."""
-    draw = PhiloxStreams(points[0].master_seed).uniform
-    step = chunk_trials(points[0])
-    chunks = [_run_chunk(points, draw, range(a, min(a + step, stop))) for a in range(start, stop, step)]
-    return [np.concatenate(point) for point in zip(*chunks)]
+    """The task of a pool worker or of the serial path: _run_chunk of the
+    chunk of trials [start, stop) at each point config of one sweep,
+    drawn through a rekeyed PhiloxStreams."""
+    return _run_chunk(points, PhiloxStreams(points[0].master_seed).uniform, range(start, stop))
 
 
 @dataclass(frozen=True)
@@ -560,24 +551,21 @@ def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _split_range(start: int, stop: int, parts: int) -> list[tuple[int, int]]:
-    """[start, stop) in at most `parts` non-empty spans, the first ones one longer."""
-    base, extra = divmod(stop - start, parts)
-    bounds = [start + i * base + min(i, extra) for i in range(parts + 1)]
-    return [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
-
-
 def _simulate_wave(
-    points: list[SimConfig], start: int, stop: int, pool: ProcessPoolExecutor | None, workers: int
+    points: list[SimConfig], start: int, stop: int, pool: ProcessPoolExecutor | None = None, workers: int = 1
 ) -> list[np.ndarray]:
-    """_simulate_range of trials [start, stop): in this process, or split
-    evenly over the pool's workers, waiting for the whole wave so that no
-    task outlives a cut."""
-    if pool is None or stop - start < 2 * workers:
-        return _simulate_range(points, start, stop)
-    starts, stops = zip(*_split_range(start, stop, workers))
-    parts = list(pool.map(_simulate_range, [points] * len(starts), starts, stops))
-    return [np.concatenate(point) for point in zip(*parts)]
+    """For each point config, the bit-error counts of trials [start, stop):
+    _simulate_range of each chunk of chunk_trials trials, in this process
+    or on the pool, ceil(chunks / workers) chunks to a task, waiting for
+    the whole wave so that no task outlives a cut."""
+    step = chunk_trials(points[0])
+    starts = range(start, stop, step)
+    tasks = ([points] * len(starts), starts, [min(a + step, stop) for a in starts])
+    if pool is None:
+        chunks = map(_simulate_range, *tasks)
+    else:
+        chunks = pool.map(_simulate_range, *tasks, chunksize=-(-len(starts) // workers))
+    return [np.concatenate(point) for point in zip(*chunks)]
 
 
 @dataclass
@@ -620,7 +608,7 @@ def _run_sweep(config: SimConfig, rules: list[tuple[int, int]], workers: int) ->
     under its own stopping rule rules[i] = (target_frame_errors,
     max_frames): trials 0, 1, ... of all points still running, a wave at
     a time (a chunk on the serial path, see chunk_trials; WAVE_FRAMES
-    trials split over a pool of workers > 1 processes). A wave ends at the
+    trials in chunks over a pool of workers > 1 processes). A wave ends at the
     lowest frame cap of the points it runs, so no point folds a trial past
     its own cap. Each point folds its trials' bit-error counts in trial
     order and drops out at its own cut: the trial that meets its error

@@ -97,10 +97,10 @@ def test_closed_form_counts_equal_the_per_point_chain(detector, n_tx, n_rx, monk
     )
     config.validate()
     points = [_point_config(config, x) for x in SNRS_DB]
-    engine = sim._simulate_range(points, 0, TRIALS)
+    engine = sim._simulate_wave(points, 0, TRIALS)
     name, oracle = _ORACLES[detector]
     monkeypatch.setattr(sim, name, oracle)
-    chain = sim._simulate_range(points, 0, TRIALS)
+    chain = sim._simulate_wave(points, 0, TRIALS)
     differing = sum(int(np.count_nonzero(a != b)) for a, b in zip(engine, chain))
     assert differing == 0
     # The census is not vacuous: errors at the low points, fewer at the high.
@@ -153,7 +153,7 @@ def _engine_and_per_point_chain(config: SimConfig, trials: int, monkeypatch) -> 
     for name in ("bernoulli_bits", "encode_array", "unit_gain_matrices", "receiver_noise"):
         monkeypatch.setattr(sim, name, recording(name))
     points = [_point_config(config, x) for x in config.sweep]
-    engine = sim._simulate_range(points, 0, trials)
+    engine = sim._simulate_wave(points, 0, trials)
 
     code = ostbc_code(*config.code)
     t_len, n_rx, n_tx = code.block_len, config.channel.n_rx, config.channel.n_tx

@@ -10,7 +10,6 @@ import pytest
 from mimolink import numerics
 from mimolink.detect import (
     SINGULARITY_RTOL,
-    DetectionFailure,
     DetectorKind,
     _singular,
     ml_detect_batch,
@@ -395,15 +394,46 @@ def test_scale_invariance():
     )
 
 
-def test_singular_channel_raises_for_zf():
+def test_singular_channel_is_flagged_for_zf():
     h = np.ones((1, 4, 4), dtype=np.complex128)  # rank one
     y = np.ones((1, 4), dtype=np.complex128)
-    with pytest.raises(DetectionFailure):
-        _zf(h, y)
-    with pytest.raises(DetectionFailure):
-        _zf(np.zeros((1, 4, 4)), y)
-    # MMSE regularizes the same channel without complaint
+    for singular in (h, np.zeros((1, 4, 4))):
+        channels = prepare_channels(DetectorKind.ZF, singular)
+        assert channels.singular.dtype == bool and channels.singular.tolist() == [True]
+        _zf(singular, y)  # decides, meaninglessly, instead of failing
+    # MMSE regularizes the same channel without complaint, and neither MMSE
+    # nor ML flags it
     _mmse(h, y, 0.1)
+    for kind in (DetectorKind.MMSE, DetectorKind.ML):
+        assert prepare_channels(kind, h).singular.tolist() == [False]
+
+
+def test_singular_channels_leave_the_others_decisions_bit_for_bit():
+    """ZF's estimates and decisions at three levels for the channels that
+    are not singular, in a batch that also holds an all-zero and a
+    rank-one channel, are those of the batch without them, bit for bit:
+    the identity that stands in for a singular Gram matrix touches only
+    its own row."""
+    stream = RngStream(62, 0)
+    _, h, hx = _random_case(stream, 300, 4, 4, snr_db=None)
+    z = stream.complex_normal((300, 4))
+    flagged = [3, 151]  # where the all-zero and the rank-one channel go
+    mixed_h = np.insert(h, [3, 150], np.stack([np.zeros((4, 4)), np.ones((4, 4))]), axis=0)
+    mixed_hx, mixed_z = (np.insert(v, [3, 150], 1.0 + 1.0j, axis=0) for v in (hx, z))
+    keep = np.ones(len(mixed_h), dtype=bool)
+    keep[flagged] = False
+
+    clean = prepare_channels(DetectorKind.ZF, h)
+    channels = prepare_channels(DetectorKind.ZF, mixed_h)
+    assert not clean.singular.any()
+    assert np.flatnonzero(channels.singular).tolist() == flagged
+    levels = [0.0, 0.01, 0.5]
+    np.testing.assert_array_equal(
+        zf_detect_batch(channels, mixed_hx, mixed_z, levels)[:, keep], zf_detect_batch(clean, hx, z, levels),
+    )
+    np.testing.assert_array_equal(
+        zf_estimate_batch(channels, mixed_hx)[keep].view(np.uint64), zf_estimate_batch(clean, hx).view(np.uint64),
+    )
 
 
 def _eigen_rule(gram):
@@ -455,8 +485,8 @@ def test_certificate_agrees_with_the_eigenvalue_rule(n_rx, n_tx):
 
 def test_typical_channels_skip_the_eigensolve(monkeypatch):
     """Random 4x4 channels all carry the certificate, so eigvalsh sees no
-    Gram matrix; one that cannot carry it goes to eigvalsh alone, and
-    raises only if the eigenvalue rule finds it singular."""
+    Gram matrix; one that cannot carry it goes to eigvalsh alone, and is
+    flagged only if the eigenvalue rule finds it singular."""
     seen = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args: seen.append(len(a)) or eigvalsh(a, *args))
@@ -465,10 +495,9 @@ def test_typical_channels_skip_the_eigensolve(monkeypatch):
     _zf(h, y)
     assert sum(seen) == 0
     h[7] = _conditioned_channels(stream, 1, 4, 4, 1e-11)[0]
-    _zf(h, y)
+    assert not prepare_channels(DetectorKind.ZF, h).singular.any()
     h[9] = 0.0
-    with pytest.raises(DetectionFailure):
-        _zf(h, y)
+    assert np.flatnonzero(prepare_channels(DetectorKind.ZF, h).singular).tolist() == [9]
     assert seen == [1, 2]
 
 

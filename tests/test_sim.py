@@ -12,7 +12,7 @@ import pytest
 
 from mimolink import numerics, sim
 from mimolink.channel import MAX_ANTENNAS, ChannelSpec
-from mimolink.detect import DetectionFailure, DetectorKind
+from mimolink.detect import DetectorKind
 from mimolink.fading import FadingModel, FadingSpec
 from mimolink.numerics import MAX_TRIALS, RngStream, pack_stream_id
 from mimolink.sim import (
@@ -734,34 +734,57 @@ def test_run_wave_with_single_trial_chunks(monkeypatch):
     assert run_wave(cfg, 3, 9).tolist() == expected
 
 
+class _InlinePool:
+    """An in-process stand-in for sim.ProcessPoolExecutor whose map runs
+    the calls in tasks of chunksize calls, as the pool's does, and records
+    each task's (start, stop) spans."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.tasks = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        calls = list(zip(*iterables))
+        tasks = [calls[i : i + chunksize] for i in range(0, len(calls), chunksize)]
+        assert len(tasks) <= self.max_workers  # one task a worker per wave
+        self.tasks += [[(a, b) for _, a, b in task] for task in tasks]
+        return [fn(*call) for task in tasks for call in task]
+
+
 def test_run_wave_on_pool_spans():
-    """The spans that one pool wave hands its workers, run separately,
-    give the trial-by-trial outcomes."""
+    """The chunk spans that one pool wave hands its workers, run
+    separately, give the trial-by-trial outcomes."""
     cfg = _point_config(_fer_config(
         channel=ChannelSpec(n_tx=2, n_rx=1), code=(2, Fraction(1)), frame_bits=8, snr_db=0.0,
     ), -5.0)
+    # The second wave, so that no span starts at trial 0, cut into chunks
+    # off the chunk grid of trial 0.
+    start, stop = sim.WAVE_FRAMES, 2 * sim.WAVE_FRAMES
+    expected = [run_frame(cfg, t) for t in range(start, stop)]
+    step = chunk_trials(cfg)
+    chunks = -(-(stop - start) // step)
+    assert chunks > 1 and start % step != 0
     for workers in (2, 3):
-        # The second wave, so that no span starts at trial 0, and spans that
-        # end off the chunk grid.
-        spans = sim._split_range(sim.WAVE_FRAMES, 2 * sim.WAVE_FRAMES, workers)
+        pool = _InlinePool(workers)
+        assert sim._simulate_wave([cfg], start, stop, pool, workers)[0].tolist() == expected
+        spans = [span for task in pool.tasks for span in task]
+        assert len(pool.tasks) == min(workers, chunks) and len(spans) == chunks
+        assert [t for a, b in spans for t in range(a, b)] == list(range(start, stop))
         for a, b in spans:
-            assert run_wave(cfg, a, b).tolist() == [run_frame(cfg, t) for t in range(a, b)]
+            assert sim._simulate_range([cfg], a, b)[0].tolist() == expected[a - start : b - start]
 
 
-def test_zf_failure_wipes_only_its_frame(monkeypatch):
-    """A singular channel in one frame of a chunk scores that frame as all
-    errored at every point of the sweep; its neighbours in the chunk are
-    scored as usual. The channel is all zero: its stream's uniforms are
-    zeroed, for the chunk's draws and the single-trial oracle's alike, so
-    preparing it for ZF fails in the chunk's prefix, once for all points."""
-    cfg = _point_config(_ber_config(detector=DetectorKind.ZF, frame_bits=120, master_seed=3), 10.0)
-    points = [cfg, _point_config(cfg, 20.0)]
-    start, stop = 2, 2 + chunk_trials(cfg)
-    bad = start + 7
-    clean = [c.tolist() for c in sim._simulate_range(points, start, stop)]
-    assert all(c[bad - start] < cfg.frame_bits for c in clean)
-
-    bad_stream = pack_stream_id(sim.EXPERIMENT_IDS[cfg.experiment.value], sim.ROLE_IID_CHANNEL, bad)
+def _zero_the_channel_of(trial: int, cfg: SimConfig, monkeypatch) -> None:
+    """Zero the uniforms of trial's i.i.d. channel stream under cfg's
+    experiment, in the engine's draws and run_frame's alike, so that every
+    entry of that trial's channels is zero."""
+    bad_stream = pack_stream_id(sim.EXPERIMENT_IDS[cfg.experiment.value], sim.ROLE_IID_CHANNEL, trial)
 
     def zeroed(stream_id: int, u: np.ndarray) -> np.ndarray:
         if stream_id == bad_stream:
@@ -776,27 +799,81 @@ def test_zf_failure_wipes_only_its_frame(monkeypatch):
         def uniform(self, n):
             return zeroed(self.stream_id, super().uniform(n))
 
-    failed = []  # the vectors of each prepare_channels call that raised
+    monkeypatch.setattr(sim, "PhiloxStreams", Streams)
+    monkeypatch.setattr(sim, "RngStream", Stream)
+
+
+def test_zf_failure_wipes_only_its_frame(monkeypatch):
+    """A singular channel in one frame of a chunk scores that frame as all
+    errored at every point of the sweep; its neighbours in the chunk are
+    scored as usual. The channel is all zero: its stream's uniforms are
+    zeroed, for the chunk's draws and the single-trial oracle's alike, so
+    preparing the chunk for ZF flags its 15 vectors in the chunk's prefix,
+    once for all points."""
+    cfg = _point_config(_ber_config(detector=DetectorKind.ZF, frame_bits=120, master_seed=3), 10.0)
+    points = [cfg, _point_config(cfg, 20.0)]
+    start, stop = 2, 2 + chunk_trials(cfg)
+    bad = start + 7
+    clean = [c.tolist() for c in sim._simulate_range(points, start, stop)]
+    assert all(c[bad - start] < cfg.frame_bits for c in clean)
+
+    _zero_the_channel_of(bad, cfg, monkeypatch)
+    prepared = []  # the vectors of each prepare_channels call, and those it flags
     prepare = sim.prepare_channels
 
     def recording(kind, h):
-        try:
-            return prepare(kind, h)
-        except DetectionFailure:
-            failed.append(len(h))
-            raise
+        channels = prepare(kind, h)
+        prepared.append((len(h), int(np.count_nonzero(channels.singular))))
+        return channels
 
-    monkeypatch.setattr(sim, "PhiloxStreams", Streams)
-    monkeypatch.setattr(sim, "RngStream", Stream)
     monkeypatch.setattr(sim, "prepare_channels", recording)
     wiped = [w.tolist() for w in sim._simulate_range(points, start, stop)]
-    # The chunk's prefix fails once for all points, and then the bad trial's.
-    assert failed == [(stop - start) * 15, 15]
+    # The chunk's prefix flags the bad trial's vectors, once for all points.
+    assert prepared == [((stop - start) * 15, 15)]
     for pc, c, w in zip(points, clean, wiped):
         expected = list(c)
         expected[bad - start] = cfg.frame_bits
         assert w == expected
         assert w == [run_frame(pc, t) for t in range(start, stop)]
+
+
+def test_every_trial_is_simulated_once(monkeypatch):
+    """The trial ranges that _run_chunk receives tile [0, frames) without
+    overlap: on the serial path, through a pool whose tasks take several
+    chunks each, and under ZF with an all-zero channel in trial 7, whose
+    chunk is run once like any other."""
+    seen = []  # the trials of each _run_chunk call
+    run_chunk = sim._run_chunk
+
+    def recording(points, draw, trials):
+        seen.append(trials)
+        return run_chunk(points, draw, trials)
+
+    monkeypatch.setattr(sim, "_run_chunk", recording)
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", _InlinePool)
+
+    def simulated(cfg, workers=1):
+        # Every point runs to max_frames: no error target is met.
+        seen.clear()
+        assert [p.frames for p in run_experiment(cfg, workers).points] == [cfg.max_frames] * len(cfg.sweep)
+        return sorted(t for trials in seen for t in trials)
+
+    fer = _fer_config(snr_db=0.0, sweep=(-5.0, 0.0), target_frame_errors=10**6)
+    step = chunk_trials(_point_config(fer, -5.0))
+    # Chunks of the serial path, the last one short.
+    serial = replace(fer, max_frames=2 * step + step // 2)
+    assert simulated(serial) == list(range(serial.max_frames))
+    assert len(seen) == 3
+    # A first pool wave of at least three chunks, two or more a task, then
+    # a short wave.
+    pooled = replace(fer, max_frames=sim.WAVE_FRAMES + step // 2)
+    assert sim.WAVE_FRAMES >= 3 * step
+    assert simulated(pooled, workers=2) == list(range(pooled.max_frames))
+    zf = _ber_config(detector=DetectorKind.ZF, frame_bits=120, sweep=(10.0, 20.0), target_frame_errors=10**6)
+    zf = replace(zf, max_frames=chunk_trials(_point_config(zf, 10.0)) + 5)
+    _zero_the_channel_of(7, zf, monkeypatch)
+    assert simulated(zf) == list(range(zf.max_frames))
 
 
 def test_ber_sweep_prepares_each_trial_once(monkeypatch):
