@@ -560,11 +560,11 @@ def _simulate_wave(
     the whole wave so that no task outlives a cut."""
     step = chunk_trials(points[0])
     starts = range(start, stop, step)
-    tasks = ([points] * len(starts), starts, [min(a + step, stop) for a in starts])
+    args = ([points] * len(starts), starts, [min(a + step, stop) for a in starts])
     if pool is None:
-        chunks = map(_simulate_range, *tasks)
+        chunks = map(_simulate_range, *args)
     else:
-        chunks = pool.map(_simulate_range, *tasks, chunksize=-(-len(starts) // workers))
+        chunks = pool.map(_simulate_range, *args, chunksize=-(-len(starts) // workers))
     return [np.concatenate(point) for point in zip(*chunks)]
 
 
