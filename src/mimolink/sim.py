@@ -62,9 +62,13 @@ config's). _simulate_wave cuts a wave of trials into chunks of
 chunk_trials and runs each once: the serial path's wave is one chunk, and
 it checks the error targets after each; the process pool gets waves of
 WAVE_FRAMES trials, ceil(chunks / workers) chunks to a task, and each
-chunk ships back one int array per point. A frame with a channel that
-ZF's preparation flags as singular (detect.PreparedChannels.singular) is
-scored as all errored, at every point.
+chunk ships back one int array per point. The pool class,
+sim.ProcessPoolExecutor, is imported when it is first read (see the
+module's __getattr__), which a sweep does only at workers > 1, so a
+serial run loads neither concurrent.futures nor multiprocessing. A frame
+with a channel that ZF's preparation flags as singular
+(detect.PreparedChannels.singular) is scored as all errored, at every
+point.
 
 Frame chain for the FER experiments: Bernoulli bits -> QPSK -> OSTBC encode
 -> time-varying correlated channel + AWGN -> combine (channel of each
@@ -80,10 +84,11 @@ import contextlib
 import enum
 import math
 import os
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -114,6 +119,9 @@ from .fading import FadingSpec, fading_draws
 from .modem import bernoulli_bits, qpsk_demodulate, qpsk_modulate
 from .numerics import MAX_TRIALS, PhiloxStreams, RngStream, complex_normal_from, normal_pairs, pack_stream_id
 from .stbc import combine_array, encode_array, ostbc_code
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "Experiment",
@@ -196,6 +204,20 @@ MAX_TRIAL_ELEMENTS = 1 << 24
 # 95% two-sided normal quantile, frozen so CSV output never shifts with
 # library updates.
 Z95 = 1.959963984540054
+
+
+def __getattr__(name: str):
+    """Import the process pool class the first time sim.ProcessPoolExecutor
+    is read (PEP 562), and keep it as a module global: concurrent.futures
+    and the multiprocessing modules it loads cost a fresh interpreter
+    about 20 ms, which only a sweep of workers > 1 needs. _run_sweep reads
+    the class through the module, so a class set on it is the one used."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -414,11 +436,15 @@ def _run_chunk(points: list[SimConfig], draw, trials: range) -> list[np.ndarray]
 
     def uniforms(role: int, per_trial: int, links: int = 1) -> np.ndarray:
         # Row i * links + j holds the start of stream (role + j, trials[i]).
-        u = np.empty((f, links, per_trial))
-        for i, trial in enumerate(trials):
-            for j in range(links):
-                draw(pack_stream_id(exp_id, role + j, trial), u[i, j])
-        return u.reshape(f * links, per_trial)
+        # The ids' fields are disjoint, so packing the smallest and the
+        # largest checks every field of every id in between.
+        base = pack_stream_id(exp_id, role, trials[0]) - trials[0]
+        pack_stream_id(exp_id, role + links - 1, trials[-1])
+        ids = [base + (j << numerics.ROLE_SHIFT) + trial for trial in trials for j in range(links)]
+        u = np.empty((f * links, per_trial))
+        for stream_id, row in zip(ids, u):
+            draw(stream_id, row)
+        return u
 
     def noise(n: int) -> np.ndarray:
         return uniforms(ROLE_NOISE, n // f)
@@ -623,7 +649,7 @@ def _run_sweep(config: SimConfig, rules: list[tuple[int, int]], workers: int) ->
     tallies = [_Tally() for _ in points]
     results: list[SweepPoint | None] = [None] * len(points)
     active = list(range(len(points)))
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
+    pool = sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
     with pool as executor:
         wave = WAVE_FRAMES if executor is not None else chunk_trials(points[0])
         start = 0

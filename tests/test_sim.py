@@ -398,6 +398,45 @@ def test_stream_ids_never_collide(monkeypatch):
     assert sorted(drawn) == sorted(pack_stream_id(exp_id, role, t) for t in trials for role in frame_roles)
 
 
+def _draw_order_cases():
+    doppler = SimConfig(
+        experiment=Experiment.FER_VS_DOPPLER, channel=ChannelSpec(n_tx=4, n_rx=4),
+        code=(4, Fraction(3, 4)), sweep=(50.0,), master_seed=3,
+    )
+    bits, noise, fading = sim.ROLE_BITS, sim.ROLE_NOISE, sim.ROLE_FADING
+    return [
+        (_point_config(doppler, 50.0), range(6, 8), [(bits, 1), (fading, 16), (noise, 1)]),
+        (_point_config(_fer_config(), -8.0), range(3, 9), [(bits, 1), (fading, 8), (noise, 1)]),
+        (_point_config(_ber_config(detector=DetectorKind.ZF), 5.0), range(2, 7),
+         [(bits, 1), (sim.ROLE_IID_CHANNEL, 1), (noise, 1)]),
+    ]
+
+
+@pytest.mark.parametrize("cfg, trials, roles", _draw_order_cases(), ids=["doppler-4x4", "gain", "ber-zf"])
+def test_run_chunk_draw_order(cfg, trials, roles):
+    """_run_chunk asks for its streams role by role, in call order, and
+    within a role trial-major: (role + j, t) for each trial t, then each
+    of the role's links j. A chunk whose last trial is past the stream
+    ids' trial field raises before its first draw."""
+    exp_id = cfg.experiment.exp_id
+    streams = numerics.PhiloxStreams(cfg.master_seed)
+    drawn = []
+
+    def draw(stream_id, out):
+        drawn.append(stream_id)
+        streams.uniform(stream_id, out)
+
+    counts = sim._run_chunk([cfg], draw, trials)[0]
+    expected = [pack_stream_id(exp_id, role + j, t) for role, links in roles for t in trials for j in range(links)]
+    assert drawn == expected
+    assert counts.tolist() == [run_frame(cfg, t) for t in trials]
+
+    drawn.clear()
+    with pytest.raises(ValueError, match="trial_index"):
+        sim._run_chunk([cfg], draw, range(MAX_TRIALS - 1, MAX_TRIALS + 1))
+    assert drawn == []
+
+
 def test_run_frame_deterministic():
     cfg = _fer_config(snr_db=0.0)  # noisy enough that outcomes vary by trial
     for trial in (0, 1, 17):
