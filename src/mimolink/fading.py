@@ -27,8 +27,11 @@ three plans from the spec alone:
       sum_m cos(theta_m + (n - c) d_m) = sum_k mu_k (n - c)^k,
       mu_k = sum_m cos(theta_m + k pi/2) d_m^k / k!,
 
-  so a block costs 2M trig calls and a sample K multiply-adds. The
-  truncation error of a gain is at most TAYLOR_TOL (1e-16).
+  so a block costs 2M trig calls and two contractions over the M
+  sinusoids, of the cosines with the even-k weights and of the sines with
+  the odd-k ones, and its samples one contraction of the moments with
+  the offsets' powers. The truncation error of a gain is at most
+  TAYLOR_TOL (1e-16).
 - Rotation blocks of L = ROTATION_BLOCK (32), at low sample rates, near
   Nyquist included (256 Hz to 20 kHz at f_d = 100 Hz): at the offset
   k = n - c,
@@ -109,9 +112,11 @@ MAX_TABLE = numerics.CHUNK_ELEMENTS // 4
 # block_plan's cost model, in units of one float64 elementwise multiply
 # (0.38 ns), fitted to timings with numpy 2.4 on an x86-64 Xeon: a cos or
 # sin (30 to 90 units, by the size of its argument), one Taylor moment per
-# sinusoid and block (a product and a last-axis sum: 8 to 11), one Horner
-# step per sample (a broadcast multiply and add in place, which numpy
-# buffers: 5 to 9), and one product and sum of the rotation contraction.
+# sinusoid and block and one power per sample (fitted to the loops of
+# products and sums, 8 to 11, and of Horner steps, 5 to 9, that the
+# einsum contractions replaced), and one product and sum of the rotation
+# contraction. The contractions cost about a quarter of those loops, but a
+# refit picks longer blocks of higher order, which link_gains runs slower.
 # ROTATION_CALL is the call length, in samples, that shares a call's
 # rotation tables: the 80 rows of a default 4x4 FER frame.
 COS_COST = 40
@@ -264,7 +269,7 @@ def block_plan(spec: FadingSpec) -> BlockPlan:
         while math.sqrt(m) * x ** (order + 1) / math.factorial(order + 1) > TAYLOR_TOL:
             order += 1
         # Per sample: a block's 2M trig calls and its K + 1 moments, shared
-        # by its L samples, then K steps of Horner's rule.
+        # by its L samples, then its K powers.
         cost = m * (2 * COS_COST + TAYLOR_MOMENT * (order + 1)) / length + HORNER_STEP * order + 1
         if cost < best_cost:
             best, best_cost = BlockPlan("taylor", length, order), cost
@@ -308,23 +313,35 @@ def _rotation_tables(freqs: np.ndarray, step: float, length: int) -> tuple[np.nd
     return cos, sin
 
 
+def _taylor_weights(freqs: np.ndarray, step: float, order: int) -> np.ndarray:
+    # s_k d_m^k / k! at k = 1, ..., K, with d_m = f_m * step and s_k the
+    # sign of cos^(k) = -sin, -cos, sin, cos, ...: a (K, ..., M) array whose
+    # row k is row k - 1 times -d_m / k for odd k and d_m / k for even k.
+    k = np.arange(1, order + 1)
+    weights = np.multiply.outer(np.where(k % 2, -step, step) / k, freqs)
+    for i in range(1, order):
+        weights[i] *= weights[i - 1]
+    return weights
+
+
 def _block_sums(
     freqs: np.ndarray,
     phases: np.ndarray,
     wd: float,
     fs: float,
     plan: BlockPlan,
-    tables: tuple[np.ndarray, np.ndarray] | None,
+    tables: tuple[np.ndarray, np.ndarray] | np.ndarray,
     lo: int,
     hi: int,
 ) -> np.ndarray:
     # sum_m cos((n / fs * freqs[..., m]) * wd + phases[..., m]) for samples
     # lo <= n < hi, shape (..., hi - lo), from the blocks that [lo, hi)
-    # touches, about their anchors c = jL + L // 2.
-    _, length, order = plan
+    # touches, about their anchors c = jL + L // 2. tables holds the
+    # rotation tables, or else the Taylor weights.
+    mode, length, order = plan
     m = freqs.shape[-1]
     j0, j1 = lo // length, (hi - 1) // length + 1
-    if tables is not None:
+    if mode == "rotation":
         # Rotation: at the offsets +-k from an anchor the sum is A_k -+ B_k,
         # with A_k = sum_m cos(theta_m) cos(k d_m) and B_k the same of the
         # sines, each contracted over the M sinusoids in one fixed order,
@@ -344,31 +361,28 @@ def _block_sums(
     _anchor_phases(freqs, phases, wd, fs, length, j0, j1, theta)
     sin = np.sin(theta) if order else None
     cos = np.cos(theta, out=theta)
-    # mu_k = sum_m cos^(k)(theta_m) d_m^k / k!, with d_m = wd f_m / fs the
-    # phase step of a sample and cos^(k) = cos, -sin, -cos, sin, ...
+    # mu_k = sum_m cos^(k)(theta_m) d_m^k / k!, with cos^(k) = s_k sin for
+    # odd k and s_k cos for even k: the sines against the odd-k weights and
+    # the cosines against the even-k ones, each contracted over the M
+    # sinusoids in one fixed order, whatever the tile's shape.
     mu = np.empty((order + 1, *theta.shape[:-1]))
     np.sum(cos, axis=-1, out=mu[0])
     if order:
-        weight = np.ones((*freqs.shape[:-1], 1, m))
-        term = np.empty_like(theta)
-        for k in range(1, order + 1):
-            weight *= freqs[..., None, :]
-            weight *= wd / fs / k
-            np.multiply(sin if k % 2 else cos, weight, out=term)
-            np.sum(term, axis=-1, out=mu[k])
-            if k % 4 in (1, 2):
-                np.negative(mu[k], out=mu[k])
-    # Horner's rule at the samples' offsets from their anchors: the samples
-    # themselves in a single block, the whole blocks in a run of them.
+        np.einsum("...jm,k...m->k...j", sin, tables[0::2], out=mu[1::2])
+        np.einsum("...jm,k...m->k...j", cos, tables[1::2], out=mu[2::2])
+    # The polynomials at the samples' offsets from their anchors (the
+    # samples themselves in a single block, the whole blocks in a run of
+    # them), sum_k mu_k (n - c)^k, each summed from k = 0 up.
     first = j0 * length + length // 2
     if j1 - j0 == 1:
         offsets, skip = np.arange(lo - first, hi - first, dtype=np.float64), 0
     else:
         offsets, skip = np.arange(-(length // 2), length - length // 2, dtype=np.float64), lo - j0 * length
-    acc = np.repeat(mu[order][..., None], len(offsets), axis=-1)
-    for k in range(order - 1, -1, -1):
-        acc *= offsets
-        acc += mu[k][..., None]
+    powers = np.empty((len(offsets), order + 1))
+    powers[:, 0] = 1.0
+    for k in range(order):
+        np.multiply(powers[:, k], offsets, out=powers[:, k + 1])
+    acc = np.einsum("k...,nk->...n", mu, powers)
     return acc.reshape(*acc.shape[:-2], -1)[..., skip : skip + hi - lo]
 
 
@@ -379,19 +393,21 @@ def _tile_elements(spec: FadingSpec, start: int, n: int) -> tuple[int, int, int]
     each operand up to its output's size. Per link: the frequencies and
     phases, 4M; under rotation the tables, 2(L + 2)M, their build's steps,
     8M, and its last product with two buffers, 3LM/2; under Taylor the
-    weights, 2M. Per block of a link: the anchors' times, 2, the anchor
-    phases, and their sines (rotation) or sines and a moment term (Taylor),
-    2M each, then the larger of a broadcast step's buffers, 6M, and the
-    rest: the sums A_k and B_k, 2(L + 2), and the 2L gains with three
-    buffers, or the 2(K + 1) moments and Horner's values with two buffers,
-    6 per sample. Per block of samples: the Rician LOS steps, 6 a sample."""
+    weights of k = 1, ..., K, 2KM. Per block of a link: the anchors' times,
+    2, the anchor phases, and their sines (rotation, Taylor), 2M each, then
+    the larger of a broadcast step's buffers, 6M, and the rest: the sums
+    A_k and B_k, 2(L + 2), and the 2L gains with three buffers, or the
+    2(K + 1) moments and the polynomials' values, 2 a sample. Per block of
+    samples: the offsets and their powers, K + 2 a sample, and the Rician
+    LOS steps, 6 a sample."""
     mode, length, order = block_plan(spec)
     m = spec.num_sinusoids
     samples = n if start // length == (start + n - 1) // length else length
     los = 6 * samples if spec.model is FadingModel.RICIAN else 0
     if mode == "rotation":
         return (7 * length // 2 + 16) * m, 2 + 4 * m + max(6 * m, 7 * length + 4), los
-    return (6 if order else 4) * m, 2 + (6 if order else 2) * m + max(6 * m, 2 * order + 2 + 6 * samples), los
+    return ((4 + 2 * order) * m, 2 + (4 if order else 2) * m + max(6 * m, 2 * order + 2 + 2 * samples),
+            los + (order + 2) * samples)
 
 
 def link_gains(
@@ -446,7 +462,10 @@ def link_gains(
         # Both quadratures side by side, (2, group, M), and the group's tables.
         freqs = np.stack([np.cos(alphas[rows]), np.sin(alphas[rows])])
         phases = np.stack([psis[rows], thetas[rows]])
-        tables = _rotation_tables(freqs, wd / fs, length) if plan.mode == "rotation" else None
+        if plan.mode == "rotation":
+            tables = _rotation_tables(freqs, wd / fs, length)
+        else:
+            tables = _taylor_weights(freqs, wd / fs, plan.order)
         for j in range(first, last, blocks):
             lo, hi = max(start, j * length), min(start + n, (j + blocks) * length)
             re, im = _block_sums(freqs, phases, wd, fs, plan, tables, lo, hi)

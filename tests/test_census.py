@@ -20,7 +20,17 @@ channels once per chunk, S and W, and decides each point on S + W / g;
 the per-point chain it replaces scales the channels by g, forms
 y = g H0 x + w and combines y under g H0 at every point. The oracle
 records the engine's prefix (bits, codewords, unit-gain matrices, noise)
-and runs that chain on it."""
+and runs that chain on it.
+
+The fading kernel's Taylor plan forms its moments and polynomials as
+einsum contractions, which round otherwise than the loops of products,
+sums and Horner steps that they replace. The loops stay in
+tests/test_fading.py as the oracle, and here they replace the kernel's
+Taylor sums in the FER gain and Doppler chains: every trial's count must
+be the same. The same chains then run under a 1-ulp mode, which moves
+every float64 output of np.cos, np.sin, np.exp and np.log1p by one ulp
+in a seeded random direction, as another CPU's SIMD kernels might round
+them: a count that moves is a trial that such a host would flip."""
 
 import math
 from fractions import Fraction
@@ -28,13 +38,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mimolink import sim
+from mimolink import fading, sim
 from mimolink.channel import MAX_PATH_GAIN_DB, ChannelSpec, path_gain, receive
 from mimolink.detect import DetectorKind, zf_estimate_batch
-from mimolink.fading import FadingModel, FadingSpec
+from mimolink.fading import FadingModel, FadingSpec, block_plan
 from mimolink.modem import qpsk_demodulate
 from mimolink.sim import Experiment, SimConfig, _point_config
 from mimolink.stbc import combine_array, ostbc_code, supported_codes
+from test_fading import taylor_block_sums_loops
 
 SEED = 7
 TRIALS = 1000
@@ -207,3 +218,77 @@ def test_extreme_gains_count_as_the_per_point_chain(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(engine, chain))
     lost, _, clean = (int(c.sum()) for c in chain)
     assert 0.4 < lost / (200 * GAIN_FRAME_BITS) < 0.6 and clean == 0
+
+
+# (id, experiment, code, n_rx, fading, path gain in dB, sweep, trials):
+# 100,000 trial-points a shape, of 24-bit frames at 10 dB SNR, under the
+# Taylor plans (256, 9) at 1 MHz, (128, 11) at 200 kHz, and (512, 8),
+# (512, 9) and (256, 9) at the Dopplers of 25 to 100 Hz at 1 MHz.
+_FADING_SHAPES = [
+    ("gain-4x3/4-nr4-1MHz", Experiment.FER_VS_GAIN, (4, Fraction(3, 4)), 4, FadingSpec(), 0.0,
+     tuple(float(g) for g in range(-20, 0)), 5000),
+    ("gain-2x1-nr1-200kHz", Experiment.FER_VS_GAIN, (2, Fraction(1)), 1, FadingSpec(sample_rate_hz=2e5), 0.0,
+     tuple(float(g) for g in range(-12, 8)), 5000),
+    ("doppler-2x1-nr2-rician", Experiment.FER_VS_DOPPLER, (2, Fraction(1)), 2,
+     FadingSpec(model=FadingModel.RICIAN, k_factor=4.0, los_doppler_hz=100.0), -5.0, (25.0, 50.0, 75.0, 100.0), 25000),
+]
+
+
+@pytest.fixture(scope="module", params=_FADING_SHAPES, ids=[shape[0] for shape in _FADING_SHAPES])
+def fading_chain(request):
+    """A FER chain's point configs and trials, and the engine's per-trial
+    bit-error counts at each point."""
+    _, experiment, code, n_rx, spec, gain_db, sweep, trials = request.param
+    config = SimConfig(
+        experiment=experiment, code=code, frame_bits=GAIN_FRAME_BITS, sweep=sweep, master_seed=SEED,
+        channel=ChannelSpec(n_tx=code[0], n_rx=n_rx, fading=spec, path_gain_db=gain_db),
+    )
+    config.validate()
+    points = [_point_config(config, x) for x in sweep]
+    assert all(block_plan(pc.channel.fading).mode == "taylor" for pc in points)
+    return points, trials, sim._simulate_wave(points, 0, trials)
+
+
+def _differing(fading_chain) -> int:
+    # The trial-points whose counts differ from the engine's, when the chain
+    # runs again under the test's patches.
+    points, trials, engine = fading_chain
+    chain = sim._simulate_wave(points, 0, trials)
+    # The census is not vacuous: the chain has errors to flip.
+    assert sum(int(c.sum()) for c in chain) > 0
+    return sum(int(np.count_nonzero(a != b)) for a, b in zip(engine, chain))
+
+
+def test_taylor_contractions_count_as_the_loops(fading_chain, monkeypatch):
+    """The loops in place of the contractions: the number of trial-points
+    whose counts differ must be zero."""
+    monkeypatch.setattr(fading, "_block_sums", taylor_block_sums_loops)
+    assert _differing(fading_chain) == 0
+
+
+def _one_ulp(ufunc, rng, called: set):
+    """ufunc, with each float64 of its output array (a complex128 output's
+    real and imaginary parts) moved by one ulp, up or down by a coin of
+    rng; its name goes into called."""
+
+    def moved(*args, **kwargs):
+        called.add(ufunc.__name__)
+        result = ufunc(*args, **kwargs)
+        parts = result.view(np.float64)
+        np.nextafter(parts, np.where(rng.random(parts.shape) < 0.5, np.inf, -np.inf), out=parts)
+        return result
+
+    return moved
+
+
+def test_one_ulp_of_the_transcendentals_flips_no_trial(fading_chain, monkeypatch):
+    """The chain with np.cos, np.sin, np.exp and np.log1p each one ulp off:
+    the number of trial-points whose counts differ must be zero. The
+    fading and the noise call all but np.exp, which the Rician
+    line-of-sight phasor calls."""
+    rng, called = np.random.default_rng(SEED), set()
+    for name in ("cos", "sin", "exp", "log1p"):
+        monkeypatch.setattr(np, name, _one_ulp(getattr(np, name), rng, called))
+    assert _differing(fading_chain) == 0
+    points = fading_chain[0]
+    assert called == {"cos", "sin", "log1p"} | ({"exp"} if points[0].channel.fading.k_factor else set())

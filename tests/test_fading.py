@@ -21,6 +21,9 @@ from mimolink.fading import (
     FadingModel,
     FadingProcess,
     FadingSpec,
+    _anchor_phases,
+    _block_sums,
+    _taylor_weights,
     _tile_elements,
     block_plan,
     check_validation_samples,
@@ -274,6 +277,68 @@ def test_taylor_blocks_are_seamless_and_tile_invariant(fs, monkeypatch):
                    2 * (per_link + 4 * per_block), 10**9):
         monkeypatch.setattr(numerics, "CHUNK_ELEMENTS", budget)
         np.testing.assert_array_equal(link_gains(spec, *angles, start, n), expected)
+
+
+def taylor_block_sums_loops(freqs, phases, wd, fs, plan, tables, lo, hi):
+    """_block_sums's Taylor plan as loops, the kernel before its moments and
+    polynomials became contractions: each moment mu_k a product of the
+    cosines or sines with a running weight d_m^k / k! and a last-axis sum,
+    negated where cos^(k) is, and then K steps of Horner's rule. tables
+    (the contractions' weights) is not read."""
+    mode, length, order = plan
+    assert mode == "taylor"
+    m = freqs.shape[-1]
+    j0, j1 = lo // length, (hi - 1) // length + 1
+    theta = np.empty((*freqs.shape[:-1], j1 - j0, m))
+    _anchor_phases(freqs, phases, wd, fs, length, j0, j1, theta)
+    sin = np.sin(theta) if order else None
+    cos = np.cos(theta, out=theta)
+    mu = np.empty((order + 1, *theta.shape[:-1]))
+    np.sum(cos, axis=-1, out=mu[0])
+    if order:
+        weight = np.ones((*freqs.shape[:-1], 1, m))
+        term = np.empty_like(theta)
+        for k in range(1, order + 1):
+            weight *= freqs[..., None, :]
+            weight *= wd / fs / k
+            np.multiply(sin if k % 2 else cos, weight, out=term)
+            np.sum(term, axis=-1, out=mu[k])
+            if k % 4 in (1, 2):
+                np.negative(mu[k], out=mu[k])
+    first = j0 * length + length // 2
+    if j1 - j0 == 1:
+        offsets, skip = np.arange(lo - first, hi - first, dtype=np.float64), 0
+    else:
+        offsets, skip = np.arange(-(length // 2), length - length // 2, dtype=np.float64), lo - j0 * length
+    acc = np.repeat(mu[order][..., None], len(offsets), axis=-1)
+    for k in range(order - 1, -1, -1):
+        acc *= offsets
+        acc += mu[k][..., None]
+    return acc.reshape(*acc.shape[:-2], -1)[..., skip : skip + hi - lo]
+
+
+@pytest.mark.parametrize("fd, fs", [(25.0, 1e6), (50.0, 1e6), (100.0, 1e6), (100.0, 2e5), (100.0, 1e5)])
+def test_taylor_sums_stay_near_the_loops(fd, fs):
+    """The contractions' Taylor sums against the loops they replaced, on 6
+    links, inside one block, over whole blocks and across block edges,
+    from t = 0 and from 10^7 samples on. The two round differently: they
+    may part by at most 5e-15 per unit of gain, 5e-15 sqrt(M) in a sum of
+    M cosines (the gains parted by at most 1.2e-15 when this was measured
+    at 1 MHz and 200 kHz)."""
+    spec = FadingSpec(max_doppler_hz=fd, sample_rate_hz=fs)
+    plan = block_plan(spec)
+    assert plan.mode == "taylor"
+    length, m = plan.length, spec.num_sinusoids
+    alphas, psis, thetas = fading_angles(spec, np.stack([RngStream(15, sid).uniform(1 + 2 * m) for sid in range(6)]))
+    freqs, phases = np.stack([np.cos(alphas), np.sin(alphas)]), np.stack([psis, thetas])
+    wd = 2.0 * np.pi * fd
+    weights = _taylor_weights(freqs, wd / fs, plan.order)
+    for start in (0, 10**7):
+        for lo, hi in ((3, 83), (0, length), (length // 2 + 1, 3 * length + 5)):
+            args = (freqs, phases, wd, fs, plan, weights, start + lo, start + hi)
+            sums, loops = _block_sums(*args), taylor_block_sums_loops(*args)
+            assert sums.shape == loops.shape == (2, 6, hi - lo)
+            assert np.max(np.abs(sums - loops)) <= 5e-15 * math.sqrt(m)
 
 
 def test_block_plan_rule():
