@@ -92,7 +92,8 @@ __all__ = [
 K_AWGN_SENTINEL = 1e9
 
 # Samples validate_process accepts: enough for meaningful comparisons, and
-# few enough to bound its memory (about 24 bytes a sample).
+# few enough to bound its memory (8 bytes a sample, the envelope, beside
+# kernel tiles and the Rician CDF grid).
 MIN_VALIDATION_SAMPLES = 100_000
 MAX_VALIDATION_SAMPLES = 10_000_000
 
@@ -530,10 +531,18 @@ def ks_statistic(samples: np.ndarray, cdf_values: np.ndarray) -> float:
     if n == 0:
         raise ValueError("need at least one sample")
     c = np.asarray(cdf_values, dtype=np.float64)
-    steps = np.arange(n + 1, dtype=np.float64)
-    steps /= n  # the empirical CDF's levels k / n, k = 0..n
-    hi = np.max(steps[1:] - c)
-    lo = np.max(c - steps[:-1])
+    if c.shape != (n,):
+        raise ValueError("need one CDF value per sample")
+    # The empirical CDF's levels k / n, k = 0..n, one tile at a time: above
+    # the reference at the k-th point (k = 1..n) and below it before.
+    hi = lo = -math.inf
+    tile = numerics.CHUNK_ELEMENTS
+    for start in range(0, n, tile):
+        ci = c[start : start + tile]
+        steps = np.arange(start, start + len(ci) + 1, dtype=np.float64)
+        steps /= n
+        hi = np.maximum(hi, np.max(steps[1:] - ci))
+        lo = np.maximum(lo, np.max(ci - steps[:-1]))
     return float(max(hi, lo))
 
 
@@ -590,23 +599,52 @@ def validate_process(proc: FadingProcess, n_samples: int) -> EnvelopeStats:
     (closed form for Rayleigh, numeric integration of the Rician density).
     n_samples must pass check_validation_samples and the process's spec
     check_validation_spec.
+
+    The gains are drawn in tiles of numerics.CHUNK_ELEMENTS samples, which
+    join seamlessly, and only their envelope is kept: one float64 a sample
+    (8 bytes) beside tiles of scratch, and under Rician fading the CDF grid
+    of rician_envelope_cdf_grid. Each tile adds its lag products to
+    running sums, so the autocorrelation's last bits depend on the tile
+    size; the envelope, its sort, the mean power and the KS statistic do
+    not.
     """
     check_validation_samples(n_samples)
     spec = proc.spec
     check_validation_spec(spec)
 
-    g = fading_next(proc, n_samples)
-    x = g.real
     fs = spec.sample_rate_hz
     fd = spec.max_doppler_hz
     # Enough lags to cover tau * f_d up to 2 when the sampling is dense, and
     # never fewer than 20.
     n_lags = max(20, min(int(math.ceil(2.0 * fs / fd)) + 1, 400))
     n_lags = min(n_lags, n_samples // 2)
-    r0 = float(np.dot(x, x) / n_samples)
+    tile = numerics.CHUNK_ELEMENTS
+    env = np.empty(n_samples)
+    # sums[ell] = sum_i x_i x_{i + ell} of the real parts x. window holds the
+    # last n_lags - 1 real parts of the tiles before (carry of them), then
+    # the tile's own.
+    sums = np.zeros(n_lags)
+    window = np.empty(n_lags - 1 + min(tile, n_samples))
+    carry = 0
+    for lo in range(0, n_samples, tile):
+        size = min(tile, n_samples - lo)
+        g = fading_next(proc, size)
+        np.abs(g, out=env[lo : lo + size])
+        stop = carry + size
+        x = window[:stop]
+        x[carry:] = g.real
+        del g
+        for ell in range(min(n_lags, stop)):
+            first = max(carry, ell)  # the first product's later sample
+            sums[ell] += np.dot(x[first - ell : stop - ell], x[first:])
+        carry = min(n_lags - 1, stop)
+        window[:carry] = x[stop - carry :]
+    del window, x
+
+    r0 = float(sums[0] / n_samples)
     lags = []
     for ell in range(n_lags):
-        emp = float(np.dot(x[: n_samples - ell], x[ell:]) / (n_samples - ell)) / r0
+        emp = float(sums[ell] / (n_samples - ell)) / r0
         tau = ell / fs
         theo = bessel_j0(2.0 * np.pi * fd * tau)
         if spec.model is FadingModel.RICIAN:
@@ -614,20 +652,20 @@ def validate_process(proc: FadingProcess, n_samples: int) -> EnvelopeStats:
             theo = (k * math.cos(2.0 * np.pi * spec.los_doppler_hz * tau) + theo) / (k + 1.0)
         lags.append((tau, emp, float(theo)))
 
-    # Only the envelope is needed from here on: one array, sorted in place.
-    env = np.abs(g)
-    del g, x
-    mean_power = float(np.mean(env**2))
+    mean_power = float(np.dot(env, env) / n_samples)
     env.sort()
+    # The model CDF at the sorted envelope, built in env's buffer;
+    # ks_statistic reads only the sample count from its first argument.
+    cdf = env
     if spec.model is FadingModel.RAYLEIGH:
-        # 1 - exp(-env^2), built in env's buffer; ks_statistic reads only
-        # the sample count from its first argument.
-        cdf = np.square(env, out=env)
+        # 1 - exp(-env^2).
+        np.square(env, out=cdf)
         np.negative(cdf, out=cdf)
         np.exp(cdf, out=cdf)
         np.subtract(1.0, cdf, out=cdf)
     else:
         grid, cdf_grid = rician_envelope_cdf_grid(spec.k_factor, float(env[-1]) * 1.01)
-        cdf = np.interp(env, grid, cdf_grid)
+        for lo in range(0, n_samples, tile):
+            cdf[lo : lo + tile] = np.interp(env[lo : lo + tile], grid, cdf_grid)
     ks = ks_statistic(env, cdf)
     return EnvelopeStats(ks_statistic=ks, empirical_mean_power=mean_power, autocorr_lags=lags)

@@ -168,25 +168,35 @@ def complex_normal_from(u: np.ndarray, var: float) -> np.ndarray:
 def _i0e_series(x: np.ndarray) -> np.ndarray:
     # e^-x times the I0 series. All terms positive, so no cancellation
     # below the cutoff.
-    q = 0.25 * x * x
+    # Each step is term * q / (k * k), done in place so that no step
+    # allocates.
+    q = 0.25 * x
+    q *= x
     term = np.ones_like(x)
     total = np.ones_like(x)
     for k in range(1, 60):
-        term = term * q / (k * k)
+        term *= q
+        term /= k * k
         total += term
-    return np.exp(-x) * total
+    np.negative(x, out=q)
+    total *= np.exp(q, out=q)
+    return total
 
 
 def _i0e_asymptotic(x: np.ndarray) -> np.ndarray:
     # I0(x) ~ e^x / sqrt(2 pi x) * sum_k ((2k-1)!!)^2 / (k! 8^k x^k), so
     # the e^x cancels and nothing overflows. For x >= 15 the terms shrink
     # through k = 25, leaving truncation error around 1e-14 relative.
+    # Each step is term * (2k - 1)^2 / (8k x), done in place.
     term = np.ones_like(x)
     total = np.ones_like(x)
+    scratch = np.empty_like(x)
     for k in range(1, 25):
-        term = term * (2 * k - 1) ** 2 / (8.0 * k * x)
+        term *= (2 * k - 1) ** 2
+        term /= np.multiply(8.0 * k, x, out=scratch)
         total += term
-    return total / np.sqrt(2.0 * np.pi * x)
+    total /= np.sqrt(np.multiply(2.0 * np.pi, x, out=scratch), out=scratch)
+    return total
 
 
 def _domain_checked(x, x_max: float) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Statistical and structural tests for the sum-of-sinusoids fading models."""
 
+import inspect
 import math
 import tracemalloc
 
@@ -512,6 +513,65 @@ def test_validate_process_preconditions():
     )
     with pytest.raises(ValueError):
         validate_process(fading_init(awgnish, RngStream(1, 0)), 200_000)
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(FadingSpec(sample_rate_hz=2e4), id="rayleigh"),
+    pytest.param(FadingSpec(model=FadingModel.RICIAN, sample_rate_hz=2e4, k_factor=4.0,
+                            los_doppler_hz=100.0, los_phase_rad=0.3), id="rician"),
+])
+def test_validate_process_tiles_keep_the_statistics(spec, monkeypatch):
+    """validate_process reads the kernel in tiles of numerics.CHUNK_ELEMENTS
+    samples. At fs = 20 kHz its window is 400 lags, so tiles of 150
+    samples carry the last 399 real parts across several tiles. Every
+    tiling gives the one-tile run's KS statistic and mean power, both read
+    from the whole envelope, bit for bit, and its autocorrelation, whose
+    lag sums run tile by tile, to 1e-12 relative. One tile sums each lag
+    as one dot product over the whole run."""
+    n = MIN_VALIDATION_SAMPLES
+
+    def run(budget):
+        monkeypatch.setattr(numerics, "CHUNK_ELEMENTS", budget)
+        return validate_process(fading_init(spec, RngStream(16, 0)), n)
+
+    whole = run(n)
+    assert len(whole.autocorr_lags) == 400
+    for budget in (150, 4096):
+        tiled = run(budget)
+        assert tiled.ks_statistic == whole.ks_statistic
+        assert tiled.empirical_mean_power == whole.empirical_mean_power
+        np.testing.assert_array_equal([lag[::2] for lag in tiled.autocorr_lags],
+                                      [lag[::2] for lag in whole.autocorr_lags])
+        np.testing.assert_allclose([lag[1] for lag in tiled.autocorr_lags],
+                                   [lag[1] for lag in whole.autocorr_lags], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(FAST_SPEC, id="rayleigh"),
+    pytest.param(FadingSpec(model=FadingModel.RICIAN, sample_rate_hz=256.0, k_factor=4.0,
+                            los_doppler_hz=100.0), id="rician"),
+])
+def test_validate_process_keeps_one_float64_a_sample(spec):
+    """A validate_process run of 10^6 samples allocates 8 bytes a sample,
+    its envelope, beside a fixed allowance: 6 kernel tiles of
+    numerics.CHUNK_ELEMENTS (a tile's complex gains, 2, link_gains'
+    scratch, the real parts' window, and the KS statistic's levels and
+    differences, 2), and under Rician fading 7 CDF grids (the grid, the
+    density and its intermediates; rician_envelope_cdf_grid peaks near
+    6)."""
+    n = 1_000_000
+    validate_process(fading_init(spec, RngStream(15, 1)), MIN_VALIDATION_SAMPLES)  # fills the caches
+    proc = fading_init(spec, RngStream(15, 0))
+    tracemalloc.start()
+    try:
+        validate_process(proc, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    allowance = 6 * numerics.CHUNK_ELEMENTS
+    if spec.model is FadingModel.RICIAN:
+        allowance += 7 * inspect.signature(rician_envelope_cdf_grid).parameters["n_grid"].default
+    assert peak <= 8 * (n + allowance), (peak, 8 * (n + allowance))
 
 
 def test_validate_process_rayleigh_stats():

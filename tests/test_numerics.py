@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mimolink.numerics import (
+    I0E_SERIES_CUTOFF,
     PhiloxStreams,
     RngStream,
     bessel_i0e,
@@ -125,6 +126,48 @@ def test_bessel_continuous_at_series_asymptotic_seam():
     for x in (14.999, 15.0, 15.001):
         assert bessel_i0e(x) == pytest.approx(_i0e_reference(x), rel=1e-10)
         assert bessel_j0(x) == pytest.approx(float(mpmath.besselj(0, x)), abs=1e-10)
+
+
+def _i0e_series_expressions(x: np.ndarray) -> np.ndarray:
+    """numerics._i0e_series before its updates were made in place: a new
+    term array per step."""
+    q = 0.25 * x * x
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    for k in range(1, 60):
+        term = term * q / (k * k)
+        total += term
+    return np.exp(-x) * total
+
+
+def _i0e_asymptotic_expressions(x: np.ndarray) -> np.ndarray:
+    """numerics._i0e_asymptotic before its updates were made in place."""
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    for k in range(1, 25):
+        term = term * (2 * k - 1) ** 2 / (8.0 * k * x)
+        total += term
+    return total / np.sqrt(2.0 * np.pi * x)
+
+
+def test_bessel_i0e_in_place_updates_keep_the_bits():
+    """bessel_i0e equals, bit for bit, the series and the asymptotic
+    expansion written as new arrays per step, on both branches and at the
+    cutoff at 15."""
+    cut = I0E_SERIES_CUTOFF
+    xs = np.unique(np.concatenate([
+        [0.0, 5e-324, 1e-300, 1e-8, np.nextafter(cut, 0.0), cut, np.nextafter(cut, np.inf)],
+        np.linspace(0.0, 30.0, 30_001),
+        np.geomspace(30.0, 1e300, 2_000),
+        RngStream(21, 0).uniform(10_000) * 2.0 * cut,
+    ]))
+    small = xs < cut
+    want = np.empty_like(xs)
+    want[small] = _i0e_series_expressions(xs[small])
+    want[~small] = _i0e_asymptotic_expressions(xs[~small])
+    got = bessel_i0e(xs)
+    assert small.any() and (~small).any()
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_bessel_i0_monotone():
