@@ -33,10 +33,12 @@ level. A noise level that is negative or not finite raises ValueError.
 ZF and MMSE decide by the modem's rule, modem.qpsk_demodulate: the signs
 of an estimate's real and imaginary parts pick the nearest point, and an
 exact zero goes to the point with the smaller Gray index (00, 01, 11, 10),
-the order of QPSK_POINTS. Their estimates of x for one observation y come
-from zf_estimate_batch and mmse_estimate_batch, on which properties such
-as MMSE converging to ZF as noise_var vanishes live. Preparing for ZF
-flags, in PreparedChannels.singular, each channel whose H^H H is
+the order of QPSK_POINTS. zf_estimate_batch and mmse_estimate_batch
+return the estimates of x for one observation y before that rule, the
+solves that MMSE's detect runs at each level and that ZF's detect runs for
+hx and z together; properties such as MMSE converging to ZF as noise_var
+vanishes are tested on them. Preparing for ZF flags, in
+PreparedChannels.singular, each channel whose H^H H is
 numerically singular (smallest eigenvalue below 1e-12 times the largest),
 and puts the identity in place of its Gram matrix, so that the batched
 solve runs for the others, whose results it leaves as they were; the

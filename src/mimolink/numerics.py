@@ -1,7 +1,7 @@
-"""Low-level numeric kernels: seedable counter-based RNG streams, the
-Box-Muller map from their uniforms to complex normals, the two Bessel
-functions the fading statistics need, and the scratch budget of the batched
-kernels.
+"""Low-level numeric kernels: seedable counter-based RNG streams and the
+bit layout of their 64-bit ids, the Box-Muller map from uniforms to complex
+normals, the two Bessel functions the fading statistics need, and the
+scratch budget of the batched kernels.
 
 Everything here is deliberately small and self-contained. J0 is a
 96-node midpoint rule of its integral, (1/pi) * integral_0^pi cos(x sin t)
@@ -22,6 +22,7 @@ __all__ = [
     "complex_normal_from",
     "normal_pairs",
     "pack_stream_id",
+    "stream_ids",
     "bessel_i0e",
     "bessel_j0",
 ]
@@ -62,6 +63,18 @@ def pack_stream_id(experiment_id: int, role: int, trial_index: int) -> int:
     return (experiment_id << EXPERIMENT_SHIFT) | (role << ROLE_SHIFT) | trial_index
 
 
+def stream_ids(experiment_id: int, role: int, links: int, trials: range) -> list[int]:
+    """[pack_stream_id(experiment_id, role + j, t) for t in trials for j in
+    range(links)]: the ids of roles role .. role + links - 1 for each trial,
+    trial-major. The fields are disjoint, so packing the first and the last
+    id checks every field of every id in between, and an id out of range
+    raises ValueError before any is returned."""
+    base = pack_stream_id(experiment_id, role, trials[0]) - trials[0]
+    pack_stream_id(experiment_id, role + links - 1, trials[-1])
+    roles = [base + (j << ROLE_SHIFT) for j in range(links)]
+    return [r + t for t in trials for r in roles]
+
+
 class RngStream:
     """A named, counter-based random stream.
 
@@ -72,10 +85,10 @@ class RngStream:
     verified on one host and one numpy version only: numpy's SIMD cos and
     log1p may differ by an ulp across CPUs, which can flip a trial.
 
-    Normal variates are produced with the trigonometric Box-Muller transform
-    applied to this stream's uniforms, so the mapping from counter stream to
-    output sequence is fully pinned down by this module (no dependence on
-    numpy's own Gaussian algorithm).
+    Normal variates come from these uniforms through normal_pairs'
+    trigonometric Box-Muller transform, so the mapping from counter stream
+    to output sequence is fully pinned down by this module (no dependence
+    on numpy's own Gaussian algorithm).
     """
 
     __slots__ = ("master_seed", "stream_id", "_gen")
@@ -92,11 +105,6 @@ class RngStream:
     def uniform(self, n: int) -> np.ndarray:
         """n uniforms on [0, 1)."""
         return self._gen.random(n)
-
-    def complex_normal(self, shape, var: float = 1.0) -> np.ndarray:
-        """Circularly symmetric complex normals with E|z|^2 = var."""
-        size = int(np.prod(shape)) if not np.isscalar(shape) else int(shape)
-        return complex_normal_from(self.uniform(2 * size), var).reshape(shape)
 
 
 def _philox_key(master_seed: int, stream_id: int) -> np.ndarray:
@@ -135,25 +143,18 @@ class PhiloxStreams:
         return self._gen.random(out=out)
 
 
-def _box_muller(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Trigonometric Box-Muller on the last axis of u.
-
-    The first half of that axis supplies the radii, the second half the
-    angles; returns the cosine and sine normals, each half as long.
-    """
+def normal_pairs(u: np.ndarray) -> np.ndarray:
+    """Trigonometric Box-Muller on the last axis of u: the first half of
+    that axis supplies the radii r, the second half the angles a, and the
+    result is r cos a + 1j * r sin a, complex normals with E|z|^2 = 2, half
+    as many as the uniforms. complex_normal_from scales them by
+    sqrt(var / 2)."""
     pairs = u.shape[-1] // 2
     # 1 - u maps [0,1) to (0,1], keeping log() finite.
     r = np.sqrt(-2.0 * np.log1p(-u[..., :pairs]))
     ang = 2.0 * np.pi * u[..., pairs:]
-    return np.cos(ang) * r, np.multiply(np.sin(ang, out=ang), r, out=ang)
-
-
-def normal_pairs(u: np.ndarray) -> np.ndarray:
-    """c + 1j * s for the cosine and sine normals of _box_muller(u): complex
-    normals with E|z|^2 = 2, half as many as the uniforms of u's last axis.
-    complex_normal_from scales them by sqrt(var / 2)."""
-    c, s = _box_muller(u)
-    z = 1j * s
+    c = np.cos(ang) * r
+    z = 1j * np.multiply(np.sin(ang, out=ang), r, out=ang)
     z += c
     return z
 

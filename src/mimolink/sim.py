@@ -48,27 +48,27 @@ _run_chunk takes a stream source, draw(stream_id, out), and each trial
 draws its own streams from counter zero in the same order, so a trial's
 outcome does not depend on its chunk. A chunk is the one unit of work:
 _simulate_range runs one through a rekeyed PhiloxStreams, and run_frame,
-the single-trial reference, runs a chunk of one trial on fresh
-RngStreams. This module alone derives stream ids: the channel and fading
-layers take uniforms. A chunk holds as many trials as their arrays fit
-CHUNK_BUDGETS times numerics.CHUNK_ELEMENTS (2 MiB) by trial_elements,
-whatever the number of points: 20 4x4 FER frames at any sample rate, 77
-2x2 FER frames, and 72 uncoded 4x4 frames under ZF or MMSE and 39 under
-ML. The fading, combining and ML kernels tile their scratch within
-numerics.CHUNK_ELEMENTS, one call at a time, so a chunk peaks near
+the single-trial reference, runs a chunk of one trial on fresh RngStreams.
+This module alone assigns the stream ids' experiment and role fields (the
+table below), and numerics.stream_ids packs a chunk's ids from them; the
+channel and fading layers take uniforms. A chunk holds as many trials as
+their arrays fit CHUNK_BUDGETS times numerics.CHUNK_ELEMENTS (2 MiB) by
+trial_elements, whatever the number of points: 20 4x4 FER frames at any
+sample rate, 77 2x2 FER frames, and 72 uncoded 4x4 frames under ZF or MMSE
+and 39 under ML. The fading, combining and ML kernels tile their scratch
+within numerics.CHUNK_ELEMENTS, one call at a time, so a chunk peaks near
 2.5 MiB. Each point of a sweep drops out at its own cut, under its own
 stopping rule in _run_sweep (run_experiment gives every point the
-config's). _simulate_wave cuts a wave of trials into chunks of
-chunk_trials and runs each once: the serial path's wave is one chunk, and
-it checks the error targets after each; the process pool gets waves of
-WAVE_FRAMES trials, ceil(chunks / workers) chunks to a task, and each
-chunk ships back one int array per point. The pool class,
-sim.ProcessPoolExecutor, is imported when it is first read (see the
-module's __getattr__), which a sweep does only at workers > 1, so a
-serial run loads neither concurrent.futures nor multiprocessing. A frame
-with a channel that ZF's preparation flags as singular
-(detect.PreparedChannels.singular) is scored as all errored, at every
-point.
+config's). _simulate_wave cuts a wave of trials into chunks of chunk_trials
+and runs each once: the serial path's wave is one chunk, and it checks the
+error targets after each; the process pool gets waves of WAVE_FRAMES
+trials, ceil(chunks / workers) chunks to a task, and each chunk ships back
+one int array per point. The pool class, sim.ProcessPoolExecutor, is
+imported when it is first read (see the module's __getattr__), which a
+sweep does only at workers > 1, so a serial run loads neither
+concurrent.futures nor multiprocessing. A frame with a channel that ZF's
+preparation flags as singular (detect.PreparedChannels.singular) is scored
+as all errored, at every point.
 
 Frame chain for the FER experiments: Bernoulli bits -> QPSK -> OSTBC encode
 -> time-varying correlated channel + AWGN -> combine (channel of each
@@ -131,11 +131,9 @@ __all__ = [
     "check_sweep",
     "check_workers",
     "run_frame",
-    "run_wave",
     "run_experiment",
     "wilson_interval",
     "emit_csv",
-    "parse_csv",
     "fading_pairs",
     "render_csv",
 ]
@@ -159,14 +157,15 @@ class Experiment(enum.Enum):
         return member
 
 
-# The stream-id layout, in one table: the experiment and role fields that
-# numerics.pack_stream_id packs with a trial index into the id of every
-# random stream. The experiment fields are the Experiment rows' exp_id and
+# The stream-id fields, in one table: the experiment and role values that
+# numerics packs with a trial index into the id of every random stream.
+# The experiment fields are the Experiment rows' exp_id and
 # validate-fading's, keyed by the name the CSV header echoes.
 # Fading link i of a frame's channel (row-major, i < MAX_LINKS) draws its
 # channel_init uniforms from role ROLE_FADING + i, so ROLE_IID_CHANNEL sits
 # above the last link. validate-fading has a single stream; its experiment
-# field keeps it apart from every frame's. No other module derives ids.
+# field keeps it apart from every frame's. No other module assigns these
+# values, and only numerics knows their bit layout.
 VALIDATE_FADING = "validate_fading"
 EXPERIMENT_IDS = {e.value: e.exp_id for e in Experiment} | {VALIDATE_FADING: 4}
 MAX_LINKS = MAX_ANTENNAS * MAX_ANTENNAS
@@ -324,7 +323,7 @@ def _point_config(config: SimConfig, x: float) -> SimConfig:
 def run_frame(config: SimConfig, trial_index: int) -> int:
     """Simulate one frame: the bit-error count of _run_chunk over this one
     trial, drawing each stream from a fresh RngStream. The single-trial
-    reference that run_wave is tested against."""
+    reference that the chunks of _simulate_wave are tested against."""
 
     def draw(stream_id: int, out: np.ndarray) -> None:
         out[:] = RngStream(config.master_seed, stream_id).uniform(out.size)
@@ -410,17 +409,6 @@ def chunk_trials(config: SimConfig) -> int:
     return max(1, CHUNK_BUDGETS * numerics.CHUNK_ELEMENTS // trial_elements(config))
 
 
-def run_wave(config: SimConfig, start: int, stop: int) -> np.ndarray:
-    """Bit-error counts of one point config's trials [start, stop), in
-    index order.
-
-    Equal to [run_frame(config, t) for t in range(start, stop)]: both run
-    _run_chunk, and a PhiloxStreams draw fills exactly the uniforms an
-    RngStream of the same (seed, stream id) returns.
-    """
-    return _simulate_wave([config], start, stop)[0]
-
-
 def _run_chunk(points: list[SimConfig], draw, trials: range) -> list[np.ndarray]:
     """Bit-error counts of the trials at each point config of one sweep
     (see _point_config), in index order: the prefix once for the chunk,
@@ -436,11 +424,7 @@ def _run_chunk(points: list[SimConfig], draw, trials: range) -> list[np.ndarray]
 
     def uniforms(role: int, per_trial: int, links: int = 1) -> np.ndarray:
         # Row i * links + j holds the start of stream (role + j, trials[i]).
-        # The ids' fields are disjoint, so packing the smallest and the
-        # largest checks every field of every id in between.
-        base = pack_stream_id(exp_id, role, trials[0]) - trials[0]
-        pack_stream_id(exp_id, role + links - 1, trials[-1])
-        ids = [base + (j << numerics.ROLE_SHIFT) + trial for trial in trials for j in range(links)]
+        ids = numerics.stream_ids(exp_id, role, links, trials)
         u = np.empty((f * links, per_trial))
         for stream_id, row in zip(ids, u):
             draw(stream_id, row)
@@ -751,25 +735,3 @@ def emit_csv(result: SimResult) -> str:
         for p in result.points
     ]
     return render_csv(_echo_pairs(result.config), _CSV_HEADER, rows)
-
-
-def parse_csv(text: str) -> tuple[dict[str, str], list[dict[str, float]]]:
-    """Parse emit_csv output back into (config echo, data rows).
-
-    Count columns come back as ints, rates as floats; the echo stays as raw
-    strings. Inverse of emit_csv up to float formatting.
-    """
-    meta: dict[str, str] = {}
-    rows: list[dict[str, float]] = []
-    header: list[str] | None = None
-    int_cols = {"frames", "frame_errors", "bits", "bit_errors"}
-    for line in filter(None, text.splitlines()):
-        if line.startswith("# "):
-            key, _, value = line[2:].partition("=")
-            meta[key] = value
-        elif header is None:
-            header = line.split(",")
-        else:
-            values = zip(header, line.split(","))
-            rows.append({name: int(raw) if name in int_cols else float(raw) for name, raw in values})
-    return meta, rows

@@ -30,8 +30,9 @@ from mimolink.fading import (
 )
 from mimolink.modem import QPSK_POINTS, qpsk_demodulate
 from mimolink.numerics import RngStream
-from mimolink.sim import Experiment, SimConfig, _run_sweep, parse_csv, run_experiment
+from mimolink.sim import Experiment, SimConfig, _run_sweep, run_experiment
 from mimolink.stbc import encode_array, combine_array, ostbc_code, supported_codes
+from _support import complex_normal, parse_csv
 
 
 def _report(capsys, criterion: int, ok: bool, detail: str) -> None:
@@ -214,8 +215,8 @@ def test_criterion_6_detector_oracles(capsys):
     n = 1000
     idx = (rng.uniform(n * 4).reshape(n, 4) * 4).astype(int)
     s = QPSK_POINTS[idx]
-    h = rng.complex_normal((n, 4, 4))
-    y = np.einsum("nrt,nt->nr", h, s) / 2.0 + rng.complex_normal((n, 4), var=0.1)
+    h = complex_normal(rng, (n, 4, 4))
+    y = np.einsum("nrt,nt->nr", h, s) / 2.0 + complex_normal(rng, (n, 4), var=0.1)
 
     # y whole is the noise-free part of one level's observation, z = 0.
     got = ml_detect_batch(prepare_channels(DetectorKind.ML, h), y, np.zeros_like(y), [0.0])[0]

@@ -23,6 +23,7 @@ from mimolink.channel import (
 from mimolink.fading import FadingModel, FadingSpec, fading_draws
 from mimolink.modem import qpsk_modulate
 from mimolink.numerics import ROLE_SHIFT, RngStream
+from _support import complex_normal
 
 # fast-decorrelating fading so sample statistics converge quickly
 FAST_FADING = FadingSpec(model=FadingModel.RAYLEIGH, max_doppler_hz=100.0, sample_rate_hz=256.0)
@@ -297,7 +298,7 @@ def test_infinite_snr_unit_channel_is_identity():
 def test_reported_csi_matches_applied_channel():
     spec = ChannelSpec(n_tx=3, n_rx=2, fading=FAST_FADING, correlation=0.5)
     proc = _channel(spec, 13)
-    x = RngStream(13, 1).complex_normal((1000, 3))
+    x = complex_normal(RngStream(13, 1), (1000, 3))
     y, h = apply_channel(proc, x, float("inf"), RngStream(13, 2).uniform)
     resid = y - np.einsum("nrt,nt->nr", h, x)
     assert np.max(np.abs(resid)) < 1e-12
@@ -347,7 +348,7 @@ def test_batched_channels_equal_single_channels(spec):
         want = np.stack([channel_matrix_at(c, n) for c in singles])
         np.testing.assert_array_equal(h.reshape(want.shape), want)
 
-    x = RngStream(17, 99).complex_normal((*lead, n, spec.n_tx))
+    x = complex_normal(RngStream(17, 99), (*lead, n, spec.n_tx))
     def noise(i):
         return RngStream(17, 100 + i).uniform
 

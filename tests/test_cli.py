@@ -12,7 +12,7 @@ import pytest
 from mimolink import cli, numerics, sim
 from mimolink.cli import build_parser, main
 from mimolink.fading import MAX_VALIDATION_SAMPLES
-from mimolink.sim import parse_csv
+from _support import parse_csv
 
 TINY = ["--max-frames", "20", "--target-errors", "3", "--frame-bits", "12"]
 

@@ -22,6 +22,7 @@ from mimolink.detect import (
 )
 from mimolink.modem import QPSK_POINTS, qpsk_modulate
 from mimolink.numerics import RngStream
+from _support import complex_normal
 
 _DETECT = {
     DetectorKind.ZF: zf_detect_batch, DetectorKind.MMSE: mmse_detect_batch, DetectorKind.ML: ml_detect_batch,
@@ -66,10 +67,10 @@ def _random_case(rng, n, n_rx, n_tx, snr_db):
     """Random symbols, i.i.d. channels, noisy observations at the given SNR."""
     idx = (rng.uniform(n * n_tx).reshape(n, n_tx) * 4).astype(int)
     s = QPSK_POINTS[idx]
-    h = rng.complex_normal((n, n_rx, n_tx))
+    h = complex_normal(rng, (n, n_rx, n_tx))
     y = np.einsum("nrt,nt->nr", h, s) / math.sqrt(n_tx)
     if snr_db is not None:
-        y = y + rng.complex_normal((n, n_rx), var=10.0 ** (-snr_db / 10.0))
+        y = y + complex_normal(rng, (n, n_rx), var=10.0 ** (-snr_db / 10.0))
     return s, h, y
 
 
@@ -259,8 +260,8 @@ def test_ml_matches_per_vector_enumeration(n_tx, n_rx):
     stream = RngStream(30 + 4 * n_tx + n_rx, 4)
     n = 12
     x = QPSK_POINTS[(stream.uniform(n * n_tx).reshape(n, n_tx) * 4).astype(int)]
-    h = stream.complex_normal((n, n_rx, n_tx))
-    y = np.einsum("nrt,nt->nr", h, x) / math.sqrt(n_tx) + stream.complex_normal((n, n_rx), var=0.3)
+    h = complex_normal(stream, (n, n_rx, n_tx))
+    y = np.einsum("nrt,nt->nr", h, x) / math.sqrt(n_tx) + complex_normal(stream, (n, n_rx), var=0.3)
     np.testing.assert_array_equal(_ml(h, y), _enumerate_ml(h, y))
 
 
@@ -284,7 +285,7 @@ def _noisy_levels(stream, n, n_rx, n_tx):
     that enumeration decides from y = hx + sqrt(nv / 2) z, as the engine
     forms y, at each of _LEVELS."""
     _, h, hx = _random_case(stream, n, n_rx, n_tx, snr_db=None)
-    z = stream.complex_normal((n, n_rx))
+    z = complex_normal(stream, (n, n_rx))
     want = []
     for nv in _LEVELS:
         y = np.multiply(z, math.sqrt(nv / 2.0))
@@ -324,7 +325,7 @@ def test_ml_scratch_stays_within_the_budget(n_rx, n_tx):
     besides its decisions."""
     stream = RngStream(42, 4 * n_tx + n_rx)
     _, h, hx = _random_case(stream, 3000, n_rx, n_tx, snr_db=None)
-    z = stream.complex_normal((3000, n_rx))
+    z = complex_normal(stream, (3000, n_rx))
     _ml(h[:1], hx[:1])
     channels = prepare_channels(DetectorKind.ML, h)
     tracemalloc.start()
@@ -341,7 +342,7 @@ def test_ml_zero_channel_picks_hypothesis_zero():
     split (N_t = 3) the search still returns hypothesis 0."""
     stream = RngStream(40, 0)
     h = np.zeros((5, 2, 3), dtype=np.complex128)
-    y = stream.complex_normal((5, 2))
+    y = complex_normal(stream, (5, 2))
     np.testing.assert_array_equal(_ml(h, y), np.full((5, 3), QPSK_POINTS[0]))
 
 
@@ -374,7 +375,7 @@ def test_orthogonal_channel_reduces_to_per_stream_slicing():
         q, _ = np.linalg.qr(a)
         idx = (stream.uniform(4) * 4).astype(int)
         s = QPSK_POINTS[idx]
-        y = q @ s / 2.0 + stream.complex_normal((4,), var=0.05)
+        y = q @ s / 2.0 + complex_normal(stream, (4,), var=0.05)
         got = _zf(q[None], y[None])[0]
         matched = 2.0 * (q.conj().T @ y)
         want = QPSK_POINTS[np.argmin(np.abs(matched[:, None] - QPSK_POINTS), axis=1)]
@@ -416,7 +417,7 @@ def test_singular_channels_leave_the_others_decisions_bit_for_bit():
     its own row."""
     stream = RngStream(62, 0)
     _, h, hx = _random_case(stream, 300, 4, 4, snr_db=None)
-    z = stream.complex_normal((300, 4))
+    z = complex_normal(stream, (300, 4))
     flagged = [3, 151]  # where the all-zero and the rank-one channel go
     mixed_h = np.insert(h, [3, 150], np.stack([np.zeros((4, 4)), np.ones((4, 4))]), axis=0)
     mixed_hx, mixed_z = (np.insert(v, [3, 150], 1.0 + 1.0j, axis=0) for v in (hx, z))
@@ -452,7 +453,7 @@ def _conditioned_channels(stream, n, n_rx, n_tx, ratio):
     eigenvalues c^2 lambda: lambda_max = 1, lambda_min = ratio and the rest
     in between."""
     def unitary(size):
-        q, _ = np.linalg.qr(stream.complex_normal((n, size, size)))
+        q, _ = np.linalg.qr(complex_normal(stream, (n, size, size)))
         return q
 
     lam = np.sort(stream.uniform(n * n_tx).reshape(n, n_tx), axis=1)
@@ -470,7 +471,7 @@ def test_certificate_agrees_with_the_eigenvalue_rule(n_rx, n_tx):
     matrices built with lambda_min / lambda_max at 1e-8, 1e-10, 1e-11,
     1e-13 and 0, which the certificate cannot clear, and from H = 0."""
     stream = RngStream(60, 4 * n_tx + n_rx)
-    gram = _gram(stream.complex_normal((100_000, n_rx, n_tx)))
+    gram = _gram(complex_normal(stream, (100_000, n_rx, n_tx)))
     np.testing.assert_array_equal(_singular(gram), _eigen_rule(gram))
     zero = np.zeros((3, n_tx, n_tx), dtype=np.complex128)
     assert _singular(zero).all() and _eigen_rule(zero).all()
@@ -512,7 +513,7 @@ def test_prepared_channels_decide_as_one_shot_calls(kind):
     stream = RngStream(62, 0)
     n_rx, n_tx = (2, 3) if kind is DetectorKind.ML else (4, 4)
     _, h, hx = _random_case(stream, 300, n_rx, n_tx, snr_db=None)
-    z = stream.complex_normal((300, n_rx))
+    z = complex_normal(stream, (300, n_rx))
     channels = prepare_channels(kind, h)
     levels = (1.0, 1e-1, 1e-2)
     decided = _DETECT[kind](channels, hx, z, levels)
@@ -532,7 +533,7 @@ def test_prepared_elements_count_the_prepared_arrays(n_rx, n_tx):
     """prepared_elements is the float64 size, per channel matrix, of the
     arrays that prepared channels hold per channel matrix."""
     n = 7
-    h = RngStream(63, 4 * n_tx + n_rx).complex_normal((n, n_rx, n_tx))
+    h = complex_normal(RngStream(63, 4 * n_tx + n_rx), (n, n_rx, n_tx))
     # ZF needs N_r >= N_t; MMSE holds the same arrays.
     for kind in (DetectorKind.ZF, DetectorKind.MMSE, DetectorKind.ML)[n_rx < n_tx:]:
         arrays = [v for v in vars(prepare_channels(kind, h)).values() if isinstance(v, np.ndarray)]

@@ -37,7 +37,7 @@ from mimolink.fading import (
     rician_envelope_cdf_grid,
     validate_process,
 )
-from mimolink.numerics import RngStream
+from mimolink.numerics import RngStream, bessel_i0e
 
 # fs / f_d = 2.56 decorrelates successive samples quickly, which keeps the
 # effective sample count high for the distributional tests below.
@@ -472,6 +472,35 @@ def test_pdf_envelope_rician_matches_scipy_and_normalizes():
         pdf_envelope_rician(1.0, 1.0, 0.0)
 
 
+def _rician_cdf_grid_expressions(k: float, x_max: float, n_grid: int):
+    """rician_envelope_cdf_grid and pdf_envelope_rician before they wrote
+    into buffers: the whole grid at once, a new array per step."""
+    c_m = math.sqrt(k / (k + 1.0))
+    alpha_sq = 0.5 / (k + 1.0)
+    grid = np.linspace(0.0, x_max, n_grid)
+    bess = bessel_i0e(grid * c_m / alpha_sq)
+    pdf = grid / alpha_sq * np.exp(-((grid - c_m) ** 2) / (2.0 * alpha_sq)) * bess
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))])
+    return grid, pdf, np.clip(cdf, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("k", [0.0, 4.0, 1e3, 1e6])
+def test_rician_cdf_grid_buffers_keep_the_bits(k):
+    """The tiled density and the in-place trapezoid sums equal, bit for
+    bit, the expressions that formed a new array per step, and the
+    density never writes its argument."""
+    n_grid = inspect.signature(rician_envelope_cdf_grid).parameters["n_grid"].default
+    for x_max, n in ((2.5, n_grid), (6.0, n_grid), (1.3, 3 * numerics.CHUNK_ELEMENTS // 8 + 5)):
+        grid, pdf, cdf = _rician_cdf_grid_expressions(k, x_max, n)
+        got_grid, got_cdf = rician_envelope_cdf_grid(k, x_max, n)
+        np.testing.assert_array_equal(got_grid.view(np.uint64), grid.view(np.uint64))
+        np.testing.assert_array_equal(got_cdf.view(np.uint64), cdf.view(np.uint64))
+        x = grid.copy()
+        got_pdf = pdf_envelope_rician(x, math.sqrt(k / (k + 1.0)), 0.5 / (k + 1.0))
+        np.testing.assert_array_equal(got_pdf.view(np.uint64), pdf.view(np.uint64))
+        np.testing.assert_array_equal(x.view(np.uint64), grid.view(np.uint64))
+
+
 def test_ks_statistic_hand_example():
     samples = np.array([1.0, 2.0, 3.0])
     cdf = np.array([0.2, 0.5, 0.9])
@@ -556,9 +585,8 @@ def test_validate_process_keeps_one_float64_a_sample(spec):
     its envelope, beside a fixed allowance: 6 kernel tiles of
     numerics.CHUNK_ELEMENTS (a tile's complex gains, 2, link_gains'
     scratch, the real parts' window, and the KS statistic's levels and
-    differences, 2), and under Rician fading 7 CDF grids (the grid, the
-    density and its intermediates; rician_envelope_cdf_grid peaks near
-    6)."""
+    differences, 2), and under Rician fading 3 CDF grids (the grid, the
+    density and the CDF, rician_envelope_cdf_grid's peak)."""
     n = 1_000_000
     validate_process(fading_init(spec, RngStream(15, 1)), MIN_VALIDATION_SAMPLES)  # fills the caches
     proc = fading_init(spec, RngStream(15, 0))
@@ -570,7 +598,7 @@ def test_validate_process_keeps_one_float64_a_sample(spec):
         tracemalloc.stop()
     allowance = 6 * numerics.CHUNK_ELEMENTS
     if spec.model is FadingModel.RICIAN:
-        allowance += 7 * inspect.signature(rician_envelope_cdf_grid).parameters["n_grid"].default
+        allowance += 3 * inspect.signature(rician_envelope_cdf_grid).parameters["n_grid"].default
     assert peak <= 8 * (n + allowance), (peak, 8 * (n + allowance))
 
 

@@ -9,13 +9,16 @@ import pytest
 
 from mimolink.numerics import (
     I0E_SERIES_CUTOFF,
+    MAX_TRIALS,
     PhiloxStreams,
     RngStream,
     bessel_i0e,
     bessel_j0,
     complex_normal_from,
     pack_stream_id,
+    stream_ids,
 )
+from _support import complex_normal
 
 J0_FIRST_ZERO = 2.404825557695773
 
@@ -35,6 +38,48 @@ def test_pack_stream_id_range_checks():
         pack_stream_id(0, 0, 2**32)
     with pytest.raises(ValueError):
         pack_stream_id(2**16, 0, 0)
+
+
+def _packed(experiment: int, role: int, links: int, trials: range) -> list[int]:
+    return [pack_stream_id(experiment, role + j, t) for t in trials for j in range(links)]
+
+
+def test_stream_ids_pack_each_trial_and_role():
+    """stream_ids is the trial-major list of pack_stream_id over small
+    ranges and at the fields' extremes."""
+    last = (1 << 16) - 1
+    cases = [
+        (e, role, links, trials)
+        for e in (0, 3)
+        for role in (0, 1, 2, 18)
+        for links in (1, 2, 16)
+        for trials in (range(0, 1), range(5, 9), range(7, 30))
+    ]
+    cases += [
+        (last, last, 1, range(MAX_TRIALS - 1, MAX_TRIALS)),
+        (last, last - 3, 4, range(MAX_TRIALS - 3, MAX_TRIALS)),
+        (last, 0, 1, range(0, 3)),
+        (0, last - 15, 16, range(MAX_TRIALS - 20, MAX_TRIALS)),
+    ]
+    for case in cases:
+        assert stream_ids(*case) == _packed(*case), case
+
+
+@pytest.mark.parametrize("case, field", [
+    ((0, 0, 1, range(MAX_TRIALS - 1, MAX_TRIALS + 1)), "trial_index"),
+    ((0, 2, 16, range(-1, 3)), "trial_index"),
+    ((0, (1 << 16) - 2, 3, range(0, 2)), "role"),
+    ((0, -1, 2, range(0, 2)), "role"),
+    ((1 << 16, 0, 1, range(0, 2)), "experiment_id"),
+    ((-1, 0, 1, range(0, 2)), "experiment_id"),
+], ids=["last-trial", "first-trial", "last-role", "first-role", "experiment-high", "experiment-low"])
+def test_stream_ids_range_checks(case, field):
+    """stream_ids raises ValueError where pack_stream_id raises for one of
+    its ids, at either end of the trials or of the roles."""
+    with pytest.raises(ValueError, match=field):
+        _packed(*case)
+    with pytest.raises(ValueError, match=field):
+        stream_ids(*case)
 
 
 def test_rng_deterministic_per_stream():
@@ -57,7 +102,7 @@ def test_uniform_range_and_mean():
 def _standard_normals(seed: int, stream_id: int, n: int) -> np.ndarray:
     """n standard normals: the real and imaginary parts of the stream's
     complex normals of variance 2, interleaved."""
-    z = RngStream(seed, stream_id).complex_normal(n // 2, var=2.0)
+    z = complex_normal(RngStream(seed, stream_id), n // 2, var=2.0)
     return np.stack([z.real, z.imag], axis=1).ravel()
 
 
@@ -81,7 +126,7 @@ def test_standard_normal_ks_against_gaussian_cdf():
 
 
 def test_complex_normal_shape_and_variance():
-    z = RngStream(31, 2).complex_normal((500, 40, 50), var=0.25)
+    z = complex_normal(RngStream(31, 2), (500, 40, 50), var=0.25)
     assert z.shape == (500, 40, 50)
     assert z.dtype == np.complex128
     flat = z.ravel()
@@ -230,4 +275,4 @@ def test_complex_normal_from_matches_interleaved_normals():
         ang = 2.0 * np.pi * v[30:]
         z = (r * np.cos(ang) + 1j * (r * np.sin(ang))) * math.sqrt(0.25)
         np.testing.assert_array_equal(row, z)
-        np.testing.assert_array_equal(row, RngStream(4, sid).complex_normal(30, var=0.5))
+        np.testing.assert_array_equal(row, complex_normal(RngStream(4, sid), 30, var=0.5))

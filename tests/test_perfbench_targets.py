@@ -4,6 +4,7 @@ that a change deletes or renames would break the trace, so every one of
 them must stay an attribute of its module, and a traced run must still
 write the bytes of an untraced one."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _load_tracing():
@@ -31,6 +33,28 @@ def test_traced_names_are_module_attributes():
         if not hasattr(importlib.import_module(f"mimolink.{mod}"), attr)
     ]
     assert missing == []
+
+
+def _unused_imports() -> set[tuple[str, str]]:
+    """(module, name) of every name that an import marked `# noqa: F401`
+    binds in src/mimolink/*.py."""
+    found = set()
+    for path in sorted((ROOT / "src" / "mimolink").glob("*.py")):
+        lines = path.read_text().splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                "noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]
+            ):
+                found |= {(path.stem, alias.asname or alias.name) for alias in node.names}
+    return found
+
+
+def test_unused_imports_are_traced_names():
+    """An import kept unused (# noqa: F401) exists only for the trace to
+    wrap, so it must name an attribute that _TARGETS wraps in that module;
+    once the trace stops wrapping it, the import is dead and this fails."""
+    wrapped = {(mod, attr) for mod, attr, _, _ in _load_tracing()._TARGETS}
+    assert _unused_imports() - wrapped == set()
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--workers 2 needs two CPUs")

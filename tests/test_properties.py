@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from mimolink.channel import ChannelSpec
 from mimolink.cli import _parse_sweep
-from mimolink.sim import Experiment, SimConfig, SimResult, SweepPoint, emit_csv, parse_csv, wilson_interval
+from mimolink.sim import Experiment, SimConfig, SimResult, SweepPoint, emit_csv, wilson_interval
 from mimolink.stbc import combine_array, encode_array, ostbc_code, supported_codes
+from _support import parse_csv
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 

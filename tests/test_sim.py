@@ -22,12 +22,11 @@ from mimolink.sim import (
     _point_config,
     chunk_trials,
     emit_csv,
-    parse_csv,
     run_experiment,
     run_frame,
-    run_wave,
     wilson_interval,
 )
+from _support import complex_normal, parse_csv
 
 GOLDEN_FER_CSV = (
     "# experiment=fer_vs_gain\n# n_tx=4\n# n_rx=2\n# fading_model=rayleigh\n"
@@ -380,8 +379,8 @@ def test_stream_ids_never_collide(monkeypatch):
     frame_roles = [sim.ROLE_BITS, sim.ROLE_NOISE] + [sim.ROLE_FADING + link for link in range(sim.MAX_LINKS)]
     assert sorted(drawn) == sorted(pack_stream_id(exp_id, role, MAX_TRIALS - 1) for role in frame_roles)
 
-    # A run_wave chunk of several 4x4 FER trials draws exactly each trial's
-    # bits, noise and 16 link streams, once each.
+    # A _simulate_wave chunk of several 4x4 FER trials draws exactly each
+    # trial's bits, noise and 16 link streams, once each.
     drawn.clear()
 
     class RecordingStreams(numerics.PhiloxStreams):
@@ -393,7 +392,7 @@ def test_stream_ids_never_collide(monkeypatch):
     cfg = _fer_config(channel=ChannelSpec(n_tx=4, n_rx=4))
     trials = range(MAX_TRIALS - 4, MAX_TRIALS)
     assert chunk_trials(cfg) >= len(trials)
-    run_wave(cfg, trials.start, trials.stop)
+    sim._simulate_wave([cfg], trials.start, trials.stop)[0]
     frame_roles = [sim.ROLE_BITS, sim.ROLE_NOISE] + [sim.ROLE_FADING + link for link in range(16)]
     assert sorted(drawn) == sorted(pack_stream_id(exp_id, role, t) for t in trials for role in frame_roles)
 
@@ -537,7 +536,7 @@ def test_reference_chain_reproduces_run_frame_ber(detector):
 
         bits = bernoulli_bits(stream(ROLE_BITS).uniform(point.frame_bits))
         x = qpsk_modulate(bits).reshape(-1, ch.n_tx) / math.sqrt(ch.n_tx)
-        h = path_gain(ch) * stream(ROLE_IID_CHANNEL).complex_normal((len(x), ch.n_rx, ch.n_tx))
+        h = path_gain(ch) * complex_normal(stream(ROLE_IID_CHANNEL), (len(x), ch.n_rx, ch.n_tx))
         w = complex_normal_from(stream(ROLE_NOISE).uniform(2 * len(x) * ch.n_rx), noise_var)
         w = w.reshape(len(x), ch.n_rx)
 
@@ -554,7 +553,7 @@ def test_reference_chain_reproduces_run_frame_ber(detector):
     assert len(set(expected)) > 1  # trials genuinely differ
     assert [run_frame(point, t) for t in trials] == expected
     assert chunk_trials(point) > 1
-    assert run_wave(point, trials.start, trials.stop).tolist() == expected
+    assert sim._simulate_wave([point], trials.start, trials.stop)[0].tolist() == expected
 
 
 def test_stopping_rule_exact_cutoff():
@@ -755,12 +754,13 @@ def _wave_configs():
 
 @pytest.mark.parametrize("cfg", _wave_configs(), ids=lambda c: f"{c.experiment.value}-{c.code or c.detector}")
 def test_run_wave_matches_run_frame(cfg):
-    """Batched trials, from a start that is not chunk-aligned, equal the
-    single-trial oracle one by one."""
+    """A one-point wave of batched trials (sim._simulate_wave), from a
+    start that is not chunk-aligned, equals the single-trial oracle one by
+    one."""
     step = chunk_trials(cfg)
     start = 5 if step == 1 else step // 2 + 3
     stop = start + 2 * step + 3
-    assert run_wave(cfg, start, stop).tolist() == [run_frame(cfg, t) for t in range(start, stop)]
+    assert sim._simulate_wave([cfg], start, stop)[0].tolist() == [run_frame(cfg, t) for t in range(start, stop)]
 
 
 def test_run_wave_with_single_trial_chunks(monkeypatch):
@@ -770,7 +770,7 @@ def test_run_wave_with_single_trial_chunks(monkeypatch):
     expected = [run_frame(cfg, t) for t in range(3, 9)]
     monkeypatch.setattr(numerics, "CHUNK_ELEMENTS", 1)
     assert chunk_trials(cfg) == 1
-    assert run_wave(cfg, 3, 9).tolist() == expected
+    assert sim._simulate_wave([cfg], 3, 9)[0].tolist() == expected
 
 
 class _InlinePool:

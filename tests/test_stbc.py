@@ -15,6 +15,7 @@ from mimolink.stbc import (
     ostbc_code,
     supported_codes,
 )
+from _support import complex_normal
 
 # (n_tx, rate) -> (symbols per block, block length)
 DESIGN_TABLE = {
@@ -243,9 +244,9 @@ def _ber_uncoded_1x1(snr_db: float, n_bits: int, seed: int) -> float:
     rng = RngStream(seed, 0)
     bits = (rng.uniform(n_bits) < 0.5).astype(np.uint8)
     syms = qpsk_modulate(bits)
-    h = rng.complex_normal((len(syms),))
+    h = complex_normal(rng, (len(syms),))
     noise_var = 10.0 ** (-snr_db / 10.0)
-    y = h * syms + rng.complex_normal((len(syms),), var=noise_var)
+    y = h * syms + complex_normal(rng, (len(syms),), var=noise_var)
     bits_hat = qpsk_demodulate(y * np.conj(h) / np.abs(h) ** 2)
     return float(np.count_nonzero(bits_hat != bits)) / n_bits
 
@@ -257,11 +258,11 @@ def _ber_alamouti_2x1(snr_db: float, n_bits: int, seed: int) -> float:
     bits = (rng.uniform(n_bits) < 0.5).astype(np.uint8)
     syms = qpsk_modulate(bits).reshape(-1, 2)
     n = syms.shape[0]
-    h = rng.complex_normal((n, 1, 2))
+    h = complex_normal(rng, (n, 1, 2))
     x = encode_array(code, syms)
     y = np.einsum("ntm,nrm->ntr", x, h)
     noise_var = 10.0 ** (-snr_db / 10.0)
-    y = y + rng.complex_normal(y.shape, var=noise_var)
+    y = y + complex_normal(rng, y.shape, var=noise_var)
     est = combine_array(code, y, h)
     bits_hat = qpsk_demodulate(est.ravel())
     return float(np.count_nonzero(bits_hat != bits)) / n_bits

@@ -1,9 +1,9 @@
 """Monte Carlo rates against textbook closed forms.
 
-The other gates compare the code with itself: run_wave and run_frame share
-every kernel, and the golden digests pin bytes. A closed form does not
-depend on the code path, so it catches a wrong normalisation in a shared
-kernel that those gates would reproduce.
+The other gates compare the code with itself: the engine's chunks and
+run_frame share every kernel, and the golden digests pin bytes. A closed
+form does not depend on the code path, so it catches a wrong normalisation
+in a shared kernel that those gates would reproduce.
 
 ZF over i.i.d. Rayleigh: with n_rx >= n_tx, the post-ZF SNR of each stream
 is Gamma distributed with order L = n_rx - n_tx + 1, so the QPSK bit error
@@ -42,7 +42,7 @@ from scipy import integrate, special, stats
 from mimolink.channel import ChannelSpec
 from mimolink.detect import DetectorKind
 from mimolink.fading import FadingSpec
-from mimolink.sim import Experiment, SimConfig, run_experiment, run_wave
+from mimolink.sim import Experiment, SimConfig, _simulate_wave, run_experiment
 
 # Fixed before the first run; a miss is a finding, not a reason to re-seed.
 SEED = 1
@@ -105,7 +105,7 @@ def test_zf_ber_matches_closed_form(n_tx, n_rx, snr_db, rounded):
         master_seed=SEED,
     )
     config.validate()
-    rates = run_wave(config, 0, FRAMES) / FRAME_BITS
+    rates = _simulate_wave([config], 0, FRAMES)[0] / FRAME_BITS
     half = Z999 * rates.std(ddof=1) / math.sqrt(FRAMES)
     expected = zf_rayleigh_ber(snr_db, n_tx, n_rx)
     assert abs(rates.mean() - expected) <= half, (rates.mean(), expected, half)
