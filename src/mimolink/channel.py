@@ -25,12 +25,14 @@ noise variance per receive antenna is 10^(-snr_db / 10).
 
 A ChannelProcess is one channel or a batch of them, started with
 channel_init from uniforms the caller draws. apply_channel advances it and
-adds receiver noise in one call; the pieces it is made of stand alone for
-sim's frame chain, which shares them across the points of a sweep:
-unit_gain_matrices mixes the links (one fading_next call for all of them),
-channel_matrix_at scales that by the path gain, receiver_noise draws the
-noise, receive adds it to H x, and channel_restart runs the same links'
-angle tables under another Doppler or sample rate.
+adds the caller's receiver noise in one call: channel_matrix_at mixes the
+links (one fading_next call for all of them) and scales them by the path
+gain, and receive adds the noise to H x. apply_channel draws nothing:
+sim's frame chain draws one array of noise a chunk with receiver_noise,
+and hands it to apply_channel at every point of a Doppler or sample-rate
+sweep, on the chunk's channels that channel_restart runs under the point's
+spec. A gain sweep calls apply_channel once a chunk, without noise, on the
+channels restarted at 0 dB.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ __all__ = [
     "noise_variance",
     "channel_init",
     "channel_restart",
-    "unit_gain_matrices",
     "channel_matrix_at",
     "receiver_noise",
     "receive",
@@ -210,27 +211,22 @@ def channel_restart(proc: ChannelProcess, spec: ChannelSpec) -> ChannelProcess:
     return ChannelProcess(spec, FadingProcess(spec.fading, f.alphas, f.psis, f.thetas))
 
 
-def unit_gain_matrices(proc: ChannelProcess, n_samples: int) -> np.ndarray:
+def channel_matrix_at(proc: ChannelProcess, n_samples: int) -> np.ndarray:
     """Advance every link and return the next n_samples channel matrices
-    at unit path gain, Rr^{1/2} G Rt^{1/2}, shape (..., n_samples, n_rx,
-    n_tx) for a process with leading axes (...)."""
+    g * Rr^{1/2} G Rt^{1/2}, shape (..., n_samples, n_rx, n_tx) for a
+    process with leading axes (...)."""
     spec = proc.spec
     gains = fading_next(proc.fading, n_samples)
     shape = (*gains.shape[:-2], n_samples, spec.n_rx, spec.n_tx)
     if spec.correlation == 0.0:
-        return np.ascontiguousarray(np.swapaxes(gains, -1, -2)).reshape(shape)
-    planes = _planes(gains)
-    del gains  # freed before the mixing scratch is allocated
-    rr = _correlation_sqrt(spec.n_rx, spec.correlation)
-    rt = _correlation_sqrt(spec.n_tx, spec.correlation)
-    return _mix(planes, rr, rt).reshape(shape)
-
-
-def channel_matrix_at(proc: ChannelProcess, n_samples: int) -> np.ndarray:
-    """Advance every link and return the next n_samples channel matrices
-    g * Rr^{1/2} G Rt^{1/2}: unit_gain_matrices scaled in place by g."""
-    h = unit_gain_matrices(proc, n_samples)
-    h *= path_gain(proc.spec)
+        h = np.ascontiguousarray(np.swapaxes(gains, -1, -2)).reshape(shape)
+    else:
+        planes = _planes(gains)
+        del gains  # freed before the mixing scratch is allocated
+        rr = _correlation_sqrt(spec.n_rx, spec.correlation)
+        rt = _correlation_sqrt(spec.n_tx, spec.correlation)
+        h = _mix(planes, rr, rt).reshape(shape)
+    h *= path_gain(spec)
     return h
 
 
@@ -297,27 +293,26 @@ def receive(h: np.ndarray, x: np.ndarray, w: np.ndarray | None) -> np.ndarray:
 
 
 def apply_channel(
-    proc: ChannelProcess,
-    x: np.ndarray,
-    snr_db: float,
-    draw,
+    proc: ChannelProcess, x: np.ndarray, w: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Push transmit rows through the channels and add receiver noise.
 
     x has shape (..., n, n_tx) with the process's leading axes: n rows per
-    channel, each with total energy 1 by the encoder contract. Returns the
-    (..., n, n_rx) noisy receive rows and the exact (..., n, n_rx, n_tx)
-    channel matrices used, so callers can hand perfect CSI to a combiner.
-    The noise uniforms come from draw, as in receive; snr_db = inf disables
-    the noise entirely.
+    channel, each with total energy 1 by the encoder contract. w holds the
+    (..., n, n_rx) noise rows, as receiver_noise draws them, or is None for
+    a noiseless receiver; nothing is drawn here. Returns the (..., n, n_rx)
+    receive rows and the exact (..., n, n_rx, n_tx) channel matrices used,
+    so callers can hand perfect CSI to a combiner.
     """
     spec = proc.spec
     x = np.asarray(x, dtype=np.complex128)
     lead = proc.fading.alphas.shape[:-2]
     if x.ndim != len(lead) + 2 or x.shape[:-2] != lead or x.shape[-1] != spec.n_tx:
         raise ValueError(f"x must have shape {(*lead, 'n', spec.n_tx)}, got {x.shape}")
+    shape = (*x.shape[:-1], spec.n_rx)
+    if w is not None and w.shape != shape:
+        raise ValueError(f"w must have shape {shape}, got {w.shape}")
     h = channel_matrix_at(proc, x.shape[-2])
-    rows = x.reshape(-1, spec.n_tx)
-    w = receiver_noise((len(rows), spec.n_rx), snr_db, draw)
-    y = receive(h.reshape(-1, spec.n_rx, spec.n_tx), rows, w)
-    return y.reshape(*x.shape[:-1], spec.n_rx), h
+    noise = None if w is None else w.reshape(-1, spec.n_rx)
+    y = receive(h.reshape(-1, spec.n_rx, spec.n_tx), x.reshape(-1, spec.n_tx), noise)
+    return y.reshape(shape), h

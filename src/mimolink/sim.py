@@ -22,16 +22,18 @@ combining or detection, and demapping. Stream ids never name a point, so
 a trial draws the same uniforms at every point, and the part of the chain
 that the swept value does not enter, the prefix, runs once per chunk:
 bits, codewords, the links' angle tables and the receiver noise for the
-FER experiments, and under a gain sweep the unit-gain channel matrices
-H0 and the combines S of H0 x and W of the noise under H0's block
-channels; bits, the i.i.d. channel, H x, the channels prepared for the
-detector (detect.prepare_channels: H^H and the Gram matrices with ZF's
+FER experiments, and under a gain sweep H0 x and the unit-gain channel
+matrices H0, from apply_channel on the channels restarted at 0 dB, and
+the combines S of H0 x and W of the noise under H0's block channels;
+bits, the i.i.d. channel, H x, the channels prepared for the detector
+(detect.prepare_channels: H^H and the Gram matrices with ZF's
 singularity verdict, or ML's hypothesis images and tail norms) and the
 noise's normal pairs z for BER-vs-SNR. The rest, the suffix, runs once
-per point, one point at a time: the link gains, mixing, y = H x + w and
-the combine under a Doppler or sample-rate sweep, and S + W / g under a
-gain sweep, since the combiner is linear in y and its normaliser ||h||^2
-scales by g^2; then the demapping. BER-vs-SNR hands H x, z and every
+per point, one point at a time: apply_channel's link gains, mixing and
+y = H x + w with the prefix's w, and the combine under a Doppler or
+sample-rate sweep, and S + W / g under a gain sweep, since the combiner
+is linear in y and its normaliser ||h||^2 scales by g^2; then the
+demapping. BER-vs-SNR hands H x, z and every
 point's noise variance to one detect call, which returns each point's
 decisions: ZF solves for H^H H x and H^H z once and each point is an
 axpy of the two, ML forms its noise-free distances and their noise term
@@ -93,19 +95,16 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import numerics
-# apply_channel is unused here; the benchmark's trace wraps sim.apply_channel.
-from .channel import apply_channel  # noqa: F401
 from .channel import (
     MAX_ANTENNAS,
     ChannelSpec,
+    apply_channel,
     channel_init,
-    channel_matrix_at,
     channel_restart,
     noise_variance,
     path_gain,
     receive,
     receiver_noise,
-    unit_gain_matrices,
 )
 from .detect import (
     DetectorKind,
@@ -466,8 +465,8 @@ def _run_chunk(points: list[SimConfig], draw, trials: range) -> list[np.ndarray]
     # noise.
     code = ostbc_code(*config.code)
     t_len = code.block_len
-    x, syms = encode_array(code, syms.reshape(-1, code.n_symbols)).reshape(-1, n_tx), None
-    rows = len(x) // f
+    x, syms = encode_array(code, syms.reshape(-1, code.n_symbols)).reshape(f, -1, n_tx), None
+    rows = x.shape[1]
     u = uniforms(ROLE_FADING, fading_draws(ch.fading), n_rx * n_tx).reshape(f, n_rx * n_tx, -1)
     proc, u = channel_init(ch, u), None  # the angle tables replace the uniforms
 
@@ -481,10 +480,10 @@ def _run_chunk(points: list[SimConfig], draw, trials: range) -> list[np.ndarray]
         # The combiner is linear in y and its normaliser ||h||^2 scales by
         # g^2, so combining y = g H0 x + w under g H0 gives S + W / g, with
         # S and W the combines of H0 x and of w under the unit-gain H0. The
-        # prefix forms S and W; each point is an axpy and the demapping.
-        h0 = unit_gain_matrices(proc, rows).reshape(-1, n_rx, n_tx)
-        y0, x = receive(h0, x, None), None
-        h_blocks, h0 = h0[::t_len].copy(), None  # a copy, so that h0 is freed here
+        # prefix forms S and W; each point is an axpy and the demapping. At
+        # 0 dB, channel_matrix_at scales by 10**0, exactly 1.0.
+        (y0, h0), x = apply_channel(channel_restart(proc, replace(ch, path_gain_db=0.0)), x, None), None
+        h_blocks, h0 = h0.reshape(-1, n_rx, n_tx)[::t_len].copy(), None  # a copy, so that h0 is freed here
         s0, y0 = combine(y0, h_blocks), None
         w = receiver_noise((f * rows, n_rx), config.snr_db, noise)
         if w is None:
@@ -498,11 +497,11 @@ def _run_chunk(points: list[SimConfig], draw, trials: range) -> list[np.ndarray]
 
         return [gain_errors(pc) for pc in points]
 
-    w = receiver_noise((len(x), n_rx), config.snr_db, noise)
+    w = receiver_noise((f, rows, n_rx), config.snr_db, noise)
 
     def point_errors(pc: SimConfig) -> np.ndarray:
-        h = channel_matrix_at(channel_restart(proc, pc.channel), rows).reshape(-1, n_rx, n_tx)
-        return errors(combine(receive(h, x, w), h[::t_len]))
+        y, h = apply_channel(channel_restart(proc, pc.channel), x, w)
+        return errors(combine(y, h.reshape(-1, n_rx, n_tx)[::t_len]))
 
     return [point_errors(pc) for pc in points]
 

@@ -19,8 +19,8 @@ combines the unit-gain H0 x and the noise w under the unit-gain block
 channels once per chunk, S and W, and decides each point on S + W / g;
 the per-point chain it replaces scales the channels by g, forms
 y = g H0 x + w and combines y under g H0 at every point. The oracle
-records the engine's prefix (bits, codewords, unit-gain matrices, noise)
-and runs that chain on it.
+records the engine's prefix (bits, codewords, the unit-gain matrices that
+apply_channel returns at 0 dB, noise) and runs that chain on it.
 
 The fading kernel's Taylor plan forms its moments and polynomials as
 einsum contractions, which round otherwise than the loops of products,
@@ -145,9 +145,10 @@ def _gain_config(code, n_rx, fading, correlation, sweep) -> SimConfig:
 def _engine_and_per_point_chain(config: SimConfig, trials: int, monkeypatch) -> tuple[list, list]:
     """The engine's per-trial bit-error counts at each point of the gain
     sweep, and those of the per-point chain over the prefix that the
-    engine drew: the unit-gain matrices scaled by g, y = g H0 x + w, and
-    the combine of y under each block's first channel g H0."""
-    prefixes = []  # per chunk: the bits, codewords, unit-gain matrices and noise
+    engine drew: the unit-gain matrices H0 that apply_channel returned,
+    scaled by g, y = g H0 x + w, and the combine of y under each block's
+    first channel g H0."""
+    prefixes = []  # per chunk: the bits, codewords, apply_channel's (y0, H0) and noise
 
     def recording(name):
         original = getattr(sim, name)
@@ -161,7 +162,7 @@ def _engine_and_per_point_chain(config: SimConfig, trials: int, monkeypatch) -> 
 
         return record
 
-    for name in ("bernoulli_bits", "encode_array", "unit_gain_matrices", "receiver_noise"):
+    for name in ("bernoulli_bits", "encode_array", "apply_channel", "receiver_noise"):
         monkeypatch.setattr(sim, name, recording(name))
     points = [_point_config(config, x) for x in config.sweep]
     engine = sim._simulate_wave(points, 0, trials)
@@ -172,7 +173,7 @@ def _engine_and_per_point_chain(config: SimConfig, trials: int, monkeypatch) -> 
     for prefix in prefixes:
         bits, w = prefix["bernoulli_bits"], prefix["receiver_noise"]
         x = prefix["encode_array"].reshape(-1, n_tx)
-        h0 = prefix["unit_gain_matrices"].reshape(-1, n_rx, n_tx)
+        h0 = prefix["apply_channel"][1].reshape(-1, n_rx, n_tx)
         for counts, pc in zip(chain, points):
             h = np.multiply(h0, path_gain(pc.channel))
             s_hat = combine_array(code, receive(h, x, w).reshape(-1, t_len, n_rx), h[::t_len])

@@ -1,6 +1,7 @@
 """Tests for the correlated MIMO channel wrapper around the fading links."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,11 +15,11 @@ from mimolink.channel import (
     channel_init,
     channel_matrix_at,
     channel_restart,
-    unit_gain_matrices,
     correlation_matrix,
     correlation_rho,
     noise_variance,
     receive,
+    receiver_noise,
 )
 from mimolink.fading import FadingModel, FadingSpec, fading_draws
 from mimolink.modem import qpsk_modulate
@@ -248,7 +249,7 @@ def test_power_budget_single_link():
     proc = _channel(spec, 8)
     bits = (RngStream(8, 1).uniform(200_000) < 0.5).astype(np.uint8)
     x = qpsk_modulate(bits).reshape(-1, 1)
-    y, h = apply_channel(proc, x, float("inf"), RngStream(8, 2).uniform)
+    y, h = apply_channel(proc, x, None)
     ratio = np.mean(np.abs(y) ** 2) / np.mean(np.abs(x) ** 2)
     assert abs(ratio - 1.0) < 0.03
 
@@ -261,7 +262,7 @@ def test_power_budget_per_receive_antenna():
     n = 100_000
     bits = (RngStream(9, 1).uniform(8 * n) < 0.5).astype(np.uint8)
     x = qpsk_modulate(bits).reshape(n, 4) / 2.0  # rows have total energy 1
-    y, _ = apply_channel(proc, x, float("inf"), RngStream(9, 2).uniform)
+    y, _ = apply_channel(proc, x, None)
     per_antenna = np.mean(np.abs(y) ** 2, axis=0)
     np.testing.assert_allclose(per_antenna, 10.0 ** (gain_db / 10.0), rtol=0.03)
 
@@ -270,7 +271,7 @@ def test_noise_power_at_zero_db():
     spec = ChannelSpec(n_tx=1, n_rx=2, fading=FAST_FADING)
     proc = _channel(spec, 10)
     x = np.ones((100_000, 1), dtype=np.complex128)
-    y, h = apply_channel(proc, x, 0.0, RngStream(10, 1).uniform)
+    y, h = apply_channel(proc, x, receiver_noise((len(x), 2), 0.0, RngStream(10, 1).uniform))
     assert noise_variance(0.0) == 1.0
     w = y - np.einsum("nrt,nt->nr", h, x)
     assert abs(np.mean(np.abs(w) ** 2) - 1.0) < 0.02
@@ -289,7 +290,9 @@ def test_infinite_snr_unit_channel_is_identity():
     proc = _channel(spec, 12)
     bits = (RngStream(12, 1).uniform(512) < 0.5).astype(np.uint8)
     x = qpsk_modulate(bits).reshape(-1, 1)
-    y, h = apply_channel(proc, x, float("inf"), RngStream(12, 2).uniform)
+    w = receiver_noise((len(x), 1), float("inf"), RngStream(12, 2).uniform)
+    assert w is None
+    y, h = apply_channel(proc, x, w)
     assert np.array_equal(y, x)  # bit-exact, no noise, unit gain
     assert noise_variance(float("inf")) == 0.0
     assert np.all(h == 1.0 + 0.0j)
@@ -299,7 +302,7 @@ def test_reported_csi_matches_applied_channel():
     spec = ChannelSpec(n_tx=3, n_rx=2, fading=FAST_FADING, correlation=0.5)
     proc = _channel(spec, 13)
     x = complex_normal(RngStream(13, 1), (1000, 3))
-    y, h = apply_channel(proc, x, float("inf"), RngStream(13, 2).uniform)
+    y, h = apply_channel(proc, x, None)
     resid = y - np.einsum("nrt,nt->nr", h, x)
     assert np.max(np.abs(resid)) < 1e-12
 
@@ -307,8 +310,12 @@ def test_reported_csi_matches_applied_channel():
 def test_apply_channel_shape_check():
     spec = ChannelSpec(n_tx=2, n_rx=2, fading=FAST_FADING)
     proc = _channel(spec, 14)
-    with pytest.raises(ValueError):
-        apply_channel(proc, np.ones((4, 3), dtype=np.complex128), 10.0, RngStream(14, 1).uniform)
+    with pytest.raises(ValueError, match="x must have shape"):
+        apply_channel(proc, np.ones((4, 3), dtype=np.complex128), None)
+    x = np.ones((4, 2), dtype=np.complex128)
+    for shape in ((4, 3), (3, 2), (1, 4, 2)):
+        with pytest.raises(ValueError, match="w must have shape"):
+            apply_channel(proc, x, receiver_noise(shape, 10.0, RngStream(14, 1).uniform))
 
 
 def test_channel_time_advances_between_calls():
@@ -353,22 +360,24 @@ def test_batched_channels_equal_single_channels(spec):
         return RngStream(17, 100 + i).uniform
 
     # One row of uniforms per channel, as sim's engine draws them.
-    y, h = apply_channel(batch, x, 5.0, lambda size: np.stack([noise(i)(size // 6) for i in range(6)]))
+    w = receiver_noise((*lead, n, spec.n_rx), 5.0, lambda size: np.stack([noise(i)(size // 6) for i in range(6)]))
+    y, h = apply_channel(batch, x, w)
     assert y.shape == (*lead, n, spec.n_rx)
     flat_x, flat_y, flat_h = (a.reshape(6, *a.shape[2:]) for a in (x, y, h))
     for i, c in enumerate(singles):
-        y1, h1 = apply_channel(c, flat_x[i], 5.0, noise(i))
+        y1, h1 = apply_channel(c, flat_x[i], receiver_noise((n, spec.n_rx), 5.0, noise(i)))
         np.testing.assert_array_equal(flat_y[i], y1)
         np.testing.assert_array_equal(flat_h[i], h1)
     with pytest.raises(ValueError, match="x must have shape"):
-        apply_channel(batch, flat_x, 5.0, noise(0))
+        apply_channel(batch, flat_x, None)
 
 
 def test_channel_restart_equals_a_fresh_channel():
     """A process restarted under another Doppler, sample rate, correlation
     and path gain gives, bit for bit, the matrices of a process started
     under that spec from the same uniforms; the original keeps its spec
-    and cursor. unit_gain_matrices is channel_matrix_at before the gain."""
+    and cursor. Restarted at 0 dB, a process gives the matrices before the
+    path gain."""
     spec = ChannelSpec(n_tx=3, n_rx=2, fading=FAST_FADING, correlation=0.5)
     other = ChannelSpec(n_tx=3, n_rx=2, correlation=0.9, path_gain_db=-7.0,
                         fading=FadingSpec(max_doppler_hz=40.0, sample_rate_hz=1e4))
@@ -377,7 +386,7 @@ def test_channel_restart_equals_a_fresh_channel():
     restarted = channel_restart(proc, other)
     np.testing.assert_array_equal(channel_matrix_at(restarted, 50), channel_matrix_at(channel_init(other, u), 50))
     assert proc.spec == spec and proc.fading.sample_index == 0
-    unit = channel.path_gain(other) * unit_gain_matrices(channel_restart(proc, other), 50)
+    unit = channel.path_gain(other) * channel_matrix_at(channel_restart(proc, replace(other, path_gain_db=0.0)), 50)
     np.testing.assert_array_equal(unit, channel_matrix_at(channel_restart(proc, other), 50))
     for bad in (ChannelSpec(n_tx=2, n_rx=2, fading=FAST_FADING),
                 ChannelSpec(n_tx=3, n_rx=2, fading=FadingSpec(num_sinusoids=16))):

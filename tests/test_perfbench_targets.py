@@ -80,7 +80,31 @@ def test_traced_pool_run_writes_the_untraced_csv(tmp_path, monkeypatch):
         assert mimolink.cli.main([*argv, "--out", str(traced)]) == 0
     assert traced.read_bytes() == plain.read_bytes()
     worker_spans = {span[1] for span in tracer.spans if tracing.span_pid(span) != os.getpid()}
-    assert "fading.fading_next" in worker_spans
+    assert {"fading.fading_next", "channel.apply_channel"} <= worker_spans
+
+
+def test_traced_gain_run_writes_the_untraced_csv(tmp_path):
+    """A traced serial fer-vs-gain run writes the bytes of an untraced one,
+    and its gain prefix reaches the channel through apply_channel, whose
+    spans give channel.apply_s and channel.mix_s."""
+    import mimolink
+    import mimolink.cli
+
+    tracing = _load_tracing()
+    argv = [
+        "fer-vs-gain", "--code", "2x1", "--nr", "2", "--gain-db=-8,-4", "--frame-bits", "24",
+        "--max-frames", "40", "--target-errors", "1000",
+    ]
+    plain, traced = tmp_path / "plain.csv", tmp_path / "traced.csv"
+    assert mimolink.cli.main([*argv, "--out", str(plain)]) == 0
+    tracer = tracing.Tracer()
+    with tracer.installed(mimolink):
+        assert mimolink.cli.main([*argv, "--out", str(traced)]) == 0
+    assert traced.read_bytes() == plain.read_bytes()
+    names = {span[1] for span in tracer.spans}
+    assert {"channel.apply_channel", "channel.channel_matrix_at"} <= names
+    assert {tracing.LAYER_OF_SPAN[name] for name in ("channel.apply_channel", "channel.channel_matrix_at")} == {
+        "channel.apply_s", "channel.mix_s"}
 
 
 @pytest.mark.parametrize("detector", ["zf", "mmse", "ml"])

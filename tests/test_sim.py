@@ -467,7 +467,7 @@ def test_noise_free_strong_los_frame_is_clean():
 
 def test_reference_chain_reproduces_run_frame():
     """Straight-line per-block reimplementation of the coded path."""
-    from mimolink.channel import apply_channel, channel_init
+    from mimolink.channel import apply_channel, channel_init, receiver_noise
     from mimolink.fading import fading_draws
     from mimolink.modem import bernoulli_bits, qpsk_demodulate, qpsk_modulate
     from mimolink.sim import EXPERIMENT_IDS, ROLE_BITS, ROLE_FADING, ROLE_NOISE
@@ -492,7 +492,8 @@ def test_reference_chain_reproduces_run_frame():
         ch = point.channel
         u = [stream(ROLE_FADING + i).uniform(fading_draws(ch.fading)) for i in range(ch.n_rx * ch.n_tx)]
         chan = channel_init(ch, np.stack(u))
-        y_rows, h = apply_channel(chan, rows, point.snr_db, stream(ROLE_NOISE).uniform)
+        w = receiver_noise((len(rows), ch.n_rx), point.snr_db, stream(ROLE_NOISE).uniform)
+        y_rows, h = apply_channel(chan, rows, w)
 
         bits_hat = []
         t_len = code.block_len
