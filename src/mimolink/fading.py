@@ -17,12 +17,12 @@ link_gains is the one synthesis kernel. It evaluates the sums of cosines of
 many links at sample indices n, t = n / fs, block by block: the samples
 fall in blocks of L, anchored at absolute multiples of L with the anchor
 c = jL + L // 2, and every sum starts from theta_m, the phase at the
-anchor, computed by the same expression as the direct sum. With
-d_m = w_d f_m / fs the phase step of one sample, block_plan picks one of
-three plans from the spec alone:
+anchor. With d_m = w_d f_m / fs the phase step of one sample, block_plan
+picks one of three plans from the spec alone:
 
 - Taylor blocks, at high sample rates (fs >= 50 kHz at f_d = 100 Hz):
-  every sum is its degree-K Taylor polynomial in (n - c),
+  every sum is its degree-K Taylor polynomial in (n - c), about anchor
+  phases computed by the same expression as the direct sum,
 
       sum_m cos(theta_m + (n - c) d_m) = sum_k mu_k (n - c)^k,
       mu_k = sum_m cos(theta_m + k pi/2) d_m^k / k!,
@@ -39,15 +39,21 @@ three plans from the spec alone:
       cos(theta_m + k d_m) = cos theta_m cos(k d_m) - sin theta_m sin(k d_m),
 
   from per-link tables of cos(k d_m) and sin(k d_m), built once per call.
-  A block costs 2M trig calls and a sample about M multiply-adds. Nothing
-  is truncated: only the rounding differs from the direct sum.
+  The blocks fall in runs of ROTATION_BLOCK, anchored at absolute
+  multiples too: the first block of a run takes its anchor phases by the
+  direct sum's expression and 2M trig calls, and block r of the run
+  turns them by e^{i r L d_m}, from a per-link run table built once per
+  call by doubling, up to the largest r that the call reads: 4M products
+  and 2M sums in place of a block's 2M trig calls. A sample costs about
+  M multiply-adds. Nothing is truncated: only the rounding differs
+  from the direct sum, in the turned anchors by a few ulp of the phase.
 - The direct sum (L = 1, K = 0, every sample its own anchor), operation
   for operation, where M is too large for the rotation tables.
 
-Because the blocks are absolute, a value depends only on its sample index,
-never on where a call starts or how it is tiled: links and blocks are
-taken in tiles of at most numerics.CHUNK_ELEMENTS float64 elements
-(0.5 MiB) of scratch, numpy's iterator buffers included.
+Because the blocks and the runs are absolute, a value depends only on its
+sample index, never on where a call starts or how it is tiled: links and
+blocks are taken in tiles of at most numerics.CHUNK_ELEMENTS float64
+elements (0.5 MiB) of scratch, numpy's iterator buffers included.
 A FadingProcess is a cursor over the kernel: it holds the angle tables of
 one link or of a batch of links, and fading_next asks link_gains for all of
 them at the process's next sample indices.
@@ -101,10 +107,12 @@ MAX_VALIDATION_SAMPLES = 10_000_000
 # sample. MAX_BLOCK_TURN (rad) bounds the phase turn from a block's anchor
 # to its edge, so that no Taylor term outgrows the direct sum by more than
 # e^0.5 and the polynomial rounds about as the direct sum does. MAX_BLOCK
-# caps L. ROTATION_BLOCK is the L of rotation blocks, fixed so that the
-# anchors, and with them every value, depend on the spec alone. MAX_TABLE
-# caps a link's 2(L + 2)M rotation table elements at a quarter of the
-# kernel's scratch budget, so that a tile holds several links.
+# caps L. ROTATION_BLOCK is the L of rotation blocks and the number of
+# blocks in a run of them, fixed so that the anchors, and with them every
+# value, depend on the spec alone. MAX_TABLE caps a link's 2(L + 2)M
+# rotation table elements at a quarter of the kernel's scratch budget, so
+# that a tile holds several links; the run table adds up to
+# 4 ROTATION_BLOCK M more in a call that crosses a run's edge.
 TAYLOR_TOL = 1e-16
 MAX_BLOCK_TURN = 0.5
 MAX_BLOCK = 1024
@@ -240,9 +248,11 @@ def block_plan(spec: FadingSpec) -> BlockPlan:
       error of a unit-power gain.
     - "rotation": L = ROTATION_BLOCK, and each cosine at the offset
       k = n - c is cos(theta_m) cos(k d_m) - sin(theta_m) sin(k d_m), from
-      per-link tables of cos(k d_m) and sin(k d_m) at k = 0, ..., L/2.
-      Exact but for rounding, at any sample rate; a candidate while a
-      link's 2(L + 2)M table elements fit MAX_TABLE.
+      per-link tables of cos(k d_m) and sin(k d_m) at k = 0, ..., L/2,
+      and the anchor phases of block r of a run of ROTATION_BLOCK blocks
+      those of the run's first block turned by e^{i r L d_m}. Exact but
+      for rounding, at any sample rate; a candidate while a link's
+      2(L + 2)M table elements fit MAX_TABLE.
     - "direct": L = 1, K = 0, every sample its own anchor: the direct sum.
 
     The candidate with the fewest elementwise operations per sample wins,
@@ -259,7 +269,10 @@ def block_plan(spec: FadingSpec) -> BlockPlan:
         # Per sample: a block's 2M trig calls at its anchor, shared by its
         # L samples; the tables' log2(L) pairs of trig calls per sinusoid,
         # shared by a call; and two contractions of M products for each
-        # pair of offsets +-k.
+        # pair of offsets +-k. Only a run's first block takes the anchor's
+        # trig calls, and the others turn it by 4M products and 2M sums,
+        # but the model still charges every block the trig: a refit would
+        # move the plans that the 1 MHz goldens and benchmarks pin.
         trig = 2 * m * COS_COST * (1 / ROTATION_BLOCK + math.log2(ROTATION_BLOCK) / ROTATION_CALL)
         cost = trig + ROTATION_MAC * m * (ROTATION_BLOCK + 2) / ROTATION_BLOCK
         if cost < best_cost:
@@ -279,39 +292,78 @@ def block_plan(spec: FadingSpec) -> BlockPlan:
 
 
 def _anchor_phases(
-    freqs: np.ndarray, phases: np.ndarray, wd: float, fs: float, length: int, j0: int, j1: int, out: np.ndarray
+    freqs: np.ndarray, phases: np.ndarray, wd: float, fs: float, length: int, j0: int, j1: int, out: np.ndarray,
+    stride: int = 1,
 ) -> None:
-    # The phases at the anchors c = jL + L // 2 of blocks j0 <= j < j1, by
-    # the direct sum's expression, into out (..., j1 - j0, M).
-    centres = (np.arange(j0, j1) * length + length // 2) / fs
+    # The phases at the anchors c = jL + L // 2 of blocks j = j0, j0 + stride,
+    # ... below j1, by the direct sum's expression, into out (..., blocks, M).
+    centres = (np.arange(j0, j1, stride) * length + length // 2) / fs
     np.multiply(centres[:, None], freqs[..., None, :], out=out)
     out *= wd
     out += phases[..., None, :]
 
 
-def _rotation_tables(freqs: np.ndarray, step: float, length: int) -> tuple[np.ndarray, np.ndarray]:
+def _turn_rows(first: int, last: int) -> int:
+    # Rows of the run table that blocks first <= j < last read: r = 0 up
+    # to the largest j mod ROTATION_BLOCK among them.
+    if (last - 1) // ROTATION_BLOCK > first // ROTATION_BLOCK:
+        return ROTATION_BLOCK
+    return (last - 1) % ROTATION_BLOCK + 1
+
+
+def _turn(c: np.ndarray, s: np.ndarray, rc: np.ndarray, rs: np.ndarray, re: np.ndarray, im: np.ndarray) -> None:
+    # (re, im) = (c + i s) e^{i phi}, with rc = cos(phi) and rs = sin(phi).
+    np.multiply(s, rs, out=im)
+    np.multiply(c, rc, out=re)
+    re -= im
+    np.multiply(c, rs, out=im)
+    im += s * rc
+
+
+def _doubling(cos: np.ndarray, sin: np.ndarray, d: np.ndarray, unit: int, half_turn=None) -> None:
+    # Rows k = 0, 1, ... of (k, ..., M) tables of cos(k phi) and sin(k phi),
+    # phi = unit * d, by doubling from row 0 = e^0: row p = e^{ip phi} for
+    # p = 1, 2, 4, ... is a turn, and rows (p, 2p) are rows (0, p) turned by
+    # it, so that row k rounds as popcount(k) - 1 products after the turns.
+    # The turns are trig, but for p = 1 and 2 the squares of half_turn,
+    # e^{i phi/2}, and of row 1 where half_turn is given.
+    cos[0], sin[0] = 1.0, 0.0
+    p = 1
+    while p < len(cos):
+        c, s = cos[p], sin[p]
+        if half_turn is not None and p < 4:
+            rc, rs = half_turn if p == 1 else (cos[1], sin[1])
+            np.multiply(rc, rc, out=c)
+            c -= rs * rs
+            np.multiply(rc, rs, out=s)
+            s *= 2.0
+        else:
+            np.multiply(d, p * unit, out=c)
+            np.sin(c, out=s)
+            np.cos(c, out=c)
+        q = min(p, len(cos) - p)
+        if q > 1:
+            _turn(cos[1:q], sin[1:q], c, s, cos[p + 1 : p + q], sin[p + 1 : p + q])
+        p *= 2
+
+
+def _rotation_tables(freqs: np.ndarray, step: float, length: int, rows: int) -> tuple[np.ndarray, ...]:
     # cos(k d_m) and sin(k d_m) at k = 0, ..., L/2, with d_m = f_m * step:
-    # two (L/2 + 1, ..., M) arrays. Rows [p, 2p) are rows [0, p) turned by
-    # e^{ipd} for p = 1, 2, ..., L/4, and row L/2 is trig: log2(L) trig
-    # calls per sinusoid, and row k rounds as popcount(k) - 1 products.
+    # two (L/2 + 1, ..., M) arrays whose turns are trig, log2(L) trig calls
+    # per sinusoid. Then the run table, cos(r L d_m) and sin(r L d_m) at
+    # r < rows: two (..., rows, M) arrays whose turns e^{iLd} and e^{2iLd}
+    # are squares, of row L/2 and then of e^{iLd}, and the turns e^{ipLd}
+    # from p = 4 on trig.
     half = length // 2
     d = freqs * step
     cos, sin = np.empty((2, half + 1, *freqs.shape))
-    cos[0], sin[0] = 1.0, 0.0
-    p = 1
-    while p < half:
-        turn = d * p
-        rc, rs = np.cos(turn), np.sin(turn)
-        c, s, re, im = cos[:p], sin[:p], cos[p : 2 * p], sin[p : 2 * p]
-        np.multiply(s, rs, out=im)
-        np.multiply(c, rc, out=re)
-        re -= im
-        np.multiply(c, rs, out=im)
-        im += s * rc
-        p *= 2
-    np.cos(d * half, out=cos[half])
-    np.sin(d * half, out=sin[half])
-    return cos, sin
+    _doubling(cos, sin, d, 1)
+    run_cos, run_sin = np.empty((2, *freqs.shape[:-1], rows, freqs.shape[-1]))
+    # The rows to the front as a transpose: np.moveaxis leaves cyclic
+    # garbage, which the scratch budget would count until it is collected.
+    rows_first = (freqs.ndim - 1, *range(freqs.ndim - 1), freqs.ndim)
+    _doubling(run_cos.transpose(rows_first), run_sin.transpose(rows_first), d, length, (cos[half], sin[half]))
+    return cos, sin, run_cos, run_sin
 
 
 def _taylor_weights(freqs: np.ndarray, step: float, order: int) -> np.ndarray:
@@ -331,27 +383,48 @@ def _block_sums(
     wd: float,
     fs: float,
     plan: BlockPlan,
-    tables: tuple[np.ndarray, np.ndarray] | np.ndarray,
+    tables: tuple[np.ndarray, ...] | np.ndarray,
     lo: int,
     hi: int,
 ) -> np.ndarray:
     # sum_m cos((n / fs * freqs[..., m]) * wd + phases[..., m]) for samples
     # lo <= n < hi, shape (..., hi - lo), from the blocks that [lo, hi)
     # touches, about their anchors c = jL + L // 2. tables holds the
-    # rotation tables, or else the Taylor weights.
+    # rotation tables and the run table, or else the Taylor weights.
     mode, length, order = plan
     m = freqs.shape[-1]
     j0, j1 = lo // length, (hi - 1) // length + 1
     if mode == "rotation":
+        # The anchor phases of block j = sR + r, R = ROTATION_BLOCK: trig
+        # at the run's first block sR, then turned by the run table's row
+        # r, e^{i r L d_m}, so that the blocks of a run at r > 0 take no
+        # trig. The block tile's runs are s0 <= s < s1.
+        s0, s1 = j0 // ROTATION_BLOCK, (j1 - 1) // ROTATION_BLOCK + 1
+        runs = np.empty((2, *freqs.shape[:-1], s1 - s0, m))
+        _anchor_phases(freqs, phases, wd, fs, length, s0 * ROTATION_BLOCK, j1, runs[0], ROTATION_BLOCK)
+        np.sin(runs[0], out=runs[1])
+        np.cos(runs[0], out=runs[0])
+        run, r = np.divmod(np.arange(j0, j1), ROTATION_BLOCK)
+        run -= s0
+        trig = np.take(runs, run, axis=-2)
+        del runs, run
+        # In place, with _turn's products: cos' = cos rc - sin rs and
+        # sin' = cos rs + sin rc. At r = 0, rc = 1 and rs = 0 keep the
+        # run's anchor bit for bit.
+        cos, sin = trig
+        rc, rs = np.take(tables[2], r, axis=-2), np.take(tables[3], r, axis=-2)
+        cos_rs = cos * rs
+        cos *= rc
+        rs *= sin
+        cos -= rs
+        sin *= rc
+        sin += cos_rs
+        del rc, rs, r, cos_rs
         # Rotation: at the offsets +-k from an anchor the sum is A_k -+ B_k,
         # with A_k = sum_m cos(theta_m) cos(k d_m) and B_k the same of the
         # sines, each contracted over the M sinusoids in one fixed order,
         # so that a value does not depend on the tile's shape.
         half = length // 2
-        trig = np.empty((2, *freqs.shape[:-1], j1 - j0, m))
-        _anchor_phases(freqs, phases, wd, fs, length, j0, j1, trig[0])
-        np.sin(trig[0], out=trig[1])
-        np.cos(trig[0], out=trig[0])
         a = np.einsum("...jm,k...m->...jk", trig[0], tables[0])
         b = np.einsum("...jm,k...m->...jk", trig[1], tables[1])
         acc = np.empty((*a.shape[:-1], length))
@@ -392,21 +465,29 @@ def _tile_elements(spec: FadingSpec, start: int, n: int) -> tuple[int, int, int]
     per link, per block of a link and per block of a tile's samples (L, or
     n if the call lies in one block); a broadcast or strided step may buffer
     each operand up to its output's size. Per link: the frequencies and
-    phases, 4M; under rotation the tables, 2(L + 2)M, their build's steps,
-    8M, and its last product with two buffers, 3LM/2; under Taylor the
-    weights of k = 1, ..., K, 2KM. Per block of a link: the anchors' times,
-    2, the anchor phases, and their sines (rotation, Taylor), 2M each, then
-    the larger of a broadcast step's buffers, 6M, and the rest: the sums
-    A_k and B_k, 2(L + 2), and the 2L gains with three buffers, or the
-    2(K + 1) moments and the polynomials' values, 2 a sample. Per block of
-    samples: the offsets and their powers, K + 2 a sample, and the Rician
-    LOS steps, 6 a sample."""
+    phases, 4M; under rotation the tables, 2(L + 2)M, and the larger of
+    their build, its steps, 8M, and its last product with two buffers,
+    3LM/2, and of the run table's R rows that the call reads, 4RM, with
+    its build, 2M, and its last product with two buffers, 6(R // 2)M;
+    under Taylor the weights of k = 1, ..., K, 2KM. Per block of a link:
+    the anchors' times, 2, the anchor phases, and their sines (rotation,
+    Taylor), 2M each, then the larger of a broadcast step's buffers, 6M,
+    and the rest: the rotation's turns and product, 6M, the sums A_k and
+    B_k, 2(L + 2), and the 2L gains with three buffers, or the 2(K + 1)
+    moments and the polynomials' values, 2 a sample. A rotation tile's
+    runs, at most one a block, take their anchors in those elements
+    before its blocks take theirs. Per block of samples: the offsets and
+    their powers, K + 2 a sample, the rotation's run and row indices, 3,
+    and the Rician LOS steps, 6 a sample."""
     mode, length, order = block_plan(spec)
     m = spec.num_sinusoids
-    samples = n if start // length == (start + n - 1) // length else length
+    first, last = start // length, (start + n - 1) // length + 1
+    samples = n if last - first == 1 else length
     los = 6 * samples if spec.model is FadingModel.RICIAN else 0
     if mode == "rotation":
-        return (7 * length // 2 + 16) * m, 2 + 4 * m + max(6 * m, 7 * length + 4), los
+        rows = _turn_rows(first, last)
+        build = max(8 * m + 3 * length * m // 2, (4 * rows + 2 + 6 * (rows // 2)) * m)
+        return (2 * length + 8) * m + build, 2 + 4 * m + max(6 * m, 7 * length + 4), los + 3
     return ((4 + 2 * order) * m, 2 + (4 if order else 2) * m + max(6 * m, 2 * order + 2 + 2 * samples),
             los + (order + 2) * samples)
 
@@ -464,7 +545,7 @@ def link_gains(
         freqs = np.stack([np.cos(alphas[rows]), np.sin(alphas[rows])])
         phases = np.stack([psis[rows], thetas[rows]])
         if plan.mode == "rotation":
-            tables = _rotation_tables(freqs, wd / fs, length)
+            tables = _rotation_tables(freqs, wd / fs, length, _turn_rows(first, last))
         else:
             tables = _taylor_weights(freqs, wd / fs, plan.order)
         for j in range(first, last, blocks):
@@ -589,9 +670,19 @@ class EnvelopeStats:
     """Result of validate_process.
 
     autocorr_lags holds (lag_seconds, empirical, theoretical) triples for the
-    normalized real-part autocorrelation. The theoretical column is
-    J0(2 pi f_d tau) for Rayleigh; for Rician the line-of-sight term is
-    included: (K cos(2 pi f_los tau) + J0(2 pi f_d tau)) / (K + 1).
+    normalized real-part autocorrelation, the lag products' mean over the
+    samples with no mean subtracted. The theoretical column is
+    J0(2 pi f_d tau) for Rayleigh. For Rician fading the line-of-sight
+    term sqrt(K/(K+1)) cos(2 pi f_los t + phi) adds
+    K (cos(2 pi f_los tau) + s cos(2 phi)) to the numerator and
+    K (1 + s cos(2 phi)) to the denominator:
+
+        (K (cos(2 pi f_los tau) + s cos(2 phi)) + J0(2 pi f_d tau))
+            / (K (1 + s cos(2 phi)) + 1),
+
+    with s = 1 for a static line of sight (f_los = 0), whose real part
+    is the constant sqrt(K/(K+1)) cos(phi), and s = 0 for a moving one,
+    whose products at 2 pi f_los (2t + tau) + 2 phi average out.
     """
 
     ks_statistic: float
@@ -671,7 +762,9 @@ def validate_process(proc: FadingProcess, n_samples: int) -> EnvelopeStats:
         theo = bessel_j0(2.0 * np.pi * fd * tau)
         if spec.model is FadingModel.RICIAN:
             k = spec.k_factor
-            theo = (k * math.cos(2.0 * np.pi * spec.los_doppler_hz * tau) + theo) / (k + 1.0)
+            static = math.cos(2.0 * spec.los_phase_rad) if spec.los_doppler_hz == 0.0 else 0.0
+            moving = math.cos(2.0 * np.pi * spec.los_doppler_hz * tau)
+            theo = (k * (moving + static) + theo) / (k * (1.0 + static) + 1.0)
         lags.append((tau, emp, float(theo)))
 
     mean_power = float(np.dot(env, env) / n_samples)

@@ -30,7 +30,13 @@ Taylor sums in the FER gain and Doppler chains: every trial's count must
 be the same. The same chains then run under a 1-ulp mode, which moves
 every float64 output of np.cos, np.sin, np.exp and np.log1p by one ulp
 in a seeded random direction, as another CPU's SIMD kernels might round
-them: a count that moves is a trial that such a host would flip."""
+them: a count that moves is a trial that such a host would flip.
+
+The rotation plan turns the anchors of a run's later blocks from its
+first block's by products, where every block's anchors were trig. The
+direct-anchor kernel stays in tests/test_fading.py as the oracle, and
+here it replaces the turned one in a FER sample-rate chain whose frames
+span two blocks: every trial's count must be the same."""
 
 import math
 from fractions import Fraction
@@ -45,7 +51,7 @@ from mimolink.fading import FadingModel, FadingSpec, block_plan
 from mimolink.modem import qpsk_demodulate
 from mimolink.sim import Experiment, SimConfig, _point_config
 from mimolink.stbc import combine_array, ostbc_code, supported_codes
-from test_fading import taylor_block_sums_loops
+from test_fading import rotation_block_sums_direct_anchors, taylor_block_sums_loops
 
 SEED = 7
 TRIALS = 1000
@@ -237,16 +243,21 @@ _FADING_SHAPES = [
 
 @pytest.fixture(scope="module", params=_FADING_SHAPES, ids=[shape[0] for shape in _FADING_SHAPES])
 def fading_chain(request):
+    """The Taylor-plan FER chains of _FADING_SHAPES."""
+    chain = _chain(*request.param[1:])
+    assert all(block_plan(pc.channel.fading).mode == "taylor" for pc in chain[0])
+    return chain
+
+
+def _chain(experiment, code, n_rx, spec, gain_db, sweep, trials, correlation=0.0, frame_bits=GAIN_FRAME_BITS):
     """A FER chain's point configs and trials, and the engine's per-trial
     bit-error counts at each point."""
-    _, experiment, code, n_rx, spec, gain_db, sweep, trials = request.param
     config = SimConfig(
-        experiment=experiment, code=code, frame_bits=GAIN_FRAME_BITS, sweep=sweep, master_seed=SEED,
-        channel=ChannelSpec(n_tx=code[0], n_rx=n_rx, fading=spec, path_gain_db=gain_db),
+        experiment=experiment, code=code, frame_bits=frame_bits, sweep=sweep, master_seed=SEED,
+        channel=ChannelSpec(n_tx=code[0], n_rx=n_rx, correlation=correlation, fading=spec, path_gain_db=gain_db),
     )
     config.validate()
     points = [_point_config(config, x) for x in sweep]
-    assert all(block_plan(pc.channel.fading).mode == "taylor" for pc in points)
     return points, trials, sim._simulate_wave(points, 0, trials)
 
 
@@ -293,3 +304,24 @@ def test_one_ulp_of_the_transcendentals_flips_no_trial(fading_chain, monkeypatch
     assert _differing(fading_chain) == 0
     points = fading_chain[0]
     assert called == {"cos", "sin", "log1p"} | ({"exp"} if points[0].channel.fading.k_factor else set())
+
+
+@pytest.fixture(scope="module")
+def rotation_chain():
+    """100,000 trial-points under the rotation plan: the sample-rate golden's
+    2x1 link, high correlation, Rician K = 4 with a 100 Hz line of sight
+    and -6 dB, in 120-bit frames, 60 samples or two blocks, at 300 Hz, 1,
+    2.56 and 10 kHz, 25,000 trials a point. One receive antenna, where the
+    golden has two, halves the fading links and so the test's time."""
+    spec = FadingSpec(model=FadingModel.RICIAN, k_factor=4.0, los_doppler_hz=100.0)
+    chain = _chain(Experiment.FER_VS_SAMPLE_RATE, (2, Fraction(1)), 1, spec, -6.0, (300.0, 1e3, 2560.0, 1e4), 25000,
+                   correlation=0.9, frame_bits=120)
+    assert all(block_plan(pc.channel.fading).mode == "rotation" for pc in chain[0])
+    return chain
+
+
+def test_turned_anchors_count_as_the_direct_anchors(rotation_chain, monkeypatch):
+    """The direct anchors in place of the turned ones: the number of
+    trial-points whose counts differ must be zero."""
+    monkeypatch.setattr(fading, "_block_sums", rotation_block_sums_direct_anchors)
+    assert _differing(rotation_chain) == 0

@@ -24,6 +24,7 @@ from mimolink.fading import (
     FadingSpec,
     _anchor_phases,
     _block_sums,
+    _rotation_tables,
     _taylor_weights,
     _tile_elements,
     block_plan,
@@ -280,6 +281,48 @@ def test_taylor_blocks_are_seamless_and_tile_invariant(fs, monkeypatch):
         np.testing.assert_array_equal(link_gains(spec, *angles, start, n), expected)
 
 
+@pytest.mark.parametrize("fs", [256.0, 1e3])
+def test_rotation_runs_are_seamless_and_tile_invariant(fs, monkeypatch):
+    """Rotation blocks turn the anchors of each run of ROTATION_BLOCK blocks
+    (1,024 samples) from its first block's. Over three run edges, calls
+    split at and next to them, or inside a run, and every tiling of a call
+    that starts mid-run, tiles of a few blocks, of a run and a few blocks
+    and of several runs among them, give the same bytes as one call."""
+    spec = FadingSpec(max_doppler_hz=100.0, sample_rate_hz=fs)
+    length = block_plan(spec).length
+    run = length * ROTATION_BLOCK
+    n = 3 * run + 77
+    whole = fading_next(fading_init(spec, RngStream(18, 0)), n)
+    for cuts in ((run - 1,), (run,), (run + 1,), (2 * run - 1, 2 * run + 1), (5, run + 40, run + 41, 3 * run)):
+        proc = fading_init(spec, RngStream(18, 0))
+        parts = [fading_next(proc, b - a) for a, b in zip((0, *cuts), (*cuts, n))]
+        np.testing.assert_array_equal(np.concatenate(parts, axis=-1), whole)
+    u = np.stack([RngStream(18, sid).uniform(1 + 2 * spec.num_sinusoids) for sid in range(3)])
+    angles = fading_angles(spec, u)
+    start = run // 2 + 7
+    expected = link_gains(spec, *angles, start, n)
+    per_link, per_block, shared = _tile_elements(spec, start, n)
+    for blocks in (3, ROTATION_BLOCK + 5, 2 * ROTATION_BLOCK - 1):
+        for links in (1, 2):
+            monkeypatch.setattr(numerics, "CHUNK_ELEMENTS", links * per_link + blocks * (links * per_block + shared))
+            np.testing.assert_array_equal(link_gains(spec, *angles, start, n), expected)
+
+
+@pytest.mark.parametrize("fs", [256.0, 1e3])
+@pytest.mark.parametrize("start", [0, 10**7 // 1024 * 1024])
+def test_turned_anchors_match_mpmath(fs, start):
+    """The kernel against a 120-bit reference at the blocks that a run
+    turns least and most, r = 0, 1 and 31, and across the edge to the next
+    run, from t = 0 and from about 10^7 samples on."""
+    spec = FadingSpec(max_doppler_hz=100.0, sample_rate_hz=fs)
+    length = block_plan(spec).length
+    run = length * ROTATION_BLOCK
+    offsets = np.array([0, length // 2, length - 1, length, length + 17, 2 * length - 1,
+                        run - length, run - 9, run - 1, run, run + 1, run + length + 3])
+    u = np.stack([RngStream(19, sid).uniform(1 + 2 * spec.num_sinusoids) for sid in range(2)])
+    _error_bound_holds(spec, u, start, run + 2 * length, start + offsets)
+
+
 def taylor_block_sums_loops(freqs, phases, wd, fs, plan, tables, lo, hi):
     """_block_sums's Taylor plan as loops, the kernel before its moments and
     polynomials became contractions: each moment mu_k a product of the
@@ -316,6 +359,74 @@ def taylor_block_sums_loops(freqs, phases, wd, fs, plan, tables, lo, hi):
         acc *= offsets
         acc += mu[k][..., None]
     return acc.reshape(*acc.shape[:-2], -1)[..., skip : skip + hi - lo]
+
+
+def rotation_block_sums_direct_anchors(freqs, phases, wd, fs, plan, tables, lo, hi):
+    """_block_sums's rotation plan with every block's anchor phases by trig,
+    the kernel before a run's blocks turned its first block's anchors:
+    the sines and cosines of _anchor_phases at every block, then the same
+    contractions with the sample tables. The run table (tables[2:]) is
+    not read."""
+    mode, length, _ = plan
+    assert mode == "rotation"
+    m = freqs.shape[-1]
+    j0, j1 = lo // length, (hi - 1) // length + 1
+    half = length // 2
+    trig = np.empty((2, *freqs.shape[:-1], j1 - j0, m))
+    _anchor_phases(freqs, phases, wd, fs, length, j0, j1, trig[0])
+    np.sin(trig[0], out=trig[1])
+    np.cos(trig[0], out=trig[0])
+    a = np.einsum("...jm,k...m->...jk", trig[0], tables[0])
+    b = np.einsum("...jm,k...m->...jk", trig[1], tables[1])
+    acc = np.empty((*a.shape[:-1], length))
+    np.subtract(a[..., :half], b[..., :half], out=acc[..., half:])
+    np.add(a[..., half:0:-1], b[..., half:0:-1], out=acc[..., :half])
+    return acc.reshape(*acc.shape[:-2], -1)[..., lo - j0 * length : hi - j0 * length]
+
+
+def _rotation_operands(fs, links, seed, rows=ROTATION_BLOCK):
+    # _block_sums's operands for the rotation plan at f_d = 100 Hz.
+    spec = FadingSpec(max_doppler_hz=100.0, sample_rate_hz=fs)
+    plan = block_plan(spec)
+    assert plan.mode == "rotation"
+    m = spec.num_sinusoids
+    alphas, psis, thetas = fading_angles(spec, np.stack([RngStream(seed, sid).uniform(1 + 2 * m) for sid in range(links)]))
+    freqs, phases = np.stack([np.cos(alphas), np.sin(alphas)]), np.stack([psis, thetas])
+    wd = 2.0 * np.pi * spec.max_doppler_hz
+    return freqs, phases, wd, fs, plan, _rotation_tables(freqs, wd / fs, plan.length, rows)
+
+
+@pytest.mark.parametrize("fs", [256.0, 1e3, 2560.0, 1e4])
+@pytest.mark.parametrize("start", [0, 10**7])
+def test_turned_anchors_stay_near_the_direct_anchors(fs, start):
+    """The turned anchors' sums against the direct anchors' on 6 links,
+    inside one block, over a whole run and across run edges from a start
+    mid-run, from t = 0 and from 10^7 samples on. Both round the anchor
+    phases, whose ulp grows with the phase: the sums may part by at most
+    8 ulp of the largest anchor phase theta_max that the call reads, times
+    sqrt(M). At every block at the start of a run (r = 0), and in a call
+    inside such a block, they are equal bit for bit."""
+    operands = _rotation_operands(fs, 6, 17)
+    freqs, phases, wd, _, plan, _ = operands
+    length, m = plan.length, freqs.shape[-1]
+    run = length * ROTATION_BLOCK
+    base = start // run * run
+    # Inside block 0, a whole run, three run edges from mid-run, inside
+    # block 32 (r = 0) and inside block 37 (r = 5).
+    for lo, hi in ((5, 27), (0, run), (run // 2 + 3, 3 * run + 40), (run + 1, run + 31),
+                   (run + 5 * length + 2, run + 5 * length + 20)):
+        lo, hi = base + lo, base + hi
+        sums, direct = _block_sums(*operands, lo, hi), rotation_block_sums_direct_anchors(*operands, lo, hi)
+        assert sums.shape == direct.shape == (2, 6, hi - lo)
+        j0, j1 = lo // run * ROTATION_BLOCK, (hi - 1) // length + 1
+        theta = np.empty((2, 6, j1 - j0, m))
+        _anchor_phases(freqs, phases, wd, fs, length, j0, j1, theta)
+        bound = 8.0 * np.spacing(np.max(np.abs(theta))) * math.sqrt(m)
+        assert np.max(np.abs(sums - direct)) <= bound, (np.max(np.abs(sums - direct)), bound)
+        first = np.arange(lo, hi) // length % ROTATION_BLOCK == 0
+        np.testing.assert_array_equal(sums[..., first].view(np.uint64), direct[..., first].view(np.uint64))
+        if hi - lo < length and lo // length % ROTATION_BLOCK == 0:
+            np.testing.assert_array_equal(sums.view(np.uint64), direct.view(np.uint64))
 
 
 @pytest.mark.parametrize("fd, fs", [(25.0, 1e6), (50.0, 1e6), (100.0, 1e6), (100.0, 2e5), (100.0, 1e5)])
@@ -640,3 +751,22 @@ def test_rician_autocorr_theory_column():
     lags = np.array(stats.autocorr_lags)
     rmse = math.sqrt(np.mean((lags[:, 1] - lags[:, 2]) ** 2))
     assert rmse < 0.1
+
+
+@pytest.mark.parametrize("seed", [102, 103])
+@pytest.mark.parametrize("phase", [0.0, 1.0, math.pi / 2])
+def test_rician_static_los_autocorr_theory_column(phase, seed):
+    """A static line of sight (f_los = 0) adds the constant
+    sqrt(K/(K+1)) cos(phi) to the real part, so the theoretical column is
+    (K (1 + cos 2 phi) + J0) / (K (1 + cos 2 phi) + 1). At K = 4, 2,560 Hz
+    and 5e5 samples every lag's empirical value lies within 0.05 of it;
+    the column without the constant missed by 0.12 to 1.14."""
+    spec = FadingSpec(model=FadingModel.RICIAN, max_doppler_hz=100.0, sample_rate_hz=2560.0, k_factor=4.0,
+                      los_phase_rad=phase)
+    stats = validate_process(fading_init(spec, RngStream(seed, 0)), 500_000)
+    from mimolink.numerics import bessel_j0
+
+    static = 4.0 * (1.0 + math.cos(2.0 * phase))
+    for tau, emp, theo in stats.autocorr_lags:
+        assert theo == pytest.approx((static + bessel_j0(2.0 * math.pi * 100.0 * tau)) / (static + 1.0), rel=1e-12)
+        assert abs(emp - theo) < 0.05
