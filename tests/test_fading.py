@@ -384,7 +384,7 @@ def rotation_block_sums_direct_anchors(freqs, phases, wd, fs, plan, tables, lo, 
     return acc.reshape(*acc.shape[:-2], -1)[..., lo - j0 * length : hi - j0 * length]
 
 
-def _rotation_operands(fs, links, seed, rows=ROTATION_BLOCK):
+def _rotation_operands(fs, links, seed):
     # _block_sums's operands for the rotation plan at f_d = 100 Hz.
     spec = FadingSpec(max_doppler_hz=100.0, sample_rate_hz=fs)
     plan = block_plan(spec)
@@ -393,7 +393,7 @@ def _rotation_operands(fs, links, seed, rows=ROTATION_BLOCK):
     alphas, psis, thetas = fading_angles(spec, np.stack([RngStream(seed, sid).uniform(1 + 2 * m) for sid in range(links)]))
     freqs, phases = np.stack([np.cos(alphas), np.sin(alphas)]), np.stack([psis, thetas])
     wd = 2.0 * np.pi * spec.max_doppler_hz
-    return freqs, phases, wd, fs, plan, _rotation_tables(freqs, wd / fs, plan.length, rows)
+    return freqs, phases, wd, fs, plan, _rotation_tables(freqs, wd / fs, plan.length, ROTATION_BLOCK)
 
 
 @pytest.mark.parametrize("fs", [256.0, 1e3, 2560.0, 1e4])
