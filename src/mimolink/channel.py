@@ -23,23 +23,26 @@ SNR convention: for a transmit row x with total energy 1, snr_db is the
 ratio of transmit energy to noise power per receive antenna, so the complex
 noise variance per receive antenna is 10^(-snr_db / 10).
 
-A ChannelProcess is one channel or a batch of them, started with
-channel_init from uniforms the caller draws. apply_channel advances it and
-adds the caller's receiver noise in one call: channel_matrix_at mixes the
-links (one fading_next call for all of them) and scales them by the path
-gain, and receive adds the noise to H x. apply_channel draws nothing:
-sim's frame chain draws one array of noise a chunk with receiver_noise,
-and hands it to apply_channel at every point of a Doppler or sample-rate
-sweep, on the chunk's channels that channel_restart runs under the point's
-spec. A gain sweep calls apply_channel once a chunk, without noise, on the
-channels restarted at 0 dB.
+A channel, or a batch of them, is a ChannelSpec and its links: the
+FadingProcess that channel_init builds from uniforms the caller draws,
+whose angle tables nothing changes. The tables depend on a spec only
+through its link count and M, so one batch of links serves every point of
+a sweep. apply_channel reads the channels from t = 0 under a spec and adds
+the caller's receiver noise in one call: channel_matrix_at mixes the
+links (one fading_next call for all of them, under the spec's fading) and
+scales them by the path gain, and receive adds the noise to H x.
+apply_channel draws nothing: sim's frame chain draws one array of noise a
+chunk with receiver_noise, and hands it to apply_channel with the chunk's
+links at every point of a Doppler or sample-rate sweep, under the point's
+spec. A gain sweep calls apply_channel once a chunk, without noise, at
+0 dB.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,11 +56,9 @@ __all__ = [
     "correlation_rho",
     "correlation_matrix",
     "ChannelSpec",
-    "ChannelProcess",
     "path_gain",
     "noise_variance",
     "channel_init",
-    "channel_restart",
     "channel_matrix_at",
     "receiver_noise",
     "receive",
@@ -175,18 +176,11 @@ class ChannelSpec:
         self.fading.validate()
 
 
-@dataclass
-class ChannelProcess:
-    """Running channels: one FadingProcess whose (..., n_rx * n_tx, M) angle
-    tables hold every link of every channel, links in row-major order
-    (index r * n_tx + t). The leading axes index independent channels."""
-
-    spec: ChannelSpec
-    fading: FadingProcess
-
-
-def channel_init(spec: ChannelSpec, u: np.ndarray) -> ChannelProcess:
-    """Channels at t = 0 from their links' fading uniforms.
+def channel_init(spec: ChannelSpec, u: np.ndarray) -> FadingProcess:
+    """Channels' links from their fading uniforms: one FadingProcess whose
+    (..., n_rx * n_tx, M) angle tables hold every link of every channel,
+    links in row-major order (index r * n_tx + t). The leading axes index
+    independent channels.
 
     u has shape (..., n_rx * n_tx, fading_draws(spec.fading)): one row of
     uniforms per link, each drawn from that link's own stream, so the links
@@ -196,27 +190,14 @@ def channel_init(spec: ChannelSpec, u: np.ndarray) -> ChannelProcess:
     links, draws = spec.n_rx * spec.n_tx, fading_draws(spec.fading)
     if u.ndim < 2 or u.shape[-2:] != (links, draws):
         raise ValueError(f"u must have shape (..., {links}, {draws}), got {u.shape}")
-    return ChannelProcess(spec, FadingProcess(spec.fading, *fading_angles(spec.fading, u)))
+    return FadingProcess(spec.fading, *fading_angles(spec.fading, u))
 
 
-def channel_restart(proc: ChannelProcess, spec: ChannelSpec) -> ChannelProcess:
-    """proc's channels at t = 0 under spec: the same links' angle tables,
-    which depend on a spec only through its link count and M, with the
-    Doppler, sample rate, line of sight, correlation and path gain of spec.
-    proc itself is left as it is."""
-    shape = (spec.n_rx * spec.n_tx, spec.fading.num_sinusoids)
-    if proc.fading.alphas.shape[-2:] != shape:
-        raise ValueError(f"spec needs angle tables of shape (..., {shape[0]}, {shape[1]})")
-    f = proc.fading
-    return ChannelProcess(spec, FadingProcess(spec.fading, f.alphas, f.psis, f.thetas))
-
-
-def channel_matrix_at(proc: ChannelProcess, n_samples: int) -> np.ndarray:
-    """Advance every link and return the next n_samples channel matrices
-    g * Rr^{1/2} G Rt^{1/2}, shape (..., n_samples, n_rx, n_tx) for a
-    process with leading axes (...)."""
-    spec = proc.spec
-    gains = fading_next(proc.fading, n_samples)
+def channel_matrix_at(spec: ChannelSpec, links: FadingProcess, n_samples: int) -> np.ndarray:
+    """The first n_samples channel matrices g * Rr^{1/2} G Rt^{1/2} of the
+    links under spec, shape (..., n_samples, n_rx, n_tx) for links with
+    leading axes (...). The links' own spec is not read."""
+    gains = fading_next(replace(links, spec=spec.fading), n_samples)
     shape = (*gains.shape[:-2], n_samples, spec.n_rx, spec.n_tx)
     if spec.correlation == 0.0:
         h = np.ascontiguousarray(np.swapaxes(gains, -1, -2)).reshape(shape)
@@ -293,26 +274,31 @@ def receive(h: np.ndarray, x: np.ndarray, w: np.ndarray | None) -> np.ndarray:
 
 
 def apply_channel(
-    proc: ChannelProcess, x: np.ndarray, w: np.ndarray | None
+    spec: ChannelSpec, links: FadingProcess, x: np.ndarray, w: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Push transmit rows through the channels and add receiver noise.
+    """Push transmit rows through the channels from t = 0 under spec and
+    add receiver noise.
 
-    x has shape (..., n, n_tx) with the process's leading axes: n rows per
-    channel, each with total energy 1 by the encoder contract. w holds the
-    (..., n, n_rx) noise rows, as receiver_noise draws them, or is None for
-    a noiseless receiver; nothing is drawn here. Returns the (..., n, n_rx)
-    receive rows and the exact (..., n, n_rx, n_tx) channel matrices used,
-    so callers can hand perfect CSI to a combiner.
+    links holds (..., n_rx * n_tx, M) angle tables for spec, as
+    channel_init builds them. x has shape (..., n, n_tx) with the links'
+    leading axes: n rows per channel, each with total energy 1 by the
+    encoder contract. w holds the (..., n, n_rx) noise rows, as
+    receiver_noise draws them, or is None for a noiseless receiver; nothing
+    is drawn here. Returns the (..., n, n_rx) receive rows and the exact
+    (..., n, n_rx, n_tx) channel matrices used, so callers can hand perfect
+    CSI to a combiner.
     """
-    spec = proc.spec
+    tables = (spec.n_rx * spec.n_tx, spec.fading.num_sinusoids)
+    if links.alphas.shape[-2:] != tables:
+        raise ValueError(f"spec needs angle tables of shape (..., {tables[0]}, {tables[1]})")
     x = np.asarray(x, dtype=np.complex128)
-    lead = proc.fading.alphas.shape[:-2]
+    lead = links.alphas.shape[:-2]
     if x.ndim != len(lead) + 2 or x.shape[:-2] != lead or x.shape[-1] != spec.n_tx:
         raise ValueError(f"x must have shape {(*lead, 'n', spec.n_tx)}, got {x.shape}")
     shape = (*x.shape[:-1], spec.n_rx)
     if w is not None and w.shape != shape:
         raise ValueError(f"w must have shape {shape}, got {w.shape}")
-    h = channel_matrix_at(proc, x.shape[-2])
+    h = channel_matrix_at(spec, links, x.shape[-2])
     noise = None if w is None else w.reshape(-1, spec.n_rx)
     y = receive(h.reshape(-1, spec.n_rx, spec.n_tx), x.reshape(-1, spec.n_tx), noise)
     return y.reshape(shape), h

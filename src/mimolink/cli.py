@@ -59,11 +59,11 @@ __all__ = ["main", "build_parser"]
 class _Parser(argparse.ArgumentParser):
     # The interface reserves exit code 2 for runtime failures, so usage
     # errors exit 1 instead of argparse's default 2. The widened matcher
-    # lets values like "-20:2:0" or "-5,-3" follow a flag without being
-    # mistaken for option names ("=" still works if this ever changes).
+    # lets values like "-20:2:0", "-5,-3" or "-.5" follow a flag without
+    # being mistaken for option names ("=" still works if this ever changes).
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d")
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -54,9 +54,9 @@ Because the blocks and the runs are absolute, a value depends only on its
 sample index, never on where a call starts or how it is tiled: links and
 blocks are taken in tiles of at most numerics.CHUNK_ELEMENTS float64
 elements (0.5 MiB) of scratch, numpy's iterator buffers included.
-A FadingProcess is a cursor over the kernel: it holds the angle tables of
-one link or of a batch of links, and fading_next asks link_gains for all of
-them at the process's next sample indices.
+A FadingProcess is the frozen angle tables of one link or of a batch of
+links under their spec, and fading_next asks link_gains for all of them at
+the sample indices it is given.
 """
 
 from __future__ import annotations
@@ -180,16 +180,15 @@ class FadingSpec:
             raise ValueError("k_factor must be nonnegative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FadingProcess:
-    """Running fading links: frozen (..., M) angle tables, one row per link
-    (a single link has no leading axes), plus the sample cursor they share."""
+    """Fading links: (..., M) angle tables, one row per link (a single link
+    has no leading axes), under their spec."""
 
     spec: FadingSpec
     alphas: np.ndarray
     psis: np.ndarray
     thetas: np.ndarray
-    sample_index: int = 0
 
 
 def fading_draws(spec: FadingSpec) -> int:
@@ -214,7 +213,7 @@ def fading_angles(spec: FadingSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def fading_init(spec: FadingSpec, rng: RngStream) -> FadingProcess:
-    """Draw the per-link random angles and return a process at t = 0.
+    """Draw the per-link random angles and return the link's process.
 
     Draw order (one uniform for theta, then M for psi, then M for the second
     quadrature's phases) is part of the reproducibility contract.
@@ -562,21 +561,19 @@ def link_gains(
     return out
 
 
-def fading_next(proc: FadingProcess, n_samples: int) -> np.ndarray:
-    """Advance the process and return the next n_samples gains of every
-    link, shape (..., n_samples) for (..., M) angle tables.
+def fading_next(proc: FadingProcess, n_samples: int, start: int = 0) -> np.ndarray:
+    """The gains of every link at samples start, ..., start + n_samples - 1,
+    shape (..., n_samples) for (..., M) angle tables.
 
-    Successive calls are seamless: two calls of n/2 samples concatenate to
-    exactly one call of n. Output is a complex128 array with unit mean power
-    for both models.
+    Reads are seamless: the reads of n/2 samples from 0 and from n/2
+    concatenate to exactly one read of n. Output is a complex128 array with
+    unit mean power for both models.
     """
     if n_samples < 0:
         raise ValueError("n_samples must be nonnegative")
     *lead, m = proc.alphas.shape
     rows = [a.reshape(-1, m) for a in (proc.alphas, proc.psis, proc.thetas)]
-    out = link_gains(proc.spec, *rows, proc.sample_index, n_samples).reshape(*lead, n_samples)
-    proc.sample_index += n_samples
-    return out
+    return link_gains(proc.spec, *rows, start, n_samples).reshape(*lead, n_samples)
 
 
 def pdf_envelope_rician(x, c_m: float, alpha_sq: float):
@@ -706,14 +703,14 @@ def check_validation_spec(spec: FadingSpec) -> None:
 
 
 def validate_process(proc: FadingProcess, n_samples: int) -> EnvelopeStats:
-    """Draw n_samples from the process and test them against theory.
+    """Test the process's first n_samples gains against theory.
 
     The KS statistic compares the sample envelope against the model CDF
     (closed form for Rayleigh, numeric integration of the Rician density).
     n_samples must pass check_validation_samples and the process's spec
     check_validation_spec.
 
-    The gains are drawn in tiles of numerics.CHUNK_ELEMENTS samples, which
+    The gains are read in tiles of numerics.CHUNK_ELEMENTS samples, which
     join seamlessly, and only their envelope is kept: one float64 a sample
     (8 bytes) beside tiles of scratch, and under Rician fading the CDF grid
     of rician_envelope_cdf_grid. Each tile adds its lag products to
@@ -741,7 +738,7 @@ def validate_process(proc: FadingProcess, n_samples: int) -> EnvelopeStats:
     carry = 0
     for lo in range(0, n_samples, tile):
         size = min(tile, n_samples - lo)
-        g = fading_next(proc, size)
+        g = fading_next(proc, size, lo)
         np.abs(g, out=env[lo : lo + size])
         stop = carry + size
         x = window[:stop]

@@ -23,7 +23,7 @@ a trial draws the same uniforms at every point, and the part of the chain
 that the swept value does not enter, the prefix, runs once per chunk:
 bits, codewords, the links' angle tables and the receiver noise for the
 FER experiments, and under a gain sweep H0 x and the unit-gain channel
-matrices H0, from apply_channel on the channels restarted at 0 dB, and
+matrices H0, from apply_channel on the chunk's links at 0 dB, and
 the combines S of H0 x and W of the noise under H0's block channels;
 bits, the i.i.d. channel, H x, the channels prepared for the detector
 (detect.prepare_channels: H^H and the Gram matrices with ZF's
@@ -100,7 +100,6 @@ from .channel import (
     ChannelSpec,
     apply_channel,
     channel_init,
-    channel_restart,
     noise_variance,
     path_gain,
     receive,
@@ -143,7 +142,7 @@ class Experiment(enum.Enum):
     (the value), its stream ids' experiment field (exp_id) and the field
     its sweep sets (swept, a dotted path from SimConfig). _run_chunk runs
     BER_VS_SNR on the uncoded chain, FER_VS_GAIN on the gain chain and any
-    other on the channel chain, which restarts links under each point's spec."""
+    other on the channel chain, which reads the links under each point's spec."""
 
     FER_VS_GAIN = ("fer_vs_gain", 0, "channel.path_gain_db")
     FER_VS_DOPPLER = ("fer_vs_doppler", 1, "channel.fading.max_doppler_hz")
@@ -468,7 +467,7 @@ def _run_chunk(points: list[SimConfig], draw, trials: range) -> list[np.ndarray]
     x, syms = encode_array(code, syms.reshape(-1, code.n_symbols)).reshape(f, -1, n_tx), None
     rows = x.shape[1]
     u = uniforms(ROLE_FADING, fading_draws(ch.fading), n_rx * n_tx).reshape(f, n_rx * n_tx, -1)
-    proc, u = channel_init(ch, u), None  # the angle tables replace the uniforms
+    links, u = channel_init(ch, u), None  # the angle tables replace the uniforms
 
     def combine(y: np.ndarray, h_blocks: np.ndarray) -> np.ndarray:
         return combine_array(code, y.reshape(-1, t_len, n_rx), h_blocks)
@@ -482,7 +481,7 @@ def _run_chunk(points: list[SimConfig], draw, trials: range) -> list[np.ndarray]
         # S and W the combines of H0 x and of w under the unit-gain H0. The
         # prefix forms S and W; each point is an axpy and the demapping. At
         # 0 dB, channel_matrix_at scales by 10**0, exactly 1.0.
-        (y0, h0), x = apply_channel(channel_restart(proc, replace(ch, path_gain_db=0.0)), x, None), None
+        (y0, h0), x = apply_channel(replace(ch, path_gain_db=0.0), links, x, None), None
         h_blocks, h0 = h0.reshape(-1, n_rx, n_tx)[::t_len].copy(), None  # a copy, so that h0 is freed here
         s0, y0 = combine(y0, h_blocks), None
         w = receiver_noise((f * rows, n_rx), config.snr_db, noise)
@@ -500,7 +499,7 @@ def _run_chunk(points: list[SimConfig], draw, trials: range) -> list[np.ndarray]
     w = receiver_noise((f, rows, n_rx), config.snr_db, noise)
 
     def point_errors(pc: SimConfig) -> np.ndarray:
-        y, h = apply_channel(channel_restart(proc, pc.channel), x, w)
+        y, h = apply_channel(pc.channel, links, x, w)
         return errors(combine(y, h.reshape(-1, n_rx, n_tx)[::t_len]))
 
     return [point_errors(pc) for pc in points]

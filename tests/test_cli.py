@@ -274,6 +274,20 @@ def test_negative_sweep_values_parse(tmp_path):
     assert [r["x"] for r in rows] == [-8.0, -6.0, -4.0]
 
 
+@pytest.mark.parametrize("flag, value, dest, want", [
+    ("--gain-db", "-.5", "gain_db", (-0.5,)),
+    ("--gain-db", "-.5:.25:0", "gain_db", (-0.5, -0.25, 0.0)),
+    ("--los-phase-rad", "-.5", "los_phase_rad", -0.5),
+    ("--gain-db", "-20:2:0", "gain_db", tuple(range(-20, 1, 2))),
+    ("--gain-db", "-5,-3", "gain_db", (-5.0, -3.0)),
+])
+def test_negative_values_follow_their_flag(flag, value, dest, want):
+    """A negative float, written with a leading dot or a digit, as a sweep
+    or a fixed value, follows its flag without "="."""
+    args = build_parser().parse_args(["fer-vs-gain", flag, value, "--out", "x.csv"])
+    assert getattr(args, dest) == want
+
+
 def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fer-vs-gain"])  # --out is required

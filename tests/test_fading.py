@@ -1,5 +1,6 @@
 """Statistical and structural tests for the sum-of-sinusoids fading models."""
 
+import dataclasses
 import inspect
 import math
 import tracemalloc
@@ -78,7 +79,17 @@ def test_init_angle_structure():
     assert np.all(np.diff(proc.alphas) > 0.0)
     for phases in (proc.psis, proc.thetas):
         assert np.all(phases >= -np.pi) and np.all(phases < np.pi)
-    assert proc.sample_index == 0
+
+
+def test_fading_process_is_frozen():
+    """A process is its spec and angle tables, and no field can be
+    reassigned: fading_next reads it and keeps nothing."""
+    proc = fading_init(FAST_SPEC, RngStream(1, 0))
+    for name, value in (("spec", FAST_SPEC), ("alphas", proc.psis), ("sample_index", 5)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(proc, name, value)
+    first = fading_next(proc, 64)
+    np.testing.assert_array_equal(fading_next(proc, 64), first)
 
 
 def test_init_draw_order_is_fixed():
@@ -103,7 +114,7 @@ def test_deterministic_and_stream_separated():
 
 def test_seamless_continuation_across_calls_and_chunks():
     proc = fading_init(FAST_SPEC, RngStream(8, 1))
-    split = np.concatenate([fading_next(proc, 35_000), fading_next(proc, 35_000)])
+    split = np.concatenate([fading_next(proc, 35_000), fading_next(proc, 35_000, 35_000)])
     whole = fading_next(fading_init(FAST_SPEC, RngStream(8, 1)), 70_000)
     np.testing.assert_array_equal(split, whole)  # 70000 also crosses a chunk edge
 
@@ -266,9 +277,9 @@ def test_taylor_blocks_are_seamless_and_tile_invariant(fs, monkeypatch):
     assert length > 1 and (order > 0) == (mode == "taylor")
     n = 3 * length + 5
     whole = fading_next(fading_init(spec, RngStream(12, 0)), n)
+    proc = fading_init(spec, RngStream(12, 0))
     for cut in (length - 1, length, length + 1, 2 * length + 3):
-        proc = fading_init(spec, RngStream(12, 0))
-        np.testing.assert_array_equal(np.concatenate([fading_next(proc, cut), fading_next(proc, n - cut)]), whole)
+        np.testing.assert_array_equal(np.concatenate([fading_next(proc, cut), fading_next(proc, n - cut, cut)]), whole)
     u = np.stack([RngStream(12, sid).uniform(1 + 2 * spec.num_sinusoids) for sid in range(3)])
     angles = fading_angles(spec, u)
     start = length // 2 + 1
@@ -293,9 +304,9 @@ def test_rotation_runs_are_seamless_and_tile_invariant(fs, monkeypatch):
     run = length * ROTATION_BLOCK
     n = 3 * run + 77
     whole = fading_next(fading_init(spec, RngStream(18, 0)), n)
+    proc = fading_init(spec, RngStream(18, 0))
     for cuts in ((run - 1,), (run,), (run + 1,), (2 * run - 1, 2 * run + 1), (5, run + 40, run + 41, 3 * run)):
-        proc = fading_init(spec, RngStream(18, 0))
-        parts = [fading_next(proc, b - a) for a, b in zip((0, *cuts), (*cuts, n))]
+        parts = [fading_next(proc, b - a, a) for a, b in zip((0, *cuts), (*cuts, n))]
         np.testing.assert_array_equal(np.concatenate(parts, axis=-1), whole)
     u = np.stack([RngStream(18, sid).uniform(1 + 2 * spec.num_sinusoids) for sid in range(3)])
     angles = fading_angles(spec, u)

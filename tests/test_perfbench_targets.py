@@ -106,6 +106,26 @@ def test_traced_gain_run_writes_the_untraced_csv(tmp_path):
     assert [tracing.LAYER_OF_SPAN[span] for span in spans] == ["channel.apply_s", "channel.mix_s"]
 
 
+def test_traced_validate_run_writes_the_untraced_csv(tmp_path):
+    """A traced validate-fading run writes the bytes of an untraced one,
+    and the samples that its fading.fading_next spans record, the second
+    argument of each call, sum to the run's sample count."""
+    import mimolink
+    import mimolink.cli
+
+    tracing = _load_tracing()
+    argv = ["validate-fading", "--samples", "100000"]
+    plain, traced = tmp_path / "plain.csv", tmp_path / "traced.csv"
+    assert mimolink.cli.main([*argv, "--out", str(plain)]) == 0
+    tracer = tracing.Tracer()
+    with tracer.installed(mimolink):
+        assert mimolink.cli.main([*argv, "--out", str(traced)]) == 0
+    assert traced.read_bytes() == plain.read_bytes()
+    samples = [rec[6] for rec in tracer.spans if rec[1] == "fading.fading_next"]
+    assert len(samples) > 1 and sum(samples) == 100_000
+    assert tracing.layer_table(tracer.spans)["fading.samples"] == 100_000
+
+
 @pytest.mark.parametrize("detector", ["zf", "mmse", "ml"])
 def test_traced_detector_run_writes_the_untraced_csv(tmp_path, detector):
     """A traced ber-vs-snr run writes the bytes of an untraced one, and the

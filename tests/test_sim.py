@@ -491,9 +491,9 @@ def test_reference_chain_reproduces_run_frame():
         rows = np.concatenate(blocks, axis=0)
         ch = point.channel
         u = [stream(ROLE_FADING + i).uniform(fading_draws(ch.fading)) for i in range(ch.n_rx * ch.n_tx)]
-        chan = channel_init(ch, np.stack(u))
+        links = channel_init(ch, np.stack(u))
         w = receiver_noise((len(rows), ch.n_rx), point.snr_db, stream(ROLE_NOISE).uniform)
-        y_rows, h = apply_channel(chan, rows, w)
+        y_rows, h = apply_channel(ch, links, rows, w)
 
         bits_hat = []
         t_len = code.block_len
